@@ -22,7 +22,9 @@ class InvalidKernelError(PenplsError, ValueError):
 
 
 class DataError(PenplsError, ValueError):
-    """A data file could not be parsed into a valid dataset."""
+    """Input data are invalid: a data file could not be parsed into a valid
+    dataset, or a predictor array passed to a fit, prediction or
+    cross-validation holds NaN or an infinity."""
 
 
 class ModelFormatError(PenplsError, ValueError):

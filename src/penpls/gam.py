@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateVariableError
+from .errors import ConfigurationError, DataError, DegenerateVariableError
 from .penalty import PenaltySpec, make_preconditioner
 from .pls import FitConfig, penalized_pls_fit, DEFAULT_NORM_TOL
 from .splines import (BasisExpansion, SplineBasis, eval_basis_grid, make_basis,
@@ -62,9 +62,8 @@ def _build_bases(X: np.ndarray, n_basis: int, degree: int):
     for j in range(X.shape[1]):
         try:
             bases.append(make_basis(X[:, j], n_basis, degree))
-        except DegenerateVariableError as exc:
-            raise DegenerateVariableError(
-                f"predictor column {j}: {exc}") from exc
+        except (DataError, DegenerateVariableError) as exc:
+            raise type(exc)(f"predictor column {j}: {exc}") from exc
     return tuple(bases)
 
 
@@ -88,6 +87,8 @@ def fit_gam(X, y, penalty: PenaltySpec, n_components: int,
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.shape[0]:
         raise ConfigurationError("X and y row counts differ")
+    if not np.all(np.isfinite(y)):
+        raise DataError("y has non-finite values (NaN or inf)")
     if X.shape[0] < 3:
         raise ConfigurationError("need at least 3 observations")
     if X.shape[1] != penalty.n_variables:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateVariableError
+from .errors import ConfigurationError, DataError, DegenerateVariableError
 from .gam import _build_bases
 from .penalty import DEFAULT_DIFF_ORDER, PenaltySpec, make_preconditioner
 from .pls import DEFAULT_NORM_TOL, FitConfig, penalized_pls_fit
@@ -70,6 +70,10 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     n, p = X.shape
+    if y.shape[0] != n:
+        raise ConfigurationError("X and y row counts differ")
+    if not np.all(np.isfinite(y)):
+        raise DataError("y has non-finite values (NaN or inf)")
     if n < 3:
         raise ConfigurationError("need at least 3 observations")
     if max_components < 1:

@@ -3,6 +3,12 @@
 Each predictor variable gets its own basis.  A data matrix with p columns is
 mapped to a matrix with p*K columns, grouped contiguously by variable, where
 K is the number of basis functions per variable.
+
+``eval_basis_grid`` is the one evaluator: a Cox-de Boor recursion over all
+points of a column at once.  ``eval_basis`` (one point), ``transform`` (a
+whole data matrix) and, through them, prediction and fitted curves all use
+it.  Non-finite data are rejected where they enter, in ``make_basis`` and
+``transform``, rather than given an all-zero basis row.
 """
 from __future__ import annotations
 
@@ -10,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateVariableError
+from .errors import ConfigurationError, DataError, DegenerateVariableError
 
 DEFAULT_N_BASIS = 20
 DEFAULT_DEGREE = 3
@@ -80,10 +86,14 @@ def make_basis(values, n_basis: int = DEFAULT_N_BASIS,
     ------
     ConfigurationError
         If ``n_basis < degree + 1``.
+    DataError
+        If ``values`` contains NaN or an infinity.
     DegenerateVariableError
         If ``values`` has fewer than two distinct entries.
     """
     values = np.asarray(values, dtype=float).ravel()
+    if not np.all(np.isfinite(values)):
+        raise DataError("variable has non-finite values (NaN or inf)")
     if n_basis < degree + 1:
         raise ConfigurationError(
             f"n_basis={n_basis} is too small for degree {degree} "
@@ -104,52 +114,84 @@ def make_basis(values, n_basis: int = DEFAULT_N_BASIS,
     return SplineBasis(degree=degree, knots=knots)
 
 
-def eval_basis(basis: SplineBasis, x: float) -> np.ndarray:
-    """Evaluate all basis functions at one point via the de Boor recursion.
+def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
+    """Evaluate every basis function at many points; returns a (len(xs), K)
+    matrix whose row i is the basis at ``xs[i]``.
 
-    ``x`` is clamped to the boundary-knot interval first, so out-of-domain
-    points are evaluated at the nearest boundary.
+    The Cox-de Boor recursion runs on all points at once.  Degree 0 is the
+    indicator of the half-open knot interval ``[t_j, t_{j+1})`` holding each
+    point; each of the ``degree`` passes then combines neighbouring columns
+    with the knot-ratio weights ``(x - t_j) / (t_{j+k} - t_j)`` and
+    ``(t_{j+k+1} - x) / (t_{j+k+1} - t_{j+1})``, a weight being zero where its
+    knot span is empty.  The work is ``degree`` array passes over an
+    ``(len(xs), len(knots) - 1)`` array rather than a loop over points.
+
+    Points are clamped to the boundary-knot interval first, so out-of-domain
+    points are evaluated at the nearest boundary.  The right boundary, which
+    no half-open interval contains, is assigned to the last nonempty one.
+
+    Each weight is clipped to [0, 1].  Wherever the lower-degree function it
+    multiplies is nonzero the weight already lies in [0, 1], so the clip
+    changes no value; elsewhere it keeps a ratio that overflows on a
+    subnormal knot span from turning ``0 * inf`` into NaN.
     """
     t = basis.knots
-    d = basis.degree
     lo, hi = t[0], t[-1]
-    x = float(np.clip(x, lo, hi))
+    x = np.clip(np.asarray(xs, dtype=float).ravel(), lo, hi)[:, None]
 
     left = t[:-1]
     right = t[1:]
     b = ((left <= x) & (x < right)).astype(float)
-    if x >= hi:
-        # the half-open intervals miss the right endpoint; assign it to the
-        # last nonempty interval
-        b[:] = 0.0
-        b[np.nonzero(right > left)[0][-1]] = 1.0
-    for k in range(1, d + 1):
-        nb = len(b) - 1
+    at_end = x[:, 0] >= hi
+    if at_end.any():
+        b[at_end] = 0.0
+        b[at_end, np.nonzero(right > left)[0][-1]] = 1.0
+    for k in range(1, basis.degree + 1):
+        nb = b.shape[1] - 1
+        # an empty span divides by inf, which gives a zero weight
         den1 = t[k:k + nb] - t[:nb]
         den2 = t[k + 1:k + 1 + nb] - t[1:1 + nb]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term1 = np.where(den1 > 0, (x - t[:nb]) / np.where(den1 > 0, den1, 1.0), 0.0)
-            term2 = np.where(den2 > 0, (t[k + 1:k + 1 + nb] - x) / np.where(den2 > 0, den2, 1.0), 0.0)
-        b = term1 * b[:-1] + term2 * b[1:]
+        w1 = x - t[:nb]
+        np.divide(w1, np.where(den1 > 0, den1, np.inf), out=w1)
+        np.clip(w1, 0.0, 1.0, out=w1)
+        w2 = t[k + 1:k + 1 + nb] - x
+        np.divide(w2, np.where(den2 > 0, den2, np.inf), out=w2)
+        np.clip(w2, 0.0, 1.0, out=w2)
+        w1 *= b[:, :-1]
+        w2 *= b[:, 1:]
+        w1 += w2
+        b = w1
     return b
 
 
-def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
-    """Evaluate the basis at many points; returns a (len(xs), K) matrix."""
-    xs = np.asarray(xs, dtype=float).ravel()
-    return np.array([eval_basis(basis, x) for x in xs])
+def eval_basis(basis: SplineBasis, x: float) -> np.ndarray:
+    """Evaluate all basis functions at one point (one row of
+    ``eval_basis_grid``)."""
+    return eval_basis_grid(basis, [x])[0]
 
 
 def transform(X, expansion: BasisExpansion) -> np.ndarray:
     """Expand an n x p matrix into the n x (p*K) B-spline feature matrix.
 
     Row i is the concatenation of the per-variable basis evaluations at
-    ``X[i, :]``, in the block order of ``expansion.bases``.
+    ``X[i, :]``, in the block order of ``expansion.bases``.  Each block is
+    one ``eval_basis_grid`` call over the whole column.
+
+    Raises
+    ------
+    ConfigurationError
+        If the column count of X differs from the number of bases.
+    DataError
+        If X contains NaN or an infinity.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != expansion.n_variables:
         raise ConfigurationError(
             f"X has {X.shape[1]} columns but the expansion was built "
             f"for {expansion.n_variables} variables")
+    finite = np.isfinite(X)
+    if not finite.all():
+        bad = np.nonzero(~finite.all(axis=0))[0].tolist()
+        raise DataError(f"X has non-finite values (NaN or inf) in columns {bad}")
     blocks = [eval_basis_grid(b, X[:, j]) for j, b in enumerate(expansion.bases)]
     return np.hstack(blocks)

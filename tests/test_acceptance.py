@@ -241,4 +241,4 @@ def test_11_birth_data_loo_error(emit):
     status = "pass" if not deviation else (
         f"deviation reported: m={choice.m_opt}, "
         f"loo={choice.loo_error:.4f} (expected 0.090 +/- 0.01 at m=2)")
-    _emit(f"criterion 11 [birth-data cross-validation]: {status}")
+    emit(f"criterion 11 [birth-data cross-validation]: {status}")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from penpls import (ConfigurationError, DegenerateVariableError, PenaltySpec,
-                    fit_gam, fitted_function, predict)
+from penpls import (ConfigurationError, DataError, DegenerateVariableError,
+                    PenaltySpec, fit_gam, fitted_function, predict)
 from penpls.testkit import SyntheticSpec, gen_additive
 
 
@@ -85,6 +85,30 @@ class TestFitGam:
         # same data, same grid of predictions up to numerical noise
         np.testing.assert_allclose(predict(scaled, X), predict(plain, X),
                                    atol=1e-6 * np.std(y))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fit_rejects_non_finite_predictor(self, bad):
+        X, y, _ = fit_fixture()
+        X[5, 1] = bad
+        with pytest.raises(DataError, match="predictor column 1"):
+            fit_gam(X, y, PenaltySpec.shared(10.0, 2, 10), 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_fit_rejects_non_finite_response(self, bad):
+        X, y, _ = fit_fixture()
+        y[3] = bad
+        with pytest.raises(DataError, match="y has non-finite"):
+            fit_gam(X, y, PenaltySpec.shared(10.0, 2, 10), 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_predict_rejects_non_finite_predictor(self, bad):
+        X, _, model = fit_fixture()
+        X_new = X[:3].copy()
+        X_new[1, 0] = bad
+        with pytest.raises(DataError, match=r"columns \[0\]"):
+            predict(model, X_new)
 
 
 class TestPredict:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from penpls import (ConfigurationError, DegenerateVariableError, PenaltySpec,
-                    fit_gam, loocv, predict, score_path)
+from penpls import (ConfigurationError, DataError, DegenerateVariableError,
+                    PenaltySpec, fit_gam, loocv, predict, score_path)
 from penpls.testkit import SyntheticSpec, gen_additive
 
 
@@ -122,6 +122,26 @@ class TestLoocv:
         X[:, 1] = 1.0
         with pytest.raises(DegenerateVariableError, match="column 1"):
             loocv(X, y, lambdas=[1.0], max_components=2, n_basis=5)
+
+    @pytest.mark.parametrize("row", [0, 4])
+    def test_non_finite_predictor_rejected(self, row):
+        # row 0 is held out by the first fold, so it reaches the held-out
+        # transform rather than the knot placement
+        X, y = small_dataset(9, n=8)
+        X[row, 0] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            loocv(X, y, lambdas=[1.0], max_components=2, n_basis=5)
+
+    def test_non_finite_response_rejected(self):
+        X, y = small_dataset(9, n=8)
+        y[2] = np.inf
+        with pytest.raises(DataError, match="y has non-finite"):
+            loocv(X, y, lambdas=[1.0], max_components=2, n_basis=5)
+
+    def test_row_count_mismatch_rejected(self):
+        X, y = small_dataset(9, n=8)
+        with pytest.raises(ConfigurationError, match="row counts"):
+            loocv(X, y[:-1], lambdas=[1.0], max_components=2, n_basis=5)
 
     def test_empty_grid_rejected(self):
         X, y = small_dataset(7)

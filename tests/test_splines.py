@@ -1,10 +1,43 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import BSpline
 
-from penpls import (BasisExpansion, ConfigurationError,
+from penpls import (BasisExpansion, ConfigurationError, DataError,
                     DegenerateVariableError, SplineBasis, eval_basis,
                     eval_basis_grid, make_basis, transform)
+
+
+def scalar_de_boor(basis, x):
+    """Reference: the Cox-de Boor recursion for one point, one loop per point.
+
+    Same arithmetic, element for element, as the vectorised evaluator, so
+    the two must agree bit for bit.
+    """
+    t = basis.knots
+    lo, hi = t[0], t[-1]
+    x = float(np.clip(x, lo, hi))
+    left, right = t[:-1], t[1:]
+    b = ((left <= x) & (x < right)).astype(float)
+    if x >= hi:
+        b[:] = 0.0
+        b[np.nonzero(right > left)[0][-1]] = 1.0
+    for k in range(1, basis.degree + 1):
+        new = np.zeros(len(b) - 1)
+        for j in range(len(new)):
+            den1 = t[j + k] - t[j]
+            den2 = t[j + k + 1] - t[j + 1]
+            w1 = min(max((x - t[j]) / den1, 0.0), 1.0) if den1 > 0 else 0.0
+            w2 = min(max((t[j + k + 1] - x) / den2, 0.0), 1.0) \
+                if den2 > 0 else 0.0
+            new[j] = w1 * b[j] + w2 * b[j + 1]
+        b = new
+    return b
+
+
+def clamped_knots(degree, interior, lo=0.0, hi=1.0):
+    return np.concatenate([np.full(degree + 1, lo), np.sort(interior),
+                           np.full(degree + 1, hi)])
 
 
 class TestMakeBasis:
@@ -20,6 +53,11 @@ class TestMakeBasis:
     def test_degenerate_variable_rejected(self):
         with pytest.raises(DegenerateVariableError):
             make_basis([1.0, 1.0, 1.0], n_basis=4, degree=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            make_basis([0.0, 0.5, bad, 1.0], n_basis=4, degree=3)
 
     def test_interior_knots_at_quantiles(self):
         # independent oracle: sorted values, linear interpolation at
@@ -79,6 +117,35 @@ class TestEvalBasis:
                 ref[-1] = 1.0
             np.testing.assert_allclose(ours, ref, atol=1e-12)
 
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_grid_matches_scipy_design_matrix(self, degree):
+        # random clamped knot vectors, some with repeated interior knots;
+        # the points include both boundary knots and every interior knot
+        rng = np.random.default_rng(100 + degree)
+        for _ in range(20):
+            interior = rng.uniform(-1.0, 2.0, size=rng.integers(0, 12))
+            if interior.size > 1 and rng.uniform() < 0.5:
+                interior[1] = interior[0]
+            lo, hi = -1.5, 2.5
+            knots = clamped_knots(degree, interior, lo, hi)
+            xs = np.concatenate([rng.uniform(lo, hi, 200), knots])
+            ref = BSpline.design_matrix(xs, knots, degree).toarray()
+            ours = eval_basis_grid(SplineBasis(degree, knots), xs)
+            np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
+
+    def test_grid_bit_identical_to_scalar_recursion(self):
+        cases = [SplineBasis(0, [0.0, 1.0, 2.0, 3.0]),
+                 SplineBasis(2, np.linspace(-1.0, 2.0, 9)),  # unclamped
+                 SplineBasis(3, clamped_knots(3, [0.2, 0.2, 0.5, 0.7, 0.7])),
+                 make_basis(np.random.default_rng(8).uniform(size=500), 20)]
+        rng = np.random.default_rng(9)
+        for basis in cases:
+            lo, hi = basis.domain
+            xs = np.concatenate([rng.uniform(lo - 1, hi + 1, 300), basis.knots,
+                                 [-np.inf, np.inf]])
+            expect = np.array([scalar_de_boor(basis, x) for x in xs])
+            assert np.array_equal(eval_basis_grid(basis, xs), expect)
+
 
 @pytest.fixture(scope="module")
 def basis():
@@ -111,7 +178,81 @@ class TestBasisProperties:
             assert np.max(np.abs(left - right)) <= 1e-4
 
 
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def bases_and_points(draw):
+    """A clamped basis of degree 0-3 on random (possibly repeated) interior
+    knots, plus points inside, on and outside its domain."""
+    degree = draw(st.integers(0, 3))
+    knot_value = st.floats(0.0, 1.0, **finite)
+    interior = draw(st.lists(knot_value, max_size=10))
+    interior += draw(st.lists(st.sampled_from(interior or [0.5]),
+                              max_size=degree))
+    basis = SplineBasis(degree, clamped_knots(degree, interior))
+    xs = draw(st.lists(st.floats(-0.5, 1.5, **finite) | knot_value
+                       | st.sampled_from(list(basis.knots)),
+                       min_size=1, max_size=40))
+    return basis, np.array(xs)
+
+
+class TestEvaluatorProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(bases_and_points())
+    def test_partition_of_unity(self, case):
+        basis, xs = case
+        np.testing.assert_allclose(eval_basis_grid(basis, xs).sum(axis=1),
+                                   1.0, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bases_and_points())
+    def test_nonnegative(self, case):
+        basis, xs = case
+        assert np.all(eval_basis_grid(basis, xs) >= 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bases_and_points())
+    def test_at_most_degree_plus_one_nonzeros(self, case):
+        basis, xs = case
+        B = eval_basis_grid(basis, xs)
+        assert B.shape == (len(xs), basis.n_basis)
+        assert np.all(np.count_nonzero(B, axis=1) <= basis.degree + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bases_and_points())
+    def test_rows_equal_single_point_evaluation(self, case):
+        basis, xs = case
+        B = eval_basis_grid(basis, xs)
+        for x, row in zip(xs, B):
+            assert np.array_equal(row, eval_basis(basis, x))
+            assert np.array_equal(row, scalar_de_boor(basis, x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bases_and_points())
+    def test_out_of_domain_points_equal_boundary_rows(self, case):
+        basis, xs = case
+        lo, hi = basis.domain
+        B = eval_basis_grid(basis, xs)
+        ends = eval_basis_grid(basis, [lo, hi])
+        assert np.array_equal(B[xs < lo], np.tile(ends[0], ((xs < lo).sum(), 1)))
+        assert np.array_equal(B[xs > hi], np.tile(ends[1], ((xs > hi).sum(), 1)))
+
+
 class TestTransform:
+    def test_zero_rows(self):
+        bases = tuple(make_basis(np.linspace(0, 1, 9), 5, 3) for _ in range(3))
+        Z = transform(np.empty((0, 3)), BasisExpansion(bases))
+        assert Z.shape == (0, 15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        bases = tuple(make_basis(np.linspace(0, 1, 9), 5, 3) for _ in range(2))
+        X = np.full((4, 2), 0.5)
+        X[2, 1] = bad
+        with pytest.raises(DataError, match=r"columns \[1\]"):
+            transform(X, BasisExpansion(bases))
+
     def test_degree_zero_indicator_layout(self):
         basis = SplineBasis(0, [0.0, 1.0, 2.0])
         Z = transform(np.array([[0.5], [1.5]]), BasisExpansion((basis,)))
