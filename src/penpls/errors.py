@@ -23,7 +23,7 @@ class InvalidKernelError(PenplsError, ValueError):
 
 class DataError(PenplsError, ValueError):
     """Input data are invalid: a data file could not be parsed into a valid
-    dataset, or a predictor array passed to a fit, prediction or
+    dataset, or a predictor or response array passed to a fit, prediction or
     cross-validation holds NaN or an infinity."""
 
 

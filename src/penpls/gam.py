@@ -67,6 +67,19 @@ def _build_bases(X: np.ndarray, n_basis: int, degree: int):
     return tuple(bases)
 
 
+def _training_data(X, y):
+    """X as a 2-D and y as a 1-D float array, checked against each other."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    if X.shape[0] != y.shape[0]:
+        raise ConfigurationError("X and y row counts differ")
+    if not np.all(np.isfinite(y)):
+        raise DataError("y has non-finite values (NaN or inf)")
+    if X.shape[0] < 3:
+        raise ConfigurationError("need at least 3 observations")
+    return X, y
+
+
 def fit_gam(X, y, penalty: PenaltySpec, n_components: int,
             degree: int = DEFAULT_DEGREE, normalize_response: bool = False,
             norm_tol: float = DEFAULT_NORM_TOL) -> GamModel:
@@ -83,14 +96,7 @@ def fit_gam(X, y, penalty: PenaltySpec, n_components: int,
         Scale the centered response to unit variance before fitting; the
         scale is stored and undone at prediction time.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise ConfigurationError("X and y row counts differ")
-    if not np.all(np.isfinite(y)):
-        raise DataError("y has non-finite values (NaN or inf)")
-    if X.shape[0] < 3:
-        raise ConfigurationError("need at least 3 observations")
+    X, y = _training_data(X, y)
     if X.shape[1] != penalty.n_variables:
         raise ConfigurationError(
             f"X has {X.shape[1]} columns but the penalty covers "

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DegenerateVariableError
-from .gam import _build_bases
+from .errors import ConfigurationError, DegenerateVariableError
+from .gam import _build_bases, _training_data
 from .penalty import DEFAULT_DIFF_ORDER, PenaltySpec, make_preconditioner
 from .pls import DEFAULT_NORM_TOL, FitConfig, penalized_pls_fit
 from .splines import BasisExpansion, DEFAULT_DEGREE, DEFAULT_N_BASIS, transform
@@ -67,15 +67,8 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
           normalize_response: bool = False,
           norm_tol: float = DEFAULT_NORM_TOL) -> tuple[CvGrid, CvChoice]:
     """Leave-one-out error for every (lambda, m) cell plus the chosen cell."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    X, y = _training_data(X, y)
     n, p = X.shape
-    if y.shape[0] != n:
-        raise ConfigurationError("X and y row counts differ")
-    if not np.all(np.isfinite(y)):
-        raise DataError("y has non-finite values (NaN or inf)")
-    if n < 3:
-        raise ConfigurationError("need at least 3 observations")
     if max_components < 1:
         raise ConfigurationError("max_components must be at least 1")
     lambdas = default_lambda_grid() if lambdas is None else \

@@ -133,7 +133,8 @@ def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
     Each weight is clipped to [0, 1].  Wherever the lower-degree function it
     multiplies is nonzero the weight already lies in [0, 1], so the clip
     changes no value; elsewhere it keeps a ratio that overflows on a
-    subnormal knot span from turning ``0 * inf`` into NaN.
+    subnormal knot span from turning ``0 * inf`` into NaN; that overflow is
+    expected and not warned about.
     """
     t = basis.knots
     lo, hi = t[0], t[-1]
@@ -146,21 +147,22 @@ def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
     if at_end.any():
         b[at_end] = 0.0
         b[at_end, np.nonzero(right > left)[0][-1]] = 1.0
-    for k in range(1, basis.degree + 1):
-        nb = b.shape[1] - 1
-        # an empty span divides by inf, which gives a zero weight
-        den1 = t[k:k + nb] - t[:nb]
-        den2 = t[k + 1:k + 1 + nb] - t[1:1 + nb]
-        w1 = x - t[:nb]
-        np.divide(w1, np.where(den1 > 0, den1, np.inf), out=w1)
-        np.clip(w1, 0.0, 1.0, out=w1)
-        w2 = t[k + 1:k + 1 + nb] - x
-        np.divide(w2, np.where(den2 > 0, den2, np.inf), out=w2)
-        np.clip(w2, 0.0, 1.0, out=w2)
-        w1 *= b[:, :-1]
-        w2 *= b[:, 1:]
-        w1 += w2
-        b = w1
+    with np.errstate(over="ignore"):
+        for k in range(1, basis.degree + 1):
+            nb = b.shape[1] - 1
+            # an empty span divides by inf, which gives a zero weight
+            den1 = t[k:k + nb] - t[:nb]
+            den2 = t[k + 1:k + 1 + nb] - t[1:1 + nb]
+            w1 = x - t[:nb]
+            np.divide(w1, np.where(den1 > 0, den1, np.inf), out=w1)
+            np.clip(w1, 0.0, 1.0, out=w1)
+            w2 = t[k + 1:k + 1 + nb] - x
+            np.divide(w2, np.where(den2 > 0, den2, np.inf), out=w2)
+            np.clip(w2, 0.0, 1.0, out=w2)
+            w1 *= b[:, :-1]
+            w2 *= b[:, 1:]
+            w1 += w2
+            b = w1
     return b
 
 
