@@ -6,9 +6,8 @@ from .errors import (ConfigurationError, DataError, DegenerateResponseError,
                      ModelFormatError, NumericalError, PenplsError)
 from .splines import (BasisExpansion, SplineBasis, eval_basis,
                       eval_basis_grid, make_basis, transform)
-from .penalty import (PenaltySpec, Preconditioner, apply_preconditioner,
-                      assemble_penalty, difference_matrix,
-                      make_preconditioner, penalty_kernel)
+from .penalty import (PenaltySpec, Preconditioner, assemble_penalty,
+                      difference_matrix, make_preconditioner, penalty_kernel)
 from .pls import (FitConfig, PlsFit, closed_form_beta, fitted_values,
                   nipals_fit, penalized_pls_fit)
 from .kernel import KernelFit, gram_matrix, kernel_penalized_pls_fit
@@ -28,8 +27,8 @@ __all__ = [
     "FitConfig", "FittedFunction", "GamModel", "InvalidKernelError",
     "KernelFit", "ModelFormatError", "NumericalError", "PenaltySpec",
     "PenplsError", "PlsFit", "Preconditioner", "SplineBasis",
-    "apply_preconditioner", "assemble_penalty", "closed_form_beta",
-    "default_lambda_grid", "difference_matrix", "eval_basis",
+    "assemble_penalty", "closed_form_beta", "default_lambda_grid",
+    "difference_matrix", "eval_basis",
     "eval_basis_grid", "fit_gam", "fitted_function", "fitted_values",
     "gram_matrix", "ingest", "ingest_for_model", "kernel_penalized_pls_fit",
     "load_model", "loocv", "make_basis", "make_preconditioner", "nipals_fit",

@@ -124,11 +124,26 @@ def _fmt_array(a) -> str:
     return ",".join(repr(float(v)) for v in np.asarray(a, dtype=float).ravel())
 
 
+def _one_line(name: str) -> bool:
+    return "".join(name.splitlines()) == name
+
+
 def save_model(path, model: GamModel, predictor_names, response_name,
                dataset_checksum: str = ""):
-    """Write the model in the versioned key/value format."""
+    """Write the model in the versioned key/value format.
+
+    Raises ModelFormatError, before writing anything, for names the file
+    cannot hold: a line break in any name, or a comma in a predictor name.
+    """
     if len(predictor_names) != model.n_variables:
         raise ModelFormatError("predictor name count does not match model")
+    bad = [n for n in predictor_names if "," in n or not _one_line(n)]
+    if not _one_line(response_name):
+        bad.append(response_name)
+    if bad:
+        raise ModelFormatError(
+            f"names {bad} cannot be stored in a model file (no name may "
+            f"contain a line break, no predictor name a ',')")
     lines = [FORMAT_TAG]
     lines.append(f"created = {datetime.now(timezone.utc).isoformat()}")
     lines.append(f"dataset_sha256 = {dataset_checksum}")
@@ -164,10 +179,24 @@ def _parse_kv(lines):
     return out
 
 
+def _check_lengths(path, model: GamModel):
+    p, K = model.n_variables, model.penalty.n_basis
+    expected = [("lambdas", model.penalty.lambdas, p),
+                ("z_means", model.z_means, p * K),
+                ("beta", model.beta, p * K)]
+    expected += [(f"knots.{j}", basis.knots, K + basis.degree + 1)
+                 for j, basis in enumerate(model.bases)]
+    for key, values, n in expected:
+        if len(values) != n:
+            raise ModelFormatError(
+                f"{path}: {key} has {len(values)} values, expected {n}")
+
+
 def load_model(path):
     """Load a model file; returns (GamModel, predictor_names, response_name).
 
-    Raises ModelFormatError for unknown version tags or missing keys.
+    Raises ModelFormatError for unknown version tags, missing keys, and
+    arrays whose lengths do not fit p predictors with n_basis functions each.
     """
     try:
         with open(path) as fh:
@@ -206,4 +235,5 @@ def load_model(path):
         raise ModelFormatError(f"{path}: missing key {exc}") from exc
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
+    _check_lengths(path, model)
     return model, predictors, response

@@ -89,7 +89,6 @@ def _pls_loop(X: np.ndarray, y: np.ndarray, cfg: FitConfig,
         raise DegenerateResponseError("centered response is identically zero")
 
     d = X.shape[1]
-    Xty = X.T @ y
     Xi = X.copy()
     weights, eff_weights, components, betas = [], [], [], []
     beta = np.zeros(d)
@@ -125,7 +124,8 @@ def _pls_loop(X: np.ndarray, y: np.ndarray, cfg: FitConfig,
         components.append(t)
         betas.append(beta)
 
-        Xi = Xi - np.outer(t, t @ Xi) / (t @ t)
+        if i + 1 < cfg.n_components:  # the last deflation is never read
+            Xi = Xi - np.outer(t, t @ Xi) / (t @ t)
         wt_prev, X_wt_prev = wt, X_wt
 
     if not weights:

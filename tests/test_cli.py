@@ -55,6 +55,18 @@ class TestFit:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_comma_in_predictor_name_exits_one(self, tmp_path, capsys):
+        X, y, _ = gen_additive(SyntheticSpec(0, 25, 2, 0.2, ("sine", "linear")))
+        data = tmp_path / "quoted.csv"
+        write_csv(data, X, y, ["a,b", "c"], "out")
+        assert data.read_text().startswith('"a,b",c,out')
+        model_path = tmp_path / "m.txt"
+        code = main(["fit", "--data", str(data), "--response", "out",
+                     "--basis-size", "8", "--output", str(model_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not model_path.exists()
+
     def test_bad_flag_value_exits_two(self, dataset, tmp_path):
         data, _, _ = dataset
         with pytest.raises(SystemExit) as exc:
@@ -127,6 +139,20 @@ class TestPredict:
         got = np.array([float(v) for v in out.read_text().split()])
         loaded, _, _ = load_model(model_path)
         np.testing.assert_array_equal(got, predict(loaded, X[:4]))
+
+    def test_truncated_beta_exits_one(self, dataset, tmp_path, capsys):
+        model_path = run_fit(dataset, tmp_path)
+        data, _, _ = dataset
+        lines = model_path.read_text().splitlines()
+        lines = [ln.rsplit(",", 3)[0] if ln.startswith("beta = ") else ln
+                 for ln in lines]
+        model_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path),
+                     "--data", str(data)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "beta has 13 values" in err
 
     def test_extra_column_exits_one(self, dataset, tmp_path, capsys):
         model_path = run_fit(dataset, tmp_path)

@@ -176,6 +176,49 @@ class TestModelFile:
         with pytest.raises(ModelFormatError):
             save_model(tmp_path / "m.txt", model, ("only_one",), "y")
 
+    @pytest.mark.parametrize("names,response", [
+        (("a,b", "v"), "y"), (("u", "v\n"), "y"), (("u\r\nw", "v"), "y"),
+        (("u", "v\u2028"), "y"), (("u", "v"), "y\nz")])
+    def test_unstorable_name_refused_before_writing(self, tmp_path, names,
+                                                    response):
+        _, _, model = fitted_model()
+        path = tmp_path / "m.txt"
+        with pytest.raises(ModelFormatError, match="cannot be stored"):
+            save_model(path, model, names, response)
+        assert not path.exists()
+
+    def test_response_name_may_hold_a_comma(self, tmp_path):
+        X, _, model = fitted_model()
+        path = tmp_path / "m.txt"
+        save_model(path, model, ("u", "v"), "y,z")
+        loaded, names, response = load_model(path)
+        assert (names, response) == (("u", "v"), "y,z")
+        np.testing.assert_array_equal(predict(loaded, X), predict(model, X))
+
+    @pytest.mark.parametrize("key,drop", [
+        ("beta", 3), ("z_means", 1), ("lambdas", 1), ("knots.1", 2)])
+    def test_truncated_array_refused(self, tmp_path, key, drop):
+        _, _, model = fitted_model()
+        path = tmp_path / "m.txt"
+        save_model(path, model, ("u", "v"), "y")
+        lines = path.read_text().splitlines()
+        for i, line in enumerate(lines):
+            name, _, values = line.partition(" = ")
+            if name == key:
+                lines[i] = f"{name} = " + ",".join(values.split(",")[:-drop])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=f"{key} has"):
+            load_model(path)
+
+    def test_extra_array_value_refused(self, tmp_path):
+        _, _, model = fitted_model()
+        path = tmp_path / "m.txt"
+        save_model(path, model, ("u", "v"), "y")
+        text = path.read_text().replace("\nbeta = ", "\nbeta = 0.0,")
+        path.write_text(text)
+        with pytest.raises(ModelFormatError, match="beta has"):
+            load_model(path)
+
 
 class TestChecksum:
     def test_sha256_matches_hashlib(self, tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from conftest import dense_m
-from penpls import (ConfigurationError, PenaltySpec, apply_preconditioner,
+from penpls import (ConfigurationError, NumericalError, PenaltySpec,
                     assemble_penalty, difference_matrix, make_preconditioner,
                     penalty_kernel)
 
@@ -79,12 +81,19 @@ class TestAssemblePenalty:
         with pytest.raises(ConfigurationError):
             PenaltySpec(np.array([-1.0]), 2, 5)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ConfigurationError, match="finite"):
+            PenaltySpec.shared(lam, 3, 5)
+        with pytest.raises(ConfigurationError, match="finite"):
+            PenaltySpec(np.array([1.0, lam]), 2, 5)
+
 
 class TestPreconditioner:
     def test_zero_penalty_is_identity(self, rng):
         M = make_preconditioner(PenaltySpec(np.zeros(2), 2, 4))
         v = rng.standard_normal(8)
-        np.testing.assert_allclose(apply_preconditioner(M, v), v, atol=1e-14)
+        np.testing.assert_allclose(M.apply(v), v, atol=1e-14)
 
     def test_hand_computed_2x2_block(self):
         M = make_preconditioner(PenaltySpec(np.array([1.0]), 1, 2))
@@ -137,3 +146,104 @@ class TestPreconditioner:
             s = S[:, i]
             got = s @ M.apply(s)
             assert got == pytest.approx(1.0 / (1.0 + theta[i]), abs=1e-8)
+
+
+def blockwise_cho_solve(spec, v):
+    """Reference M v: one scipy cho_solve per variable block."""
+    K = spec.n_basis
+    kernel = penalty_kernel(K, spec.order)
+    out = np.empty_like(v)
+    for j, lam in enumerate(spec.lambdas):
+        factor = cho_factor(np.eye(K) + lam * kernel)
+        out[j * K:(j + 1) * K] = cho_solve(factor, v[j * K:(j + 1) * K])
+    return out
+
+
+SPECS = {
+    "shared": PenaltySpec.shared(10.0, 5, 20),
+    "mixed": PenaltySpec(np.array([0.0, 1e6, 2.5, 0.0, 2.5, 0.3]), 2, 7),
+    "single": PenaltySpec(np.array([4.0]), 3, 9),
+}
+
+
+class TestGroupedSolve:
+    """apply equals the per-block cho_solve reference bit for bit."""
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_vector(self, name, rng):
+        spec = SPECS[name]
+        v = rng.standard_normal(spec.dim)
+        got = make_preconditioner(spec).apply(v)
+        assert np.array_equal(got, blockwise_cho_solve(spec, v))
+
+    @pytest.mark.parametrize("name", SPECS)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matrix(self, name, order, rng):
+        spec = SPECS[name]
+        V = np.asarray(rng.standard_normal((spec.dim, 11)), order=order)
+        got = make_preconditioner(spec).apply(V)
+        assert got.shape == V.shape
+        assert np.array_equal(got, blockwise_cho_solve(spec, V))
+
+    def test_transposed_view(self, rng):
+        # gram_matrix passes X.T, an F-ordered view of the design
+        spec = SPECS["mixed"]
+        X = rng.standard_normal((13, spec.dim))
+        got = make_preconditioner(spec).apply(X.T)
+        assert np.array_equal(got, blockwise_cho_solve(spec, X.T))
+
+    def test_zero_columns(self):
+        M = make_preconditioner(SPECS["mixed"])
+        assert M.apply(np.zeros((M.dim, 0))).shape == (M.dim, 0)
+        assert M.apply_inverse(np.zeros((M.dim, 0))).shape == (M.dim, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(3, 12), st.integers(1, 2),
+           st.lists(st.sampled_from([0.0, 0.01, 1.0, 7.5, 1e4]),
+                    min_size=5, max_size=5),
+           st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_random_specs(self, p, K, order, lams, n_cols, seed):
+        spec = PenaltySpec(np.array(lams[:p]), order, K)
+        M = make_preconditioner(spec)
+        rng = np.random.default_rng(seed)
+        shape = (spec.dim,) if n_cols == 0 else (spec.dim, n_cols)
+        v = rng.standard_normal(shape)
+        assert np.array_equal(M.apply(v), blockwise_cho_solve(spec, v))
+        # 16 bounds the absolute row sums of K_q for q <= 2
+        scale = (1.0 + 16.0 * spec.lambdas.max()) * np.abs(v).max()
+        np.testing.assert_allclose(M.apply_inverse(v),
+                                   v + assemble_penalty(spec) @ v,
+                                   rtol=0.0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("method", ["apply", "apply_inverse"])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_input_unchanged(self, method, name, rng):
+        spec = SPECS[name]
+        M = make_preconditioner(spec)
+        for v in (rng.standard_normal(spec.dim),
+                  rng.standard_normal((spec.dim, 4)),
+                  rng.standard_normal((4, spec.dim)).T):
+            before = v.copy()
+            getattr(M, method)(v)
+            assert np.array_equal(v, before)
+
+    @pytest.mark.parametrize("method", ["apply", "apply_inverse"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, method, bad):
+        M = make_preconditioner(SPECS["mixed"])
+        for v in (np.ones(M.dim), np.ones((M.dim, 3))):
+            v[3] = bad
+            with pytest.raises(NumericalError, match="non-finite"):
+                getattr(M, method)(v)
+
+    @pytest.mark.parametrize("method", ["apply", "apply_inverse"])
+    def test_wrong_length_rejected(self, method):
+        M = make_preconditioner(SPECS["mixed"])
+        with pytest.raises(ConfigurationError):
+            getattr(M, method)(np.ones(M.dim + 1))
+        with pytest.raises(ConfigurationError):
+            getattr(M, method)(np.ones((M.dim - 1, 2)))
+
+    def test_overflowing_block_rejected(self):
+        with pytest.raises(NumericalError, match="overflows"):
+            make_preconditioner(PenaltySpec.shared(1e308, 2, 6))
