@@ -9,7 +9,7 @@ from .splines import (BasisExpansion, SplineBasis, eval_basis,
 from .penalty import (PenaltySpec, Preconditioner, assemble_penalty,
                       difference_matrix, make_preconditioner, penalty_kernel)
 from .pls import (FitConfig, PlsFit, closed_form_beta, fitted_values,
-                  nipals_fit, penalized_pls_fit)
+                  nipals_fit, penalized_pls_fit, penalized_pls_fits)
 from .kernel import KernelFit, gram_matrix, kernel_penalized_pls_fit
 from .cg import CgResult, pcg_iterates, weighted_inner
 from .gam import FittedFunction, GamModel, fit_gam, fitted_function, predict
@@ -32,6 +32,7 @@ __all__ = [
     "eval_basis_grid", "fit_gam", "fitted_function", "fitted_values",
     "gram_matrix", "ingest", "ingest_for_model", "kernel_penalized_pls_fit",
     "load_model", "loocv", "make_basis", "make_preconditioner", "nipals_fit",
-    "pcg_iterates", "penalized_pls_fit", "penalty_kernel", "predict",
+    "pcg_iterates", "penalized_pls_fit", "penalized_pls_fits",
+    "penalty_kernel", "predict",
     "save_model", "score_path", "transform", "weighted_inner",
 ]

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 data or runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -33,8 +34,8 @@ def _nonneg_float(value):
         x = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{value!r} is not a number")
-    if x < 0:
-        raise argparse.ArgumentTypeError(f"{x} is negative")
+    if not math.isfinite(x) or x < 0:
+        raise argparse.ArgumentTypeError(f"{x} is not a finite nonnegative number")
     return x
 
 
@@ -43,8 +44,9 @@ def _lambda_list(value):
         grid = [float(v) for v in value.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"{value!r} is not a comma list of numbers")
-    if not grid or any(v < 0 for v in grid):
-        raise argparse.ArgumentTypeError("lambda grid must be nonempty and nonnegative")
+    if not grid or not all(math.isfinite(v) and v >= 0 for v in grid):
+        raise argparse.ArgumentTypeError(
+            "lambda grid must be nonempty, finite and nonnegative")
     return grid
 
 
@@ -138,6 +140,12 @@ def _cmd_cv(args) -> int:
         print(",".join([repr(float(lam))] + [repr(float(e)) for e in row]))
     print(f"chosen: lambda={choice.lambda_opt!r}, m={choice.m_opt}, "
           f"loo={choice.loo_error!r}")
+    if grid.early_stops.any():
+        per_lambda = ", ".join(
+            f"lambda={float(lam)!r}: {int(k)}"
+            for lam, k in zip(grid.lambdas, grid.early_stops) if k)
+        print(f"warning = early stop before {grid.max_components} components "
+              f"in {int(grid.early_stops.sum())} fold fits ({per_lambda})")
     return 0
 
 

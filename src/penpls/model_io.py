@@ -124,8 +124,9 @@ def _fmt_array(a) -> str:
     return ",".join(repr(float(v)) for v in np.asarray(a, dtype=float).ravel())
 
 
-def _one_line(name: str) -> bool:
-    return "".join(name.splitlines()) == name
+def _storable(name: str) -> bool:
+    # load_model splits lines and strips values and their ends
+    return "".join(name.splitlines()) == name and name.strip() == name
 
 
 def save_model(path, model: GamModel, predictor_names, response_name,
@@ -133,17 +134,19 @@ def save_model(path, model: GamModel, predictor_names, response_name,
     """Write the model in the versioned key/value format.
 
     Raises ModelFormatError, before writing anything, for names the file
-    cannot hold: a line break in any name, or a comma in a predictor name.
+    cannot hold: a line break or leading or trailing whitespace in any
+    name, or a comma in a predictor name.
     """
     if len(predictor_names) != model.n_variables:
         raise ModelFormatError("predictor name count does not match model")
-    bad = [n for n in predictor_names if "," in n or not _one_line(n)]
-    if not _one_line(response_name):
+    bad = [n for n in predictor_names if "," in n or not _storable(n)]
+    if not _storable(response_name):
         bad.append(response_name)
     if bad:
         raise ModelFormatError(
             f"names {bad} cannot be stored in a model file (no name may "
-            f"contain a line break, no predictor name a ',')")
+            f"contain a line break or begin or end with whitespace, no "
+            f"predictor name may contain a ',')")
     lines = [FORMAT_TAG]
     lines.append(f"created = {datetime.now(timezone.utc).isoformat()}")
     lines.append(f"dataset_sha256 = {dataset_checksum}")

@@ -4,6 +4,12 @@ Both fits record the weight vectors, the effective weights expressing each
 component in original coordinates, the components, the coefficient vector
 after every step, and the bidiagonal cross-product matrix R = T' X W.
 Vectors are left unscaled, so downstream checks use relative tolerances.
+
+One loop computes every fit.  ``penalized_pls_fits`` runs several fits of
+one (X, y) side by side, each with its own block of one preconditioner, on
+a stack of deflated copies of X; ``penalized_pls_fit`` and ``nipals_fit``
+are its one-fit case.  Each fit in a stack is bit-identical to the same fit
+run alone and stops early on its own.
 """
 from __future__ import annotations
 
@@ -78,81 +84,144 @@ def _check_centered(X: np.ndarray, y: np.ndarray):
         raise ConfigurationError("y must be centered")
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner products ``a[l] @ b[l]`` (``b`` may be one shared row).
+
+    Each row is one BLAS dot, the call ``a[l] @ b[l]`` on 1-D operands makes.
+    """
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
+def _matvecs(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise products ``A[l] @ v[l]`` (``A`` may be one shared matrix).
+
+    Each row is one BLAS gemv, the call the 2-D by 1-D product makes.
+    """
+    return (A @ v[..., None])[..., 0]
+
+
 def _pls_loop(X: np.ndarray, y: np.ndarray, cfg: FitConfig,
-              preconditioner: Preconditioner | None) -> PlsFit:
+              preconditioner: Preconditioner | None,
+              n_fits: int) -> list[PlsFit]:
+    """Run ``n_fits`` fits of one centered (X, y) side by side.
+
+    Fit l uses block l (of size d) of ``preconditioner``.  Every product is
+    a stacked matmul whose per-fit BLAS call is the one a lone fit makes, so
+    each fit rounds exactly as if it ran alone.  A fit that stops is masked:
+    its deflated X is zeroed and its denominators are replaced by 1, so it
+    stays finite and inert while the others go on.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.shape[0]:
         raise ConfigurationError("X and y row counts differ")
+    if n_fits < 1:
+        raise ConfigurationError("n_fits must be at least 1")
+    n, d = X.shape
+    if preconditioner is not None and preconditioner.dim != n_fits * d:
+        raise ConfigurationError(
+            f"preconditioner dimension {preconditioner.dim} is not "
+            f"n_fits * d = {n_fits} * {d}")
     _check_centered(X, y)
     if np.linalg.norm(y) == 0.0:
         raise DegenerateResponseError("centered response is identically zero")
 
-    d = X.shape[1]
-    Xi = X.copy()
-    weights, eff_weights, components, betas = [], [], [], []
-    beta = np.zeros(d)
-    wt_prev = None
-    X_wt_prev = None
-    t1_norm = None
+    m = cfg.n_components
+    Xi = np.empty((n_fits, n, d))  # deflated copies of X, one per fit
+    Xi[...] = X
+    scratch = np.empty_like(Xi)
+    weights = np.empty((n_fits, m, d))
+    eff_weights = np.empty((n_fits, m, d))
+    components = np.empty((n_fits, m, n))
+    betas = np.empty((n_fits, m, d))
+    beta = np.zeros((n_fits, d))
+    active = np.ones(n_fits, dtype=bool)
+    count = np.zeros(n_fits, dtype=int)
 
-    for i in range(cfg.n_components):
-        w = Xi.T @ y
+    for i in range(m):
+        w = Xi.transpose(0, 2, 1) @ y
         if preconditioner is not None:
-            w = preconditioner.apply(w)
-        t = Xi @ w
-        t_norm = np.linalg.norm(t)
+            w = preconditioner.apply(w.reshape(-1)).reshape(n_fits, d)
+        t = _matvecs(Xi, w)
+        tt = _dots(t, t)
+        t_norm = np.sqrt(tt)
         if i == 0:
-            t1_norm = t_norm
-        if t_norm <= cfg.norm_tol * t1_norm:
-            break
+            tol = cfg.norm_tol * t_norm
+            # squared with pow() per fit, as a lone fit squares its scalar:
+            # numpy's array square can differ from pow(x, 2) in the last bit
+            gram_tol = np.array([float(v) ** 2 for v in tol])
+        was_active = active.copy()
+        active &= ~(t_norm <= tol)
 
         if i == 0:
             wt = w
         else:
-            Xw = X @ w
-            coef = (X_wt_prev @ Xw) / (X_wt_prev @ X_wt_prev)
-            wt = w - coef * wt_prev
-        X_wt = X @ wt
-        gram = X_wt @ X_wt  # wt' X'X wt, guaranteed nonnegative
-        if gram <= (cfg.norm_tol * t1_norm) ** 2:
+            Xw = _matvecs(X, w)
+            coef = (_dots(X_wt_prev, Xw)
+                    / np.where(active, _dots(X_wt_prev, X_wt_prev), 1.0))
+            wt = w - coef[:, None] * wt_prev
+        X_wt = _matvecs(X, wt)
+        gram = _dots(X_wt, X_wt)  # wt' X'X wt, guaranteed nonnegative
+        active &= ~(gram <= gram_tol)
+        step = (np.where(active, _dots(X_wt, y), 0.0)
+                / np.where(active, gram, 1.0))
+        beta = beta + step[:, None] * wt
+
+        weights[:, i] = w
+        eff_weights[:, i] = wt
+        components[:, i] = t
+        betas[:, i] = beta
+        count += active
+        if not active.any():
             break
-        beta = beta + ((X_wt @ y) / gram) * wt
+        stopped = was_active & ~active
+        if stopped.any():
+            Xi[stopped] = 0.0
 
-        weights.append(w)
-        eff_weights.append(wt)
-        components.append(t)
-        betas.append(beta)
-
-        if i + 1 < cfg.n_components:  # the last deflation is never read
-            Xi = Xi - np.outer(t, t @ Xi) / (t @ t)
+        if i + 1 < m:  # the last deflation is never read
+            np.multiply(t[:, :, None], t[:, None, :] @ Xi, out=scratch)
+            scratch /= np.where(active, tt, 1.0)[:, None, None]
+            Xi -= scratch
         wt_prev, X_wt_prev = wt, X_wt
 
-    if not weights:
+    if not count.all():
         raise DegenerateResponseError("no component could be extracted")
-    W = np.column_stack(weights)
-    T = np.column_stack(components)
-    return PlsFit(
-        weights=W,
-        effective_weights=np.column_stack(eff_weights),
-        components=T,
-        beta_path=np.column_stack(betas),
-        cross=T.T @ X @ W,
-        requested_components=cfg.n_components,
-    )
+    fits = []
+    for l, k in enumerate(count):
+        W = np.ascontiguousarray(weights[l, :k].T)
+        T = np.ascontiguousarray(components[l, :k].T)
+        fits.append(PlsFit(
+            weights=W,
+            effective_weights=np.ascontiguousarray(eff_weights[l, :k].T),
+            components=T,
+            beta_path=np.ascontiguousarray(betas[l, :k].T),
+            cross=T.T @ X @ W,
+            requested_components=m,
+        ))
+    return fits
 
 
 def nipals_fit(X, y, cfg: FitConfig) -> PlsFit:
     """Ordinary PLS on centered data: w_i = X_i' y, deflate, repeat."""
-    return _pls_loop(np.asarray(X, dtype=float), np.asarray(y, dtype=float),
-                     cfg, preconditioner=None)
+    return _pls_loop(X, y, cfg, None, 1)[0]
 
 
 def penalized_pls_fit(X, y, preconditioner: Preconditioner,
                       cfg: FitConfig) -> PlsFit:
     """Penalized PLS: the weight rule becomes w_i = M X_i' y."""
-    return _pls_loop(np.asarray(X, dtype=float), np.asarray(y, dtype=float),
-                     cfg, preconditioner=preconditioner)
+    return _pls_loop(X, y, cfg, preconditioner, 1)[0]
+
+
+def penalized_pls_fits(X, y, preconditioner: Preconditioner, n_fits: int,
+                       cfg: FitConfig) -> list[PlsFit]:
+    """``n_fits`` penalized PLS fits of one (X, y), in one stacked pass.
+
+    ``preconditioner`` has dimension ``n_fits * d``; its block l, rows
+    ``l*d .. (l+1)*d``, is fit l's M.  Each fit is bit-identical to
+    ``penalized_pls_fit`` with that block alone, and stops early on its own.
+    Memory is two ``(n_fits, n, d)`` stacks.
+    """
+    return _pls_loop(X, y, cfg, preconditioner, n_fits)
 
 
 def closed_form_beta(X, y, W) -> np.ndarray:

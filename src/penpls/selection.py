@@ -2,9 +2,11 @@
 
 All preprocessing (knot placement, centering, optional response scaling) is
 recomputed from each fold's training rows only, so the held-out row never
-leaks into the fitted model.  One fit per (fold, lambda) at the maximum
-component count scores every smaller component count from the coefficient
-path in the same pass.
+leaks into the fitted model.  Each fold fits every lambda at the maximum
+component count in one stacked penalized-PLS pass (``penalized_pls_fits``),
+or in a few passes when the stacked copies of the design would exceed
+``STACK_BYTES``; each fit is bit-identical to a lone ``penalized_pls_fit``.
+One fit scores every smaller component count from its coefficient path.
 """
 from __future__ import annotations
 
@@ -15,8 +17,13 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateVariableError
 from .gam import _build_bases, _training_data
 from .penalty import DEFAULT_DIFF_ORDER, PenaltySpec, make_preconditioner
-from .pls import DEFAULT_NORM_TOL, FitConfig, penalized_pls_fit
+from .pls import DEFAULT_NORM_TOL, FitConfig, penalized_pls_fits
 from .splines import BasisExpansion, DEFAULT_DEGREE, DEFAULT_N_BASIS, transform
+
+# Bytes one stacked pass may hold in its two (lambdas, n - 1, d) copies of a
+# fold's design.  A 20-lambda pass at n=100, d=60 needs 1.9 MB; at n=300,
+# d=2000 one lambda already needs 9.6 MB, so each pass there holds one.
+STACK_BYTES = 16 * 2**20
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -29,6 +36,7 @@ class CvGrid:
     lambdas: np.ndarray
     max_components: int
     errors: np.ndarray  # (len(lambdas), max_components) mean LOO squared errors
+    early_stops: np.ndarray  # (len(lambdas),) folds stopped before max_components
 
 
 @dataclass(frozen=True)
@@ -78,11 +86,17 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     if np.any(lambdas < 0):
         raise ConfigurationError("lambda values must be nonnegative")
 
+    d = p * n_basis
+    per_pass = max(1, STACK_BYTES // (2 * (n - 1) * d * 8))
+    starts = range(0, lambdas.size, per_pass)
     preconditioners = [
-        make_preconditioner(PenaltySpec.shared(lam, p, n_basis, diff_order))
-        for lam in lambdas]
+        make_preconditioner(PenaltySpec(
+            np.repeat(lambdas[s:s + per_pass], p), diff_order, n_basis))
+        for s in starts]
+    cfg = FitConfig(max_components, norm_tol)
 
     errors = np.zeros((lambdas.size, max_components))
+    early_stops = np.zeros(lambdas.size, dtype=int)
     for i in range(n):
         keep = np.arange(n) != i
         X_tr, y_tr = X[keep], y[keep]
@@ -106,17 +120,19 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
         z_held = transform(X[i:i + 1], expansion)[0] - z_means
         y_held = (y[i] - y_mean) / scale
 
-        for li in range(lambdas.size):
-            fit = penalized_pls_fit(Zc, yc, preconditioners[li],
-                                    FitConfig(max_components, norm_tol))
-            fold_err = score_path(fit.beta_path, z_held, y_held)
-            if fold_err.size < max_components:  # early stop: path is final
-                fold_err = np.concatenate([
-                    fold_err,
-                    np.full(max_components - fold_err.size, fold_err[-1])])
-            errors[li] += fold_err
+        for start, M in zip(starts, preconditioners):
+            fits = penalized_pls_fits(Zc, yc, M, M.dim // d, cfg)
+            for li, fit in enumerate(fits, start):
+                fold_err = score_path(fit.beta_path, z_held, y_held)
+                if fit.early_stopped:  # the path is final: pad with its end
+                    early_stops[li] += 1
+                    fold_err = np.concatenate([
+                        fold_err,
+                        np.full(max_components - fold_err.size,
+                                fold_err[-1])])
+                errors[li] += fold_err
 
     errors /= n
     grid = CvGrid(lambdas=lambdas, max_components=max_components,
-                  errors=errors)
+                  errors=errors, early_stops=early_stops)
     return grid, _choose(lambdas, errors)

@@ -29,3 +29,50 @@ def rng():
 def dense_m(preconditioner):
     """Materialize the dense preconditioner matrix (tests only)."""
     return preconditioner.apply(np.eye(preconditioner.dim))
+
+
+def reference_pls_fit(X, y, preconditioner, cfg):
+    """One (penalized) PLS fit as a plain per-fit loop on 2-D/1-D arrays.
+
+    The stacked loop in ``penpls.pls`` must reproduce every field of this
+    bit for bit; it is kept here, outside the package, as that reference.
+    """
+    from penpls import DegenerateResponseError, PlsFit
+
+    Xi = X.copy()
+    weights, eff_weights, components, betas = [], [], [], []
+    beta = np.zeros(X.shape[1])
+    for i in range(cfg.n_components):
+        w = Xi.T @ y
+        if preconditioner is not None:
+            w = preconditioner.apply(w)
+        t = Xi @ w
+        t_norm = np.linalg.norm(t)
+        if i == 0:
+            t1_norm = t_norm
+        if t_norm <= cfg.norm_tol * t1_norm:
+            break
+        if i == 0:
+            wt = w
+        else:
+            coef = (X_wt_prev @ (X @ w)) / (X_wt_prev @ X_wt_prev)
+            wt = w - coef * wt_prev
+        X_wt = X @ wt
+        gram = X_wt @ X_wt
+        if gram <= (cfg.norm_tol * t1_norm) ** 2:
+            break
+        beta = beta + ((X_wt @ y) / gram) * wt
+        weights.append(w)
+        eff_weights.append(wt)
+        components.append(t)
+        betas.append(beta)
+        if i + 1 < cfg.n_components:
+            Xi = Xi - np.outer(t, t @ Xi) / (t @ t)
+        wt_prev, X_wt_prev = wt, X_wt
+    if not weights:
+        raise DegenerateResponseError("no component could be extracted")
+    W = np.column_stack(weights)
+    T = np.column_stack(components)
+    return PlsFit(weights=W, effective_weights=np.column_stack(eff_weights),
+                  components=T, beta_path=np.column_stack(betas),
+                  cross=T.T @ X @ W, requested_components=cfg.n_components)

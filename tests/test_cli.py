@@ -74,6 +74,16 @@ class TestFit:
                   "--components", "0", "--output", str(tmp_path / "m.txt")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda_exits_two(self, dataset, tmp_path, lam):
+        data, _, _ = dataset
+        model_path = tmp_path / "m.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", str(data), "--response", "out",
+                  "--lambda", lam, "--output", str(model_path)])
+        assert exc.value.code == 2
+        assert not model_path.exists()
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -104,6 +114,38 @@ class TestCv:
             main(["cv", "--data", str(data), "--response", "out",
                   "--lambda-grid", "1.0,-3.0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("grid", ["1.0,nan", "inf", "-inf,2.0"])
+    def test_non_finite_lambda_grid_exits_two(self, dataset, grid):
+        data, _, _ = dataset
+        with pytest.raises(SystemExit) as exc:
+            main(["cv", "--data", str(data), "--response", "out",
+                  "--lambda-grid", grid])
+        assert exc.value.code == 2
+
+    def test_early_stop_warning_printed(self, tmp_path, capsys):
+        # 7 training rows cannot carry 8 components
+        X, y, _ = gen_additive(SyntheticSpec(1, 8, 2, 0.2,
+                                             ("sine", "linear")))
+        data = tmp_path / "tiny.csv"
+        write_csv(data, X, y, ["a", "b"], "y")
+        code = main(["cv", "--data", str(data), "--response", "y",
+                     "--lambda-grid", "0.5,50.0", "--max-components", "8",
+                     "--basis-size", "5"])
+        assert code == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        grid, _ = loocv(X, y, lambdas=[0.5, 50.0], max_components=8,
+                        n_basis=5)
+        assert grid.early_stops.tolist() == [8, 8]
+        assert last == ("warning = early stop before 8 components in 16 "
+                        "fold fits (lambda=0.5: 8, lambda=50.0: 8)")
+
+    def test_no_warning_without_early_stops(self, dataset, capsys):
+        data, _, _ = dataset
+        main(["cv", "--data", str(data), "--response", "out",
+              "--lambda-grid", "0.5", "--max-components", "2",
+              "--basis-size", "6"])
+        assert "warning" not in capsys.readouterr().out
 
 
 class TestPredict:

@@ -178,7 +178,9 @@ class TestModelFile:
 
     @pytest.mark.parametrize("names,response", [
         (("a,b", "v"), "y"), (("u", "v\n"), "y"), (("u\r\nw", "v"), "y"),
-        (("u", "v\u2028"), "y"), (("u", "v"), "y\nz")])
+        (("u", "v\u2028"), "y"), (("u", "v"), "y\nz"),
+        ((" u", "v "), " y "), ((" u", "v"), "y"), (("u", "v\t"), "y"),
+        (("u", "v"), "y ")])
     def test_unstorable_name_refused_before_writing(self, tmp_path, names,
                                                     response):
         _, _, model = fitted_model()

@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import centered_problem, dense_m, random_penalty
+from conftest import (centered_problem, dense_m, random_penalty,
+                      reference_pls_fit)
 from penpls import (ConfigurationError, DegenerateResponseError, FitConfig,
-                    closed_form_beta, fitted_values, make_preconditioner,
-                    nipals_fit, penalized_pls_fit)
+                    PenaltySpec, closed_form_beta, fitted_values,
+                    make_preconditioner, nipals_fit, penalized_pls_fit,
+                    penalized_pls_fits)
 from penpls.testkit import dense_ls_oracle, krylov_basis, numerical_rank
 
 
@@ -153,6 +158,108 @@ class TestPenalizedFit:
         fit = penalized_pls_fit(X, y, M, FitConfig(10))
         assert fit.n_components == 10
         np.testing.assert_allclose(fit.beta, dense_ls_oracle(X, y), rtol=1e-6)
+
+
+FIELDS = ("weights", "effective_weights", "components", "beta_path", "cross")
+
+
+def low_rank_problem(seed, n, d, rank):
+    """Centered (X, y) with X of rank at most ``rank``, so fits stop early."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+    X -= X.mean(axis=0)
+    y = rng.standard_normal(n)
+    y -= y.mean()
+    return X, y
+
+
+def stacked_and_lone(X, y, lambdas, p, n_basis, cfg, order=2):
+    """The stacked fits of ``lambdas`` and the reference fit of each alone."""
+    M = make_preconditioner(PenaltySpec(np.repeat(lambdas, p), order,
+                                        n_basis))
+    lone = [reference_pls_fit(X, y, make_preconditioner(
+        PenaltySpec.shared(lam, p, n_basis, order)), cfg) for lam in lambdas]
+    return penalized_pls_fits(X, y, M, len(lambdas), cfg), lone
+
+
+def assert_fits_equal(got, expect):
+    assert got.requested_components == expect.requested_components
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(expect, name)
+        np.testing.assert_array_equal(a, b, err_msg=name)
+        assert a.flags.c_contiguous == b.flags.c_contiguous, name
+
+
+class TestStackedFits:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 30), st.integers(1, 3),
+           st.integers(3, 10), st.integers(1, 30),
+           st.lists(st.sampled_from([0.0, 1e-2, 1.0, 1e3, 1e6]),
+                    min_size=1, max_size=6),
+           st.integers(1, 14), st.floats(-12, -1), st.floats(0, 8))
+    def test_every_slice_matches_a_lone_fit(self, seed, n, p, n_basis, rank,
+                                            lambdas, m, log_tol, log_scale):
+        # a large X makes a stopped fit that kept deflating overflow
+        X, y = low_rank_problem(seed, n, p * n_basis, rank)
+        X *= 10.0 ** log_scale
+        cfg = FitConfig(m, 10.0 ** log_tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                fits, lone = stacked_and_lone(X, y, lambdas, p, n_basis, cfg)
+            except DegenerateResponseError:
+                # only when some lambda alone extracts nothing
+                with pytest.raises(DegenerateResponseError):
+                    for lam in lambdas:
+                        reference_pls_fit(X, y, make_preconditioner(
+                            PenaltySpec.shared(lam, p, n_basis)), cfg)
+                return
+        for got, expect in zip(fits, lone, strict=True):
+            assert_fits_equal(got, expect)
+
+    def test_slices_stopping_at_different_steps(self):
+        X, y = low_rank_problem(7, 12, 16, 4)
+        lambdas = [0.0, 1.0, 1e6, 1.0]
+        cfg = FitConfig(10, 1e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fits, lone = stacked_and_lone(X, y, lambdas, 2, 8, cfg)
+        assert len({f.n_components for f in fits}) > 1
+        assert all(f.early_stopped for f in fits)
+        for got, expect in zip(fits, lone, strict=True):
+            assert_fits_equal(got, expect)
+
+    def test_one_fit_matches_reference(self):
+        X, y, _, M, fit = penalized_instance(60)
+        assert_fits_equal(fit, reference_pls_fit(X, y, M, FitConfig(8)))
+        plain = nipals_fit(X, y, FitConfig(8))
+        assert_fits_equal(plain, reference_pls_fit(X, y, None, FitConfig(8)))
+
+    @pytest.mark.parametrize("n_fits,p", [(2, 2), (1, 4), (3, 7), (0, 2)])
+    def test_preconditioner_size_must_be_n_fits_times_d(self, n_fits, p):
+        X, y = centered_problem(61, 10, 8)
+        M = make_preconditioner(PenaltySpec.shared(1.0, p, 4))  # dim 4p
+        with pytest.raises(ConfigurationError, match="n_fits"):
+            penalized_pls_fits(X, y, M, n_fits, FitConfig(3))
+
+    def test_inputs_not_written(self):
+        X, y = low_rank_problem(62, 15, 12, 5)
+        X_before, y_before = X.copy(), y.copy()
+        M = make_preconditioner(PenaltySpec(np.repeat([0.0, 1.0, 1e3], 3),
+                                            2, 4))
+        penalized_pls_fits(X, y, M, 3, FitConfig(10))
+        np.testing.assert_array_equal(X, X_before)
+        np.testing.assert_array_equal(y, y_before)
+
+    def test_fits_that_extract_nothing_raise(self):
+        # X'y is exactly zero, so every weight vector and score is zero
+        X = np.array([[1.0, 2.0], [1.0, 2.0], [-1.0, -2.0], [-1.0, -2.0]])
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        M = make_preconditioner(PenaltySpec([0.0, 5.0], 1, 2))
+        with pytest.raises(DegenerateResponseError, match="no component"):
+            penalized_pls_fits(X, y, M, 2, FitConfig(3))
+        with pytest.raises(DegenerateResponseError, match="zero"):
+            penalized_pls_fits(X, np.zeros(4), M, 2, FitConfig(3))
 
 
 class TestClosedForm:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from penpls import (ConfigurationError, DataError, DegenerateVariableError,
-                    PenaltySpec, fit_gam, loocv, predict, score_path)
+from conftest import reference_pls_fit
+from penpls import (BasisExpansion, ConfigurationError, DataError,
+                    DegenerateVariableError, FitConfig, PenaltySpec, fit_gam,
+                    loocv, make_basis, make_preconditioner, predict,
+                    score_path, selection, transform)
 from penpls.testkit import SyntheticSpec, gen_additive
 
 
@@ -45,7 +48,71 @@ class TestScorePath:
             assert scores[m - 1] == pytest.approx(expect, rel=1e-10)
 
 
+def reference_loocv(X, y, lambdas, max_components, n_basis):
+    """Mean LOO errors and early-stop counts from one fit per (fold, lambda)."""
+    n, p = X.shape
+    errors = np.zeros((len(lambdas), max_components))
+    early_stops = np.zeros(len(lambdas), dtype=int)
+    for i in range(n):
+        keep = np.arange(n) != i
+        expansion = BasisExpansion([make_basis(X[keep, j], n_basis, 3)
+                                    for j in range(p)])
+        Z = transform(X[keep], expansion)
+        z_means = Z.mean(axis=0)
+        y_mean = y[keep].mean()
+        z_held = transform(X[i:i + 1], expansion)[0] - z_means
+        for li, lam in enumerate(lambdas):
+            M = make_preconditioner(PenaltySpec.shared(lam, p, n_basis))
+            fit = reference_pls_fit(Z - z_means, y[keep] - y_mean, M,
+                                    FitConfig(max_components))
+            err = (y[i] - y_mean - z_held @ fit.beta_path) ** 2
+            early_stops[li] += fit.early_stopped
+            errors[li] += np.pad(err, (0, max_components - err.size),
+                                 mode="edge")
+    return errors / n, early_stops
+
+
 class TestLoocv:
+    @pytest.mark.parametrize("per_pass", [None, 2])
+    def test_matches_per_fold_per_lambda_loop(self, monkeypatch, per_pass):
+        X, y = small_dataset(10, n=20)
+        lambdas = [0.0, 1.0, 1e-2, 1.0, 1e6]
+        n_basis, m = 6, 5
+        if per_pass is not None:  # 2 lambdas a pass: passes of 2, 2 and 1
+            monkeypatch.setattr(selection, "STACK_BYTES",
+                                per_pass * 2 * 19 * 2 * n_basis * 8)
+        grid, choice = loocv(X, y, lambdas=lambdas, max_components=m,
+                             n_basis=n_basis)
+        errors, early_stops = reference_loocv(X, y, lambdas, m, n_basis)
+        np.testing.assert_array_equal(grid.errors, errors)
+        np.testing.assert_array_equal(grid.early_stops, early_stops)
+        assert choice.loo_error == errors.min()
+
+    def test_one_pass_per_fold_within_budget(self, monkeypatch):
+        X, y = small_dataset(11, n=10)
+        calls = []
+        real = selection.penalized_pls_fits
+        monkeypatch.setattr(selection, "penalized_pls_fits",
+                            lambda *a: calls.append(a[3]) or real(*a))
+        loocv(X, y, lambdas=[0.1, 1.0, 10.0], max_components=2, n_basis=5)
+        assert calls == [3] * 10
+        calls.clear()
+        monkeypatch.setattr(selection, "STACK_BYTES", 1)  # one lambda a pass
+        loocv(X, y, lambdas=[0.1, 1.0, 10.0], max_components=2, n_basis=5)
+        assert calls == [1] * 30
+
+    def test_early_stops_counted(self):
+        # 7 training rows of a 10-column expansion: at most 6 components
+        X, y = small_dataset(12, n=8)
+        grid, _ = loocv(X, y, lambdas=[0.0, 1.0, 1e4], max_components=8,
+                        n_basis=5)
+        errors, early_stops = reference_loocv(X, y, [0.0, 1.0, 1e4], 8, 5)
+        np.testing.assert_array_equal(grid.early_stops, early_stops)
+        np.testing.assert_array_equal(grid.errors, errors)
+        assert grid.early_stops.tolist() == [8, 8, 8]
+        grid, _ = loocv(X, y, lambdas=[1.0], max_components=2, n_basis=5)
+        assert grid.early_stops.tolist() == [0]
+
     def test_hand_computed_three_fold(self):
         # n=3, one predictor, degree-1 basis with K=2, lambda=0, m=1:
         # each fold is a straight-line LS fit through the two training points
