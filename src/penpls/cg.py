@@ -16,15 +16,6 @@ from .errors import ConfigurationError, NumericalError
 from .penalty import Preconditioner
 
 
-def weighted_inner(u, v, P) -> float:
-    """Inner product u' (I + P) v, with M^{-1} = I + P applied exactly."""
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if u.shape != v.shape:
-        raise ConfigurationError("vector shapes differ")
-    return float(u @ v + u @ (np.asarray(P, dtype=float) @ v))
-
-
 @dataclass(frozen=True)
 class CgResult:
     """Iterates beta_1..beta_m plus the internals needed by equivalence checks."""
@@ -32,7 +23,6 @@ class CgResult:
     iterates: np.ndarray       # (d, m)
     directions: np.ndarray     # (d, m), d_0..d_{m-1}
     residuals: np.ndarray      # (d, m), r_0..r_{m-1}
-    step_sizes: np.ndarray     # (m,)
 
     @property
     def n_steps(self) -> int:
@@ -63,7 +53,7 @@ def pcg_iterates(X, y, preconditioner: Preconditioner,
     d = b.copy()
     r = b.copy()
 
-    iterates, directions, residuals, steps = [], [], [], []
+    iterates, directions, residuals = [], [], []
     a_dirs = []   # A_M d_i, kept for the full-history projection
     d_a_d = []    # <d_i, A_M d_i>
 
@@ -80,7 +70,6 @@ def pcg_iterates(X, y, preconditioner: Preconditioner,
         directions.append(d)
         residuals.append(r)
         iterates.append(beta)
-        steps.append(a)
         a_dirs.append(ad)
         d_a_d.append(denom)
 
@@ -95,5 +84,4 @@ def pcg_iterates(X, y, preconditioner: Preconditioner,
         iterates=np.column_stack(iterates),
         directions=np.column_stack(directions),
         residuals=np.column_stack(residuals),
-        step_sizes=np.array(steps),
     )

@@ -40,13 +40,9 @@ def _nonneg_float(value):
 
 
 def _lambda_list(value):
-    try:
-        grid = [float(v) for v in value.split(",") if v.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a comma list of numbers")
-    if not grid or not all(math.isfinite(v) and v >= 0 for v in grid):
-        raise argparse.ArgumentTypeError(
-            "lambda grid must be nonempty, finite and nonnegative")
+    grid = [_nonneg_float(v) for v in value.split(",") if v.strip()]
+    if not grid:
+        raise argparse.ArgumentTypeError("lambda grid is empty")
     return grid
 
 

@@ -3,6 +3,7 @@
 A model is fit by expanding each predictor in a B-spline basis, centering the
 expanded columns and the response, running penalized PLS, and storing the
 centering statistics so new observations can be scored honestly.
+``_design`` does this preprocessing for ``fit_gam`` and every ``loocv`` fold.
 """
 from __future__ import annotations
 
@@ -57,16 +58,6 @@ class FittedFunction:
     values: np.ndarray
 
 
-def _build_bases(X: np.ndarray, n_basis: int, degree: int):
-    bases = []
-    for j in range(X.shape[1]):
-        try:
-            bases.append(make_basis(X[:, j], n_basis, degree))
-        except (DataError, DegenerateVariableError) as exc:
-            raise type(exc)(f"predictor column {j}: {exc}") from exc
-    return tuple(bases)
-
-
 def _training_data(X, y):
     """X as a 2-D and y as a 1-D float array, checked against each other."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -78,6 +69,42 @@ def _training_data(X, y):
     if X.shape[0] < 3:
         raise ConfigurationError("need at least 3 observations")
     return X, y
+
+
+def _design(X, y, n_basis: int, degree: int, normalize_response: bool):
+    """Bases, expansion means, centered expansion, intercept, working
+    response and its scale (None unless normalized) of one training set.
+    ``yc`` and ``scale`` are None when the response is constant to rounding:
+    the model is then its intercept alone."""
+    bases = []
+    for j in range(X.shape[1]):
+        try:
+            bases.append(make_basis(X[:, j], n_basis, degree))
+        except (DataError, DegenerateVariableError) as exc:
+            raise type(exc)(f"predictor column {j}: {exc}") from exc
+    bases = tuple(bases)
+    Zc = transform(X, BasisExpansion(bases))
+    z_means = Zc.mean(axis=0)
+    Zc -= z_means
+
+    intercept = float(y.mean())
+    yc = y - intercept
+    if np.max(np.abs(yc)) <= 1e-14 * max(1.0, abs(intercept)):
+        return bases, z_means, Zc, intercept, None, None
+    scale = None
+    if normalize_response:
+        sd = float(yc.std())
+        if sd > 0.0:
+            scale = sd
+            yc = yc / sd
+    return bases, z_means, Zc, intercept, yc, scale
+
+
+def _centered_rows(X, bases, z_means) -> np.ndarray:
+    """Rows of X expanded in ``bases`` and centered by the training means."""
+    Z = transform(X, BasisExpansion(bases))
+    Z -= z_means
+    return Z
 
 
 def fit_gam(X, y, penalty: PenaltySpec, n_components: int,
@@ -101,40 +128,19 @@ def fit_gam(X, y, penalty: PenaltySpec, n_components: int,
         raise ConfigurationError(
             f"X has {X.shape[1]} columns but the penalty covers "
             f"{penalty.n_variables} variables")
-    if n_components < 1:
-        raise ConfigurationError("n_components must be at least 1")
+    cfg = FitConfig(n_components, norm_tol)
 
-    bases = _build_bases(X, penalty.n_basis, degree)
-    Z = transform(X, BasisExpansion(bases))
-    z_means = Z.mean(axis=0)
-    Zc = Z - z_means
-
-    intercept = float(y.mean())
-    yc = y - intercept
-    scale = None
-    if normalize_response:
-        sd = float(yc.std())
-        if sd > 0.0:
-            scale = sd
-            yc = yc / sd
-
-    y_span = np.max(np.abs(yc)) if yc.size else 0.0
-    if y_span <= 1e-14 * max(1.0, abs(intercept)):
-        # constant response: intercept-only model, zero components
-        return GamModel(bases=bases, penalty=penalty,
-                        beta=np.zeros(Z.shape[1]), intercept=intercept,
-                        z_means=z_means, response_scale=scale,
-                        n_components=0, requested_components=n_components,
-                        fitted=np.full_like(y, intercept))
-
-    preconditioner = make_preconditioner(penalty)
-    fit = penalized_pls_fit(Zc, yc, preconditioner,
-                            FitConfig(n_components, norm_tol))
-    beta = fit.beta
+    bases, z_means, Zc, intercept, yc, scale = _design(
+        X, y, penalty.n_basis, degree, normalize_response)
+    if yc is None:  # constant response: intercept-only model, zero components
+        beta, k = np.zeros(Zc.shape[1]), 0
+    else:
+        fit = penalized_pls_fit(Zc, yc, make_preconditioner(penalty), cfg)
+        beta, k = fit.beta, fit.n_components
     fitted = intercept + (scale or 1.0) * (Zc @ beta)
     return GamModel(bases=bases, penalty=penalty, beta=beta,
                     intercept=intercept, z_means=z_means,
-                    response_scale=scale, n_components=fit.n_components,
+                    response_scale=scale, n_components=k,
                     requested_components=n_components, fitted=fitted)
 
 
@@ -146,8 +152,7 @@ def predict(model: GamModel, X_new) -> np.ndarray:
         raise ConfigurationError(
             f"expected {model.n_variables} predictor columns, "
             f"got {X_new.shape[1]}")
-    Z = transform(X_new, model.expansion)
-    centered = Z - model.z_means
+    centered = _centered_rows(X_new, model.bases, model.z_means)
     return model.intercept + (model.response_scale or 1.0) * (centered @ model.beta)
 
 

@@ -17,14 +17,13 @@ _PSD_TOL = 1e-8
 
 @dataclass(frozen=True)
 class KernelFit:
-    """Dual coefficients, dual effective weights, components, fitted values.
+    """Dual coefficients, components and fitted values, one column per step.
 
     ``alpha_path[:, -1]`` maps back to primal coefficients as
     ``beta = M @ X.T @ alpha_path[:, -1]``.
     """
 
     alpha_path: np.ndarray
-    alpha_tilde: np.ndarray
     components: np.ndarray
     fitted_path: np.ndarray
     requested_components: int
@@ -84,7 +83,7 @@ def kernel_penalized_pls_fit(K, y, n_components: int,
     K_at_prev = None
     Ky = K @ y
 
-    alphas, tildes, comps, fits = [], [], [], []
+    alphas, comps, fits = [], [], []
     for _ in range(n_components):
         y_res = y - yhat
         if np.linalg.norm(y_res) <= norm_tol * y_norm:
@@ -106,7 +105,6 @@ def kernel_penalized_pls_fit(K, y, n_components: int,
         yhat = yhat + ((t @ y) / t_sq) * t
 
         alphas.append(alpha)
-        tildes.append(at)
         comps.append(t)
         fits.append(yhat)
         at_prev, K_at_prev = at, K_at
@@ -115,7 +113,6 @@ def kernel_penalized_pls_fit(K, y, n_components: int,
         raise InvalidKernelError("no dual component could be extracted")
     return KernelFit(
         alpha_path=np.column_stack(alphas),
-        alpha_tilde=np.column_stack(tildes),
         components=np.column_stack(comps),
         fitted_path=np.column_stack(fits),
         requested_components=n_components,

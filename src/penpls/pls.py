@@ -101,27 +101,28 @@ def _matvecs(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _pls_loop(X: np.ndarray, y: np.ndarray, cfg: FitConfig,
-              preconditioner: Preconditioner | None,
-              n_fits: int) -> list[PlsFit]:
-    """Run ``n_fits`` fits of one centered (X, y) side by side.
+              preconditioner: Preconditioner | None) -> list[PlsFit]:
+    """Run one fit per d-sized block of ``preconditioner`` (one plain fit
+    without it) of one centered (X, y) side by side.
 
-    Fit l uses block l (of size d) of ``preconditioner``.  Every product is
-    a stacked matmul whose per-fit BLAS call is the one a lone fit makes, so
-    each fit rounds exactly as if it ran alone.  A fit that stops is masked:
-    its deflated X is zeroed and its denominators are replaced by 1, so it
-    stays finite and inert while the others go on.
+    Fit l uses block l of ``preconditioner``.  Every product is a stacked
+    matmul whose per-fit BLAS call is the one a lone fit makes, so each fit
+    rounds exactly as if it ran alone.  A fit that stops is masked: its
+    deflated X is zeroed and its denominators are replaced by 1, so it stays
+    finite and inert while the others go on.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.shape[0]:
         raise ConfigurationError("X and y row counts differ")
-    if n_fits < 1:
-        raise ConfigurationError("n_fits must be at least 1")
     n, d = X.shape
-    if preconditioner is not None and preconditioner.dim != n_fits * d:
-        raise ConfigurationError(
-            f"preconditioner dimension {preconditioner.dim} is not "
-            f"n_fits * d = {n_fits} * {d}")
+    n_fits = 1
+    if preconditioner is not None:
+        n_fits = preconditioner.dim // d if d else 0
+        if n_fits < 1 or preconditioner.dim != n_fits * d:
+            raise ConfigurationError(
+                f"preconditioner dimension {preconditioner.dim} is not a "
+                f"positive multiple of d = {d}")
     _check_centered(X, y)
     if np.linalg.norm(y) == 0.0:
         raise DegenerateResponseError("centered response is identically zero")
@@ -203,43 +204,26 @@ def _pls_loop(X: np.ndarray, y: np.ndarray, cfg: FitConfig,
 
 def nipals_fit(X, y, cfg: FitConfig) -> PlsFit:
     """Ordinary PLS on centered data: w_i = X_i' y, deflate, repeat."""
-    return _pls_loop(X, y, cfg, None, 1)[0]
+    return _pls_loop(X, y, cfg, None)[0]
 
 
 def penalized_pls_fit(X, y, preconditioner: Preconditioner,
                       cfg: FitConfig) -> PlsFit:
     """Penalized PLS: the weight rule becomes w_i = M X_i' y."""
-    return _pls_loop(X, y, cfg, preconditioner, 1)[0]
+    return _pls_loop(X, y, cfg, preconditioner)[0]
 
 
-def penalized_pls_fits(X, y, preconditioner: Preconditioner, n_fits: int,
+def penalized_pls_fits(X, y, preconditioner: Preconditioner,
                        cfg: FitConfig) -> list[PlsFit]:
-    """``n_fits`` penalized PLS fits of one (X, y), in one stacked pass.
+    """Penalized PLS fits of one (X, y), one per d-sized block of
+    ``preconditioner``, in one stacked pass.
 
-    ``preconditioner`` has dimension ``n_fits * d``; its block l, rows
-    ``l*d .. (l+1)*d``, is fit l's M.  Each fit is bit-identical to
+    ``preconditioner.dim`` must be a positive multiple L of d; its block l,
+    rows ``l*d .. (l+1)*d``, is fit l's M.  Each fit is bit-identical to
     ``penalized_pls_fit`` with that block alone, and stops early on its own.
-    Memory is two ``(n_fits, n, d)`` stacks.
+    Memory is two ``(L, n, d)`` stacks.
     """
-    return _pls_loop(X, y, cfg, preconditioner, n_fits)
-
-
-def closed_form_beta(X, y, W) -> np.ndarray:
-    """Coefficients as the least squares fit constrained to span(W).
-
-    Solves W (W'X'XW)^- W'X'y; a rank-deficient Gram matrix is handled by
-    dropping eigenvalues below ``1e-10 * trace``.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    XW = X @ W
-    gram = XW.T @ XW
-    rhs = XW.T @ y
-    evals, evecs = np.linalg.eigh(gram)
-    keep = evals > 1e-10 * np.trace(gram)
-    coef = evecs[:, keep] @ ((evecs[:, keep].T @ rhs) / evals[keep])
-    return W @ coef
+    return _pls_loop(X, y, cfg, preconditioner)
 
 
 def fitted_values(fit: PlsFit, X) -> np.ndarray:

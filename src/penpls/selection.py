@@ -1,12 +1,14 @@
 """Leave-one-out cross-validation over a shared-lambda grid.
 
-All preprocessing (knot placement, centering, optional response scaling) is
-recomputed from each fold's training rows only, so the held-out row never
-leaks into the fitted model.  Each fold fits every lambda at the maximum
-component count in one stacked penalized-PLS pass (``penalized_pls_fits``),
-or in a few passes when the stacked copies of the design would exceed
-``STACK_BYTES``; each fit is bit-identical to a lone ``penalized_pls_fit``.
-One fit scores every smaller component count from its coefficient path.
+Each fold is a ``fit_gam`` of its training rows: ``gam._design`` preprocesses
+those rows only, so the held-out row never leaks into the fitted model, and a
+fold with a constant response is its intercept alone (an early stop at every
+lambda).  Errors are on the response's scale, as ``predict`` scores.  Each
+fold fits every lambda at the maximum component count in one stacked
+penalized-PLS pass (``penalized_pls_fits``), or in a few passes when the
+stacked copies of the design would exceed ``STACK_BYTES``; each fit is
+bit-identical to a lone ``penalized_pls_fit``.  One fit scores every smaller
+component count from its coefficient path.
 """
 from __future__ import annotations
 
@@ -15,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateVariableError
-from .gam import _build_bases, _training_data
+from .gam import _centered_rows, _design, _training_data
 from .penalty import DEFAULT_DIFF_ORDER, PenaltySpec, make_preconditioner
 from .pls import DEFAULT_NORM_TOL, FitConfig, penalized_pls_fits
-from .splines import BasisExpansion, DEFAULT_DEGREE, DEFAULT_N_BASIS, transform
+from .splines import DEFAULT_DEGREE, DEFAULT_N_BASIS
 
 # Bytes one stacked pass may hold in its two (lambdas, n - 1, d) copies of a
 # fold's design.  A 20-lambda pass at n=100, d=60 needs 1.9 MB; at n=300,
@@ -83,8 +85,6 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
         np.asarray(lambdas, dtype=float).ravel()
     if lambdas.size == 0:
         raise ConfigurationError("lambda grid is empty")
-    if np.any(lambdas < 0):
-        raise ConfigurationError("lambda values must be nonnegative")
 
     d = p * n_basis
     per_pass = max(1, STACK_BYTES // (2 * (n - 1) * d * 8))
@@ -99,38 +99,28 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     early_stops = np.zeros(lambdas.size, dtype=int)
     for i in range(n):
         keep = np.arange(n) != i
-        X_tr, y_tr = X[keep], y[keep]
         try:
-            bases = _build_bases(X_tr, n_basis, degree)
+            bases, z_means, Zc, intercept, yc, scale = _design(
+                X[keep], y[keep], n_basis, degree, normalize_response)
         except DegenerateVariableError as exc:
             raise DegenerateVariableError(
                 f"fold holding out row {i}: {exc}") from exc
-        expansion = BasisExpansion(bases)
-        Z_tr = transform(X_tr, expansion)
-        z_means = Z_tr.mean(axis=0)
-        Zc = Z_tr - z_means
-        y_mean = y_tr.mean()
-        yc = y_tr - y_mean
-        scale = 1.0
-        if normalize_response:
-            sd = float(yc.std())
-            if sd > 0.0:
-                scale = sd
-                yc = yc / sd
-        z_held = transform(X[i:i + 1], expansion)[0] - z_means
-        y_held = (y[i] - y_mean) / scale
+        z_held = _centered_rows(X[i:i + 1], bases, z_means)[0]
+        scale = scale or 1.0
+        y_held = (y[i] - intercept) / scale
+        if yc is None:  # intercept-only fold: predicts its mean at every cell
+            errors += y_held ** 2
+            early_stops += 1
+            continue
 
         for start, M in zip(starts, preconditioners):
-            fits = penalized_pls_fits(Zc, yc, M, M.dim // d, cfg)
-            for li, fit in enumerate(fits, start):
+            for li, fit in enumerate(penalized_pls_fits(Zc, yc, M, cfg), start):
                 fold_err = score_path(fit.beta_path, z_held, y_held)
                 if fit.early_stopped:  # the path is final: pad with its end
                     early_stops[li] += 1
-                    fold_err = np.concatenate([
-                        fold_err,
-                        np.full(max_components - fold_err.size,
-                                fold_err[-1])])
-                errors[li] += fold_err
+                    pad = max_components - fold_err.size
+                    fold_err = np.pad(fold_err, (0, pad), "edge")
+                errors[li] += fold_err * scale ** 2  # on the response's scale
 
     errors /= n
     grid = CvGrid(lambdas=lambdas, max_components=max_components,

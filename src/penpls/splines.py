@@ -69,10 +69,6 @@ class BasisExpansion:
     def n_variables(self) -> int:
         return len(self.bases)
 
-    @property
-    def n_columns(self) -> int:
-        return sum(b.n_basis for b in self.bases)
-
 
 def make_basis(values, n_basis: int = DEFAULT_N_BASIS,
                degree: int = DEFAULT_DEGREE) -> SplineBasis:

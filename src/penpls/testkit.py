@@ -65,6 +65,33 @@ def dense_ls_oracle(X, y) -> np.ndarray:
     return Vt[keep].T @ ((U[:, keep].T @ y) / s[keep])
 
 
+def closed_form_beta(X, y, W) -> np.ndarray:
+    """Coefficients as the least squares fit constrained to span(W).
+
+    Solves W (W'X'XW)^- W'X'y; a rank-deficient Gram matrix is handled by
+    dropping eigenvalues below ``1e-10 * trace``.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    XW = X @ W
+    gram = XW.T @ XW
+    rhs = XW.T @ y
+    evals, evecs = np.linalg.eigh(gram)
+    keep = evals > 1e-10 * np.trace(gram)
+    coef = evecs[:, keep] @ ((evecs[:, keep].T @ rhs) / evals[keep])
+    return W @ coef
+
+
+def weighted_inner(u, v, P) -> float:
+    """Inner product u' (I + P) v, with M^{-1} = I + P applied exactly."""
+    u = np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel()
+    if u.shape != v.shape:
+        raise ConfigurationError("vector shapes differ")
+    return float(u @ v + u @ (np.asarray(P, dtype=float) @ v))
+
+
 def krylov_basis(apply_a, b, n_vectors: int) -> np.ndarray:
     """Columns b, A b, ..., A^{m-1} b for a matrix given as a callable."""
     if n_vectors < 1:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from penpls import PenaltySpec, make_preconditioner
+from penpls import PenaltySpec, fit_gam, make_preconditioner, predict
 
 
 def centered_problem(seed, n, d):
@@ -12,6 +12,25 @@ def centered_problem(seed, n, d):
     y = rng.standard_normal(n)
     y -= y.mean()
     return X, y
+
+
+def explicit_folds(X, y, lambdas, max_components, n_basis,
+                   normalize_response=False):
+    """Mean LOO errors and early-stop counts from ``fit_gam`` + ``predict``
+    on every fold, at every (lambda, m)."""
+    n, p = X.shape
+    errors = np.zeros((len(lambdas), max_components))
+    early_stops = np.zeros(len(lambdas), dtype=int)
+    for i in range(n):
+        keep = np.arange(n) != i
+        for li, lam in enumerate(lambdas):
+            spec = PenaltySpec.shared(lam, p, n_basis)
+            for m in range(1, max_components + 1):
+                model = fit_gam(X[keep], y[keep], spec, m,
+                                normalize_response=normalize_response)
+                errors[li, m - 1] += (y[i] - predict(model, X[i:i + 1])[0]) ** 2
+            early_stops[li] += model.early_stopped
+    return errors / n, early_stops
 
 
 def random_penalty(seed, p, n_basis, order=2):

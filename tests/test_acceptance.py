@@ -11,13 +11,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from penpls import (FitConfig, PenaltySpec, closed_form_beta, eval_basis,
-                    fit_gam, fitted_function, fitted_values, gram_matrix,
+from penpls import (FitConfig, PenaltySpec, eval_basis, fit_gam,
+                    fitted_function, fitted_values, gram_matrix,
                     kernel_penalized_pls_fit, loocv, make_basis,
                     make_preconditioner, nipals_fit, pcg_iterates,
                     penalized_pls_fit, penalty_kernel)
-from penpls.testkit import (SyntheticSpec, dense_ls_oracle, gen_additive,
-                            krylov_basis, numerical_rank)
+from penpls.testkit import (SyntheticSpec, closed_form_beta, dense_ls_oracle,
+                            gen_additive, krylov_basis, numerical_rank)
 
 BIRTH_DATA = os.environ.get(
     "BIRTH_DATA", os.path.join(os.path.dirname(__file__), "data", "birth.csv"))

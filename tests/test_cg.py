@@ -3,9 +3,8 @@ import pytest
 
 from conftest import centered_problem, random_penalty
 from penpls import (FitConfig, NumericalError, PenaltySpec, assemble_penalty,
-                    make_preconditioner, pcg_iterates, penalized_pls_fit,
-                    weighted_inner)
-from penpls.testkit import dense_ls_oracle, numerical_rank
+                    make_preconditioner, pcg_iterates, penalized_pls_fit)
+from penpls.testkit import dense_ls_oracle, numerical_rank, weighted_inner
 
 
 class TestWeightedInner:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import explicit_folds
 from penpls import PenaltySpec, fit_gam, fitted_function, load_model, loocv, predict
 from penpls.cli import main
 from penpls.testkit import SyntheticSpec, gen_additive, write_csv
@@ -139,6 +140,26 @@ class TestCv:
         assert grid.early_stops.tolist() == [8, 8]
         assert last == ("warning = early stop before 8 components in 16 "
                         "fold fits (lambda=0.5: 8, lambda=50.0: 8)")
+
+    def test_constant_fold_exits_zero_with_warning(self, tmp_path, capsys):
+        # the fold holding out row 3 has an all-zero response
+        X, _, _ = gen_additive(SyntheticSpec(2, 8, 2, 0.2,
+                                             ("sine", "linear")))
+        y = np.zeros(8)
+        y[3] = 1.0
+        data = tmp_path / "one_event.csv"
+        write_csv(data, X, y, ["a", "b"], "y")
+        code = main(["cv", "--data", str(data), "--response", "y",
+                     "--lambda-grid", "1,10", "--max-components", "3",
+                     "--basis-size", "5"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-1].startswith("warning = early stop before 3 ")
+        errors, _ = explicit_folds(X, y, [1.0, 10.0], 3, 5)
+        cells = np.array([[float(v) for v in line.split(",")]
+                          for line in lines[1:3]])
+        np.testing.assert_array_equal(cells[:, 0], [1.0, 10.0])
+        np.testing.assert_allclose(cells[:, 1:], errors, rtol=1e-10)
 
     def test_no_warning_without_early_stops(self, dataset, capsys):
         data, _, _ = dataset

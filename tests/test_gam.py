@@ -55,6 +55,22 @@ class TestFitGam:
         np.testing.assert_array_equal(model.beta, 0.0)
         np.testing.assert_allclose(predict(model, X), 7.5)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_response_constant_up_to_rounding(self, normalize):
+        # 0.3 - 0.2 is 0.1 up to rounding, so the centered response is
+        # rounding noise; scaling it to unit variance must not make it signal
+        rng = np.random.default_rng(3)
+        X = rng.uniform(size=(7, 2))
+        y = np.full(7, 0.1)
+        y[::2] = 0.3 - 0.2
+        assert (y - y.mean()).std() > 0.0
+        model = fit_gam(X, y, PenaltySpec.shared(1.0, 2, 5), 3,
+                        normalize_response=normalize)
+        assert model.n_components == 0
+        assert model.response_scale is None
+        np.testing.assert_array_equal(model.beta, 0.0)
+        np.testing.assert_array_equal(model.fitted, model.intercept)
+
     def test_constant_predictor_rejected_with_column(self):
         rng = np.random.default_rng(4)
         X = rng.uniform(size=(10, 2))

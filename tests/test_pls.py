@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import (centered_problem, dense_m, random_penalty,
                       reference_pls_fit)
 from penpls import (ConfigurationError, DegenerateResponseError, FitConfig,
-                    PenaltySpec, closed_form_beta, fitted_values,
-                    make_preconditioner, nipals_fit, penalized_pls_fit,
-                    penalized_pls_fits)
-from penpls.testkit import dense_ls_oracle, krylov_basis, numerical_rank
+                    PenaltySpec, fitted_values, make_preconditioner,
+                    nipals_fit, penalized_pls_fit, penalized_pls_fits)
+from penpls.testkit import (closed_form_beta, dense_ls_oracle, krylov_basis,
+                            numerical_rank)
 
 
 def penalized_instance(seed, n=30, p=2, n_basis=10, m=8):
@@ -179,7 +179,7 @@ def stacked_and_lone(X, y, lambdas, p, n_basis, cfg, order=2):
                                         n_basis))
     lone = [reference_pls_fit(X, y, make_preconditioner(
         PenaltySpec.shared(lam, p, n_basis, order)), cfg) for lam in lambdas]
-    return penalized_pls_fits(X, y, M, len(lambdas), cfg), lone
+    return penalized_pls_fits(X, y, M, cfg), lone
 
 
 def assert_fits_equal(got, expect):
@@ -235,19 +235,20 @@ class TestStackedFits:
         plain = nipals_fit(X, y, FitConfig(8))
         assert_fits_equal(plain, reference_pls_fit(X, y, None, FitConfig(8)))
 
-    @pytest.mark.parametrize("n_fits,p", [(2, 2), (1, 4), (3, 7), (0, 2)])
-    def test_preconditioner_size_must_be_n_fits_times_d(self, n_fits, p):
-        X, y = centered_problem(61, 10, 8)
-        M = make_preconditioner(PenaltySpec.shared(1.0, p, 4))  # dim 4p
-        with pytest.raises(ConfigurationError, match="n_fits"):
-            penalized_pls_fits(X, y, M, n_fits, FitConfig(3))
+    @pytest.mark.parametrize("d,p", [(8, 1), (8, 3), (8, 5), (12, 2), (0, 2)])
+    def test_preconditioner_size_must_be_n_fits_times_d(self, d, p):
+        # dim 4p is not a positive multiple of d; d = 0 divides nothing
+        X, y = np.zeros((10, d)), np.arange(10.0) - 4.5
+        M = make_preconditioner(PenaltySpec.shared(1.0, p, 4))
+        with pytest.raises(ConfigurationError, match="positive multiple"):
+            penalized_pls_fits(X, y, M, FitConfig(3))
 
     def test_inputs_not_written(self):
         X, y = low_rank_problem(62, 15, 12, 5)
         X_before, y_before = X.copy(), y.copy()
         M = make_preconditioner(PenaltySpec(np.repeat([0.0, 1.0, 1e3], 3),
                                             2, 4))
-        penalized_pls_fits(X, y, M, 3, FitConfig(10))
+        penalized_pls_fits(X, y, M, FitConfig(10))
         np.testing.assert_array_equal(X, X_before)
         np.testing.assert_array_equal(y, y_before)
 
@@ -257,9 +258,9 @@ class TestStackedFits:
         y = np.array([1.0, -1.0, 1.0, -1.0])
         M = make_preconditioner(PenaltySpec([0.0, 5.0], 1, 2))
         with pytest.raises(DegenerateResponseError, match="no component"):
-            penalized_pls_fits(X, y, M, 2, FitConfig(3))
+            penalized_pls_fits(X, y, M, FitConfig(3))
         with pytest.raises(DegenerateResponseError, match="zero"):
-            penalized_pls_fits(X, np.zeros(4), M, 2, FitConfig(3))
+            penalized_pls_fits(X, np.zeros(4), M, FitConfig(3))
 
 
 class TestClosedForm:

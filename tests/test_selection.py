@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import reference_pls_fit
+from conftest import explicit_folds, reference_pls_fit
 from penpls import (BasisExpansion, ConfigurationError, DataError,
                     DegenerateVariableError, FitConfig, PenaltySpec, fit_gam,
                     loocv, make_basis, make_preconditioner, predict,
@@ -92,8 +92,13 @@ class TestLoocv:
         X, y = small_dataset(11, n=10)
         calls = []
         real = selection.penalized_pls_fits
-        monkeypatch.setattr(selection, "penalized_pls_fits",
-                            lambda *a: calls.append(a[3]) or real(*a))
+
+        def counted(*a):
+            fits = real(*a)
+            calls.append(len(fits))
+            return fits
+
+        monkeypatch.setattr(selection, "penalized_pls_fits", counted)
         loocv(X, y, lambdas=[0.1, 1.0, 10.0], max_components=2, n_basis=5)
         assert calls == [3] * 10
         calls.clear()
@@ -214,6 +219,52 @@ class TestLoocv:
         X, y = small_dataset(7)
         with pytest.raises(ConfigurationError):
             loocv(X, y, lambdas=[], max_components=2)
+
+    def test_negative_lambda_rejected(self):
+        X, y = small_dataset(7)
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            loocv(X, y, lambdas=[1.0, -1.0], max_components=2, n_basis=5)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_chosen_cell_matches_explicit_folds(self, normalize):
+        # the benchmark's loocv check, on every cell: n explicit fit_gam +
+        # predict folds, scored on the response's own scale
+        X, y = small_dataset(13, n=12)
+        grid, choice = loocv(X, y, lambdas=[0.5, 50.0], max_components=3,
+                             n_basis=5, normalize_response=normalize)
+        errors, _ = explicit_folds(X, y, [0.5, 50.0], 3, 5,
+                                   normalize_response=normalize)
+        np.testing.assert_allclose(grid.errors, errors, rtol=1e-10)
+        assert choice.loo_error == pytest.approx(errors.min(), rel=1e-10)
+
+    def test_constant_fold_is_intercept_only(self):
+        # holding out the one nonzero response leaves an all-zero fold
+        X, _ = small_dataset(14, n=8)
+        y = np.zeros(8)
+        y[3] = 1.0
+        grid, _ = loocv(X, y, lambdas=[1.0, 10.0], max_components=3,
+                        n_basis=5)
+        assert np.all(np.isfinite(grid.errors))
+        errors, early_stops = explicit_folds(X, y, [1.0, 10.0], 3, 5)
+        np.testing.assert_allclose(grid.errors, errors, rtol=1e-10)
+        np.testing.assert_array_equal(grid.early_stops, early_stops)
+        assert np.all(grid.early_stops >= 1)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_near_constant_fold_is_intercept_only(self, normalize):
+        # the fold holding out row 5 is 0.1 up to rounding (0.3 - 0.2 is
+        # not 0.1), so its centered response is rounding noise
+        X, _ = small_dataset(15, n=8)
+        y = np.full(8, 0.1)
+        y[::2] = 0.3 - 0.2
+        y[5] = 0.7
+        grid, _ = loocv(X, y, lambdas=[1.0, 10.0], max_components=3,
+                        n_basis=5, normalize_response=normalize)
+        errors, early_stops = explicit_folds(X, y, [1.0, 10.0], 3, 5,
+                                             normalize_response=normalize)
+        np.testing.assert_allclose(grid.errors, errors, rtol=1e-10)
+        np.testing.assert_array_equal(grid.early_stops, early_stops)
+        assert np.all(grid.early_stops >= 1)
 
     def test_normalized_response_mode_runs(self):
         X, y = small_dataset(8)
