@@ -235,11 +235,18 @@ class TestStackedFits:
         plain = nipals_fit(X, y, FitConfig(8))
         assert_fits_equal(plain, reference_pls_fit(X, y, None, FitConfig(8)))
 
-    @pytest.mark.parametrize("d,p", [(8, 1), (8, 3), (8, 5), (12, 2), (0, 2)])
+    @pytest.mark.parametrize("d,p", [(2, 2), (1, 4), (3, 7), (0, 2), (8, 1),
+                                     (8, 3), (8, 5), (12, 2)])
     def test_preconditioner_size_must_be_n_fits_times_d(self, d, p):
-        # dim 4p is not a positive multiple of d; d = 0 divides nothing
-        X, y = np.zeros((10, d)), np.arange(10.0) - 4.5
+        # dim 4p gives n_fits = 4p / d fits when that is a positive whole
+        # number and is refused otherwise; d = 0 divides nothing
+        X, y = centered_problem(61, 10, d)
         M = make_preconditioner(PenaltySpec.shared(1.0, p, 4))
+        if d and (4 * p) % d == 0:
+            fits = penalized_pls_fits(X, y, M, FitConfig(3))
+            assert len(fits) == 4 * p // d
+            assert all(f.weights.shape[0] == d for f in fits)
+            return
         with pytest.raises(ConfigurationError, match="positive multiple"):
             penalized_pls_fits(X, y, M, FitConfig(3))
 
