@@ -89,7 +89,7 @@ def _design(X, y, n_basis: int, degree: int, normalize_response: bool):
 
     intercept = float(y.mean())
     yc = y - intercept
-    if np.max(np.abs(yc)) <= 1e-14 * max(1.0, abs(intercept)):
+    if np.max(np.abs(yc)) <= 1e-14 * np.max(np.abs(y)):
         return bases, z_means, Zc, intercept, None, None
     scale = None
     if normalize_response:

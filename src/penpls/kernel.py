@@ -56,10 +56,12 @@ def kernel_penalized_pls_fit(K, y, n_components: int,
                              norm_tol: float = 1e-10) -> KernelFit:
     """Run the dual algorithm on a PSD Gram matrix and centered response.
 
-    Per iteration: the residual acts as the new dual weight, is projected
-    against the previous dual effective weight (through K^2), updates the
-    dual coefficients, and yields component t = K alpha_tilde whose projection
-    of y is added to the fit.
+    The primal loop's residual recursion with K = X M X' in place of X, M
+    and X': per iteration the residual r is the new dual weight, its score
+    t = K r is orthogonalised twice against the earlier scores with the same
+    coefficients applied to the dual weight (so K alpha_tilde = t), and
+    alpha += step * alpha_tilde, the fit += step * t and r -= step * t with
+    step = t'r / t't.
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -77,43 +79,40 @@ def kernel_penalized_pls_fit(K, y, n_components: int,
         raise InvalidKernelError("Gram matrix is not positive semidefinite")
 
     y_norm = np.linalg.norm(y)
+    r = y.copy()
     yhat = np.zeros_like(y)
     alpha = np.zeros_like(y)
-    at_prev = None
-    K_at_prev = None
-    Ky = K @ y
+    comps = np.empty((n_components, y.size))  # earlier scores, one per row
+    dual_weights = np.empty_like(comps)
+    grams = np.empty(n_components)
 
-    alphas, comps, fits = [], [], []
-    for _ in range(n_components):
-        y_res = y - yhat
-        if np.linalg.norm(y_res) <= norm_tol * y_norm:
+    alphas, fits = [], []
+    for i in range(n_components):
+        if np.linalg.norm(r) <= norm_tol * y_norm:
             break
-        if at_prev is None:
-            at = y_res
-        else:
-            coef = (K_at_prev @ (K @ y_res)) / (K_at_prev @ K_at_prev)
-            at = y_res - coef * at_prev
-        K_at = K @ at
-        gram2 = K_at @ K_at  # alpha_tilde' K^2 alpha_tilde
-        if gram2 <= (norm_tol * max(y_norm, 1.0)) ** 2:
+        at = r
+        t = K @ r
+        for _ in range(2):  # Gram-Schmidt twice keeps the scores orthogonal
+            coef = (comps[:i] @ t) / grams[:i]
+            t = t - coef @ comps[:i]
+            at = at - coef @ dual_weights[:i]
+        gram = t @ t  # alpha_tilde' K^2 alpha_tilde
+        if gram <= (norm_tol * max(y_norm, 1.0)) ** 2:
             break
-        alpha = alpha + ((at @ Ky) / gram2) * at
-        t = K_at
-        t_sq = t @ t
-        if t_sq == 0.0:
-            break
-        yhat = yhat + ((t @ y) / t_sq) * t
+        step = (t @ r) / gram
+        alpha = alpha + step * at
+        yhat = yhat + step * t
+        r = r - step * t
 
+        comps[i], dual_weights[i], grams[i] = t, at, gram
         alphas.append(alpha)
-        comps.append(t)
         fits.append(yhat)
-        at_prev, K_at_prev = at, K_at
 
     if not alphas:
         raise InvalidKernelError("no dual component could be extracted")
     return KernelFit(
         alpha_path=np.column_stack(alphas),
-        components=np.column_stack(comps),
+        components=np.column_stack(comps[:len(alphas)]),
         fitted_path=np.column_stack(fits),
         requested_components=n_components,
     )

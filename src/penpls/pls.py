@@ -5,11 +5,13 @@ component in original coordinates, the components, the coefficient vector
 after every step, and the bidiagonal cross-product matrix R = T' X W.
 Vectors are left unscaled, so downstream checks use relative tolerances.
 
-One loop computes every fit.  ``penalized_pls_fits`` runs several fits of
-one (X, y) side by side, each with its own block of one preconditioner, on
-a stack of deflated copies of X; ``penalized_pls_fit`` and ``nipals_fit``
-are its one-fit case.  Each fit in a stack is bit-identical to the same fit
-run alone and stops early on its own.
+One loop computes every fit, a residual recursion on the one centered X:
+X is never deflated, since w_i = M X'r_i needs only the residual r_i.
+``penalized_pls_fits`` runs several fits of one (X, y) side by side, each
+with its own block of one preconditioner and its own residual;
+``penalized_pls_fit`` and ``nipals_fit`` are its one-fit case.  Each fit in
+a stack is bit-identical to the same fit run alone and stops early on its
+own.
 """
 from __future__ import annotations
 
@@ -85,7 +87,7 @@ def _check_centered(X: np.ndarray, y: np.ndarray):
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise inner products ``a[l] @ b[l]`` (``b`` may be one shared row).
+    """Row-wise inner products ``a[l] @ b[l]``.
 
     Each row is one BLAS dot, the call ``a[l] @ b[l]`` on 1-D operands makes.
     """
@@ -100,16 +102,23 @@ def _matvecs(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A @ v[..., None])[..., 0]
 
 
+def _vecmats(v: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Row-wise products ``v[l] @ A[l]``, one gemv (1-D by 2-D) per row."""
+    return (v[:, None, :] @ A)[:, 0]
+
+
 def _pls_loop(X: np.ndarray, y: np.ndarray, cfg: FitConfig,
               preconditioner: Preconditioner | None) -> list[PlsFit]:
     """Run one fit per d-sized block of ``preconditioner`` (one plain fit
     without it) of one centered (X, y) side by side.
 
-    Fit l uses block l of ``preconditioner``.  Every product is a stacked
-    matmul whose per-fit BLAS call is the one a lone fit makes, so each fit
-    rounds exactly as if it ran alone.  A fit that stops is masked: its
-    deflated X is zeroed and its denominators are replaced by 1, so it stays
-    finite and inert while the others go on.
+    Fit l uses block l of ``preconditioner`` and keeps its own residual r:
+    w = M X'r, t = X w, orthogonalised twice against the earlier scores with
+    the same coefficients applied to the effective weight (so X wt = t), then
+    beta += step * wt and r -= step * t with step = t'r / t't.  Every product
+    is a stacked matmul whose per-fit BLAS call is the one a lone fit makes,
+    so each fit rounds exactly as if it ran alone.  A fit that stops has its
+    residual zeroed, so all its later products are exact zeros.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -128,62 +137,52 @@ def _pls_loop(X: np.ndarray, y: np.ndarray, cfg: FitConfig,
         raise DegenerateResponseError("centered response is identically zero")
 
     m = cfg.n_components
-    Xi = np.empty((n_fits, n, d))  # deflated copies of X, one per fit
-    Xi[...] = X
-    scratch = np.empty_like(Xi)
     weights = np.empty((n_fits, m, d))
     eff_weights = np.empty((n_fits, m, d))
     components = np.empty((n_fits, m, n))
+    grams = np.empty((n_fits, m))  # t't of each kept score (1 where stopped)
     betas = np.empty((n_fits, m, d))
     beta = np.zeros((n_fits, d))
+    r = np.empty((n_fits, n))
+    r[...] = y
     active = np.ones(n_fits, dtype=bool)
     count = np.zeros(n_fits, dtype=int)
 
     for i in range(m):
-        w = Xi.transpose(0, 2, 1) @ y
+        w = _matvecs(X.T, r)
         if preconditioner is not None:
             w = preconditioner.apply(w.reshape(-1)).reshape(n_fits, d)
-        t = _matvecs(Xi, w)
-        tt = _dots(t, t)
-        t_norm = np.sqrt(tt)
+        t = _matvecs(X, w)
+        t_norm = np.sqrt(_dots(t, t))
         if i == 0:
             tol = cfg.norm_tol * t_norm
             # squared with pow() per fit, as a lone fit squares its scalar:
             # numpy's array square can differ from pow(x, 2) in the last bit
             gram_tol = np.array([float(v) ** 2 for v in tol])
-        was_active = active.copy()
         active &= ~(t_norm <= tol)
 
-        if i == 0:
-            wt = w
-        else:
-            Xw = _matvecs(X, w)
-            coef = (_dots(X_wt_prev, Xw)
-                    / np.where(active, _dots(X_wt_prev, X_wt_prev), 1.0))
-            wt = w - coef[:, None] * wt_prev
-        X_wt = _matvecs(X, wt)
-        gram = _dots(X_wt, X_wt)  # wt' X'X wt, guaranteed nonnegative
+        wt = w
+        T_prev, Wt_prev = components[:, :i], eff_weights[:, :i]
+        for _ in range(2):  # Gram-Schmidt twice keeps the scores orthogonal
+            coef = _matvecs(T_prev, t) / grams[:, :i]
+            t = t - _vecmats(coef, T_prev)
+            wt = wt - _vecmats(coef, Wt_prev)
+        gram = _dots(t, t)
         active &= ~(gram <= gram_tol)
-        step = (np.where(active, _dots(X_wt, y), 0.0)
-                / np.where(active, gram, 1.0))
+        gram = np.where(active, gram, 1.0)
+        step = np.where(active, _dots(t, r), 0.0) / gram
         beta = beta + step[:, None] * wt
+        r = r - step[:, None] * t
+        r[~active] = 0.0
 
         weights[:, i] = w
         eff_weights[:, i] = wt
         components[:, i] = t
+        grams[:, i] = gram
         betas[:, i] = beta
         count += active
         if not active.any():
             break
-        stopped = was_active & ~active
-        if stopped.any():
-            Xi[stopped] = 0.0
-
-        if i + 1 < m:  # the last deflation is never read
-            np.multiply(t[:, :, None], t[:, None, :] @ Xi, out=scratch)
-            scratch /= np.where(active, tt, 1.0)[:, None, None]
-            Xi -= scratch
-        wt_prev, X_wt_prev = wt, X_wt
 
     if not count.all():
         raise DegenerateResponseError("no component could be extracted")
@@ -203,13 +202,13 @@ def _pls_loop(X: np.ndarray, y: np.ndarray, cfg: FitConfig,
 
 
 def nipals_fit(X, y, cfg: FitConfig) -> PlsFit:
-    """Ordinary PLS on centered data: w_i = X_i' y, deflate, repeat."""
+    """Ordinary PLS on centered data: w_i = X' r_i, r_i the residual."""
     return _pls_loop(X, y, cfg, None)[0]
 
 
 def penalized_pls_fit(X, y, preconditioner: Preconditioner,
                       cfg: FitConfig) -> PlsFit:
-    """Penalized PLS: the weight rule becomes w_i = M X_i' y."""
+    """Penalized PLS: the weight rule becomes w_i = M X' r_i."""
     return _pls_loop(X, y, cfg, preconditioner)[0]
 
 
@@ -221,11 +220,7 @@ def penalized_pls_fits(X, y, preconditioner: Preconditioner,
     ``preconditioner.dim`` must be a positive multiple L of d; its block l,
     rows ``l*d .. (l+1)*d``, is fit l's M.  Each fit is bit-identical to
     ``penalized_pls_fit`` with that block alone, and stops early on its own.
-    Memory is two ``(L, n, d)`` stacks.
+    Besides the shared X, memory is the ``(L, m, n + 3d)`` of results.
     """
     return _pls_loop(X, y, cfg, preconditioner)
 
-
-def fitted_values(fit: PlsFit, X) -> np.ndarray:
-    """In-sample predictions X @ beta for the final component count."""
-    return np.asarray(X, dtype=float) @ fit.beta

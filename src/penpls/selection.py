@@ -5,10 +5,9 @@ those rows only, so the held-out row never leaks into the fitted model, and a
 fold with a constant response is its intercept alone (an early stop at every
 lambda).  Errors are on the response's scale, as ``predict`` scores.  Each
 fold fits every lambda at the maximum component count in one stacked
-penalized-PLS pass (``penalized_pls_fits``), or in a few passes when the
-stacked copies of the design would exceed ``STACK_BYTES``; each fit is
-bit-identical to a lone ``penalized_pls_fit``.  One fit scores every smaller
-component count from its coefficient path.
+penalized-PLS pass (``penalized_pls_fits``) on its one centered design; each
+fit is bit-identical to a lone ``penalized_pls_fit``.  One fit scores every
+smaller component count from its coefficient path.
 """
 from __future__ import annotations
 
@@ -21,12 +20,6 @@ from .gam import _centered_rows, _design, _training_data
 from .penalty import DEFAULT_DIFF_ORDER, PenaltySpec, make_preconditioner
 from .pls import DEFAULT_NORM_TOL, FitConfig, penalized_pls_fits
 from .splines import DEFAULT_DEGREE, DEFAULT_N_BASIS
-
-# Bytes one stacked pass may hold in its two (lambdas, n - 1, d) copies of a
-# fold's design.  A 20-lambda pass at n=100, d=60 needs 1.9 MB; at n=300,
-# d=2000 one lambda already needs 9.6 MB, so each pass there holds one.
-STACK_BYTES = 16 * 2**20
-
 
 def default_lambda_grid() -> np.ndarray:
     """Logarithmic 20-point grid spanning 1e-2 .. 1e6."""
@@ -86,13 +79,8 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     if lambdas.size == 0:
         raise ConfigurationError("lambda grid is empty")
 
-    d = p * n_basis
-    per_pass = max(1, STACK_BYTES // (2 * (n - 1) * d * 8))
-    starts = range(0, lambdas.size, per_pass)
-    preconditioners = [
-        make_preconditioner(PenaltySpec(
-            np.repeat(lambdas[s:s + per_pass], p), diff_order, n_basis))
-        for s in starts]
+    M = make_preconditioner(PenaltySpec(np.repeat(lambdas, p), diff_order,
+                                        n_basis))
     cfg = FitConfig(max_components, norm_tol)
 
     errors = np.zeros((lambdas.size, max_components))
@@ -113,14 +101,13 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
             early_stops += 1
             continue
 
-        for start, M in zip(starts, preconditioners):
-            for li, fit in enumerate(penalized_pls_fits(Zc, yc, M, cfg), start):
-                fold_err = score_path(fit.beta_path, z_held, y_held)
-                if fit.early_stopped:  # the path is final: pad with its end
-                    early_stops[li] += 1
-                    pad = max_components - fold_err.size
-                    fold_err = np.pad(fold_err, (0, pad), "edge")
-                errors[li] += fold_err * scale ** 2  # on the response's scale
+        for li, fit in enumerate(penalized_pls_fits(Zc, yc, M, cfg)):
+            fold_err = score_path(fit.beta_path, z_held, y_held)
+            if fit.early_stopped:  # the path is final: pad with its end
+                early_stops[li] += 1
+                pad = max_components - fold_err.size
+                fold_err = np.pad(fold_err, (0, pad), "edge")
+            errors[li] += fold_err * scale ** 2  # on the response's scale
 
     errors /= n
     grid = CvGrid(lambdas=lambdas, max_components=max_components,

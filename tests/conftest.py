@@ -50,48 +50,105 @@ def dense_m(preconditioner):
     return preconditioner.apply(np.eye(preconditioner.dim))
 
 
+def exact_roughness(X, y, lam, n_basis, components, grid_size=200, order=2,
+                    digits=120):
+    """Roughness ``sum(diff(f, 2) ** 2)`` of the first fitted curve of
+    ``fit_gam(X, y, PenaltySpec.shared(lam, p, n_basis, order), m)`` for each
+    m in ``components``, computed in ``digits``-digit arithmetic.
+
+    The float centered expansion, response, curve-grid basis rows and
+    expansion means that ``fit_gam`` and ``fitted_function`` use are taken
+    as exact inputs.  Each beta is the exact least-squares coefficient on the
+    Krylov space K_m(M Z'Z, M Z'y), M = (I + P)^-1, which is what m
+    penalized PLS components span; so the result carries no rounding of the
+    PLS recursion at all.
+    """
+    import mpmath
+    from penpls import PenaltySpec, assemble_penalty, eval_basis_grid
+    from penpls.gam import _design
+    from penpls.splines import DEFAULT_DEGREE
+
+    bases, z_means, Zc, _, yc, _ = _design(
+        np.asarray(X, dtype=float), np.asarray(y, dtype=float), n_basis,
+        DEFAULT_DEGREE, False)
+    lo, hi = bases[0].domain
+    rows = eval_basis_grid(bases[0], np.linspace(lo, hi, grid_size))
+    penalty = assemble_penalty(PenaltySpec.shared(
+        lam, len(bases), n_basis, order))
+    d = Zc.shape[1]
+    with mpmath.workdps(digits):
+        Z = mpmath.matrix(Zc.tolist())
+        gram = Z.T * Z
+        rhs = Z.T * mpmath.matrix(yc.tolist())
+        M = mpmath.inverse(mpmath.eye(d) + mpmath.matrix(penalty.tolist()))
+        curve = mpmath.matrix((rows - z_means[:n_basis]).tolist())
+        basis = []  # orthonormal basis of the Krylov space, grown one by one
+        v = M * rhs
+        result = {}
+        for m in range(1, max(components) + 1):
+            for _ in range(2):
+                for q in basis:
+                    v -= (q.T * v)[0] * q
+            v /= mpmath.norm(v)
+            basis.append(v)
+            V = mpmath.matrix(d, m)
+            for j, q in enumerate(basis):
+                V[:, j] = q
+            beta = V * mpmath.lu_solve(V.T * gram * V, V.T * rhs)
+            values = curve * beta[:n_basis, 0]
+            if m in components:
+                result[m] = float(mpmath.fsum(
+                    (values[j + 2] - 2 * values[j + 1] + values[j]) ** 2
+                    for j in range(grid_size - 2)))
+            v = M * (gram * v)
+    return result
+
+
 def reference_pls_fit(X, y, preconditioner, cfg):
-    """One (penalized) PLS fit as a plain per-fit loop on 2-D/1-D arrays.
+    """One (penalized) PLS fit as a plain per-fit residual loop on 2-D/1-D
+    arrays.
 
     The stacked loop in ``penpls.pls`` must reproduce every field of this
     bit for bit; it is kept here, outside the package, as that reference.
+    Earlier scores and effective weights are the rows of C-ordered arrays,
+    so each product is the same BLAS call the stacked loop makes per fit.
     """
     from penpls import DegenerateResponseError, PlsFit
 
-    Xi = X.copy()
-    weights, eff_weights, components, betas = [], [], [], []
-    beta = np.zeros(X.shape[1])
-    for i in range(cfg.n_components):
-        w = Xi.T @ y
+    n, d = X.shape
+    m = cfg.n_components
+    W, Wt, T, B = (np.empty((m, d)), np.empty((m, d)), np.empty((m, n)),
+                   np.empty((m, d)))
+    grams = np.empty(m)
+    beta = np.zeros(d)
+    r = y.copy()
+    k = 0
+    for i in range(m):
+        w = X.T @ r
         if preconditioner is not None:
             w = preconditioner.apply(w)
-        t = Xi @ w
-        t_norm = np.linalg.norm(t)
+        t = X @ w
+        t_norm = np.sqrt(t @ t)
         if i == 0:
-            t1_norm = t_norm
-        if t_norm <= cfg.norm_tol * t1_norm:
+            tol = cfg.norm_tol * t_norm
+        if t_norm <= tol:
             break
-        if i == 0:
-            wt = w
-        else:
-            coef = (X_wt_prev @ (X @ w)) / (X_wt_prev @ X_wt_prev)
-            wt = w - coef * wt_prev
-        X_wt = X @ wt
-        gram = X_wt @ X_wt
-        if gram <= (cfg.norm_tol * t1_norm) ** 2:
+        wt = w
+        for _ in range(2):
+            coef = (T[:i] @ t) / grams[:i]
+            t = t - coef @ T[:i]
+            wt = wt - coef @ Wt[:i]
+        gram = t @ t
+        if gram <= tol ** 2:
             break
-        beta = beta + ((X_wt @ y) / gram) * wt
-        weights.append(w)
-        eff_weights.append(wt)
-        components.append(t)
-        betas.append(beta)
-        if i + 1 < cfg.n_components:
-            Xi = Xi - np.outer(t, t @ Xi) / (t @ t)
-        wt_prev, X_wt_prev = wt, X_wt
-    if not weights:
+        step = (t @ r) / gram
+        beta = beta + step * wt
+        r = r - step * t
+        W[i], Wt[i], T[i], B[i], grams[i] = w, wt, t, beta, gram
+        k = i + 1
+    if not k:
         raise DegenerateResponseError("no component could be extracted")
-    W = np.column_stack(weights)
-    T = np.column_stack(components)
-    return PlsFit(weights=W, effective_weights=np.column_stack(eff_weights),
-                  components=T, beta_path=np.column_stack(betas),
-                  cross=T.T @ X @ W, requested_components=cfg.n_components)
+    Tk, Wk = np.ascontiguousarray(T[:k].T), np.ascontiguousarray(W[:k].T)
+    return PlsFit(weights=Wk, effective_weights=np.ascontiguousarray(Wt[:k].T),
+                  components=Tk, beta_path=np.ascontiguousarray(B[:k].T),
+                  cross=Tk.T @ X @ Wk, requested_components=m)

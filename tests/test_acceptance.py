@@ -11,8 +11,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from conftest import exact_roughness
 from penpls import (FitConfig, PenaltySpec, eval_basis, fit_gam,
-                    fitted_function, fitted_values, gram_matrix,
+                    fitted_function, gram_matrix,
                     kernel_penalized_pls_fit, loocv, make_basis,
                     make_preconditioner, nipals_fit, pcg_iterates,
                     penalized_pls_fit, penalty_kernel)
@@ -102,7 +103,7 @@ def test_03_primal_dual_fitted_values(criterion):
             primal = penalized_pls_fit(X, y, M, FitConfig(m))
             dual = kernel_penalized_pls_fit(gram_matrix(X, M), y,
                                             primal.n_components)
-            yhat_primal = fitted_values(primal, X)
+            yhat_primal = X @ primal.beta
             yhat_dual = dual.fitted_path[:, dual.n_components - 1]
             bound = 1e-8 * np.linalg.norm(y)
             assert np.linalg.norm(yhat_primal - yhat_dual) <= bound, \
@@ -200,20 +201,25 @@ def test_09_change_of_inner_product(criterion):
                 1e-8 * max(np.max(np.abs(mapped)), 1e-300), f"seed {seed}"
 
 
-# roughness of the first fitted curve on the frozen fixture below, recorded
-# at the first green build; guards against silent behavior drift
+# roughness of the first fitted curve on the frozen fixture below, computed
+# exactly (120 digits) by ``conftest.exact_roughness``; its own test checks
+# these constants against it
 GOLDEN_ROUGHNESS = {
-    1: 3.58988793910887e-05,
-    5: 0.00044958067861466976,
-    9: 0.0018332688877751716,
-    13: 0.007879063587399284,
+    1: 3.5898879391083676e-05,
+    5: 0.00044958067861008803,
+    9: 0.0018332688865108943,
+    13: 0.007879063489329128,
 }
+
+
+def roughness_fixture():
+    X, y, _ = gen_additive(SyntheticSpec(2024, 100, 1, 0.3, ("sine",)))
+    return X, y, PenaltySpec.shared(2000.0, 1, 20)
 
 
 def test_10_roughness_grows_with_components(criterion):
     with criterion(10, "roughness grows with components"):
-        X, y, _ = gen_additive(SyntheticSpec(2024, 100, 1, 0.3, ("sine",)))
-        penalty = PenaltySpec.shared(2000.0, 1, 20)
+        X, y, penalty = roughness_fixture()
         roughness = {}
         for m in (1, 5, 9, 13):
             model = fit_gam(X, y, penalty, m)
@@ -223,8 +229,17 @@ def test_10_roughness_grows_with_components(criterion):
         values = [roughness[m] for m in (1, 5, 9, 13)]
         assert all(b >= a for a, b in zip(values, values[1:])), roughness
         for m, golden in GOLDEN_ROUGHNESS.items():
-            assert roughness[m] == pytest.approx(golden, rel=1e-8), \
+            assert roughness[m] == pytest.approx(golden, rel=1e-10), \
                 f"m {m}: {roughness[m]!r} vs golden {golden!r}"
+
+
+def test_10_golden_roughness_is_exact():
+    X, y, penalty = roughness_fixture()
+    exact = exact_roughness(X, y, float(penalty.lambdas[0]), penalty.n_basis,
+                            tuple(GOLDEN_ROUGHNESS))
+    assert exact.keys() == GOLDEN_ROUGHNESS.keys()
+    for m, golden in GOLDEN_ROUGHNESS.items():
+        assert golden == pytest.approx(exact[m], rel=1e-12), f"m {m}"
 
 
 def test_11_birth_data_loo_error(emit):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import centered_problem, random_penalty
 from penpls import (FitConfig, NumericalError, PenaltySpec, assemble_penalty,
@@ -48,6 +49,23 @@ class TestPcgIterates:
             ref = fit.beta_path[:, i]
             err = np.linalg.norm(res.iterates[:, i] - ref) / np.linalg.norm(ref)
             assert err <= 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(5, 60), st.integers(1, 3),
+           st.integers(4, 15), st.integers(1, 10),
+           st.lists(st.floats(-2, 6), min_size=3, max_size=3))
+    def test_matches_penalized_pls_path_on_random_lambdas(
+            self, seed, n, p, n_basis, m, log_lambdas):
+        # criterion 2's tolerance, on tall and wide designs alike
+        X, y = centered_problem(seed, n, p * n_basis)
+        M = make_preconditioner(PenaltySpec(10.0 ** np.array(log_lambdas[:p]),
+                                            2, n_basis))
+        fit = penalized_pls_fit(X, y, M, FitConfig(m))
+        res = pcg_iterates(X, y, M, fit.n_components)
+        for i in range(min(res.n_steps, fit.n_components)):
+            ref = fit.beta_path[:, i]
+            err = np.linalg.norm(res.iterates[:, i] - ref) / np.linalg.norm(ref)
+            assert err <= 1e-6, f"step {i + 1}"
 
     def test_reaches_ls_solution_on_full_rank_problem(self):
         X, y = centered_problem(7, 40, 8)

@@ -71,6 +71,15 @@ class TestFitGam:
         np.testing.assert_array_equal(model.beta, 0.0)
         np.testing.assert_array_equal(model.fitted, model.intercept)
 
+    def test_tiny_response_is_fit_to_scale(self):
+        # constancy is judged relative to the response itself, so a response
+        # of order 1e-15 is signal, not rounding noise
+        X, y, model = fit_fixture()
+        tiny = fit_gam(X, y * 1e-15, model.penalty, 4)
+        assert tiny.n_components == model.n_components == 4
+        np.testing.assert_allclose(tiny.beta, model.beta * 1e-15, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(tiny.beta)))
+
     def test_constant_predictor_rejected_with_column(self):
         rng = np.random.default_rng(4)
         X = rng.uniform(size=(10, 2))

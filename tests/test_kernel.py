@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import centered_problem, random_penalty
-from penpls import (FitConfig, InvalidKernelError, gram_matrix,
+from penpls import (FitConfig, InvalidKernelError, PenaltySpec, gram_matrix,
                     kernel_penalized_pls_fit, make_preconditioner,
                     penalized_pls_fit)
 from penpls.testkit import krylov_basis, numerical_rank
@@ -56,6 +57,26 @@ class TestKernelFit:
         np.testing.assert_allclose(
             dual.fitted_path, primal_fitted,
             atol=1e-8 * np.linalg.norm(y))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(0, 2**32 - 1), st.integers(1, 3),
+           st.integers(4, 30), st.integers(1, 10),
+           st.lists(st.floats(-2, 6), min_size=3, max_size=3))
+    def test_fitted_values_match_primal_on_random_wide_designs(
+            self, data, seed, p, n_basis, m, log_lambdas):
+        # criterion 3's tolerance on any design with more columns than rows,
+        # up to Krylov exhaustion (m >= n - 1) and lambda = 1e6
+        d = p * n_basis
+        n = data.draw(st.integers(3, min(40, d - 1)))
+        X, y = centered_problem(seed, n, d)
+        M = make_preconditioner(PenaltySpec(10.0 ** np.array(log_lambdas[:p]),
+                                            2, n_basis))
+        primal = penalized_pls_fit(X, y, M, FitConfig(m))
+        dual = kernel_penalized_pls_fit(gram_matrix(X, M), y,
+                                        primal.n_components)
+        assert dual.n_components == primal.n_components
+        assert np.linalg.norm(X @ primal.beta - dual.fitted) <= \
+            1e-8 * np.linalg.norm(y)
 
     def test_primal_recovery_of_coefficients(self):
         X, y, M, K, m = dual_instance(10)

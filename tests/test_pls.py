@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (centered_problem, dense_m, random_penalty,
                       reference_pls_fit)
 from penpls import (ConfigurationError, DegenerateResponseError, FitConfig,
-                    PenaltySpec, fitted_values, make_preconditioner,
+                    PenaltySpec, make_preconditioner,
                     nipals_fit, penalized_pls_fit, penalized_pls_fits)
 from penpls.testkit import (closed_form_beta, dense_ls_oracle, krylov_basis,
                             numerical_rank)
@@ -27,7 +27,7 @@ class TestNipals:
         fit = nipals_fit(X, y, FitConfig(1))
         x = X[:, 0]
         expect = (x @ y) / (x @ x) * x
-        np.testing.assert_allclose(fitted_values(fit, X), expect, atol=1e-12)
+        np.testing.assert_allclose(X @ fit.beta, expect, atol=1e-12)
 
     def test_full_rank_reaches_ls_solution(self):
         X, y = centered_problem(2, 20, 5)
@@ -199,7 +199,7 @@ class TestStackedFits:
            st.integers(1, 14), st.floats(-12, -1), st.floats(0, 8))
     def test_every_slice_matches_a_lone_fit(self, seed, n, p, n_basis, rank,
                                             lambdas, m, log_tol, log_scale):
-        # a large X makes a stopped fit that kept deflating overflow
+        # a large X makes a stopped fit that kept its residual overflow
         X, y = low_rank_problem(seed, n, p * n_basis, rank)
         X *= 10.0 ** log_scale
         cfg = FitConfig(m, 10.0 ** log_tol)
@@ -306,11 +306,11 @@ class TestFittedValues:
         X, y, _, _, fit = penalized_instance(50, m=4)
         T = fit.components
         proj = T @ np.linalg.solve(T.T @ T, T.T @ y)
-        np.testing.assert_allclose(fitted_values(fit, X), proj, rtol=1e-8)
+        np.testing.assert_allclose(X @ fit.beta, proj, rtol=1e-8)
 
     def test_residual_orthogonal_to_components(self):
         X, y, _, _, fit = penalized_instance(51, m=4)
-        resid = y - fitted_values(fit, X)
+        resid = y - X @ fit.beta
         for i in range(fit.n_components):
             t = fit.components[:, i]
             assert abs(resid @ t) <= 1e-8 * np.linalg.norm(t) * np.linalg.norm(y)
@@ -323,4 +323,4 @@ class TestFittedValues:
         u -= u.mean()
         X = np.outer(u, rng.standard_normal(5))
         fit = nipals_fit(X, u, FitConfig(1))
-        np.testing.assert_allclose(fitted_values(fit, X), u, rtol=1e-8)
+        np.testing.assert_allclose(X @ fit.beta, u, rtol=1e-8)

@@ -73,14 +73,10 @@ def reference_loocv(X, y, lambdas, max_components, n_basis):
 
 
 class TestLoocv:
-    @pytest.mark.parametrize("per_pass", [None, 2])
-    def test_matches_per_fold_per_lambda_loop(self, monkeypatch, per_pass):
+    def test_matches_per_fold_per_lambda_loop(self):
         X, y = small_dataset(10, n=20)
         lambdas = [0.0, 1.0, 1e-2, 1.0, 1e6]
         n_basis, m = 6, 5
-        if per_pass is not None:  # 2 lambdas a pass: passes of 2, 2 and 1
-            monkeypatch.setattr(selection, "STACK_BYTES",
-                                per_pass * 2 * 19 * 2 * n_basis * 8)
         grid, choice = loocv(X, y, lambdas=lambdas, max_components=m,
                              n_basis=n_basis)
         errors, early_stops = reference_loocv(X, y, lambdas, m, n_basis)
@@ -101,10 +97,6 @@ class TestLoocv:
         monkeypatch.setattr(selection, "penalized_pls_fits", counted)
         loocv(X, y, lambdas=[0.1, 1.0, 10.0], max_components=2, n_basis=5)
         assert calls == [3] * 10
-        calls.clear()
-        monkeypatch.setattr(selection, "STACK_BYTES", 1)  # one lambda a pass
-        loocv(X, y, lambdas=[0.1, 1.0, 10.0], max_components=2, n_basis=5)
-        assert calls == [1] * 30
 
     def test_early_stops_counted(self):
         # 7 training rows of a 10-column expansion: at most 6 components
