@@ -185,7 +185,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (PenplsError, OSError) as exc:
+    except (PenplsError, OSError, np.linalg.LinAlgError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -73,9 +73,17 @@ def _training_data(X, y):
 
 def _design(X, y, n_basis: int, degree: int, normalize_response: bool):
     """Bases, expansion means, centered expansion, intercept, working
-    response and its scale (None unless normalized) of one training set.
-    ``yc`` and ``scale`` are None when the response is constant to rounding:
-    the model is then its intercept alone."""
+    response, its scale (None unless normalized) and its binary exponent e
+    of one training set.  ``yc`` and ``scale`` are None when the response is
+    constant to rounding: the model is then its intercept alone.
+
+    The working response is the centered response times 2^-e, chosen so
+    that its largest magnitude lies in [0.5, 1), or, normalized, divided by
+    its standard deviation (then e = 0).  So the scale of y cannot push the
+    squares and norms of the PLS loop out of floating-point range.  The loop
+    is linear in y and a power of two scales exactly, so a coefficient
+    fitted to ``yc`` times 2^e is bit for bit the one fitted to the unscaled
+    response."""
     bases = []
     for j in range(X.shape[1]):
         try:
@@ -89,15 +97,19 @@ def _design(X, y, n_basis: int, degree: int, normalize_response: bool):
 
     intercept = float(y.mean())
     yc = y - intercept
-    if np.max(np.abs(yc)) <= 1e-14 * np.max(np.abs(y)):
-        return bases, z_means, Zc, intercept, None, None
+    peak = np.max(np.abs(yc))
+    if peak <= 1e-14 * np.max(np.abs(y)):
+        return bases, z_means, Zc, intercept, None, None, 0
+    exponent = int(np.frexp(peak)[1])
+    yc = np.ldexp(yc, -exponent)
     scale = None
     if normalize_response:
-        sd = float(yc.std())
+        sd = float(yc.std())  # of the scaled response, whose squares are safe
         if sd > 0.0:
-            scale = sd
+            scale = float(np.ldexp(sd, exponent))
             yc = yc / sd
-    return bases, z_means, Zc, intercept, yc, scale
+            exponent = 0
+    return bases, z_means, Zc, intercept, yc, scale, exponent
 
 
 def _centered_rows(X, bases, z_means) -> np.ndarray:
@@ -130,13 +142,13 @@ def fit_gam(X, y, penalty: PenaltySpec, n_components: int,
             f"{penalty.n_variables} variables")
     cfg = FitConfig(n_components, norm_tol)
 
-    bases, z_means, Zc, intercept, yc, scale = _design(
+    bases, z_means, Zc, intercept, yc, scale, exponent = _design(
         X, y, penalty.n_basis, degree, normalize_response)
     if yc is None:  # constant response: intercept-only model, zero components
         beta, k = np.zeros(Zc.shape[1]), 0
     else:
         fit = penalized_pls_fit(Zc, yc, make_preconditioner(penalty), cfg)
-        beta, k = fit.beta, fit.n_components
+        beta, k = np.ldexp(fit.beta, exponent), fit.n_components
     fitted = intercept + (scale or 1.0) * (Zc @ beta)
     return GamModel(bases=bases, penalty=penalty, beta=beta,
                     intercept=intercept, z_means=z_means,

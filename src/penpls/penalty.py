@@ -3,16 +3,16 @@
 The penalty on the expanded coefficient vector is block diagonal: variable j
 contributes ``lambda_j * K_q`` where ``K_q`` penalizes order-q differences of
 adjacent coefficients.  The preconditioner is the inverse of identity plus
-penalty.  It is held as one Cholesky factor per distinct weight and applied
-with one LAPACK solve per distinct weight, never as an explicit inverse.
+penalty.  It is held in the eigenbasis of ``K_q`` taken from the SVD of the
+difference operator (Demmler & Reinsch 1975): one K x K rotation shared by
+every variable and weight, plus a diagonal per variable.  It is never formed
+as an explicit inverse, and nothing is factorised.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError, NumericalError
 
@@ -26,18 +26,24 @@ def difference_matrix(n_basis: int) -> np.ndarray:
     return np.eye(n_basis - 1, n_basis) - np.eye(n_basis - 1, n_basis, k=1)
 
 
-def penalty_kernel(n_basis: int, order: int) -> np.ndarray:
-    """Order-q difference penalty kernel, D'D with D the stacked differences.
-
-    Symmetric positive semidefinite with rank ``n_basis - order``; its null
-    space is spanned by discrete polynomials of degree below ``order``.
-    """
+def _difference_operator(n_basis: int, order: int) -> np.ndarray:
+    """Order-q difference operator D, a (K - q) x K integer matrix."""
     if not 1 <= order <= n_basis - 1:
         raise ConfigurationError(
             f"difference order {order} out of range for n_basis={n_basis}")
     diff = np.eye(n_basis)
     for size in range(n_basis, n_basis - order, -1):
         diff = difference_matrix(size) @ diff
+    return diff
+
+
+def penalty_kernel(n_basis: int, order: int) -> np.ndarray:
+    """Order-q difference penalty kernel, D'D with D the stacked differences.
+
+    Symmetric positive semidefinite with rank ``n_basis - order``; its null
+    space is spanned by discrete polynomials of degree below ``order``.
+    """
+    diff = _difference_operator(n_basis, order)
     return diff.T @ diff
 
 
@@ -93,94 +99,72 @@ def assemble_penalty(spec: PenaltySpec) -> np.ndarray:
     return np.kron(np.diag(spec.lambdas), kernel)
 
 
-class _Group(NamedTuple):
-    """The blocks that share one penalty weight, and their two K x K maps."""
-
-    index: np.ndarray | slice  # block numbers j with lambdas[j] == this weight
-    factor: np.ndarray         # upper Cholesky factor of I + lambda K_q
-    forward: np.ndarray        # I + lambda K_q itself
-
-
 class Preconditioner:
-    """Blockwise inverse of (I + penalty), applied without ever forming it.
+    """Blockwise inverse of (I + penalty) in the difference operator's SVD
+    basis (Demmler-Reinsch), applied without ever forming it.
 
-    Block j is ``(I_K + lambda_j K_q)^{-1}``.  Blocks that share a weight
-    share one upper Cholesky factor (LAPACK ``potrf``), so a vector or matrix
-    is solved with one ``potrs`` call per distinct weight: all the K-vectors
-    of a group are the columns of a single right-hand side.  With the shared
-    weight that ``fit_gam`` and ``loocv`` use this is one LAPACK call per
-    ``apply``.  The forward map (multiplication by ``I + P``) is also exposed
-    since the conjugate-gradient oracle needs the inverse-preconditioner
-    inner product.  No explicit inverse is formed.
+    With D = U diag(sigma) V' the full SVD of the (K - q) x K order-q
+    difference operator, K_q = D'D = V diag(s) V' where s is sigma squared
+    padded with q exact zeros for the discrete polynomials K_q annihilates.
+    Block j of M is then ``V diag(1 / (1 + lambda_j s)) V'``: one K x K
+    rotation shared by every variable and every weight, and a per-block
+    diagonal.  The forward map (multiplication by ``I + P``) is the same
+    rotation with ``1 + lambda_j s``; the conjugate-gradient oracle needs it
+    for the inverse-preconditioner inner product.  No explicit inverse and no
+    factorisation is formed, so a weight of any finite size whose products
+    ``lambda_j s`` stay finite is accepted.
     """
 
     def __init__(self, spec: PenaltySpec):
         self.spec = spec
-        kernel = penalty_kernel(spec.n_basis, spec.order)
-        eye = np.eye(spec.n_basis)
-        lams, which = np.unique(spec.lambdas, return_inverse=True)
-        self._groups = []
-        for g, lam in enumerate(lams):
-            with np.errstate(over="ignore"):  # reported just below
-                block = eye + lam * kernel
-            if not np.all(np.isfinite(block)):
-                raise NumericalError(f"I + {lam} * K_q overflows")
-            factor, info = dpotrf(block)
-            if info != 0:
-                raise NumericalError(
-                    f"I + {lam} * K_q is not positive definite "
-                    f"(potrf info {info})")
-            index = (slice(None) if len(lams) == 1
-                     else np.flatnonzero(which == g))
-            self._groups.append(_Group(index, factor, block))
+        _, sigma, vt = np.linalg.svd(
+            _difference_operator(spec.n_basis, spec.order))
+        s = np.zeros(spec.n_basis)
+        s[:sigma.size] = sigma ** 2
+        with np.errstate(over="ignore"):  # reported just below
+            forward = 1.0 + np.multiply.outer(spec.lambdas, s)
+        if not np.all(np.isfinite(forward)):
+            raise NumericalError(f"I + {spec.lambdas.max()} * K_q overflows")
+        self._basis = vt.T
+        self._forward = forward[:, None, :]
+        self._inverse = 1.0 / self._forward
 
     @property
     def dim(self) -> int:
         return self.spec.dim
 
-    def _blockwise(self, v, op) -> np.ndarray:
-        """Apply ``op(group, rhs)`` to every group of blocks of ``v``.
+    def _rotated(self, v, scale) -> np.ndarray:
+        """``V diag(scale[j]) V'`` applied to every K-block j of ``v``.
 
-        ``v`` (length pK, or pK rows) is copied once into a C-ordered
-        (columns, p, K) work array, so each block's K-vector is contiguous
-        and a group is the F-ordered (K, n_rhs) matrix ``op`` receives.
-        ``op`` returns the mapped matrix, possibly ``rhs`` itself overwritten;
-        the caller's array is never written.
+        ``v`` (length pK, or pK rows) is viewed, without a copy, as p
+        (columns, K) blocks; each block is one BLAS product with V, then
+        scaled, then one with V'.  The per-block calls depend only on the
+        block and the column count, so a block rounds the same whatever
+        blocks surround it.  The caller's array is never written.
         """
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.dim:
             raise ConfigurationError(
                 f"vector of length {v.shape[0]} does not match "
                 f"preconditioner dimension {self.dim}")
-        p, K = self.spec.n_variables, self.spec.n_basis
-        work = np.array(v.reshape(p, K, -1).transpose(2, 0, 1), order="C")
-        if not np.isfinite(work).all():
+        if not np.isfinite(v).all():
             raise NumericalError("preconditioner input has non-finite values")
-        for group in self._groups:
-            rows = work[:, group.index]
-            mapped = op(group, rows.reshape(-1, K).T)
-            if not np.may_share_memory(mapped, work):
-                work[:, group.index] = mapped.T.reshape(rows.shape)
-        return work.reshape(-1, self.dim).T.reshape(v.shape)
+        p, K = self.spec.n_variables, self.spec.n_basis
+        blocks = v.reshape(p, K, v[0].size).transpose(0, 2, 1)
+        coords = blocks @ self._basis
+        coords *= scale
+        return (self._basis @ coords.transpose(0, 2, 1)).reshape(v.shape)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Multiply by M, i.e. solve (I + P) x = v blockwise.
 
         Accepts a vector of length pK or a matrix with pK rows.
         """
-        return self._blockwise(v, _solve)
+        return self._rotated(v, self._inverse)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        """Multiply by M^{-1} = I + P, blockwise and exactly."""
-        return self._blockwise(v, lambda group, rhs: group.forward @ rhs)
-
-
-def _solve(group: _Group, rhs: np.ndarray) -> np.ndarray:
-    # rhs is private to _blockwise, so potrs may solve in place
-    x, info = dpotrs(group.factor, rhs, overwrite_b=True)
-    if info != 0:
-        raise NumericalError(f"potrs failed (info {info})")
-    return x
+        """Multiply by M^{-1} = I + P, blockwise."""
+        return self._rotated(v, self._forward)
 
 
 def make_preconditioner(spec: PenaltySpec) -> Preconditioner:

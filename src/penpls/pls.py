@@ -133,7 +133,7 @@ def _pls_loop(X: np.ndarray, y: np.ndarray, cfg: FitConfig,
                 f"preconditioner dimension {preconditioner.dim} is not a "
                 f"positive multiple of d = {d}")
     _check_centered(X, y)
-    if np.linalg.norm(y) == 0.0:
+    if not y.any():
         raise DegenerateResponseError("centered response is identically zero")
 
     m = cfg.n_components

@@ -88,13 +88,13 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     for i in range(n):
         keep = np.arange(n) != i
         try:
-            bases, z_means, Zc, intercept, yc, scale = _design(
+            bases, z_means, Zc, intercept, yc, scale, exponent = _design(
                 X[keep], y[keep], n_basis, degree, normalize_response)
         except DegenerateVariableError as exc:
             raise DegenerateVariableError(
                 f"fold holding out row {i}: {exc}") from exc
         z_held = _centered_rows(X[i:i + 1], bases, z_means)[0]
-        scale = scale or 1.0
+        scale = np.ldexp(scale or 1.0, exponent)  # working units of yc
         y_held = (y[i] - intercept) / scale
         if yc is None:  # intercept-only fold: predicts its mean at every cell
             errors += y_held ** 2

@@ -68,9 +68,10 @@ def exact_roughness(X, y, lam, n_basis, components, grid_size=200, order=2,
     from penpls.gam import _design
     from penpls.splines import DEFAULT_DEGREE
 
-    bases, z_means, Zc, _, yc, _ = _design(
+    bases, z_means, Zc, _, yc, _, exponent = _design(
         np.asarray(X, dtype=float), np.asarray(y, dtype=float), n_basis,
         DEFAULT_DEGREE, False)
+    yc = np.ldexp(yc, exponent)  # the centered response, unscaled exactly
     lo, hi = bases[0].domain
     rows = eval_basis_grid(bases[0], np.linspace(lo, hi, grid_size))
     penalty = assemble_penalty(PenaltySpec.shared(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,43 @@ class TestFit:
                   "--lambda", lam, "--output", str(model_path)])
         assert exc.value.code == 2
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("scale", [1e154, 1e-165])
+    def test_extreme_response_scale_fits(self, tmp_path, capsys, scale):
+        X, y, _ = gen_additive(SyntheticSpec(0, 25, 2, 0.2, ("sine", "linear")))
+        data = tmp_path / "scaled.csv"
+        write_csv(data, X, y * scale, ["a", "b"], "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["fit", "--data", str(data), "--response", "out",
+                         "--basis-size", "8", "--components", "3",
+                         "--output", str(tmp_path / "m.txt")])
+        assert code == 0
+        assert "components = 3" in capsys.readouterr().out
+
+    def test_huge_lambda_fits(self, dataset, tmp_path):
+        run_fit(dataset, tmp_path, "--lambda", "1e300")
+
+    def test_overflowing_lambda_exits_one(self, dataset, tmp_path, capsys):
+        data, _, _ = dataset
+        code = main(["fit", "--data", str(data), "--response", "out",
+                     "--lambda", "1e308", "--output", str(tmp_path / "m.txt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err
+
+    @pytest.mark.parametrize("exc", [np.linalg.LinAlgError("singular"),
+                                     FloatingPointError("overflow")])
+    def test_numeric_error_exits_one(self, dataset, tmp_path, capsys,
+                                     monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr("penpls.cli.fit_gam", fail)
+        data, _, _ = dataset
+        code = main(["fit", "--data", str(data), "--response", "out",
+                     "--output", str(tmp_path / "m.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,31 @@ class TestFitGam:
         # same data, same grid of predictions up to numerical noise
         np.testing.assert_allclose(predict(scaled, X), predict(plain, X),
                                    atol=1e-6 * np.std(y))
+
+
+class TestResponseScale:
+    """PLS is scale-equivariant in y, at any scale a double can hold."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("scale", [1e154, 1e-165])
+    def test_beta_scales_with_the_response(self, scale, normalize):
+        X, y, model = fit_fixture(normalize_response=normalize)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scaled = fit_gam(X, y * scale, model.penalty, 4,
+                             normalize_response=normalize)
+        assert scaled.n_components == model.n_components == 4
+        got = (scaled.response_scale or 1.0) * scaled.beta
+        expect = scale * (model.response_scale or 1.0) * model.beta
+        # max norms: a 2-norm would square 1e154 and overflow
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("power", [-600, -1, 1, 600])
+    def test_power_of_two_scales_exactly(self, power):
+        X, y, model = fit_fixture()
+        scaled = fit_gam(X, np.ldexp(y, power), model.penalty, 4)
+        np.testing.assert_array_equal(scaled.beta,
+                                      np.ldexp(model.beta, power))
 
 
 class TestNonFiniteInput:

@@ -1,8 +1,13 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from penpls import (DataError, ModelFormatError, PenaltySpec, fit_gam,
-                    ingest, ingest_for_model, load_model, predict, save_model)
+from penpls import (DataError, GamModel, ModelFormatError, PenaltySpec,
+                    SplineBasis, fit_gam, ingest, ingest_for_model,
+                    load_model, predict, save_model)
 from penpls.model_io import FORMAT_TAG, file_sha256
 from penpls.testkit import SyntheticSpec, gen_additive, write_csv
 
@@ -220,6 +225,80 @@ class TestModelFile:
         path.write_text(text)
         with pytest.raises(ModelFormatError, match="beta has"):
             load_model(path)
+
+
+VALUES = st.floats(-1e100, 1e100, allow_nan=False)  # subnormals included
+NAMES = st.text(max_size=8)
+
+
+@st.composite
+def random_models(draw):
+    """A GamModel with random shape, knots, weights, means and beta."""
+    p = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 3))
+    n_basis = draw(st.integers(max(degree + 1, 2), 7))
+    lo = draw(st.floats(-1e6, 1e6))
+    width = draw(st.floats(1e-3, 1e6))
+    bases = []
+    for _ in range(p):
+        inner = sorted(draw(st.lists(st.floats(0.0, 1.0),
+                                     min_size=n_basis - degree - 1,
+                                     max_size=n_basis - degree - 1)))
+        knots = np.concatenate([np.full(degree + 1, lo), lo + width *
+                                np.array(inner, dtype=float),
+                                np.full(degree + 1, lo + width)])
+        bases.append(SplineBasis(degree, knots))
+    lambdas = draw(st.lists(st.floats(0.0, 1e300), min_size=p, max_size=p))
+    arrays = st.lists(VALUES, min_size=p * n_basis, max_size=p * n_basis)
+    requested = draw(st.integers(1, 20))
+    return GamModel(
+        bases=tuple(bases),
+        penalty=PenaltySpec(np.array(lambdas), draw(
+            st.integers(1, n_basis - 1)), n_basis),
+        beta=np.array(draw(arrays)), intercept=draw(VALUES),
+        z_means=np.array(draw(arrays)),
+        response_scale=draw(st.none() | st.floats(1e-100, 1e100)),
+        n_components=draw(st.integers(0, requested)),
+        requested_components=requested)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(random_models(), st.lists(NAMES, min_size=3, max_size=3), NAMES,
+           st.integers(0, 2**32 - 1))
+    def test_any_saved_model_reloads_and_predicts_bit_identically(
+            self, model, names, response, seed):
+        names = names[:model.n_variables]
+        lo, hi = model.bases[0].domain
+        rng = np.random.default_rng(seed)
+        # rows inside the domain and beyond both ends of it
+        X = lo + (hi - lo) * rng.uniform(-0.2, 1.2, (6, model.n_variables))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.txt")
+            try:
+                save_model(path, model, names, response)
+            except ModelFormatError:
+                # refused only for names the format cannot hold
+                assert any("," in n for n in names) or any(
+                    n.strip() != n or len(n.splitlines()) > 1
+                    for n in (*names, response))
+                assert not os.path.exists(path)
+                return
+            loaded, got_names, got_response = load_model(path)
+        assert (got_names, got_response) == (tuple(names), response)
+        for a, b in zip(loaded.bases, model.bases, strict=True):
+            np.testing.assert_array_equal(a.knots, b.knots)
+        for field in ("beta", "z_means"):
+            np.testing.assert_array_equal(getattr(loaded, field),
+                                          getattr(model, field))
+        np.testing.assert_array_equal(loaded.penalty.lambdas,
+                                      model.penalty.lambdas)
+        assert loaded.intercept == model.intercept
+        assert loaded.response_scale == model.response_scale
+        assert loaded.penalty.order == model.penalty.order
+        assert (loaded.n_components, loaded.requested_components) == (
+            model.n_components, model.requested_components)
+        np.testing.assert_array_equal(predict(loaded, X), predict(model, X))
 
 
 class TestChecksum:

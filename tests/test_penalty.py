@@ -1,7 +1,9 @@
+import functools
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_factor, cho_solve
 
 from conftest import dense_m
 from penpls import (ConfigurationError, NumericalError, PenaltySpec,
@@ -148,49 +150,73 @@ class TestPreconditioner:
             assert got == pytest.approx(1.0 / (1.0 + theta[i]), abs=1e-8)
 
 
-def blockwise_cho_solve(spec, v):
-    """Reference M v: one scipy cho_solve per variable block."""
+EXACT_DIGITS = 60
+
+
+@functools.lru_cache(maxsize=None)
+def exact_block_inverse(n_basis, order, lam):
+    """(I + lam K_q)^-1 in 60-digit arithmetic.
+
+    K_q has integer entries and the float ``lam`` is taken exactly, so the
+    only rounding is mpmath's, far below double precision even at a
+    condition number of 1e12.
+    """
+    with mpmath.workdps(EXACT_DIGITS):
+        kernel = mpmath.matrix(penalty_kernel(n_basis, order).tolist())
+        return mpmath.inverse(mpmath.eye(n_basis) + mpmath.mpf(lam) * kernel)
+
+
+def exact_apply(spec, v):
+    """Reference M v: each block solved in 60 digits, rounded once."""
     K = spec.n_basis
-    kernel = penalty_kernel(K, spec.order)
-    out = np.empty_like(v)
-    for j, lam in enumerate(spec.lambdas):
-        factor = cho_factor(np.eye(K) + lam * kernel)
-        out[j * K:(j + 1) * K] = cho_solve(factor, v[j * K:(j + 1) * K])
-    return out
+    cols = v.reshape(spec.dim, -1)
+    out = np.empty(cols.shape)
+    with mpmath.workdps(EXACT_DIGITS):
+        for j, lam in enumerate(spec.lambdas):
+            rows = slice(j * K, (j + 1) * K)
+            inverse = exact_block_inverse(K, spec.order, float(lam))
+            block = inverse * mpmath.matrix(cols[rows].tolist())
+            out[rows] = np.array(block.tolist(), dtype=float)
+    return out.reshape(v.shape)
+
+
+def assert_exact(got, v, spec):
+    # 1e-12 of the largest entry: a Cholesky solve misses this at lambda >= 1e6
+    expect = exact_apply(spec, v)
+    assert got.shape == v.shape
+    np.testing.assert_allclose(got, expect, rtol=0.0,
+                               atol=1e-12 * np.abs(expect).max())
 
 
 SPECS = {
     "shared": PenaltySpec.shared(10.0, 5, 20),
-    "mixed": PenaltySpec(np.array([0.0, 1e6, 2.5, 0.0, 2.5, 0.3]), 2, 7),
+    "mixed": PenaltySpec(np.array([0.0, 1e6, 2.5, 0.0, 1e10, 0.3]), 2, 7),
     "single": PenaltySpec(np.array([4.0]), 3, 9),
+    "stiff": PenaltySpec(np.array([1e10, 1e-2, 1e6, 1e3]), 3, 40),
 }
 
 
 class TestGroupedSolve:
-    """apply equals the per-block cho_solve reference bit for bit."""
+    """apply matches an exact solve of every block, whatever the layout."""
 
     @pytest.mark.parametrize("name", SPECS)
     def test_vector(self, name, rng):
         spec = SPECS[name]
         v = rng.standard_normal(spec.dim)
-        got = make_preconditioner(spec).apply(v)
-        assert np.array_equal(got, blockwise_cho_solve(spec, v))
+        assert_exact(make_preconditioner(spec).apply(v), v, spec)
 
     @pytest.mark.parametrize("name", SPECS)
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_matrix(self, name, order, rng):
         spec = SPECS[name]
         V = np.asarray(rng.standard_normal((spec.dim, 11)), order=order)
-        got = make_preconditioner(spec).apply(V)
-        assert got.shape == V.shape
-        assert np.array_equal(got, blockwise_cho_solve(spec, V))
+        assert_exact(make_preconditioner(spec).apply(V), V, spec)
 
     def test_transposed_view(self, rng):
         # gram_matrix passes X.T, an F-ordered view of the design
         spec = SPECS["mixed"]
         X = rng.standard_normal((13, spec.dim))
-        got = make_preconditioner(spec).apply(X.T)
-        assert np.array_equal(got, blockwise_cho_solve(spec, X.T))
+        assert_exact(make_preconditioner(spec).apply(X.T), X.T, spec)
 
     def test_zero_columns(self):
         M = make_preconditioner(SPECS["mixed"])
@@ -199,7 +225,7 @@ class TestGroupedSolve:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 5), st.integers(3, 12), st.integers(1, 2),
-           st.lists(st.sampled_from([0.0, 0.01, 1.0, 7.5, 1e4]),
+           st.lists(st.sampled_from([0.0, 0.01, 1.0, 7.5, 1e4, 1e6, 1e10]),
                     min_size=5, max_size=5),
            st.integers(0, 4), st.integers(0, 2**32 - 1))
     def test_random_specs(self, p, K, order, lams, n_cols, seed):
@@ -208,7 +234,7 @@ class TestGroupedSolve:
         rng = np.random.default_rng(seed)
         shape = (spec.dim,) if n_cols == 0 else (spec.dim, n_cols)
         v = rng.standard_normal(shape)
-        assert np.array_equal(M.apply(v), blockwise_cho_solve(spec, v))
+        assert_exact(M.apply(v), v, spec)
         # 16 bounds the absolute row sums of K_q for q <= 2
         scale = (1.0 + 16.0 * spec.lambdas.max()) * np.abs(v).max()
         np.testing.assert_allclose(M.apply_inverse(v),
