@@ -4,10 +4,10 @@ squares, with kernel (dual) and conjugate-gradient formulations."""
 from .errors import (ConfigurationError, DataError, DegenerateResponseError,
                      DegenerateVariableError, InvalidKernelError,
                      ModelFormatError, NumericalError, PenplsError)
-from .splines import (BasisExpansion, SplineBasis, eval_basis,
-                      eval_basis_grid, make_basis, transform)
-from .penalty import (PenaltySpec, Preconditioner, assemble_penalty,
-                      difference_matrix, make_preconditioner, penalty_kernel)
+from .splines import (BasisExpansion, SplineBasis, eval_basis_grid,
+                      make_basis, transform)
+from .penalty import (PenaltySpec, Preconditioner, make_preconditioner,
+                      penalty_kernel)
 from .pls import (FitConfig, PlsFit, nipals_fit, penalized_pls_fit,
                   penalized_pls_fits)
 from .kernel import KernelFit, gram_matrix, kernel_penalized_pls_fit
@@ -27,9 +27,7 @@ __all__ = [
     "FitConfig", "FittedFunction", "GamModel", "InvalidKernelError",
     "KernelFit", "ModelFormatError", "NumericalError", "PenaltySpec",
     "PenplsError", "PlsFit", "Preconditioner", "SplineBasis",
-    "assemble_penalty", "default_lambda_grid",
-    "difference_matrix", "eval_basis",
-    "eval_basis_grid", "fit_gam", "fitted_function",
+    "default_lambda_grid", "eval_basis_grid", "fit_gam", "fitted_function",
     "gram_matrix", "ingest", "ingest_for_model", "kernel_penalized_pls_fit",
     "load_model", "loocv", "make_basis", "make_preconditioner", "nipals_fit",
     "pcg_iterates", "penalized_pls_fit", "penalized_pls_fits",

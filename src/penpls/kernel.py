@@ -1,7 +1,9 @@
 """Dual (kernel) penalized PLS on the n x n Gram matrix of M-inner products.
 
-Everything here depends only on the Gram matrix and the response, so the cost
-is governed by the number of observations, not the feature dimension.
+The fit is the primal's residual recursion (``pls._pls_loop``) run on
+K = X M X' in place of X, with the residual as the weight.  It depends only
+on the Gram matrix and the response, so the cost is governed by the number
+of observations, not the feature dimension.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidKernelError
 from .penalty import Preconditioner
+from .pls import DEFAULT_NORM_TOL, FitConfig, _pls_loop
 
 _PSD_TOL = 1e-8
 
@@ -53,15 +56,14 @@ def gram_matrix(X, preconditioner: Preconditioner) -> np.ndarray:
 
 
 def kernel_penalized_pls_fit(K, y, n_components: int,
-                             norm_tol: float = 1e-10) -> KernelFit:
+                             norm_tol: float = DEFAULT_NORM_TOL) -> KernelFit:
     """Run the dual algorithm on a PSD Gram matrix and centered response.
 
-    The primal loop's residual recursion with K = X M X' in place of X, M
-    and X': per iteration the residual r is the new dual weight, its score
-    t = K r is orthogonalised twice against the earlier scores with the same
-    coefficients applied to the dual weight (so K alpha_tilde = t), and
-    alpha += step * alpha_tilde, the fit += step * t and r -= step * t with
-    step = t'r / t't.
+    This is the primal's loop with K = X M X' as the score matrix and the
+    residual r as the weight, so the score t = K r is the primal's X M X'r
+    and the dual stops where the primal does.  Its effective weights are
+    the dual weights alpha_tilde (K alpha_tilde = t), its coefficient path
+    is ``alpha_path``, and the fitted path is the running sum of step * t.
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -69,8 +71,7 @@ def kernel_penalized_pls_fit(K, y, n_components: int,
         raise ConfigurationError("Gram matrix must be square")
     if K.shape[0] != y.shape[0]:
         raise ConfigurationError("Gram matrix and response sizes differ")
-    if n_components < 1:
-        raise ConfigurationError("n_components must be at least 1")
+    cfg = FitConfig(n_components, norm_tol)
     scale = np.max(np.abs(K)) if K.size else 0.0
     if np.max(np.abs(K - K.T)) > _PSD_TOL * (scale + 1.0):
         raise InvalidKernelError("Gram matrix is not symmetric")
@@ -78,41 +79,7 @@ def kernel_penalized_pls_fit(K, y, n_components: int,
     if evals[0] < -_PSD_TOL * max(1.0, evals[-1]):
         raise InvalidKernelError("Gram matrix is not positive semidefinite")
 
-    y_norm = np.linalg.norm(y)
-    r = y.copy()
-    yhat = np.zeros_like(y)
-    alpha = np.zeros_like(y)
-    comps = np.empty((n_components, y.size))  # earlier scores, one per row
-    dual_weights = np.empty_like(comps)
-    grams = np.empty(n_components)
-
-    alphas, fits = [], []
-    for i in range(n_components):
-        if np.linalg.norm(r) <= norm_tol * y_norm:
-            break
-        at = r
-        t = K @ r
-        for _ in range(2):  # Gram-Schmidt twice keeps the scores orthogonal
-            coef = (comps[:i] @ t) / grams[:i]
-            t = t - coef @ comps[:i]
-            at = at - coef @ dual_weights[:i]
-        gram = t @ t  # alpha_tilde' K^2 alpha_tilde
-        if gram <= (norm_tol * max(y_norm, 1.0)) ** 2:
-            break
-        step = (t @ r) / gram
-        alpha = alpha + step * at
-        yhat = yhat + step * t
-        r = r - step * t
-
-        comps[i], dual_weights[i], grams[i] = t, at, gram
-        alphas.append(alpha)
-        fits.append(yhat)
-
-    if not alphas:
-        raise InvalidKernelError("no dual component could be extracted")
-    return KernelFit(
-        alpha_path=np.column_stack(alphas),
-        components=np.column_stack(comps[:len(alphas)]),
-        fitted_path=np.column_stack(fits),
-        requested_components=n_components,
-    )
+    ((_, _, T, alpha_path, steps),) = _pls_loop(K, y, cfg, lambda r: r)
+    return KernelFit(alpha_path=alpha_path, components=T,
+                     fitted_path=np.cumsum(T * steps, axis=1),
+                     requested_components=n_components)

@@ -44,7 +44,7 @@ def _read_table(path):
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     rows = [r for r in rows if r]
     if not rows:
@@ -204,7 +204,7 @@ def load_model(path):
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0].strip() != FORMAT_TAG:
         tag = lines[0].strip() if lines else "<empty>"

@@ -19,21 +19,15 @@ from .errors import ConfigurationError, NumericalError
 DEFAULT_DIFF_ORDER = 2
 
 
-def difference_matrix(n_basis: int) -> np.ndarray:
-    """First-order difference operator as a (K-1) x K matrix."""
-    if n_basis < 2:
-        raise ConfigurationError("difference matrix needs n_basis >= 2")
-    return np.eye(n_basis - 1, n_basis) - np.eye(n_basis - 1, n_basis, k=1)
-
-
 def _difference_operator(n_basis: int, order: int) -> np.ndarray:
-    """Order-q difference operator D, a (K - q) x K integer matrix."""
+    """Order-q difference operator D, a (K - q) x K integer matrix: q
+    rounds of row i minus row i + 1, starting from the identity."""
     if not 1 <= order <= n_basis - 1:
         raise ConfigurationError(
             f"difference order {order} out of range for n_basis={n_basis}")
     diff = np.eye(n_basis)
-    for size in range(n_basis, n_basis - order, -1):
-        diff = difference_matrix(size) @ diff
+    for _ in range(order):
+        diff = diff[:-1] - diff[1:]
     return diff
 
 
@@ -91,12 +85,6 @@ class PenaltySpec:
     @property
     def dim(self) -> int:
         return self.n_variables * self.n_basis
-
-
-def assemble_penalty(spec: PenaltySpec) -> np.ndarray:
-    """Materialize the full block-diagonal penalty matrix (pK x pK)."""
-    kernel = penalty_kernel(spec.n_basis, spec.order)
-    return np.kron(np.diag(spec.lambdas), kernel)
 
 
 class Preconditioner:

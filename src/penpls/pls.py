@@ -5,17 +5,20 @@ component in original coordinates, the components, the coefficient vector
 after every step, and the bidiagonal cross-product matrix R = T' X W.
 Vectors are left unscaled, so downstream checks use relative tolerances.
 
-One loop computes every fit, a residual recursion on the one centered X:
-X is never deflated, since w_i = M X'r_i needs only the residual r_i.
-``penalized_pls_fits`` runs several fits of one (X, y) side by side, each
-with its own block of one preconditioner and its own residual;
-``penalized_pls_fit`` and ``nipals_fit`` are its one-fit case.  Each fit in
-a stack is bit-identical to the same fit run alone and stops early on its
-own.
+One loop computes every fit, primal or dual: a residual recursion on a
+score matrix S with a weight step.  The primal runs it on the one centered
+X with w_i = M X'r_i, so X is never deflated; the dual (``kernel``) on
+K = X M X' with w_i = r_i.  The scores t = S w are the same vectors, so the
+two stop at the same component.  ``penalized_pls_fits`` runs several fits
+of one (X, y) side by side, each with its own block of one preconditioner
+and its own residual; ``penalized_pls_fit`` and ``nipals_fit`` are its
+one-fit case.  Each fit in a stack is bit-identical to the same fit run
+alone and stops early on its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -107,40 +110,31 @@ def _vecmats(v: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (v[:, None, :] @ A)[:, 0]
 
 
-def _pls_loop(X: np.ndarray, y: np.ndarray, cfg: FitConfig,
-              preconditioner: Preconditioner | None) -> list[PlsFit]:
-    """Run one fit per d-sized block of ``preconditioner`` (one plain fit
-    without it) of one centered (X, y) side by side.
+def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
+              weigh: Callable[[np.ndarray], np.ndarray],
+              n_fits: int = 1) -> list[tuple[np.ndarray, ...]]:
+    """Run ``n_fits`` PLS fits of one centered y side by side on the n x d
+    score matrix S; return each fit's kept weights W, effective weights Wt,
+    scores T and coefficient path (one column per component) and steps.
 
-    Fit l uses block l of ``preconditioner`` and keeps its own residual r:
-    w = M X'r, t = X w, orthogonalised twice against the earlier scores with
-    the same coefficients applied to the effective weight (so X wt = t), then
-    beta += step * wt and r -= step * t with step = t'r / t't.  Every product
-    is a stacked matmul whose per-fit BLAS call is the one a lone fit makes,
-    so each fit rounds exactly as if it ran alone.  A fit that stops has its
-    residual zeroed, so all its later products are exact zeros.
+    Fit l keeps its own residual r (``weigh`` maps the stacked residuals to
+    the stacked weights): w = weigh(r)[l], t = S w, orthogonalised twice
+    against the earlier scores with the same coefficients applied to the
+    effective weight (so S wt = t), then beta += step * wt and
+    r -= step * t with step = t'r / t't.  Every product is a stacked matmul
+    whose per-fit BLAS call is the one a lone fit makes, so each fit rounds
+    exactly as if it ran alone.  A fit that stops has its residual zeroed,
+    so all its later products are exact zeros.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise ConfigurationError("X and y row counts differ")
-    n, d = X.shape
-    n_fits = 1
-    if preconditioner is not None:
-        n_fits = preconditioner.dim // d if d else 0
-        if n_fits < 1 or preconditioner.dim != n_fits * d:
-            raise ConfigurationError(
-                f"preconditioner dimension {preconditioner.dim} is not a "
-                f"positive multiple of d = {d}")
-    _check_centered(X, y)
     if not y.any():
         raise DegenerateResponseError("centered response is identically zero")
-
+    n, d = S.shape
     m = cfg.n_components
     weights = np.empty((n_fits, m, d))
     eff_weights = np.empty((n_fits, m, d))
     components = np.empty((n_fits, m, n))
     grams = np.empty((n_fits, m))  # t't of each kept score (1 where stopped)
+    steps = np.empty((n_fits, m))
     betas = np.empty((n_fits, m, d))
     beta = np.zeros((n_fits, d))
     r = np.empty((n_fits, n))
@@ -149,10 +143,8 @@ def _pls_loop(X: np.ndarray, y: np.ndarray, cfg: FitConfig,
     count = np.zeros(n_fits, dtype=int)
 
     for i in range(m):
-        w = _matvecs(X.T, r)
-        if preconditioner is not None:
-            w = preconditioner.apply(w.reshape(-1)).reshape(n_fits, d)
-        t = _matvecs(X, w)
+        w = weigh(r)
+        t = _matvecs(S, w)
         t_norm = np.sqrt(_dots(t, t))
         if i == 0:
             tol = cfg.norm_tol * t_norm
@@ -179,6 +171,7 @@ def _pls_loop(X: np.ndarray, y: np.ndarray, cfg: FitConfig,
         eff_weights[:, i] = wt
         components[:, i] = t
         grams[:, i] = gram
+        steps[:, i] = step
         betas[:, i] = beta
         count += active
         if not active.any():
@@ -186,30 +179,49 @@ def _pls_loop(X: np.ndarray, y: np.ndarray, cfg: FitConfig,
 
     if not count.all():
         raise DegenerateResponseError("no component could be extracted")
-    fits = []
-    for l, k in enumerate(count):
-        W = np.ascontiguousarray(weights[l, :k].T)
-        T = np.ascontiguousarray(components[l, :k].T)
-        fits.append(PlsFit(
-            weights=W,
-            effective_weights=np.ascontiguousarray(eff_weights[l, :k].T),
-            components=T,
-            beta_path=np.ascontiguousarray(betas[l, :k].T),
-            cross=T.T @ X @ W,
-            requested_components=m,
-        ))
-    return fits
+    return [tuple(np.ascontiguousarray(a[l, :k].T)
+                  for a in (weights, eff_weights, components, betas, steps))
+            for l, k in enumerate(count)]
+
+
+def _primal_fits(X, y, cfg: FitConfig,
+                 preconditioner: Preconditioner | None) -> list[PlsFit]:
+    """One fit per d-sized block of ``preconditioner`` (one plain fit
+    without it) of one centered (X, y): ``_pls_loop`` on S = X with the
+    weight step w = M X'r (w = X'r for NIPALS)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    if X.shape[0] != y.shape[0]:
+        raise ConfigurationError("X and y row counts differ")
+    d = X.shape[1]
+    n_fits = 1
+    if preconditioner is not None:
+        n_fits = preconditioner.dim // d if d else 0
+        if n_fits < 1 or preconditioner.dim != n_fits * d:
+            raise ConfigurationError(
+                f"preconditioner dimension {preconditioner.dim} is not a "
+                f"positive multiple of d = {d}")
+    _check_centered(X, y)
+
+    def weigh(r):
+        w = _matvecs(X.T, r)
+        return w if preconditioner is None else \
+            preconditioner.apply(w.reshape(-1)).reshape(n_fits, d)
+
+    return [PlsFit(W, Wt, T, B, cross=T.T @ X @ W,
+                   requested_components=cfg.n_components)
+            for W, Wt, T, B, _ in _pls_loop(X, y, cfg, weigh, n_fits)]
 
 
 def nipals_fit(X, y, cfg: FitConfig) -> PlsFit:
     """Ordinary PLS on centered data: w_i = X' r_i, r_i the residual."""
-    return _pls_loop(X, y, cfg, None)[0]
+    return _primal_fits(X, y, cfg, None)[0]
 
 
 def penalized_pls_fit(X, y, preconditioner: Preconditioner,
                       cfg: FitConfig) -> PlsFit:
     """Penalized PLS: the weight rule becomes w_i = M X' r_i."""
-    return _pls_loop(X, y, cfg, preconditioner)[0]
+    return _primal_fits(X, y, cfg, preconditioner)[0]
 
 
 def penalized_pls_fits(X, y, preconditioner: Preconditioner,
@@ -222,5 +234,5 @@ def penalized_pls_fits(X, y, preconditioner: Preconditioner,
     ``penalized_pls_fit`` with that block alone, and stops early on its own.
     Besides the shared X, memory is the ``(L, m, n + 3d)`` of results.
     """
-    return _pls_loop(X, y, cfg, preconditioner)
+    return _primal_fits(X, y, cfg, preconditioner)
 

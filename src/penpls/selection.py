@@ -11,7 +11,7 @@ smaller component count from its coefficient path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,6 +83,9 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
                                         n_basis))
     cfg = FitConfig(max_components, norm_tol)
 
+    # errors add up in units of 2^ref, near the centered response's peak,
+    # so no square overflows; a power of two rescales exactly at the end
+    ref = int(np.frexp(np.max(np.abs(y - y.mean())))[1])
     errors = np.zeros((lambdas.size, max_components))
     early_stops = np.zeros(lambdas.size, dtype=int)
     for i in range(n):
@@ -94,12 +97,12 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
             raise DegenerateVariableError(
                 f"fold holding out row {i}: {exc}") from exc
         z_held = _centered_rows(X[i:i + 1], bases, z_means)[0]
-        scale = np.ldexp(scale or 1.0, exponent)  # working units of yc
-        y_held = (y[i] - intercept) / scale
         if yc is None:  # intercept-only fold: predicts its mean at every cell
-            errors += y_held ** 2
+            errors += np.ldexp(y[i] - intercept, -ref) ** 2
             early_stops += 1
             continue
+        y_held = (y[i] - intercept) / np.ldexp(scale or 1.0, exponent)
+        unit = np.ldexp(scale or 1.0, exponent - ref)  # yc's unit in 2^ref
 
         for li, fit in enumerate(penalized_pls_fits(Zc, yc, M, cfg)):
             fold_err = score_path(fit.beta_path, z_held, y_held)
@@ -107,9 +110,12 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
                 early_stops[li] += 1
                 pad = max_components - fold_err.size
                 fold_err = np.pad(fold_err, (0, pad), "edge")
-            errors[li] += fold_err * scale ** 2  # on the response's scale
+            errors[li] += fold_err * unit ** 2
 
     errors /= n
+    choice = _choose(lambdas, errors)  # in units of 2^ref: no cell is inf
+    errors = np.ldexp(errors, 2 * ref)  # on the response's scale
     grid = CvGrid(lambdas=lambdas, max_components=max_components,
                   errors=errors, early_stops=early_stops)
-    return grid, _choose(lambdas, errors)
+    return grid, replace(choice, loo_error=float(np.ldexp(choice.loo_error,
+                                                          2 * ref)))

@@ -5,10 +5,10 @@ mapped to a matrix with p*K columns, grouped contiguously by variable, where
 K is the number of basis functions per variable.
 
 ``eval_basis_grid`` is the one evaluator: a Cox-de Boor recursion over all
-points of a column at once.  ``eval_basis`` (one point), ``transform`` (a
-whole data matrix) and, through them, prediction and fitted curves all use
-it.  Non-finite data are rejected where they enter, in ``make_basis`` and
-``transform``, rather than given an all-zero basis row.
+points of a column at once.  ``transform`` (a whole data matrix) and,
+through it, prediction and fitted curves all use it.  Non-finite data are
+rejected where they enter, in ``make_basis`` and ``transform``, rather than
+given an all-zero basis row.
 """
 from __future__ import annotations
 
@@ -160,12 +160,6 @@ def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
             w1 += w2
             b = w1
     return b
-
-
-def eval_basis(basis: SplineBasis, x: float) -> np.ndarray:
-    """Evaluate all basis functions at one point (one row of
-    ``eval_basis_grid``)."""
-    return eval_basis_grid(basis, [x])[0]
 
 
 def transform(X, expansion: BasisExpansion) -> np.ndarray:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .penalty import PenaltySpec, penalty_kernel
 
 TRUTH_FUNCTIONS = {
     "linear": lambda x: 2.0 * x,
@@ -81,6 +82,13 @@ def closed_form_beta(X, y, W) -> np.ndarray:
     keep = evals > 1e-10 * np.trace(gram)
     coef = evecs[:, keep] @ ((evecs[:, keep].T @ rhs) / evals[keep])
     return W @ coef
+
+
+def assemble_penalty(spec: PenaltySpec) -> np.ndarray:
+    """The full block-diagonal penalty matrix (pK x pK), dense: the oracle
+    that ``Preconditioner`` is checked against."""
+    return np.kron(np.diag(spec.lambdas),
+                   penalty_kernel(spec.n_basis, spec.order))
 
 
 def weighted_inner(u, v, P) -> float:

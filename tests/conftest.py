@@ -64,9 +64,10 @@ def exact_roughness(X, y, lam, n_basis, components, grid_size=200, order=2,
     PLS recursion at all.
     """
     import mpmath
-    from penpls import PenaltySpec, assemble_penalty, eval_basis_grid
+    from penpls import PenaltySpec, eval_basis_grid
     from penpls.gam import _design
     from penpls.splines import DEFAULT_DEGREE
+    from penpls.testkit import assemble_penalty
 
     bases, z_means, Zc, _, yc, _, exponent = _design(
         np.asarray(X, dtype=float), np.asarray(y, dtype=float), n_basis,

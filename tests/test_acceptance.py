@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import exact_roughness
-from penpls import (FitConfig, PenaltySpec, eval_basis, fit_gam,
+from penpls import (FitConfig, PenaltySpec, eval_basis_grid, fit_gam,
                     fitted_function, gram_matrix,
                     kernel_penalized_pls_fit, loocv, make_basis,
                     make_preconditioner, nipals_fit, pcg_iterates,
@@ -101,8 +101,8 @@ def test_03_primal_dual_fitted_values(criterion):
             M = make_preconditioner(spec)
             m = 6
             primal = penalized_pls_fit(X, y, M, FitConfig(m))
-            dual = kernel_penalized_pls_fit(gram_matrix(X, M), y,
-                                            primal.n_components)
+            dual = kernel_penalized_pls_fit(gram_matrix(X, M), y, m)
+            assert dual.n_components == primal.n_components, f"seed {seed}"
             yhat_primal = X @ primal.beta
             yhat_dual = dual.fitted_path[:, dual.n_components - 1]
             bound = 1e-8 * np.linalg.norm(y)
@@ -177,7 +177,7 @@ def test_08_spline_and_penalty_hand_values(criterion):
         basis = make_basis(rng.uniform(size=120), n_basis=20, degree=3)
         lo, hi = basis.domain
         for x in np.linspace(lo, hi, 257):
-            assert abs(eval_basis(basis, x).sum() - 1.0) <= 1e-12
+            assert abs(eval_basis_grid(basis, [x])[0].sum() - 1.0) <= 1e-12
         K2 = penalty_kernel(20, 2)
         affine = 1.5 - 0.25 * np.arange(20)
         assert np.max(np.abs(K2 @ affine)) <= 1e-12

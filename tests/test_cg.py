@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import centered_problem, random_penalty
-from penpls import (FitConfig, NumericalError, PenaltySpec, assemble_penalty,
+from penpls import (FitConfig, NumericalError, PenaltySpec,
                     make_preconditioner, pcg_iterates, penalized_pls_fit)
-from penpls.testkit import dense_ls_oracle, numerical_rank, weighted_inner
+from penpls.testkit import (assemble_penalty, dense_ls_oracle, numerical_rank,
+                            weighted_inner)
 
 
 class TestWeightedInner:

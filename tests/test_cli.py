@@ -58,6 +58,15 @@ class TestFit:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_undecodable_data_file_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "latin.csv"
+        data.write_bytes(b"x,y\n0.1,1\n0.5,\xff\n0.9,3\n")
+        code = main(["fit", "--data", str(data), "--response", "y",
+                     "--output", str(tmp_path / "m.txt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and "latin.csv" in err
+
     def test_comma_in_predictor_name_exits_one(self, tmp_path, capsys):
         X, y, _ = gen_additive(SyntheticSpec(0, 25, 2, 0.2, ("sine", "linear")))
         data = tmp_path / "quoted.csv"

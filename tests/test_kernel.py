@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import centered_problem, random_penalty
-from penpls import (FitConfig, InvalidKernelError, PenaltySpec, gram_matrix,
-                    kernel_penalized_pls_fit, make_preconditioner,
-                    penalized_pls_fit)
+from penpls import (DegenerateResponseError, FitConfig, InvalidKernelError,
+                    PenaltySpec, gram_matrix, kernel_penalized_pls_fit,
+                    make_preconditioner, penalized_pls_fit)
 from penpls.testkit import krylov_basis, numerical_rank
 
 
@@ -64,19 +64,19 @@ class TestKernelFit:
            st.lists(st.floats(-2, 6), min_size=3, max_size=3))
     def test_fitted_values_match_primal_on_random_wide_designs(
             self, data, seed, p, n_basis, m, log_lambdas):
-        # criterion 3's tolerance on any design with more columns than rows,
-        # up to Krylov exhaustion (m >= n - 1) and lambda = 1e6
+        # a tenth of criterion 3's tolerance on any design with more columns
+        # than rows, up to Krylov exhaustion (m >= n - 1) and lambda = 1e6;
+        # the dual runs the primal's loop, so it stops where the primal does
         d = p * n_basis
         n = data.draw(st.integers(3, min(40, d - 1)))
         X, y = centered_problem(seed, n, d)
         M = make_preconditioner(PenaltySpec(10.0 ** np.array(log_lambdas[:p]),
                                             2, n_basis))
         primal = penalized_pls_fit(X, y, M, FitConfig(m))
-        dual = kernel_penalized_pls_fit(gram_matrix(X, M), y,
-                                        primal.n_components)
+        dual = kernel_penalized_pls_fit(gram_matrix(X, M), y, m)
         assert dual.n_components == primal.n_components
         assert np.linalg.norm(X @ primal.beta - dual.fitted) <= \
-            1e-8 * np.linalg.norm(y)
+            1e-9 * np.linalg.norm(y)
 
     def test_primal_recovery_of_coefficients(self):
         X, y, M, K, m = dual_instance(10)
@@ -127,6 +127,11 @@ class TestKernelFit:
         K = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(InvalidKernelError):
             kernel_penalized_pls_fit(K, np.array([1.0, -1.0]), 1)
+
+    def test_zero_response_rejected(self):
+        _, _, _, K, m = dual_instance(16)
+        with pytest.raises(DegenerateResponseError, match="identically zero"):
+            kernel_penalized_pls_fit(K, np.zeros(K.shape[0]), m)
 
     def test_zero_residual_early_stop(self):
         rng = np.random.default_rng(15)

@@ -79,6 +79,12 @@ class TestIngest:
         with pytest.raises(DataError, match="cannot read"):
             ingest(tmp_path / "nope.csv", "y")
 
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a,y\n1,2\n3,\xff\n5,6\n")
+        with pytest.raises(DataError, match="cannot read .*data.csv"):
+            ingest(path, "y")
+
 
 class TestIngestForModel:
     def test_reorders_to_model_column_order(self, tmp_path):
@@ -140,6 +146,12 @@ class TestModelFile:
         path = tmp_path / "model.txt"
         save_model(path, model, ("u", "v"), "y")
         assert path.read_text().splitlines()[0] == FORMAT_TAG
+
+    def test_undecodable_file_refused(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"\xff\n")
+        with pytest.raises(DataError, match="cannot read .*m.txt"):
+            load_model(path)
 
     def test_unknown_tag_refused(self, tmp_path):
         _, _, model = fitted_model()

@@ -7,27 +7,28 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dense_m
 from penpls import (ConfigurationError, NumericalError, PenaltySpec,
-                    assemble_penalty, difference_matrix, make_preconditioner,
-                    penalty_kernel)
+                    make_preconditioner, penalty_kernel)
+from penpls.penalty import _difference_operator
+from penpls.testkit import assemble_penalty
 
 
 class TestDifferenceMatrix:
     def test_four_columns(self):
         np.testing.assert_array_equal(
-            difference_matrix(4),
+            _difference_operator(4, 1),
             [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]])
 
     def test_two_columns(self):
-        np.testing.assert_array_equal(difference_matrix(2), [[1, -1]])
+        np.testing.assert_array_equal(_difference_operator(2, 1), [[1, -1]])
 
     def test_second_difference_coefficients(self):
         np.testing.assert_array_equal(
-            difference_matrix(3) @ difference_matrix(4),
+            _difference_operator(4, 2),
             [[1, -2, 1, 0], [0, 1, -2, 1]])
 
     def test_too_small(self):
         with pytest.raises(ConfigurationError):
-            difference_matrix(1)
+            _difference_operator(1, 1)
 
 
 class TestPenaltyKernel:

@@ -229,6 +229,24 @@ class TestLoocv:
         np.testing.assert_allclose(grid.errors, errors, rtol=1e-10)
         assert choice.loo_error == pytest.approx(errors.min(), rel=1e-10)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_huge_response_keeps_the_choice(self, normalize):
+        # squared errors of y * 1e154 are near 1e308: accumulated on the
+        # response's own scale they overflowed to inf in every cell
+        X, y, _ = gen_additive(SyntheticSpec(0, 25, 2, 0.2, ("sine", "linear")))
+        kw = dict(lambdas=[1.0, 10.0], max_components=3,
+                  normalize_response=normalize)
+        grid, choice = loocv(X, y, **kw)
+        big_grid, big_choice = loocv(X, y * 1e154, **kw)
+        assert np.all(np.isfinite(big_grid.errors))
+        np.testing.assert_allclose(big_grid.errors / 1e308, grid.errors,
+                                   rtol=1e-10)
+        assert (big_choice.lambda_opt, big_choice.m_opt) == \
+            (choice.lambda_opt, choice.m_opt)
+        assert big_choice.loo_error / 1e308 == pytest.approx(
+            choice.loo_error, rel=1e-10)
+        np.testing.assert_array_equal(big_grid.early_stops, grid.early_stops)
+
     def test_constant_fold_is_intercept_only(self):
         # holding out the one nonzero response leaves an all-zero fold
         X, _ = small_dataset(14, n=8)

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import BSpline
 
 from penpls import (BasisExpansion, ConfigurationError, DataError,
-                    DegenerateVariableError, SplineBasis, eval_basis,
-                    eval_basis_grid, make_basis, transform)
+                    DegenerateVariableError, SplineBasis, eval_basis_grid,
+                    make_basis, transform)
 
 
 def scalar_de_boor(basis, x):
@@ -99,33 +99,32 @@ class TestMakeBasis:
 class TestEvalBasis:
     def test_degree_zero_indicators(self):
         basis = SplineBasis(0, [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(eval_basis(basis, 0.5), [1.0, 0.0])
-        np.testing.assert_array_equal(eval_basis(basis, 1.5), [0.0, 1.0])
-        np.testing.assert_array_equal(eval_basis(basis, 2.0), [0.0, 1.0])
+        np.testing.assert_array_equal(eval_basis_grid(basis, [0.5, 1.5, 2.0]),
+                                      [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
 
     def test_endpoint_interpolation(self):
         basis = SplineBasis(3, [0, 0, 0, 0, 1, 1, 1, 1])
-        np.testing.assert_allclose(eval_basis(basis, 0.0), [1, 0, 0, 0])
-        np.testing.assert_allclose(eval_basis(basis, 1.0), [0, 0, 0, 1])
+        np.testing.assert_allclose(eval_basis_grid(basis, [0.0, 1.0]),
+                                   [[1, 0, 0, 0], [0, 0, 0, 1]])
 
     def test_bernstein_at_midpoint(self):
         # with no interior knots the basis reduces to Bernstein polynomials;
         # hand values for degree 3 at t = 0.5
         basis = SplineBasis(3, [0, 0, 0, 0, 1, 1, 1, 1])
-        np.testing.assert_allclose(eval_basis(basis, 0.5),
+        np.testing.assert_allclose(eval_basis_grid(basis, [0.5])[0],
                                    [0.125, 0.375, 0.375, 0.125], atol=1e-15)
 
     def test_out_of_domain_clamped(self):
         basis = make_basis(np.linspace(0, 1, 30), n_basis=8, degree=3)
-        np.testing.assert_array_equal(eval_basis(basis, -5.0),
-                                      eval_basis(basis, 0.0))
-        np.testing.assert_array_equal(eval_basis(basis, 7.0),
-                                      eval_basis(basis, 1.0))
+        np.testing.assert_array_equal(eval_basis_grid(basis, [-5.0])[0],
+                                      eval_basis_grid(basis, [0.0])[0])
+        np.testing.assert_array_equal(eval_basis_grid(basis, [7.0])[0],
+                                      eval_basis_grid(basis, [1.0])[0])
 
     def test_matches_scipy_bspline(self):
         basis = make_basis(np.linspace(0, 1, 60), n_basis=11, degree=3)
         for x in np.linspace(0, 1, 37):
-            ours = eval_basis(basis, x)
+            ours = eval_basis_grid(basis, [x])[0]
             ref = [BSpline.basis_element(basis.knots[k:k + 5],
                                          extrapolate=False)(x)
                    for k in range(basis.n_basis)]
@@ -175,7 +174,7 @@ class TestBasisProperties:
     def test_partition_of_unity(self, basis):
         lo, hi = basis.domain
         for x in np.linspace(lo, hi, 101):
-            assert abs(eval_basis(basis, x).sum() - 1.0) <= 1e-12
+            assert abs(eval_basis_grid(basis, [x])[0].sum() - 1.0) <= 1e-12
 
     def test_nonnegative(self, basis):
         lo, hi = basis.domain
@@ -185,13 +184,14 @@ class TestBasisProperties:
     def test_local_support(self, basis):
         lo, hi = basis.domain
         for x in np.linspace(lo + 1e-9, hi - 1e-9, 57):
-            assert np.count_nonzero(np.abs(eval_basis(basis, x)) > 0) <= 4
+            row = eval_basis_grid(basis, [x])[0]
+            assert np.count_nonzero(np.abs(row) > 0) <= 4
 
     def test_continuity_at_interior_knots(self, basis):
         eps = 1e-6
         for t in basis.knots[4:-4]:
-            left = eval_basis(basis, t - eps)
-            right = eval_basis(basis, t + eps)
+            left = eval_basis_grid(basis, [t - eps])[0]
+            right = eval_basis_grid(basis, [t + eps])[0]
             assert np.max(np.abs(left - right)) <= 1e-4
 
 
@@ -242,7 +242,7 @@ class TestEvaluatorProperties:
         basis, xs = case
         B = eval_basis_grid(basis, xs)
         for x, row in zip(xs, B):
-            assert np.array_equal(row, eval_basis(basis, x))
+            assert np.array_equal(row, eval_basis_grid(basis, [x])[0])
             assert np.array_equal(row, scalar_de_boor(basis, x))
 
     @settings(max_examples=200, deadline=None)
@@ -293,7 +293,7 @@ class TestTransform:
             for j in range(2):
                 np.testing.assert_allclose(
                     Z[i, 4 * j:4 * (j + 1)],
-                    eval_basis(bases[j], grid[i, j]))
+                    eval_basis_grid(bases[j], [grid[i, j]])[0])
 
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(5)
