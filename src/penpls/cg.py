@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 from .penalty import Preconditioner
 
+_NORM_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CgResult:
@@ -30,10 +32,10 @@ class CgResult:
 
 
 def pcg_iterates(X, y, preconditioner: Preconditioner,
-                 n_steps: int, norm_tol: float = 1e-12) -> CgResult:
+                 n_steps: int) -> CgResult:
     """Run preconditioned CG from beta_0 = 0 and record every iterate.
 
-    Stops early once the residual norm falls below ``norm_tol`` relative to
+    Stops early once the residual norm falls to ``_NORM_TOL`` (1e-12) times
     the initial residual.
     """
     X = np.asarray(X, dtype=float)
@@ -58,7 +60,7 @@ def pcg_iterates(X, y, preconditioner: Preconditioner,
     d_a_d = []    # <d_i, A_M d_i>
 
     for _ in range(n_steps):
-        if np.sqrt(max(inner(r, r), 0.0)) <= norm_tol * b_norm:
+        if np.sqrt(max(inner(r, r), 0.0)) <= _NORM_TOL * b_norm:
             break
         ad = apply_a(d)
         denom = inner(d, ad)

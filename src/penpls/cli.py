@@ -58,8 +58,6 @@ def _add_basis_args(sub):
                      help="spline degree (default %(default)s)")
     sub.add_argument("--diff-order", type=_positive_int, default=DEFAULT_DIFF_ORDER,
                      help="difference order of the penalty (default %(default)s)")
-    sub.add_argument("--normalize-response", action="store_true",
-                     help="scale the response to unit variance before fitting")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,18 +100,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _rmse(residuals) -> float:
+    """Root mean square of the residuals, summed in units of 2^e with e the
+    binary exponent of the largest one, so no square overflows or
+    underflows to zero."""
+    exponent = int(np.frexp(np.max(np.abs(residuals)))[1])
+    scaled = np.ldexp(residuals, -exponent)
+    return float(np.ldexp(np.sqrt(np.mean(scaled * scaled)), exponent))
+
+
 def _cmd_fit(args) -> int:
     data = model_io.ingest(args.data, args.response)
     penalty = PenaltySpec.shared(args.lam, data.p, args.basis_size,
                                  args.diff_order)
     model = fit_gam(data.X, data.y, penalty, args.components,
-                    degree=args.degree,
-                    normalize_response=args.normalize_response)
+                    degree=args.degree)
     model_io.save_model(args.output, model, data.predictor_names,
                         data.response_name,
                         dataset_checksum=model_io.file_sha256(args.data))
-    mse = float(np.mean((data.y - model.fitted) ** 2))
-    print(f"training_mse = {mse!r}")
+    print(f"training_rmse = {_rmse(data.y - model.fitted)!r}")
     print(f"components = {model.n_components}")
     if model.early_stopped:
         print(f"warning = early stop before {model.requested_components} "
@@ -128,8 +133,7 @@ def _cmd_cv(args) -> int:
     grid, choice = loocv(data.X, data.y, lambdas=lambdas,
                          max_components=args.max_components,
                          n_basis=args.basis_size, degree=args.degree,
-                         diff_order=args.diff_order,
-                         normalize_response=args.normalize_response)
+                         diff_order=args.diff_order)
     header = ["lambda"] + [str(m) for m in range(1, grid.max_components + 1)]
     print(",".join(header))
     for lam, row in zip(grid.lambdas, grid.errors):
@@ -157,8 +161,7 @@ def _cmd_predict(args) -> int:
         if out is not sys.stdout:
             out.close()
     if y is not None:
-        mse = float(np.mean((y - preds) ** 2))
-        print(f"mse = {mse!r}", file=sys.stderr)
+        print(f"rmse = {_rmse(y - preds)!r}", file=sys.stderr)
     return 0
 
 

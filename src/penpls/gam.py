@@ -4,6 +4,8 @@ A model is fit by expanding each predictor in a B-spline basis, centering the
 expanded columns and the response, running penalized PLS, and storing the
 centering statistics so new observations can be scored honestly.
 ``_design`` does this preprocessing for ``fit_gam`` and every ``loocv`` fold.
+The fit is scale-equivariant in y, so coefficients are stored on the
+response's own scale; ``_design``'s exact power of two is the one rescaling.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, DegenerateVariableError
 from .penalty import PenaltySpec, make_preconditioner
-from .pls import FitConfig, penalized_pls_fit, DEFAULT_NORM_TOL
+from .pls import FitConfig, penalized_pls_fit
 from .splines import (BasisExpansion, SplineBasis, eval_basis_grid, make_basis,
                       transform, DEFAULT_DEGREE)
 
@@ -27,7 +29,6 @@ class GamModel:
     beta: np.ndarray
     intercept: float
     z_means: np.ndarray
-    response_scale: float | None
     n_components: int
     requested_components: int
     fitted: np.ndarray | None = None
@@ -71,19 +72,18 @@ def _training_data(X, y):
     return X, y
 
 
-def _design(X, y, n_basis: int, degree: int, normalize_response: bool):
+def _design(X, y, n_basis: int, degree: int):
     """Bases, expansion means, centered expansion, intercept, working
-    response, its scale (None unless normalized) and its binary exponent e
-    of one training set.  ``yc`` and ``scale`` are None when the response is
-    constant to rounding: the model is then its intercept alone.
+    response and its binary exponent e of one training set.  ``yc`` is None
+    when the response is constant to rounding: the model is then its
+    intercept alone.
 
     The working response is the centered response times 2^-e, chosen so
-    that its largest magnitude lies in [0.5, 1), or, normalized, divided by
-    its standard deviation (then e = 0).  So the scale of y cannot push the
-    squares and norms of the PLS loop out of floating-point range.  The loop
-    is linear in y and a power of two scales exactly, so a coefficient
-    fitted to ``yc`` times 2^e is bit for bit the one fitted to the unscaled
-    response."""
+    that its largest magnitude lies in [0.5, 1), so the scale of y cannot
+    push the squares and norms of the PLS loop out of floating-point range.
+    The loop is linear in y and a power of two scales exactly, so a
+    coefficient fitted to ``yc`` times 2^e is bit for bit the one fitted to
+    the unscaled response."""
     bases = []
     for j in range(X.shape[1]):
         try:
@@ -99,17 +99,9 @@ def _design(X, y, n_basis: int, degree: int, normalize_response: bool):
     yc = y - intercept
     peak = np.max(np.abs(yc))
     if peak <= 1e-14 * np.max(np.abs(y)):
-        return bases, z_means, Zc, intercept, None, None, 0
+        return bases, z_means, Zc, intercept, None, 0
     exponent = int(np.frexp(peak)[1])
-    yc = np.ldexp(yc, -exponent)
-    scale = None
-    if normalize_response:
-        sd = float(yc.std())  # of the scaled response, whose squares are safe
-        if sd > 0.0:
-            scale = float(np.ldexp(sd, exponent))
-            yc = yc / sd
-            exponent = 0
-    return bases, z_means, Zc, intercept, yc, scale, exponent
+    return bases, z_means, Zc, intercept, np.ldexp(yc, -exponent), exponent
 
 
 def _centered_rows(X, bases, z_means) -> np.ndarray:
@@ -120,8 +112,7 @@ def _centered_rows(X, bases, z_means) -> np.ndarray:
 
 
 def fit_gam(X, y, penalty: PenaltySpec, n_components: int,
-            degree: int = DEFAULT_DEGREE, normalize_response: bool = False,
-            norm_tol: float = DEFAULT_NORM_TOL) -> GamModel:
+            degree: int = DEFAULT_DEGREE) -> GamModel:
     """Fit the additive model on raw predictors X and response y.
 
     Parameters
@@ -131,28 +122,24 @@ def fit_gam(X, y, penalty: PenaltySpec, n_components: int,
     n_components : int
         Requested number of PLS components; the achieved count may be lower
         and is recorded on the model.
-    normalize_response : bool
-        Scale the centered response to unit variance before fitting; the
-        scale is stored and undone at prediction time.
     """
     X, y = _training_data(X, y)
     if X.shape[1] != penalty.n_variables:
         raise ConfigurationError(
             f"X has {X.shape[1]} columns but the penalty covers "
             f"{penalty.n_variables} variables")
-    cfg = FitConfig(n_components, norm_tol)
+    cfg = FitConfig(n_components)
 
-    bases, z_means, Zc, intercept, yc, scale, exponent = _design(
-        X, y, penalty.n_basis, degree, normalize_response)
+    bases, z_means, Zc, intercept, yc, exponent = _design(
+        X, y, penalty.n_basis, degree)
     if yc is None:  # constant response: intercept-only model, zero components
         beta, k = np.zeros(Zc.shape[1]), 0
     else:
         fit = penalized_pls_fit(Zc, yc, make_preconditioner(penalty), cfg)
         beta, k = np.ldexp(fit.beta, exponent), fit.n_components
-    fitted = intercept + (scale or 1.0) * (Zc @ beta)
+    fitted = intercept + Zc @ beta
     return GamModel(bases=bases, penalty=penalty, beta=beta,
-                    intercept=intercept, z_means=z_means,
-                    response_scale=scale, n_components=k,
+                    intercept=intercept, z_means=z_means, n_components=k,
                     requested_components=n_components, fitted=fitted)
 
 
@@ -165,7 +152,7 @@ def predict(model: GamModel, X_new) -> np.ndarray:
             f"expected {model.n_variables} predictor columns, "
             f"got {X_new.shape[1]}")
     centered = _centered_rows(X_new, model.bases, model.z_means)
-    return model.intercept + (model.response_scale or 1.0) * (centered @ model.beta)
+    return model.intercept + centered @ model.beta
 
 
 def fitted_function(model: GamModel, variable: int,
@@ -184,6 +171,5 @@ def fitted_function(model: GamModel, variable: int,
     B = eval_basis_grid(basis, grid)
     K = model.penalty.n_basis
     sl = slice(variable * K, (variable + 1) * K)
-    values = (model.response_scale or 1.0) * (
-        (B - model.z_means[sl]) @ model.beta[sl])
+    values = (B - model.z_means[sl]) @ model.beta[sl]
     return FittedFunction(variable=variable, grid=grid, values=values)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidKernelError
 from .penalty import Preconditioner
-from .pls import DEFAULT_NORM_TOL, FitConfig, _pls_loop
+from .pls import FitConfig, _pls_loop
 
 _PSD_TOL = 1e-8
 
@@ -55,8 +55,7 @@ def gram_matrix(X, preconditioner: Preconditioner) -> np.ndarray:
     return 0.5 * (gram + gram.T)  # symmetrize away round-off
 
 
-def kernel_penalized_pls_fit(K, y, n_components: int,
-                             norm_tol: float = DEFAULT_NORM_TOL) -> KernelFit:
+def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:
     """Run the dual algorithm on a PSD Gram matrix and centered response.
 
     This is the primal's loop with K = X M X' as the score matrix and the
@@ -71,7 +70,7 @@ def kernel_penalized_pls_fit(K, y, n_components: int,
         raise ConfigurationError("Gram matrix must be square")
     if K.shape[0] != y.shape[0]:
         raise ConfigurationError("Gram matrix and response sizes differ")
-    cfg = FitConfig(n_components, norm_tol)
+    cfg = FitConfig(n_components)
     scale = np.max(np.abs(K)) if K.size else 0.0
     if np.max(np.abs(K - K.T)) > _PSD_TOL * (scale + 1.0):
         raise InvalidKernelError("Gram matrix is not symmetric")

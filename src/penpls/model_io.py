@@ -4,6 +4,8 @@ Model files are human-readable ``key = value`` text.  Numbers are written in
 shortest round-trip decimal form, so loading reproduces predictions
 bit-identically.  The first line is the version tag; unknown tags are
 refused, never reinterpreted.
+The response scale key is always ``none``; a number s there, from an
+earlier version, is loaded as s times the stored beta.
 """
 from __future__ import annotations
 
@@ -159,9 +161,7 @@ def save_model(path, model: GamModel, predictor_names, response_name,
     lines.append(f"requested_components = {model.requested_components}")
     lines.append(f"n_components = {model.n_components}")
     lines.append(f"intercept = {float(model.intercept)!r}")
-    scale = ("none" if model.response_scale is None
-             else repr(float(model.response_scale)))
-    lines.append(f"response_scale = {scale}")
+    lines.append("response_scale = none")
     for j, basis in enumerate(model.bases):
         lines.append(f"knots.{j} = {_fmt_array(basis.knots)}")
     lines.append(f"z_means = {_fmt_array(model.z_means)}")
@@ -222,14 +222,16 @@ def load_model(path):
             SplineBasis(degree,
                         np.array([float(v) for v in kv[f"knots.{j}"].split(",")]))
             for j in range(len(predictors)))
-        scale_raw = kv["response_scale"]
+        beta = np.array([float(v) for v in kv["beta"].split(",")])
+        scale = kv["response_scale"]
+        if scale != "none":  # written by an earlier version: beta on y / s
+            beta *= float(scale)
         model = GamModel(
             bases=bases,
             penalty=penalty,
-            beta=np.array([float(v) for v in kv["beta"].split(",")]),
+            beta=beta,
             intercept=float(kv["intercept"]),
             z_means=np.array([float(v) for v in kv["z_means"].split(",")]),
-            response_scale=None if scale_raw == "none" else float(scale_raw),
             n_components=int(kv["n_components"]),
             requested_components=int(kv["requested_components"]),
         )

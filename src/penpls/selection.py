@@ -3,7 +3,9 @@
 Each fold is a ``fit_gam`` of its training rows: ``gam._design`` preprocesses
 those rows only, so the held-out row never leaks into the fitted model, and a
 fold with a constant response is its intercept alone (an early stop at every
-lambda).  Errors are on the response's scale, as ``predict`` scores.  Each
+lambda).  Errors are on the response's scale, as ``predict`` scores: a
+fold's working response is its centered response times an exact power of
+two, so the held-out response and the squared errors rescale exactly.  Each
 fold fits every lambda at the maximum component count in one stacked
 penalized-PLS pass (``penalized_pls_fits``) on its one centered design; each
 fit is bit-identical to a lone ``penalized_pls_fit``.  One fit scores every
@@ -18,7 +20,7 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateVariableError
 from .gam import _centered_rows, _design, _training_data
 from .penalty import DEFAULT_DIFF_ORDER, PenaltySpec, make_preconditioner
-from .pls import DEFAULT_NORM_TOL, FitConfig, penalized_pls_fits
+from .pls import FitConfig, penalized_pls_fits
 from .splines import DEFAULT_DEGREE, DEFAULT_N_BASIS
 
 def default_lambda_grid() -> np.ndarray:
@@ -66,9 +68,7 @@ def _choose(lambdas, errors) -> CvChoice:
 
 def loocv(X, y, lambdas=None, max_components: int = 10,
           n_basis: int = DEFAULT_N_BASIS, degree: int = DEFAULT_DEGREE,
-          diff_order: int = DEFAULT_DIFF_ORDER,
-          normalize_response: bool = False,
-          norm_tol: float = DEFAULT_NORM_TOL) -> tuple[CvGrid, CvChoice]:
+          diff_order: int = DEFAULT_DIFF_ORDER) -> tuple[CvGrid, CvChoice]:
     """Leave-one-out error for every (lambda, m) cell plus the chosen cell."""
     X, y = _training_data(X, y)
     n, p = X.shape
@@ -81,7 +81,7 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
 
     M = make_preconditioner(PenaltySpec(np.repeat(lambdas, p), diff_order,
                                         n_basis))
-    cfg = FitConfig(max_components, norm_tol)
+    cfg = FitConfig(max_components)
 
     # errors add up in units of 2^ref, near the centered response's peak,
     # so no square overflows; a power of two rescales exactly at the end
@@ -91,8 +91,8 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     for i in range(n):
         keep = np.arange(n) != i
         try:
-            bases, z_means, Zc, intercept, yc, scale, exponent = _design(
-                X[keep], y[keep], n_basis, degree, normalize_response)
+            bases, z_means, Zc, intercept, yc, exponent = _design(
+                X[keep], y[keep], n_basis, degree)
         except DegenerateVariableError as exc:
             raise DegenerateVariableError(
                 f"fold holding out row {i}: {exc}") from exc
@@ -101,8 +101,7 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
             errors += np.ldexp(y[i] - intercept, -ref) ** 2
             early_stops += 1
             continue
-        y_held = (y[i] - intercept) / np.ldexp(scale or 1.0, exponent)
-        unit = np.ldexp(scale or 1.0, exponent - ref)  # yc's unit in 2^ref
+        y_held = np.ldexp(y[i] - intercept, -exponent)  # on yc's scale
 
         for li, fit in enumerate(penalized_pls_fits(Zc, yc, M, cfg)):
             fold_err = score_path(fit.beta_path, z_held, y_held)
@@ -110,7 +109,7 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
                 early_stops[li] += 1
                 pad = max_components - fold_err.size
                 fold_err = np.pad(fold_err, (0, pad), "edge")
-            errors[li] += fold_err * unit ** 2
+            errors[li] += np.ldexp(fold_err, 2 * (exponent - ref))
 
     errors /= n
     choice = _choose(lambdas, errors)  # in units of 2^ref: no cell is inf

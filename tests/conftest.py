@@ -14,8 +14,7 @@ def centered_problem(seed, n, d):
     return X, y
 
 
-def explicit_folds(X, y, lambdas, max_components, n_basis,
-                   normalize_response=False):
+def explicit_folds(X, y, lambdas, max_components, n_basis):
     """Mean LOO errors and early-stop counts from ``fit_gam`` + ``predict``
     on every fold, at every (lambda, m)."""
     n, p = X.shape
@@ -26,8 +25,7 @@ def explicit_folds(X, y, lambdas, max_components, n_basis,
         for li, lam in enumerate(lambdas):
             spec = PenaltySpec.shared(lam, p, n_basis)
             for m in range(1, max_components + 1):
-                model = fit_gam(X[keep], y[keep], spec, m,
-                                normalize_response=normalize_response)
+                model = fit_gam(X[keep], y[keep], spec, m)
                 errors[li, m - 1] += (y[i] - predict(model, X[i:i + 1])[0]) ** 2
             early_stops[li] += model.early_stopped
     return errors / n, early_stops
@@ -69,9 +67,9 @@ def exact_roughness(X, y, lam, n_basis, components, grid_size=200, order=2,
     from penpls.splines import DEFAULT_DEGREE
     from penpls.testkit import assemble_penalty
 
-    bases, z_means, Zc, _, yc, _, exponent = _design(
+    bases, z_means, Zc, _, yc, exponent = _design(
         np.asarray(X, dtype=float), np.asarray(y, dtype=float), n_basis,
-        DEFAULT_DEGREE, False)
+        DEFAULT_DEGREE)
     yc = np.ldexp(yc, exponent)  # the centered response, unscaled exactly
     lo, hi = bases[0].domain
     rows = eval_basis_grid(bases[0], np.linspace(lo, hi, grid_size))

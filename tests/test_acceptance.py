@@ -251,7 +251,7 @@ def test_11_birth_data_loo_error(emit):
     data = ingest(BIRTH_DATA, "birthweight")
     _, choice = loocv(data.X, data.y,
                       lambdas=list(range(300, 361, 10)),
-                      max_components=10, normalize_response=True)
+                      max_components=10)
     deviation = (abs(choice.loo_error - 0.090) > 0.01 or choice.m_opt != 2)
     status = "pass" if not deviation else (
         f"deviation reported: m={choice.m_opt}, "

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import explicit_folds
 from penpls import PenaltySpec, fit_gam, fitted_function, load_model, loocv, predict
-from penpls.cli import main
+from penpls.cli import build_parser, main
 from penpls.testkit import SyntheticSpec, gen_additive, write_csv
 
 
@@ -37,8 +37,9 @@ class TestFit:
         expect = fit_gam(X, y, PenaltySpec.shared(2.0, 2, 8), 3)
         np.testing.assert_array_equal(predict(loaded, X), predict(expect, X))
         out = capsys.readouterr().out
-        mse = float(out.split("training_mse = ")[1].splitlines()[0])
-        assert mse == pytest.approx(np.mean((y - expect.fitted) ** 2))
+        rmse = float(out.split("training_rmse = ")[1].splitlines()[0])
+        assert rmse == pytest.approx(
+            np.sqrt(np.mean((y - expect.fitted) ** 2)))
 
     def test_early_stop_warning_printed(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -108,6 +109,41 @@ class TestFit:
                          "--output", str(tmp_path / "m.txt")])
         assert code == 0
         assert "components = 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-165])
+    def test_error_summaries_at_extreme_scales(self, tmp_path, capsys, scale):
+        # squared residuals of y * 1e300 overflow and of y * 1e-165
+        # underflow to zero; the RMSE lines must follow the response's scale
+        X, y, _ = gen_additive(SyntheticSpec(0, 25, 2, 0.2, ("sine", "linear")))
+        rmse = {}
+        for factor in (1.0, scale):
+            data = tmp_path / f"y{factor}.csv"
+            model = tmp_path / f"m{factor}.txt"
+            write_csv(data, X, y * factor, ["a", "b"], "out")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["fit", "--data", str(data), "--response", "out",
+                             "--basis-size", "8", "--components", "3",
+                             "--output", str(model)]) == 0
+                assert main(["predict", "--model", str(model),
+                             "--data", str(data)]) == 0
+            captured = capsys.readouterr()
+            rmse[factor] = (
+                float(captured.out.split("training_rmse = ")[1].split()[0]),
+                float(captured.err.split("rmse = ")[1].split()[0]))
+        for got, plain in zip(rmse[scale], rmse[1.0]):
+            assert 0.0 < got < np.inf
+            assert got == pytest.approx(scale * plain, rel=1e-12)
+
+    @pytest.mark.parametrize("command", [["fit", "--output", "m.txt"], ["cv"]],
+                             ids=["fit", "cv"])
+    def test_normalize_response_flag_is_gone(self, dataset, command):
+        data, _, _ = dataset
+        argv = [*command, "--data", str(data), "--response", "out"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--normalize-response"])
+        assert exc.value.code == 2
+        assert build_parser().parse_args(argv).command == command[0]
 
     def test_huge_lambda_fits(self, dataset, tmp_path):
         run_fit(dataset, tmp_path, "--lambda", "1e300")
@@ -229,8 +265,8 @@ class TestPredict:
         got = np.array([float(v) for v in captured.out.split()])
         loaded, _, _ = load_model(model_path)
         np.testing.assert_array_equal(got, predict(loaded, X))
-        # response column present, so the mse line goes to stderr
-        assert captured.err.startswith("mse = ")
+        # response column present, so the rmse line goes to stderr
+        assert captured.err.startswith("rmse = ")
 
     def test_output_file_and_no_response(self, dataset, tmp_path, capsys):
         model_path = run_fit(dataset, tmp_path)

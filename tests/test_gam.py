@@ -57,19 +57,16 @@ class TestFitGam:
         np.testing.assert_array_equal(model.beta, 0.0)
         np.testing.assert_allclose(predict(model, X), 7.5)
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_response_constant_up_to_rounding(self, normalize):
+    def test_response_constant_up_to_rounding(self):
         # 0.3 - 0.2 is 0.1 up to rounding, so the centered response is
-        # rounding noise; scaling it to unit variance must not make it signal
+        # rounding noise; scaling it by a power of two must not make it signal
         rng = np.random.default_rng(3)
         X = rng.uniform(size=(7, 2))
         y = np.full(7, 0.1)
         y[::2] = 0.3 - 0.2
         assert (y - y.mean()).std() > 0.0
-        model = fit_gam(X, y, PenaltySpec.shared(1.0, 2, 5), 3,
-                        normalize_response=normalize)
+        model = fit_gam(X, y, PenaltySpec.shared(1.0, 2, 5), 3)
         assert model.n_components == 0
-        assert model.response_scale is None
         np.testing.assert_array_equal(model.beta, 0.0)
         np.testing.assert_array_equal(model.fitted, model.intercept)
 
@@ -105,31 +102,21 @@ class TestFitGam:
         centered = Z - model.z_means
         assert np.max(np.abs(centered.mean(axis=0))) <= 1e-10
 
-    def test_response_normalization_stored_and_inverted(self):
-        X, y, plain = fit_fixture(seed=6)
-        _, _, scaled = fit_fixture(seed=6, normalize_response=True)
-        assert scaled.response_scale == pytest.approx((y - y.mean()).std())
-        # same data, same grid of predictions up to numerical noise
-        np.testing.assert_allclose(predict(scaled, X), predict(plain, X),
-                                   atol=1e-6 * np.std(y))
-
 
 class TestResponseScale:
     """PLS is scale-equivariant in y, at any scale a double can hold."""
 
-    @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("scale", [1e154, 1e-165])
-    def test_beta_scales_with_the_response(self, scale, normalize):
-        X, y, model = fit_fixture(normalize_response=normalize)
+    def test_beta_scales_with_the_response(self, scale):
+        X, y, model = fit_fixture()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            scaled = fit_gam(X, y * scale, model.penalty, 4,
-                             normalize_response=normalize)
+            scaled = fit_gam(X, y * scale, model.penalty, 4)
         assert scaled.n_components == model.n_components == 4
-        got = (scaled.response_scale or 1.0) * scaled.beta
-        expect = scale * (model.response_scale or 1.0) * model.beta
+        expect = scale * model.beta
         # max norms: a 2-norm would square 1e154 and overflow
-        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+        assert np.max(np.abs(scaled.beta - expect)) <= \
+            1e-12 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("power", [-600, -1, 1, 600])
     def test_power_of_two_scales_exactly(self, power):
@@ -199,8 +186,7 @@ class TestFittedFunction:
             K = model.penalty.n_basis
             B = eval_basis_grid(model.bases[j], X[:, j])
             sl = slice(j * K, (j + 1) * K)
-            total += (model.response_scale or 1.0) * (
-                (B - model.z_means[sl]) @ model.beta[sl])
+            total += (B - model.z_means[sl]) @ model.beta[sl]
         np.testing.assert_allclose(total, model.fitted, atol=1e-8)
 
     def test_mean_zero_over_training_rows(self):

@@ -7,15 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from penpls import (DataError, GamModel, ModelFormatError, PenaltySpec,
                     SplineBasis, fit_gam, ingest, ingest_for_model,
-                    load_model, predict, save_model)
+                    load_model, predict, save_model, transform)
 from penpls.model_io import FORMAT_TAG, file_sha256
 from penpls.testkit import SyntheticSpec, gen_additive, write_csv
 
 
-def fitted_model(seed=0, n=25, p=2, normalize=False):
+def fitted_model(seed=0, n=25, p=2):
     X, y, _ = gen_additive(SyntheticSpec(seed, n, p, 0.2, ("sine", "linear")))
-    model = fit_gam(X, y, PenaltySpec.shared(2.0, p, 8), 3,
-                    normalize_response=normalize)
+    model = fit_gam(X, y, PenaltySpec.shared(2.0, p, 8), 3)
     return X, y, model
 
 
@@ -124,11 +123,10 @@ class TestModelFile:
         np.testing.assert_array_equal(predict(loaded, X), predict(model, X))
 
     def test_round_trip_fields(self, tmp_path):
-        _, _, model = fitted_model(normalize=True)
+        _, _, model = fitted_model()
         path = tmp_path / "model.txt"
         save_model(path, model, ("u", "v"), "y", dataset_checksum="abc")
         loaded, _, _ = load_model(path)
-        assert loaded.response_scale == model.response_scale
         assert loaded.intercept == model.intercept
         assert loaded.n_components == model.n_components
         assert loaded.requested_components == model.requested_components
@@ -140,6 +138,25 @@ class TestModelFile:
         for a, b in zip(loaded.bases, model.bases):
             assert a.degree == b.degree
             np.testing.assert_array_equal(a.knots, b.knots)
+
+    def test_scaled_file_from_earlier_version_loads(self, tmp_path):
+        # earlier versions could store beta fitted to y / s with
+        # "response_scale = s"; predictions were then intercept + s * Zc beta
+        X, _, model = fitted_model()
+        path = tmp_path / "model.txt"
+        save_model(path, model, ("u", "v"), "y")
+        text = path.read_text()
+        assert "\nresponse_scale = none\n" in text
+        path.write_text(text.replace("\nresponse_scale = none\n",
+                                     "\nresponse_scale = 0.5\n"))
+        loaded, _, _ = load_model(path)
+        Zc = transform(X, model.expansion) - model.z_means
+        np.testing.assert_array_equal(
+            predict(loaded, X), model.intercept + 0.5 * (Zc @ model.beta))
+
+        path.write_text(text.replace("\nresponse_scale = none\n", "\n"))
+        with pytest.raises(ModelFormatError, match="response_scale"):
+            load_model(path)
 
     def test_version_tag_is_first_line(self, tmp_path):
         _, _, model = fitted_model()
@@ -269,7 +286,6 @@ def random_models(draw):
             st.integers(1, n_basis - 1)), n_basis),
         beta=np.array(draw(arrays)), intercept=draw(VALUES),
         z_means=np.array(draw(arrays)),
-        response_scale=draw(st.none() | st.floats(1e-100, 1e100)),
         n_components=draw(st.integers(0, requested)),
         requested_components=requested)
 
@@ -306,7 +322,6 @@ class TestRoundTripProperty:
         np.testing.assert_array_equal(loaded.penalty.lambdas,
                                       model.penalty.lambdas)
         assert loaded.intercept == model.intercept
-        assert loaded.response_scale == model.response_scale
         assert loaded.penalty.order == model.penalty.order
         assert (loaded.n_components, loaded.requested_components) == (
             model.n_components, model.requested_components)

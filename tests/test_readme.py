@@ -1,15 +1,34 @@
-"""The Python example in README.md runs as written."""
+"""The examples in README.md run as written."""
 import os
 import re
+import shlex
+
+from penpls.cli import build_parser
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
 
-def test_library_example_runs():
+def _read_readme():
     with open(README) as fh:
-        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.DOTALL)
+        return fh.read()
+
+
+def test_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", _read_readme(), re.DOTALL)
     assert len(blocks) == 1
     namespace = {}
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     assert namespace["yhat"].shape == (100,)
     assert namespace["choice"].m_opt >= 1
+
+
+def test_command_line_examples_parse():
+    section = _read_readme().split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("penpls ")]
+    assert [argv[1] for argv in commands] == ["fit", "cv", "predict", "curves"]
+    parser = build_parser()
+    for argv in commands:
+        # a documented flag the parser no longer knows exits with code 2
+        assert parser.parse_args(argv[1:]).command == argv[1]

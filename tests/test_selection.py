@@ -217,25 +217,21 @@ class TestLoocv:
         with pytest.raises(ConfigurationError, match="nonnegative"):
             loocv(X, y, lambdas=[1.0, -1.0], max_components=2, n_basis=5)
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_chosen_cell_matches_explicit_folds(self, normalize):
+    def test_chosen_cell_matches_explicit_folds(self):
         # the benchmark's loocv check, on every cell: n explicit fit_gam +
         # predict folds, scored on the response's own scale
         X, y = small_dataset(13, n=12)
         grid, choice = loocv(X, y, lambdas=[0.5, 50.0], max_components=3,
-                             n_basis=5, normalize_response=normalize)
-        errors, _ = explicit_folds(X, y, [0.5, 50.0], 3, 5,
-                                   normalize_response=normalize)
+                             n_basis=5)
+        errors, _ = explicit_folds(X, y, [0.5, 50.0], 3, 5)
         np.testing.assert_allclose(grid.errors, errors, rtol=1e-10)
         assert choice.loo_error == pytest.approx(errors.min(), rel=1e-10)
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_huge_response_keeps_the_choice(self, normalize):
+    def test_huge_response_keeps_the_choice(self):
         # squared errors of y * 1e154 are near 1e308: accumulated on the
         # response's own scale they overflowed to inf in every cell
         X, y, _ = gen_additive(SyntheticSpec(0, 25, 2, 0.2, ("sine", "linear")))
-        kw = dict(lambdas=[1.0, 10.0], max_components=3,
-                  normalize_response=normalize)
+        kw = dict(lambdas=[1.0, 10.0], max_components=3)
         grid, choice = loocv(X, y, **kw)
         big_grid, big_choice = loocv(X, y * 1e154, **kw)
         assert np.all(np.isfinite(big_grid.errors))
@@ -260,8 +256,7 @@ class TestLoocv:
         np.testing.assert_array_equal(grid.early_stops, early_stops)
         assert np.all(grid.early_stops >= 1)
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_near_constant_fold_is_intercept_only(self, normalize):
+    def test_near_constant_fold_is_intercept_only(self):
         # the fold holding out row 5 is 0.1 up to rounding (0.3 - 0.2 is
         # not 0.1), so its centered response is rounding noise
         X, _ = small_dataset(15, n=8)
@@ -269,16 +264,8 @@ class TestLoocv:
         y[::2] = 0.3 - 0.2
         y[5] = 0.7
         grid, _ = loocv(X, y, lambdas=[1.0, 10.0], max_components=3,
-                        n_basis=5, normalize_response=normalize)
-        errors, early_stops = explicit_folds(X, y, [1.0, 10.0], 3, 5,
-                                             normalize_response=normalize)
+                        n_basis=5)
+        errors, early_stops = explicit_folds(X, y, [1.0, 10.0], 3, 5)
         np.testing.assert_allclose(grid.errors, errors, rtol=1e-10)
         np.testing.assert_array_equal(grid.early_stops, early_stops)
         assert np.all(grid.early_stops >= 1)
-
-    def test_normalized_response_mode_runs(self):
-        X, y = small_dataset(8)
-        grid, choice = loocv(X, y, lambdas=[1.0, 100.0], max_components=3,
-                             n_basis=6, normalize_response=True)
-        assert np.all(grid.errors >= 0)
-        assert choice.loo_error == grid.errors.min()
