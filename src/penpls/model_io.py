@@ -43,6 +43,17 @@ class Dataset:
 
 
 def _read_table(path):
+    """Parse a comma-delimited file into (header, float table).
+
+    The first nonblank row is the header; every other nonblank row is data.
+    When every data row has the header's length, the whole body is
+    converted by one ``np.array(..., dtype=float)``, whose string parsing
+    accepts and rejects the same cells as ``float()`` and gives the same
+    bits.  If that conversion fails or yields a NaN or an infinity, the
+    cells are parsed again one by one, in row-major order, so the
+    ``DataError`` names the first bad row or cell.  A file with a header and
+    no data rows gives a ``(0, len(header))`` table.
+    """
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -55,8 +66,17 @@ def _read_table(path):
     if len(set(header)) != len(header):
         dupes = sorted({n for n in header if header.count(n) > 1})
         raise DataError(f"{path}: duplicate column names {dupes}")
+    body = rows[1:]
+    if all(len(row) == len(header) for row in body):
+        try:
+            table = np.array(body, dtype=float).reshape(len(body), len(header))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(table).all():
+                return header, table
     parsed = []
-    for ridx, row in enumerate(rows[1:], start=1):
+    for ridx, row in enumerate(body, start=1):
         if len(row) != len(header):
             raise DataError(
                 f"{path}: row {ridx} has {len(row)} cells, expected "
@@ -109,6 +129,8 @@ def ingest_for_model(path, predictor_names, response_name):
     missing = [n for n in predictor_names if n not in header]
     if missing:
         raise DataError(f"{path}: missing predictor columns {missing}")
+    if not len(table):
+        raise DataError(f"{path}: no data rows")
     X = table[:, [header.index(n) for n in predictor_names]]
     y = table[:, header.index(response_name)] if response_name in header else None
     return X, y

@@ -5,10 +5,14 @@ mapped to a matrix with p*K columns, grouped contiguously by variable, where
 K is the number of basis functions per variable.
 
 ``eval_basis_grid`` is the one evaluator: a Cox-de Boor recursion over all
-points of a column at once.  ``transform`` (a whole data matrix) and,
-through it, prediction and fitted curves all use it.  Non-finite data are
-rejected where they enter, in ``make_basis`` and ``transform``, rather than
-given an all-zero basis row.
+points of a column at once that computes, per point, only the ``degree + 1``
+basis functions that are nonzero there (local support).  Its work is
+``degree`` array passes over a ``(degree + 1, len(xs))`` table, not over
+every knot interval.  ``transform`` (a whole data matrix) and, through it,
+prediction and fitted curves all use it.  Non-finite data are rejected where
+they enter, in ``make_basis`` and ``transform``, rather than given an
+all-zero basis row; ``eval_basis_grid`` clamps infinities to the boundary
+and rejects NaN.
 """
 from __future__ import annotations
 
@@ -114,13 +118,20 @@ def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
     """Evaluate every basis function at many points; returns a (len(xs), K)
     matrix whose row i is the basis at ``xs[i]``.
 
-    The Cox-de Boor recursion runs on all points at once.  Degree 0 is the
-    indicator of the half-open knot interval ``[t_j, t_{j+1})`` holding each
-    point; each of the ``degree`` passes then combines neighbouring columns
-    with the knot-ratio weights ``(x - t_j) / (t_{j+k} - t_j)`` and
+    Only the ``degree + 1`` functions that are nonzero at a point are
+    evaluated (local support; de Boor's BSPLVB).  One ``searchsorted`` finds
+    each point's half-open knot interval ``[t_mu, t_{mu+1})``, and the
+    ``2 * degree + 2`` knots around it are gathered once.  Degree 0 is the
+    indicator of that interval; each of the ``degree`` passes then combines
+    neighbouring rows of a ``(degree + 1, len(xs))`` table with the
+    knot-ratio weights ``(x - t_j) / (t_{j+k} - t_j)`` and
     ``(t_{j+k+1} - x) / (t_{j+k+1} - t_{j+1})``, a weight being zero where its
-    knot span is empty.  The work is ``degree`` array passes over an
-    ``(len(xs), len(knots) - 1)`` array rather than a loop over points.
+    knot span is empty.  The table is scattered into the dense result; its
+    entries for columns outside ``[0, K)``, which only unclamped knot vectors
+    produce, are dropped.  Each kept entry comes from the same floating-point
+    operations on the same operands as in the Cox-de Boor recursion over all
+    ``len(knots) - 1`` intervals, whose other terms are exact zeros, so the
+    result is that recursion's bit for bit.
 
     Points are clamped to the boundary-knot interval first, so out-of-domain
     points are evaluated at the nearest boundary.  The right boundary, which
@@ -131,35 +142,55 @@ def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
     changes no value; elsewhere it keeps a ratio that overflows on a
     subnormal knot span from turning ``0 * inf`` into NaN; that overflow is
     expected and not warned about.
+
+    Raises
+    ------
+    DataError
+        If ``xs`` contains NaN.
     """
     t = basis.knots
+    d = basis.degree
     lo, hi = t[0], t[-1]
-    x = np.clip(np.asarray(xs, dtype=float).ravel(), lo, hi)[:, None]
-
-    left = t[:-1]
-    right = t[1:]
-    b = ((left <= x) & (x < right)).astype(float)
-    at_end = x[:, 0] >= hi
+    x = np.clip(np.asarray(xs, dtype=float).ravel(), lo, hi)
+    if np.isnan(x).any():
+        raise DataError("points to evaluate include NaN")
+    mu = np.searchsorted(t, x, side="right") - 1
+    at_end = x >= hi
     if at_end.any():
-        b[at_end] = 0.0
-        b[at_end, np.nonzero(right > left)[0][-1]] = 1.0
+        mu[at_end] = np.nonzero(t[1:] > t[:-1])[0][-1]
+    # entry p of the padded vector is knot p - d.  The padding keeps every
+    # window index in range; its values reach only functions outside
+    # [0, K), which an unclamped knot vector's windows hold and which are
+    # cut off below
+    padded = np.concatenate([np.full(d, lo), t, np.full(d + 1, hi)])
+    # row r of idx, and of the gathered knots tw, belongs to knot mu - d + r
+    idx = np.arange(2 * d + 2)[:, None] + mu
+    tw = np.take(padded, idx)
+    # row i holds basis function mu - d + i; rows no pass has reached yet,
+    # and row d + 1, are zero
+    b = np.zeros((d + 2, len(x)))
+    b[d] = 1.0
     with np.errstate(over="ignore"):
-        for k in range(1, basis.degree + 1):
-            nb = b.shape[1] - 1
-            # an empty span divides by inf, which gives a zero weight
-            den1 = t[k:k + nb] - t[:nb]
-            den2 = t[k + 1:k + 1 + nb] - t[1:1 + nb]
-            w1 = x - t[:nb]
-            np.divide(w1, np.where(den1 > 0, den1, np.inf), out=w1)
+        for k in range(1, d + 1):
+            rows = slice(d - k, d + 1)
+            # t[j + k] - t[j] for j = mu - k .. mu + 1; an empty span
+            # divides by inf, which gives a zero weight
+            span = padded[k:] - padded[:-k]
+            den = np.take(np.where(span > 0, span, np.inf), idx[d - k:d + 2])
+            w1 = x - tw[rows]
+            np.divide(w1, den[:-1], out=w1)
             np.clip(w1, 0.0, 1.0, out=w1)
-            w2 = t[k + 1:k + 1 + nb] - x
-            np.divide(w2, np.where(den2 > 0, den2, np.inf), out=w2)
+            w2 = tw[d + 1:d + k + 2] - x
+            np.divide(w2, den[1:], out=w2)
             np.clip(w2, 0.0, 1.0, out=w2)
-            w1 *= b[:, :-1]
-            w2 *= b[:, 1:]
-            w1 += w2
-            b = w1
-    return b
+            w2 *= b[d - k + 1:d + 2]
+            b[rows] *= w1
+            b[rows] += w2
+    # column c of the wide matrix is basis function c - d, so the columns
+    # of functions that do not exist (unclamped knots) are cut off
+    wide = np.zeros((len(x), basis.n_basis + 2 * d))
+    wide[np.arange(len(x)), idx[:d + 1]] = b[:d + 1]
+    return wide[:, d:d + basis.n_basis]
 
 
 def transform(X, expansion: BasisExpansion) -> np.ndarray:
@@ -185,5 +216,11 @@ def transform(X, expansion: BasisExpansion) -> np.ndarray:
     if not finite.all():
         bad = np.nonzero(~finite.all(axis=0))[0].tolist()
         raise DataError(f"X has non-finite values (NaN or inf) in columns {bad}")
-    blocks = [eval_basis_grid(b, X[:, j]) for j, b in enumerate(expansion.bases)]
-    return np.hstack(blocks)
+    # each block is written as soon as it is evaluated, so no more than one
+    # block's evaluation is held beside the result
+    Z = np.empty((X.shape[0], sum(b.n_basis for b in expansion.bases)))
+    start = 0
+    for j, basis in enumerate(expansion.bases):
+        Z[:, start:start + basis.n_basis] = eval_basis_grid(basis, X[:, j])
+        start += basis.n_basis
+    return Z

@@ -310,6 +310,22 @@ class TestPredict:
         assert code == 1
         assert "junk" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", ["temp,load\n", "temp,load,out\n"],
+                             ids=["predictors", "with_response"])
+    def test_header_only_file_exits_one(self, dataset, tmp_path, capsys,
+                                        header):
+        model_path = run_fit(dataset, tmp_path)
+        capsys.readouterr()  # discard the fit command's report
+        empty = tmp_path / "empty.csv"
+        empty.write_text(header)
+        code = main(["predict", "--model", str(model_path),
+                     "--data", str(empty)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "no data rows" in captured.err
+
 
 class TestCurves:
     def test_files_reproduce_fitted_functions(self, dataset, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from penpls import (DataError, GamModel, ModelFormatError, PenaltySpec,
                     SplineBasis, fit_gam, ingest, ingest_for_model,
                     load_model, predict, save_model, transform)
-from penpls.model_io import FORMAT_TAG, file_sha256
+from penpls.model_io import FORMAT_TAG, _read_table, file_sha256
 from penpls.testkit import SyntheticSpec, gen_additive, write_csv
 
 
@@ -54,6 +54,24 @@ class TestIngest:
         path = tmp_path / "data.csv"
         path.write_text("a,y\n1,2\nnan,4\n5,6\n")
         with pytest.raises(DataError, match="row 2, column 'a'"):
+            ingest(path, "y")
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e999"])
+    def test_infinite_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,y\n1,2\n3,{cell}\n5,6\n")
+        with pytest.raises(DataError,
+                           match="row 2, column 'y': non-finite value"):
+            ingest(path, "y")
+
+    def test_first_fault_in_row_order_is_reported(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,y\n1,2\n3,oops\n5,6\n7\n")
+        with pytest.raises(DataError,
+                           match="row 2, column 'y': cannot parse 'oops'"):
+            ingest(path, "y")
+        path.write_text("a,y\n1,2\n3\n5,oops\n7,8\n")
+        with pytest.raises(DataError, match="row 2 has 1 cells, expected 2"):
             ingest(path, "y")
 
     def test_ragged_row_rejected(self, tmp_path):
@@ -109,6 +127,14 @@ class TestIngestForModel:
         path = tmp_path / "new.csv"
         path.write_text("a\n1\n2\n")
         with pytest.raises(DataError, match=r"\['b'\]"):
+            ingest_for_model(path, ("a", "b"), "y")
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "new.csv"
+        path.write_text("a,b\n")
+        header, table = _read_table(path)
+        assert header == ["a", "b"] and table.shape == (0, 2)
+        with pytest.raises(DataError, match="new.csv: no data rows"):
             ingest_for_model(path, ("a", "b"), "y")
 
 
@@ -288,6 +314,29 @@ def random_models(draw):
         z_means=np.array(draw(arrays)),
         n_components=draw(st.integers(0, requested)),
         requested_components=requested)
+
+
+EDGE_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                               2.2250738585072014e-308, 1e308, -1e308,
+                               1.7976931348623157e308])
+CELLS = st.floats(allow_nan=False, allow_infinity=False) | EDGE_VALUES
+
+
+class TestCsvRoundTripProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda p: st.lists(
+        st.lists(CELLS, min_size=p + 1, max_size=p + 1),
+        min_size=3, max_size=8)))
+    def test_written_doubles_read_back_bit_for_bit(self, rows):
+        table = np.array(rows, dtype=float)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            write_csv(path, table[:, :-1], table[:, -1])
+            data = ingest(path, "y")
+        assert np.array_equal(data.X.view(np.int64),
+                              table[:, :-1].view(np.int64))
+        assert np.array_equal(data.y.view(np.int64),
+                              table[:, -1].view(np.int64))
 
 
 class TestRoundTripProperty:

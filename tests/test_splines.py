@@ -114,6 +114,11 @@ class TestEvalBasis:
         np.testing.assert_allclose(eval_basis_grid(basis, [0.5])[0],
                                    [0.125, 0.375, 0.375, 0.125], atol=1e-15)
 
+    def test_nan_point_rejected(self):
+        basis = make_basis(np.linspace(0, 1, 30), n_basis=8, degree=3)
+        with pytest.raises(DataError, match="NaN"):
+            eval_basis_grid(basis, [0.5, np.nan])
+
     def test_out_of_domain_clamped(self):
         basis = make_basis(np.linspace(0, 1, 30), n_basis=8, degree=3)
         np.testing.assert_array_equal(eval_basis_grid(basis, [-5.0])[0],
@@ -152,6 +157,13 @@ class TestEvalBasis:
     def test_grid_bit_identical_to_scalar_recursion(self):
         cases = [SplineBasis(0, [0.0, 1.0, 2.0, 3.0]),
                  SplineBasis(2, np.linspace(-1.0, 2.0, 9)),  # unclamped
+                 # unclamped cubic: the windows of points near either end
+                 # run past that end of its 4 functions
+                 SplineBasis(3, np.arange(8.0)),
+                 # a subnormal span: weight ratios on both sides of it
+                 # overflow to inf
+                 SplineBasis(2, [-1.0, -1.0, -1.0, 0.0, 5e-324,
+                                 1.0, 1.0, 1.0]),
                  SplineBasis(3, clamped_knots(3, [0.2, 0.2, 0.5, 0.7, 0.7])),
                  make_basis(np.random.default_rng(8).uniform(size=500), 20)]
         rng = np.random.default_rng(9)
@@ -285,15 +297,21 @@ class TestTransform:
                                        1.0, atol=1e-12)
 
     def test_matches_elementwise_eval(self):
-        grid = np.array([[0.0, 0.2], [0.5, 0.6], [1.0, 0.9]])
-        bases = tuple(make_basis(np.linspace(0, 1, 9), 4, 3) for _ in range(2))
+        # degrees 0, 2 and 3, one basis unclamped; points inside, on the
+        # knots and beyond both ends
+        bases = (SplineBasis(0, [0.0, 0.3, 0.6, 1.0]),
+                 SplineBasis(2, np.linspace(-0.5, 1.5, 9)),  # unclamped
+                 make_basis(np.linspace(0, 1, 9), 6, 3))
+        grid = np.array([[0.0, 0.2, -0.1], [0.3, 0.6, 0.5], [1.0, 0.9, 1.0],
+                         [1.2, -0.7, 0.25], [0.6, 1.5, 1.3]])
         Z = transform(grid, BasisExpansion(bases))
-        assert Z.shape == (3, 8)
-        for i in range(3):
-            for j in range(2):
-                np.testing.assert_allclose(
-                    Z[i, 4 * j:4 * (j + 1)],
-                    eval_basis_grid(bases[j], [grid[i, j]])[0])
+        assert Z.shape == (5, 3 + 6 + 6)
+        start = 0
+        for j, basis in enumerate(bases):
+            block = Z[:, start:start + basis.n_basis]
+            expect = np.array([scalar_de_boor(basis, x) for x in grid[:, j]])
+            assert np.array_equal(block, expect)
+            start += basis.n_basis
 
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(5)
