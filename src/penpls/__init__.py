@@ -13,8 +13,7 @@ from .pls import (FitConfig, PlsFit, nipals_fit, penalized_pls_fit,
 from .kernel import KernelFit, gram_matrix, kernel_penalized_pls_fit
 from .cg import CgResult, pcg_iterates
 from .gam import FittedFunction, GamModel, fit_gam, fitted_function, predict
-from .selection import (CvChoice, CvGrid, default_lambda_grid, loocv,
-                        score_path)
+from .selection import CvChoice, CvGrid, default_lambda_grid, loocv
 from .model_io import (Dataset, ingest, ingest_for_model, load_model,
                        save_model)
 
@@ -32,5 +31,5 @@ __all__ = [
     "load_model", "loocv", "make_basis", "make_preconditioner", "nipals_fit",
     "pcg_iterates", "penalized_pls_fit", "penalized_pls_fits",
     "penalty_kernel", "predict",
-    "save_model", "score_path", "transform",
+    "save_model", "transform",
 ]

@@ -95,13 +95,22 @@ def _design(X, y, n_basis: int, degree: int):
     z_means = Zc.mean(axis=0)
     Zc -= z_means
 
-    intercept = float(y.mean())
-    yc = y - intercept
-    peak = np.max(np.abs(yc))
-    if peak <= 1e-14 * np.max(np.abs(y)):
+    intercept, exponent = _response_scale(y)
+    if exponent is None:
         return bases, z_means, Zc, intercept, None, 0
-    exponent = int(np.frexp(peak)[1])
-    return bases, z_means, Zc, intercept, np.ldexp(yc, -exponent), exponent
+    return bases, z_means, Zc, intercept, np.ldexp(y - intercept, -exponent), \
+        exponent
+
+
+def _response_scale(y):
+    """Intercept and the binary exponent e of the centered response's peak
+    (see ``_design``); e is None when the response is constant to
+    rounding."""
+    intercept = float(y.mean())
+    peak = np.max(np.abs(y - intercept))
+    if peak <= 1e-14 * np.max(np.abs(y)):
+        return intercept, None
+    return intercept, int(np.frexp(peak)[1])
 
 
 def _centered_rows(X, bases, z_means) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidKernelError
 from .penalty import Preconditioner
-from .pls import FitConfig, _pls_loop
+from .pls import FitConfig, _columns, _pls_loop
 
 _PSD_TOL = 1e-8
 
@@ -78,7 +78,8 @@ def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:
     if evals[0] < -_PSD_TOL * max(1.0, evals[-1]):
         raise InvalidKernelError("Gram matrix is not positive semidefinite")
 
-    ((_, _, T, alpha_path, steps),) = _pls_loop(K, y, cfg, lambda r: r)
+    _, _, T, A, steps, (k,) = _pls_loop(K, y, cfg, lambda r: r)
+    T, alpha_path, steps = (_columns(a[0], k) for a in (T, A, steps))
     return KernelFit(alpha_path=alpha_path, components=T,
                      fitted_path=np.cumsum(T * steps, axis=1),
                      requested_components=n_components)

@@ -1,9 +1,9 @@
 """Primal partial least squares: plain NIPALS and the penalized variant.
 
 Both fits record the weight vectors, the effective weights expressing each
-component in original coordinates, the components, the coefficient vector
-after every step, and the bidiagonal cross-product matrix R = T' X W.
-Vectors are left unscaled, so downstream checks use relative tolerances.
+component in original coordinates, the components and the coefficient vector
+after every step.  Vectors are left unscaled, so downstream checks use
+relative tolerances.
 
 One loop computes every fit, primal or dual: a residual recursion on a
 score matrix S with a weight step.  The primal runs it on the one centered
@@ -13,7 +13,8 @@ two stop at the same component.  ``penalized_pls_fits`` runs several fits
 of one (X, y) side by side, each with its own block of one preconditioner
 and its own residual; ``penalized_pls_fit`` and ``nipals_fit`` are its
 one-fit case.  Each fit in a stack is bit-identical to the same fit run
-alone and stops early on its own.
+alone and stops early on its own.  ``selection.loocv`` runs the loop on a
+stack of fold designs, every fold at every lambda in one pass.
 """
 from __future__ import annotations
 
@@ -56,15 +57,12 @@ class PlsFit:
         Mutually orthogonal score vectors.
     beta_path : (d, m) array
         Coefficient vector after 1, 2, ..., m components.
-    cross : (m, m) array
-        R = T' X W; upper bidiagonal.
     """
 
     weights: np.ndarray
     effective_weights: np.ndarray
     components: np.ndarray
     beta_path: np.ndarray
-    cross: np.ndarray
     requested_components: int
 
     @property
@@ -112,10 +110,17 @@ def _vecmats(v: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
               weigh: Callable[[np.ndarray], np.ndarray],
-              n_fits: int = 1) -> list[tuple[np.ndarray, ...]]:
-    """Run ``n_fits`` PLS fits of one centered y side by side on the n x d
-    score matrix S; return each fit's kept weights W, effective weights Wt,
-    scores T and coefficient path (one column per component) and steps.
+              n_fits: int = 1) -> tuple[np.ndarray, ...]:
+    """Run ``n_fits`` PLS fits side by side on score matrices S with
+    centered responses y.
+
+    S is one n x d matrix with y of length n, shared by every fit, or a
+    stack of F such matrices (F, n, d) with responses (F, n); then
+    ``n_fits`` is F * L and fit ``f * L + l`` runs on ``S[f]`` and ``y[f]``.
+    Returns the stacked weights W, effective weights Wt and coefficient
+    path (each (n_fits, m, d)), scores T (n_fits, m, n), steps
+    (n_fits, m) and each fit's component count k; fit l's results are
+    rows ``:k`` of its slice, and the rest of its rows are not results.
 
     Fit l keeps its own residual r (``weigh`` maps the stacked residuals to
     the stacked weights): w = weigh(r)[l], t = S w, orthogonalised twice
@@ -124,27 +129,37 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
     r -= step * t with step = t'r / t't.  Every product is a stacked matmul
     whose per-fit BLAS call is the one a lone fit makes, so each fit rounds
     exactly as if it ran alone.  A fit that stops has its residual zeroed,
-    so all its later products are exact zeros.
+    so all its later products are exact zeros and its coefficients stay
+    put.
     """
-    if not y.any():
+    if not y.any(axis=-1).all():
         raise DegenerateResponseError("centered response is identically zero")
-    n, d = S.shape
+    n, d = S.shape[-2:]
     m = cfg.n_components
+    if S.ndim == 2:
+        def scores(w):
+            return _matvecs(S, w)
+    else:
+        F = S.shape[0]
+
+        def scores(w):
+            return (S[:, None] @ w.reshape(F, -1, d, 1)).reshape(n_fits, n)
     weights = np.empty((n_fits, m, d))
     eff_weights = np.empty((n_fits, m, d))
     components = np.empty((n_fits, m, n))
     grams = np.empty((n_fits, m))  # t't of each kept score (1 where stopped)
     steps = np.empty((n_fits, m))
-    betas = np.empty((n_fits, m, d))
+    # zeroed, so the rows after a shared break hold finite values
+    betas = np.zeros((n_fits, m, d))
     beta = np.zeros((n_fits, d))
     r = np.empty((n_fits, n))
-    r[...] = y
+    r.reshape(y.size // n, -1, n)[...] = y.reshape(-1, 1, n)
     active = np.ones(n_fits, dtype=bool)
     count = np.zeros(n_fits, dtype=int)
 
     for i in range(m):
         w = weigh(r)
-        t = _matvecs(S, w)
+        t = scores(w)
         t_norm = np.sqrt(_dots(t, t))
         if i == 0:
             tol = cfg.norm_tol * t_norm
@@ -179,9 +194,13 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
 
     if not count.all():
         raise DegenerateResponseError("no component could be extracted")
-    return [tuple(np.ascontiguousarray(a[l, :k].T)
-                  for a in (weights, eff_weights, components, betas, steps))
-            for l, k in enumerate(count)]
+    return weights, eff_weights, components, betas, steps, count
+
+
+def _columns(a: np.ndarray, k: int) -> np.ndarray:
+    """Rows ``:k`` of one fit's slice of a ``_pls_loop`` result, as the
+    contiguous columns of its (., k) result matrix."""
+    return np.ascontiguousarray(a[:k].T)
 
 
 def _primal_fits(X, y, cfg: FitConfig,
@@ -208,9 +227,10 @@ def _primal_fits(X, y, cfg: FitConfig,
         return w if preconditioner is None else \
             preconditioner.apply(w.reshape(-1)).reshape(n_fits, d)
 
-    return [PlsFit(W, Wt, T, B, cross=T.T @ X @ W,
+    W, Wt, T, B, _, count = _pls_loop(X, y, cfg, weigh, n_fits)
+    return [PlsFit(*(_columns(a[l], k) for a in (W, Wt, T, B)),
                    requested_components=cfg.n_components)
-            for W, Wt, T, B, _ in _pls_loop(X, y, cfg, weigh, n_fits)]
+            for l, k in enumerate(count)]
 
 
 def nipals_fit(X, y, cfg: FitConfig) -> PlsFit:

@@ -8,11 +8,12 @@ K is the number of basis functions per variable.
 points of a column at once that computes, per point, only the ``degree + 1``
 basis functions that are nonzero there (local support).  Its work is
 ``degree`` array passes over a ``(degree + 1, len(xs))`` table, not over
-every knot interval.  ``transform`` (a whole data matrix) and, through it,
-prediction and fitted curves all use it.  Non-finite data are rejected where
-they enter, in ``make_basis`` and ``transform``, rather than given an
-all-zero basis row; ``eval_basis_grid`` clamps infinities to the boundary
-and rejects NaN.
+every knot interval, run in cache-sized slices of points.  ``transform`` (a
+whole data matrix) and, through it, prediction and fitted curves all use
+it; ``loocv`` runs its recursion part, ``_eval_windows``, on every fold's
+basis at once.  Non-finite data are rejected where they enter, in
+``make_basis`` and ``transform``, rather than given an all-zero basis row;
+``eval_basis_grid`` clamps infinities to the boundary and rejects NaN.
 """
 from __future__ import annotations
 
@@ -24,6 +25,9 @@ from .errors import ConfigurationError, DataError, DegenerateVariableError
 
 DEFAULT_N_BASIS = 20
 DEFAULT_DEGREE = 3
+# points per pass of the recursion in ``_eval_windows``: a pass's
+# temporaries stay in a 2 MB L2 cache
+_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -94,10 +98,7 @@ def make_basis(values, n_basis: int = DEFAULT_N_BASIS,
     values = np.asarray(values, dtype=float).ravel()
     if not np.all(np.isfinite(values)):
         raise DataError("variable has non-finite values (NaN or inf)")
-    if n_basis < degree + 1:
-        raise ConfigurationError(
-            f"n_basis={n_basis} is too small for degree {degree} "
-            f"(need at least {degree + 1})")
+    _check_basis_size(n_basis, degree)
     distinct = np.unique(values)
     if distinct.size < 2:
         raise DegenerateVariableError(
@@ -114,42 +115,53 @@ def make_basis(values, n_basis: int = DEFAULT_N_BASIS,
     return SplineBasis(degree=degree, knots=knots)
 
 
+def _check_basis_size(n_basis: int, degree: int):
+    if degree < 0:
+        raise ConfigurationError("degree must be nonnegative")
+    if n_basis < degree + 1:
+        raise ConfigurationError(
+            f"n_basis={n_basis} is too small for degree {degree} "
+            f"(need at least {degree + 1})")
+
+
 def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
     """Evaluate every basis function at many points; returns a (len(xs), K)
     matrix whose row i is the basis at ``xs[i]``.
 
     Only the ``degree + 1`` functions that are nonzero at a point are
-    evaluated (local support; de Boor's BSPLVB).  One ``searchsorted`` finds
-    each point's half-open knot interval ``[t_mu, t_{mu+1})``, and the
-    ``2 * degree + 2`` knots around it are gathered once.  Degree 0 is the
-    indicator of that interval; each of the ``degree`` passes then combines
-    neighbouring rows of a ``(degree + 1, len(xs))`` table with the
-    knot-ratio weights ``(x - t_j) / (t_{j+k} - t_j)`` and
-    ``(t_{j+k+1} - x) / (t_{j+k+1} - t_{j+1})``, a weight being zero where its
-    knot span is empty.  The table is scattered into the dense result; its
-    entries for columns outside ``[0, K)``, which only unclamped knot vectors
-    produce, are dropped.  Each kept entry comes from the same floating-point
-    operations on the same operands as in the Cox-de Boor recursion over all
-    ``len(knots) - 1`` intervals, whose other terms are exact zeros, so the
-    result is that recursion's bit for bit.
+    evaluated (local support; de Boor's BSPLVB).  ``_windows`` locates each
+    point's knot window; ``_eval_windows`` runs the recursion on those
+    windows and scatters the result.  The two parts work on plain arrays,
+    so ``loocv`` feeds ``_eval_windows`` the windows of many knot vectors
+    at once.
 
     Points are clamped to the boundary-knot interval first, so out-of-domain
     points are evaluated at the nearest boundary.  The right boundary, which
     no half-open interval contains, is assigned to the last nonempty one.
-
-    Each weight is clipped to [0, 1].  Wherever the lower-degree function it
-    multiplies is nonzero the weight already lies in [0, 1], so the clip
-    changes no value; elsewhere it keeps a ratio that overflows on a
-    subnormal knot span from turning ``0 * inf`` into NaN; that overflow is
-    expected and not warned about.
 
     Raises
     ------
     DataError
         If ``xs`` contains NaN.
     """
-    t = basis.knots
-    d = basis.degree
+    padded, mu, x = _windows(basis.knots, basis.degree, xs)
+    return _eval_windows(padded, mu, mu, x, basis.degree, basis.n_basis)
+
+
+def _windows(knots: np.ndarray, degree: int, xs):
+    """The padded knot vector, each point's first window index and the
+    clamped points, for the knot vector ``knots``.
+
+    One ``searchsorted`` finds each point's half-open knot interval
+    ``[t_mu, t_{mu+1})``.  Entry q of the padded vector is knot q - degree,
+    so the ``2 * degree + 2`` knots around point i are entries
+    ``mu[i] .. mu[i] + 2 * degree + 1``; the padding (``degree`` copies of
+    the left boundary, ``degree + 1`` of the right) keeps every such index
+    in range.  Its values reach only functions outside [0, K), which an
+    unclamped knot vector's windows hold and which ``_eval_windows`` cuts
+    off.
+    """
+    t, d = knots, degree
     lo, hi = t[0], t[-1]
     x = np.clip(np.asarray(xs, dtype=float).ravel(), lo, hi)
     if np.isnan(x).any():
@@ -158,39 +170,81 @@ def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
     at_end = x >= hi
     if at_end.any():
         mu[at_end] = np.nonzero(t[1:] > t[:-1])[0][-1]
-    # entry p of the padded vector is knot p - d.  The padding keeps every
-    # window index in range; its values reach only functions outside
-    # [0, K), which an unclamped knot vector's windows hold and which are
-    # cut off below
     padded = np.concatenate([np.full(d, lo), t, np.full(d + 1, hi)])
-    # row r of idx, and of the gathered knots tw, belongs to knot mu - d + r
-    idx = np.arange(2 * d + 2)[:, None] + mu
-    tw = np.take(padded, idx)
-    # row i holds basis function mu - d + i; rows no pass has reached yet,
-    # and row d + 1, are zero
-    b = np.zeros((d + 2, len(x)))
-    b[d] = 1.0
-    with np.errstate(over="ignore"):
-        for k in range(1, d + 1):
-            rows = slice(d - k, d + 1)
-            # t[j + k] - t[j] for j = mu - k .. mu + 1; an empty span
-            # divides by inf, which gives a zero weight
-            span = padded[k:] - padded[:-k]
-            den = np.take(np.where(span > 0, span, np.inf), idx[d - k:d + 2])
-            w1 = x - tw[rows]
-            np.divide(w1, den[:-1], out=w1)
-            np.clip(w1, 0.0, 1.0, out=w1)
-            w2 = tw[d + 1:d + k + 2] - x
-            np.divide(w2, den[1:], out=w2)
-            np.clip(w2, 0.0, 1.0, out=w2)
-            w2 *= b[d - k + 1:d + 2]
-            b[rows] *= w1
-            b[rows] += w2
+    return padded, mu, x
+
+
+def _eval_windows(padded: np.ndarray, start: np.ndarray, first: np.ndarray,
+                  x: np.ndarray, degree: int, n_basis: int) -> np.ndarray:
+    """The (len(x), n_basis) basis matrix of points x whose knot windows
+    begin at entries ``start`` of ``padded``.
+
+    Point i's window is entries ``start[i] .. start[i] + 2 * degree + 1``
+    and its nonzero functions are ``first[i] - degree .. first[i]``.  For
+    one knot vector ``start`` is ``first``; ``padded`` may also be several
+    padded vectors end to end, each point's ``start`` offset to its own
+    vector, as long as no window crosses into the next one.
+
+    Degree 0 is the indicator of the point's interval; each of the
+    ``degree`` passes then combines neighbouring rows of a
+    ``(degree + 1, len(x))`` table with the knot-ratio weights
+    ``(x - t_j) / (t_{j+k} - t_j)`` and
+    ``(t_{j+k+1} - x) / (t_{j+k+1} - t_{j+1})``, a weight being zero where its
+    knot span is empty.  The table is scattered into the dense result; its
+    entries for columns outside ``[0, K)``, which only unclamped knot vectors
+    produce, are dropped.  Each kept entry comes from the same floating-point
+    operations on the same operands as in the Cox-de Boor recursion over all
+    ``len(knots) - 1`` intervals, whose other terms are exact zeros, so the
+    result is that recursion's bit for bit.
+
+    The recursion runs over slices of at most ``_SLICE`` points, each
+    written straight into the result, so its temporaries stay
+    cache-sized.  Every operation is per point, so the slicing changes no
+    value.
+
+    Each weight is clipped to [0, 1].  Wherever the lower-degree function it
+    multiplies is nonzero the weight already lies in [0, 1], so the clip
+    changes no value; elsewhere it keeps a ratio that overflows on a
+    subnormal knot span from turning ``0 * inf`` into NaN; that overflow is
+    expected and not warned about.
+    """
+    d = degree
+    # entry q of dens[k - 1] is t[q + k] - t[q] in padded terms; an empty
+    # span divides by inf, which gives a zero weight
+    dens = []
+    for k in range(1, d + 1):
+        span = padded[k:] - padded[:-k]
+        dens.append(np.where(span > 0, span, np.inf))
+    window = np.arange(2 * d + 2)[:, None]
     # column c of the wide matrix is basis function c - d, so the columns
     # of functions that do not exist (unclamped knots) are cut off
-    wide = np.zeros((len(x), basis.n_basis + 2 * d))
-    wide[np.arange(len(x)), idx[:d + 1]] = b[:d + 1]
-    return wide[:, d:d + basis.n_basis]
+    wide = np.zeros((len(x), n_basis + 2 * d))
+    for lo in range(0, len(x), _SLICE):
+        xs = x[lo:lo + _SLICE]
+        # row r of idx, and of the gathered knots tw, belongs to knot
+        # first - d + r
+        idx = window + start[lo:lo + _SLICE]
+        tw = np.take(padded, idx)
+        # row i holds basis function first - d + i; rows no pass has
+        # reached yet, and row d + 1, are zero
+        b = np.zeros((d + 2, len(xs)))
+        b[d] = 1.0
+        with np.errstate(over="ignore"):
+            for k in range(1, d + 1):
+                rows = slice(d - k, d + 1)
+                den = np.take(dens[k - 1], idx[d - k:d + 2])
+                w1 = xs - tw[rows]
+                np.divide(w1, den[:-1], out=w1)
+                np.clip(w1, 0.0, 1.0, out=w1)
+                w2 = tw[d + 1:d + k + 2] - xs
+                np.divide(w2, den[1:], out=w2)
+                np.clip(w2, 0.0, 1.0, out=w2)
+                w2 *= b[d - k + 1:d + 2]
+                b[rows] *= w1
+                b[rows] += w2
+        cols = window[:d + 1] + first[lo:lo + _SLICE]
+        wide[lo:lo + len(xs)][np.arange(len(xs)), cols] = b[:d + 1]
+    return wide[:, d:d + n_basis]
 
 
 def transform(X, expansion: BasisExpansion) -> np.ndarray:
@@ -212,10 +266,7 @@ def transform(X, expansion: BasisExpansion) -> np.ndarray:
         raise ConfigurationError(
             f"X has {X.shape[1]} columns but the expansion was built "
             f"for {expansion.n_variables} variables")
-    finite = np.isfinite(X)
-    if not finite.all():
-        bad = np.nonzero(~finite.all(axis=0))[0].tolist()
-        raise DataError(f"X has non-finite values (NaN or inf) in columns {bad}")
+    _check_finite(X)
     # each block is written as soon as it is evaluated, so no more than one
     # block's evaluation is held beside the result
     Z = np.empty((X.shape[0], sum(b.n_basis for b in expansion.bases)))
@@ -224,3 +275,10 @@ def transform(X, expansion: BasisExpansion) -> np.ndarray:
         Z[:, start:start + basis.n_basis] = eval_basis_grid(basis, X[:, j])
         start += basis.n_basis
     return Z
+
+
+def _check_finite(X: np.ndarray):
+    finite = np.isfinite(X)
+    if not finite.all():
+        bad = np.nonzero(~finite.all(axis=0))[0].tolist()
+        raise DataError(f"X has non-finite values (NaN or inf) in columns {bad}")

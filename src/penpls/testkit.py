@@ -84,6 +84,12 @@ def closed_form_beta(X, y, W) -> np.ndarray:
     return W @ coef
 
 
+def cross_matrix(fit, X) -> np.ndarray:
+    """R = T' X W of a PLS fit on the centered X it was fit to: upper
+    bidiagonal for the PLS recursion (criterion 6)."""
+    return fit.components.T @ np.asarray(X, dtype=float) @ fit.weights
+
+
 def assemble_penalty(spec: PenaltySpec) -> np.ndarray:
     """The full block-diagonal penalty matrix (pK x pK), dense: the oracle
     that ``Preconditioner`` is checked against."""

@@ -148,7 +148,8 @@ def reference_pls_fit(X, y, preconditioner, cfg):
         k = i + 1
     if not k:
         raise DegenerateResponseError("no component could be extracted")
-    Tk, Wk = np.ascontiguousarray(T[:k].T), np.ascontiguousarray(W[:k].T)
-    return PlsFit(weights=Wk, effective_weights=np.ascontiguousarray(Wt[:k].T),
-                  components=Tk, beta_path=np.ascontiguousarray(B[:k].T),
-                  cross=Tk.T @ X @ Wk, requested_components=m)
+    return PlsFit(weights=np.ascontiguousarray(W[:k].T),
+                  effective_weights=np.ascontiguousarray(Wt[:k].T),
+                  components=np.ascontiguousarray(T[:k].T),
+                  beta_path=np.ascontiguousarray(B[:k].T),
+                  requested_components=m)

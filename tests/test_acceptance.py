@@ -17,8 +17,9 @@ from penpls import (FitConfig, PenaltySpec, eval_basis_grid, fit_gam,
                     kernel_penalized_pls_fit, loocv, make_basis,
                     make_preconditioner, nipals_fit, pcg_iterates,
                     penalized_pls_fit, penalty_kernel)
-from penpls.testkit import (SyntheticSpec, closed_form_beta, dense_ls_oracle,
-                            gen_additive, krylov_basis, numerical_rank)
+from penpls.testkit import (SyntheticSpec, closed_form_beta, cross_matrix,
+                            dense_ls_oracle, gen_additive, krylov_basis,
+                            numerical_rank)
 
 BIRTH_DATA = os.environ.get(
     "BIRTH_DATA", os.path.join(os.path.dirname(__file__), "data", "birth.csv"))
@@ -145,7 +146,7 @@ def test_06_cross_matrix_bidiagonal(criterion):
             X, y, spec = instance(seed)
             fit = penalized_pls_fit(X, y, make_preconditioner(spec),
                                     FitConfig(8))
-            R = fit.cross
+            R = cross_matrix(fit, X)
             scale = np.max(np.abs(R))
             mask = np.ones_like(R, dtype=bool)
             for i in range(R.shape[0]):

@@ -9,8 +9,8 @@ from conftest import (centered_problem, dense_m, random_penalty,
 from penpls import (ConfigurationError, DegenerateResponseError, FitConfig,
                     PenaltySpec, make_preconditioner,
                     nipals_fit, penalized_pls_fit, penalized_pls_fits)
-from penpls.testkit import (closed_form_beta, dense_ls_oracle, krylov_basis,
-                            numerical_rank)
+from penpls.testkit import (closed_form_beta, cross_matrix, dense_ls_oracle,
+                            krylov_basis, numerical_rank)
 
 
 def penalized_instance(seed, n=30, p=2, n_basis=10, m=8):
@@ -113,8 +113,8 @@ class TestPenalizedFit:
                 assert abs(T[:, i] @ T[:, j]) <= bound
 
     def test_bidiagonal_cross_matrix(self):
-        _, _, _, _, fit = penalized_instance(32)
-        R = fit.cross
+        X, _, _, _, fit = penalized_instance(32)
+        R = cross_matrix(fit, X)
         scale = np.max(np.abs(R))
         for i in range(R.shape[0]):
             for j in range(R.shape[1]):
@@ -160,7 +160,7 @@ class TestPenalizedFit:
         np.testing.assert_allclose(fit.beta, dense_ls_oracle(X, y), rtol=1e-6)
 
 
-FIELDS = ("weights", "effective_weights", "components", "beta_path", "cross")
+FIELDS = ("weights", "effective_weights", "components", "beta_path")
 
 
 def low_rank_problem(seed, n, d, rank):

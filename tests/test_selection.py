@@ -1,11 +1,17 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import explicit_folds, reference_pls_fit
 from penpls import (BasisExpansion, ConfigurationError, DataError,
-                    DegenerateVariableError, FitConfig, PenaltySpec, fit_gam,
-                    loocv, make_basis, make_preconditioner, predict,
-                    score_path, selection, transform)
+                    DegenerateVariableError, FitConfig, PenaltySpec,
+                    SplineBasis, fit_gam, loocv, make_basis,
+                    make_preconditioner, predict, selection, transform)
+from penpls.selection import (_choose, _fold_designs, _fold_knots,
+                              _score_path)
 from penpls.testkit import SyntheticSpec, gen_additive
 
 
@@ -14,21 +20,26 @@ def small_dataset(seed=0, n=15, p=2):
     return X, y
 
 
+def bits(a):
+    """A float array's bit patterns, so that equality is bit for bit."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
 class TestScorePath:
     def test_single_step_path(self):
         path = np.array([[1.0], [2.0]])
-        err = score_path(path, np.array([1.0, 1.0]), 5.0)
+        err = _score_path(path, np.array([1.0, 1.0]), 5.0)
         np.testing.assert_allclose(err, [(5.0 - 3.0) ** 2])
 
     def test_exact_fit_tail_is_zero(self):
         row = np.array([1.0, -1.0])
         path = np.column_stack([[0.5, 0.0], [1.0, -1.0], [1.0, -1.0]])
-        err = score_path(path, row, 2.0)
+        err = _score_path(path, row, 2.0)
         np.testing.assert_allclose(err, [2.25, 0.0, 0.0])
 
     def test_empty_path_rejected(self):
         with pytest.raises(ConfigurationError):
-            score_path(np.empty((3, 0)), np.zeros(3), 0.0)
+            _score_path(np.empty((3, 0)), np.zeros(3), 0.0)
 
     def test_matches_separate_refits(self):
         # scoring the whole path in one fit agrees with refitting at each m
@@ -41,7 +52,7 @@ class TestScorePath:
         M = make_preconditioner(PenaltySpec(np.array([1.0, 5.0]), 2, 4))
         row = rng.standard_normal(8)
         full = penalized_pls_fit(X, y, M, FitConfig(5))
-        scores = score_path(full.beta_path, row, 1.5)
+        scores = _score_path(full.beta_path, row, 1.5)
         for m in range(1, full.n_components + 1):
             refit = penalized_pls_fit(X, y, M, FitConfig(m))
             expect = (1.5 - row @ refit.beta) ** 2
@@ -49,17 +60,33 @@ class TestScorePath:
 
 
 def reference_loocv(X, y, lambdas, max_components, n_basis):
-    """Mean LOO errors and early-stop counts from one fit per (fold, lambda)."""
+    """Mean LOO errors and early-stop counts from one fit per (fold, lambda).
+
+    A fold whose centered response is zero to rounding predicts its mean,
+    and a fold whose training rows leave a predictor fewer than two
+    distinct values raises, naming the fold and the column, as ``loocv``
+    does.
+    """
     n, p = X.shape
     errors = np.zeros((len(lambdas), max_components))
     early_stops = np.zeros(len(lambdas), dtype=int)
     for i in range(n):
         keep = np.arange(n) != i
-        expansion = BasisExpansion([make_basis(X[keep, j], n_basis, 3)
-                                    for j in range(p)])
+        bases = []
+        for j in range(p):
+            try:
+                bases.append(make_basis(X[keep, j], n_basis, 3))
+            except DegenerateVariableError as exc:
+                raise DegenerateVariableError(
+                    f"fold holding out row {i}: predictor column {j}: {exc}")
+        expansion = BasisExpansion(bases)
         Z = transform(X[keep], expansion)
         z_means = Z.mean(axis=0)
         y_mean = y[keep].mean()
+        if np.max(np.abs(y[keep] - y_mean)) <= 1e-14 * np.max(np.abs(y[keep])):
+            errors += (y[i] - y_mean) ** 2
+            early_stops += 1
+            continue
         z_held = transform(X[i:i + 1], expansion)[0] - z_means
         for li, lam in enumerate(lambdas):
             M = make_preconditioner(PenaltySpec.shared(lam, p, n_basis))
@@ -70,6 +97,14 @@ def reference_loocv(X, y, lambdas, max_components, n_basis):
             errors[li] += np.pad(err, (0, max_components - err.size),
                                  mode="edge")
     return errors / n, early_stops
+
+
+def outcome(run):
+    """``run()``'s result, or the type and message of what it raised."""
+    try:
+        return run()
+    except (DegenerateVariableError, ConfigurationError) as exc:
+        return type(exc), str(exc)
 
 
 class TestLoocv:
@@ -84,19 +119,32 @@ class TestLoocv:
         np.testing.assert_array_equal(grid.early_stops, early_stops)
         assert choice.loo_error == errors.min()
 
-    def test_one_pass_per_fold_within_budget(self, monkeypatch):
-        X, y = small_dataset(11, n=10)
+    def test_one_stacked_pass_per_chunk(self, monkeypatch):
+        # every live fold at every lambda runs in stacked passes of F folds,
+        # F * L fits each; the fold holding out row 3 is intercept-only
+        X, _ = small_dataset(11, n=10)
+        y = np.zeros(10)
+        y[3] = 1.0
         calls = []
-        real = selection.penalized_pls_fits
+        real = selection._pls_loop
 
-        def counted(*a):
-            fits = real(*a)
-            calls.append(len(fits))
-            return fits
+        def counted(S, Y, cfg, weigh, n_fits):
+            calls.append((S.shape[0], n_fits))
+            return real(S, Y, cfg, weigh, n_fits)
 
-        monkeypatch.setattr(selection, "penalized_pls_fits", counted)
-        loocv(X, y, lambdas=[0.1, 1.0, 10.0], max_components=2, n_basis=5)
-        assert calls == [3] * 10
+        monkeypatch.setattr(selection, "_pls_loop", counted)
+        kw = dict(lambdas=[0.1, 1.0, 10.0], max_components=2, n_basis=5)
+        loocv(X, y, **kw)
+        assert calls == [(9, 27)]  # the default bound holds every fold
+        calls.clear()
+        monkeypatch.setattr(selection, "_CHUNK_BYTES", 10_000)
+        loocv(X, y, **kw)
+        per_chunk = calls[0][0]
+        assert 1 < per_chunk < 9
+        assert len(calls) == math.ceil(9 / per_chunk)
+        assert [f for f, _ in calls[:-1]] == [per_chunk] * (len(calls) - 1)
+        assert sum(f for f, _ in calls) == 9
+        assert all(n_fits == 3 * f for f, n_fits in calls)
 
     def test_early_stops_counted(self):
         # 7 training rows of a 10-column expansion: at most 6 components
@@ -176,7 +224,6 @@ class TestLoocv:
     def test_tie_break_prefers_small_m_then_large_lambda(self):
         lambdas = np.array([1.0, 2.0])
         errors = np.array([[0.5, 0.5], [0.5, 0.7]])
-        from penpls.selection import _choose
         choice = _choose(lambdas, errors)
         assert choice.m_opt == 1
         assert choice.lambda_opt == 2.0
@@ -269,3 +316,127 @@ class TestLoocv:
         np.testing.assert_allclose(grid.errors, errors, rtol=1e-10)
         np.testing.assert_array_equal(grid.early_stops, early_stops)
         assert np.all(grid.early_stops >= 1)
+
+    def test_singleton_of_two_values_names_its_fold(self):
+        # column 1 is 0 but for row 5, so only the fold holding out row 5
+        # leaves it constant
+        X, y = small_dataset(16, n=9)
+        X[:, 1] = 0.0
+        X[5, 1] = 1.0
+        with pytest.raises(DegenerateVariableError,
+                           match="fold holding out row 5: predictor column 1"):
+            loocv(X, y, lambdas=[1.0], max_components=2, n_basis=5)
+
+    def test_constant_predictor_names_fold_zero(self):
+        X, y = small_dataset(6, n=8)
+        X[:, 1] = 1.0
+        with pytest.raises(DegenerateVariableError,
+                           match="fold holding out row 0: predictor column 1"):
+            loocv(X, y, lambdas=[1.0], max_components=2, n_basis=5)
+
+    def test_basis_too_small_for_degree_rejected(self):
+        X, y = small_dataset(7)
+        with pytest.raises(ConfigurationError, match="too small for degree"):
+            loocv(X, y, lambdas=[1.0], max_components=2, n_basis=3, degree=3)
+
+    def test_memory_stays_within_the_chunk_bound(self):
+        # unchunked, the 400 fold designs alone would take 400 * 400 * 20
+        # doubles, 25.6 MB
+        X, y = gen_additive(SyntheticSpec(17, 400, 2, 0.3,
+                                          ("sine", "linear")))[:2]
+        tracemalloc.start()
+        try:
+            loocv(X, y, lambdas=[0.1, 1.0, 10.0], max_components=3,
+                  n_basis=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * selection._CHUNK_BYTES
+
+
+class TestBatchedFolds:
+    """The batched folds reproduce the one-fold-at-a-time computation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 30), st.integers(1, 3),
+           st.sampled_from([None, 1, 2]), st.integers(4, 8),
+           st.integers(1, 10),
+           st.lists(st.sampled_from([0.0, 1e-2, 1.0, 1e3]), min_size=1,
+                    max_size=3),
+           st.sampled_from(["noise", "spike"]), st.integers(1, 60_000))
+    def test_loocv_matches_reference_bit_for_bit(
+            self, seed, n, p, decimals, n_basis, m, lambdas, response,
+            chunk_bytes):
+        # rounded draws tie; a spike response makes its fold
+        # intercept-only; m beyond the design's rank stops fits early;
+        # a small chunk bound gives several chunks and a ragged last one
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(n, p))
+        if decimals is not None:
+            X = np.round(X, decimals)
+        y = rng.standard_normal(n)
+        if response == "spike":
+            y = np.zeros(n)
+            y[rng.integers(n)] = rng.uniform(0.5, 2.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection, "_CHUNK_BYTES", chunk_bytes)
+            got = outcome(lambda: loocv(X, y, lambdas=lambdas,
+                                        max_components=m, n_basis=n_basis))
+        expect = outcome(lambda: reference_loocv(X, y, lambdas, m, n_basis))
+        if isinstance(expect[0], type):  # both raised, with one message
+            assert got == expect
+            return
+        (grid, choice), (errors, early_stops) = got, expect
+        np.testing.assert_array_equal(bits(grid.errors), bits(errors))
+        np.testing.assert_array_equal(grid.early_stops, early_stops)
+        best = _choose(np.asarray(lambdas, dtype=float), errors)
+        assert (choice.lambda_opt, choice.m_opt, choice.loo_error) == \
+            (best.lambda_opt, best.m_opt, best.loo_error)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40),
+           st.sampled_from([None, 1, 2]), st.integers(0, 4),
+           st.integers(0, 12), st.integers(8, 2_000))
+    def test_fold_knots_match_make_basis(self, seed, n, decimals, degree,
+                                         extra, chunk_bytes):
+        rng = np.random.default_rng(seed)
+        col = rng.uniform(-3.0, 3.0, size=n)
+        if decimals is not None:
+            col = np.round(col, decimals)
+        n_basis = degree + 1 + extra
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection, "_CHUNK_BYTES", chunk_bytes)
+            knots, n_distinct = _fold_knots(col, n_basis, degree)
+        for i in range(n):
+            rest = np.delete(col, i)
+            assert n_distinct[i] == np.unique(rest).size
+            if n_distinct[i] >= 2:
+                expect = make_basis(rest, n_basis, degree).knots
+                # bit for bit, but for the sign of a zero knot: rounded
+                # draws can hold both -0.0 and 0.0
+                np.testing.assert_array_equal(knots[i], expect)
+                nonzero = expect != 0
+                np.testing.assert_array_equal(bits(knots[i][nonzero]),
+                                              bits(expect[nonzero]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 25), st.integers(1, 3),
+           st.sampled_from([None, 1]), st.integers(0, 4), st.integers(0, 8))
+    def test_fold_designs_match_transform(self, seed, n, p, decimals, degree,
+                                          extra):
+        # the folds' windows laid end to end give each fold's transform
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(n, p))
+        if decimals is not None:
+            X = np.round(X, decimals)
+        n_basis = degree + 1 + extra
+        knots = [_fold_knots(X[:, j], n_basis, degree)[0] for j in range(p)]
+        usable = [i for i in range(n)
+                  if all(np.unique(np.delete(X[:, j], i)).size >= 2
+                         for j in range(p))]
+        Z = _fold_designs(X, [k[usable] for k in knots], degree)
+        for f, i in enumerate(usable):
+            expansion = BasisExpansion([SplineBasis(degree, k[i])
+                                        for k in knots])
+            np.testing.assert_array_equal(bits(Z[f]),
+                                          bits(transform(X, expansion)))

@@ -9,7 +9,7 @@ from scipy.interpolate import BSpline
 
 from penpls import (BasisExpansion, ConfigurationError, DataError,
                     DegenerateVariableError, SplineBasis, eval_basis_grid,
-                    make_basis, transform)
+                    make_basis, splines, transform)
 
 
 def scalar_de_boor(basis, x):
@@ -173,6 +173,18 @@ class TestEvalBasis:
                                  [-np.inf, np.inf]])
             expect = np.array([scalar_de_boor(basis, x) for x in xs])
             assert np.array_equal(eval_basis_grid(basis, xs), expect)
+
+    @pytest.mark.parametrize("slice_len", [1, 7, 256])
+    def test_slices_change_no_bit(self, monkeypatch, slice_len):
+        # the recursion runs over slices of points; any slice length,
+        # ragged last slice included, gives the one-pass result
+        basis = make_basis(np.random.default_rng(12).uniform(size=300), 12)
+        xs = np.random.default_rng(13).uniform(-0.1, 1.1, size=1000)
+        whole = eval_basis_grid(basis, xs)
+        monkeypatch.setattr(splines, "_SLICE", slice_len)
+        sliced = eval_basis_grid(basis, xs)
+        np.testing.assert_array_equal(sliced.view(np.int64),
+                                      whole.view(np.int64))
 
 
 @pytest.fixture(scope="module")
