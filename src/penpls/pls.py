@@ -136,14 +136,12 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
         raise DegenerateResponseError("centered response is identically zero")
     n, d = S.shape[-2:]
     m = cfg.n_components
-    if S.ndim == 2:
-        def scores(w):
-            return _matvecs(S, w)
-    else:
-        F = S.shape[0]
+    # one shared matrix is a stack of one, broadcast over the fits
+    S = S.reshape(-1, n, d)
+    F = S.shape[0]
 
-        def scores(w):
-            return (S[:, None] @ w.reshape(F, -1, d, 1)).reshape(n_fits, n)
+    def scores(w):
+        return (S[:, None] @ w.reshape(F, -1, d, 1)).reshape(n_fits, n)
     weights = np.empty((n_fits, m, d))
     eff_weights = np.empty((n_fits, m, d))
     components = np.empty((n_fits, m, n))

@@ -38,7 +38,7 @@ from .gam import _response_scale, _training_data
 from .penalty import DEFAULT_DIFF_ORDER, PenaltySpec, make_preconditioner
 from .pls import FitConfig, _columns, _pls_loop
 from .splines import (DEFAULT_DEGREE, DEFAULT_N_BASIS, _check_basis_size,
-                      _check_finite, _eval_windows, _windows)
+                      _check_finite, _eval_windows, _knots, _windows)
 
 # bytes of one chunk of folds: their designs and their fits' stacked results
 _CHUNK_BYTES = 2 << 20
@@ -96,34 +96,24 @@ def _fold_knots(col: np.ndarray, n_basis: int, degree: int):
     except that a column holding both -0.0 and 0.0 can give a zero knot
     the other sign (``np.unique`` keeps one of two equal values).
     A fold that holds out a repeated value keeps all U distinct values of
-    the column, so those folds share one ``np.quantile``.  A fold that holds
+    the column, so those folds share one knot vector.  A fold that holds
     out a value seen once keeps the other U - 1; those sets are the rows of
-    one matrix, given to ``np.quantile(..., axis=1)`` in blocks of at most
-    ``_CHUNK_BYTES``.
+    one matrix, given to ``splines._knots`` (``make_basis``'s knot rule) in
+    blocks of at most ``_CHUNK_BYTES``.
     """
     distinct, inverse, counts = np.unique(col, return_inverse=True,
                                           return_counts=True)
-    n_interior = n_basis - degree - 1
-    probs = np.arange(1, n_interior + 1) / (n_interior + 1)
-    edge = degree + 1
     knots = np.empty((col.size, n_basis + degree + 1))
-
-    def place(rows, values, interior):
-        knots[rows, :edge] = values[..., :1]
-        knots[rows, edge:-edge] = interior
-        knots[rows, -edge:] = values[..., -1:]
-
     single = counts[inverse] == 1
     if not single.all():
-        place(~single, distinct, np.quantile(distinct, probs))
+        knots[~single] = _knots(distinct, n_basis, degree)
     rows = np.flatnonzero(single)
     block = max(1, _CHUNK_BYTES // (8 * distinct.size))
     kept = np.arange(distinct.size - 1)
     for lo in range(0, rows.size, block):
         held = inverse[rows[lo:lo + block], None]
         values = np.where(kept < held, distinct[:-1], distinct[1:])
-        place(rows[lo:lo + block], values,
-              np.quantile(values, probs, axis=1).T)
+        knots[rows[lo:lo + block]] = _knots(values, n_basis, degree)
     return knots, distinct.size - single
 
 
@@ -226,9 +216,15 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     exponents = np.array([0 if e is None else e for _, e in scales])
     live_folds = np.flatnonzero(live)
 
+    # the grid, order and basis size are checked before the chunk size is
+    # reckoned from them
+    spec = PenaltySpec(np.repeat(lambdas, p), diff_order, n_basis)
+    _check_finite(X)
+    _check_basis_size(n_basis, degree)
+
     def preconditioner(n_folds):  # one block per (fold, lambda, variable)
-        return make_preconditioner(PenaltySpec(
-            np.tile(np.repeat(lambdas, p), n_folds), diff_order, n_basis))
+        return make_preconditioner(
+            replace(spec, lambdas=np.tile(spec.lambdas, n_folds)))
 
     # a fold's share of a chunk: its design over all rows and over its
     # training rows, and per fit the weights, effective weights,
@@ -239,8 +235,6 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     M = preconditioner(chunk)
     cfg = FitConfig(max_components)
 
-    _check_finite(X)
-    _check_basis_size(n_basis, degree)
     knots, n_distinct = zip(*(_fold_knots(X[:, j], n_basis, degree)
                               for j in range(p)))
     degenerate = np.array(n_distinct) < 2  # (p, n)

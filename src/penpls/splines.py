@@ -103,16 +103,23 @@ def make_basis(values, n_basis: int = DEFAULT_N_BASIS,
     if distinct.size < 2:
         raise DegenerateVariableError(
             "variable has fewer than 2 distinct values")
-    lo, hi = distinct[0], distinct[-1]
+    return SplineBasis(degree=degree, knots=_knots(distinct, n_basis, degree))
+
+
+def _knots(distinct: np.ndarray, n_basis: int, degree: int) -> np.ndarray:
+    """The clamped knot vector of sorted distinct values, along the last
+    axis: ``degree + 1`` copies of the min, the ``n_basis - degree - 1``
+    interior knots at equally spaced quantiles, ``degree + 1`` copies of
+    the max.  ``make_basis`` passes one value set; ``loocv`` a matrix of
+    them, one row per fold, for one ``np.quantile`` over all rows.
+    """
     n_interior = n_basis - degree - 1
-    if n_interior > 0:
-        probs = np.arange(1, n_interior + 1) / (n_interior + 1)
-        interior = np.quantile(distinct, probs)
-    else:
-        interior = np.empty(0)
-    knots = np.concatenate([
-        np.full(degree + 1, lo), interior, np.full(degree + 1, hi)])
-    return SplineBasis(degree=degree, knots=knots)
+    probs = np.arange(1, n_interior + 1) / (n_interior + 1)
+    interior = np.moveaxis(np.quantile(distinct, probs, axis=-1), 0, -1)
+    edge = distinct.shape[:-1] + (degree + 1,)
+    return np.concatenate([np.broadcast_to(distinct[..., :1], edge), interior,
+                           np.broadcast_to(distinct[..., -1:], edge)],
+                          axis=-1)
 
 
 def _check_basis_size(n_basis: int, degree: int):

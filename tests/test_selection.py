@@ -338,6 +338,12 @@ class TestLoocv:
         X, y = small_dataset(7)
         with pytest.raises(ConfigurationError, match="too small for degree"):
             loocv(X, y, lambdas=[1.0], max_components=2, n_basis=3, degree=3)
+        # a negative basis size is rejected before any size is reckoned
+        # from it: here the chunk arithmetic's divisor would be 0
+        X, y = small_dataset(7, n=12)
+        with pytest.raises(ConfigurationError):
+            loocv(X[:, :1], y, lambdas=[0.1, 1.0, 10.0], max_components=1,
+                  n_basis=-1)
 
     def test_memory_stays_within_the_chunk_bound(self):
         # unchunked, the 400 fold designs alone would take 400 * 400 * 20
