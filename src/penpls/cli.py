@@ -155,8 +155,7 @@ def _cmd_predict(args) -> int:
     preds = predict(model, X)
     out = sys.stdout if args.output is None else open(args.output, "w")
     try:
-        for v in preds:
-            print(f"{v:.17g}", file=out)
+        out.write("".join(f"{v:.17g}\n" for v in preds))
     finally:
         if out is not sys.stdout:
             out.close()

@@ -6,6 +6,12 @@ centering statistics so new observations can be scored honestly.
 ``_design`` does this preprocessing for ``fit_gam`` and every ``loocv`` fold.
 The fit is scale-equivariant in y, so coefficients are stored on the
 response's own scale; ``_design``'s exact power of two is the one rescaling.
+
+Fitting needs the dense centered design; scoring does not.  ``predict`` and
+``fitted_function`` both go through ``_score``, which multiplies each
+point's nonzero basis values, straight from the spline recursion's table,
+by their coefficients (``splines.transform_dot``) and adds one constant.
+The same code thus scores a fitted model and a reloaded one.
 """
 from __future__ import annotations
 
@@ -16,8 +22,8 @@ import numpy as np
 from .errors import ConfigurationError, DataError, DegenerateVariableError
 from .penalty import PenaltySpec, make_preconditioner
 from .pls import FitConfig, penalized_pls_fit
-from .splines import (BasisExpansion, SplineBasis, eval_basis_grid, make_basis,
-                      transform, DEFAULT_DEGREE)
+from .splines import (BasisExpansion, SplineBasis, make_basis, transform,
+                      transform_dot, DEFAULT_DEGREE)
 
 
 @dataclass(frozen=True)
@@ -113,11 +119,13 @@ def _response_scale(y):
     return intercept, int(np.frexp(peak)[1])
 
 
-def _centered_rows(X, bases, z_means) -> np.ndarray:
-    """Rows of X expanded in ``bases`` and centered by the training means."""
-    Z = transform(X, BasisExpansion(bases))
-    Z -= z_means
-    return Z
+def _score(X, bases, beta, z_means, level: float) -> np.ndarray:
+    """``level + (transform(X) - z_means) @ beta``, to rounding: the
+    uncentered products from ``transform_dot`` plus the one constant
+    ``level - z_means @ beta``, so neither the dense design nor its
+    centered copy is built."""
+    return transform_dot(X, BasisExpansion(bases), beta) + \
+        (level - z_means @ beta)
 
 
 def fit_gam(X, y, penalty: PenaltySpec, n_components: int,
@@ -160,8 +168,8 @@ def predict(model: GamModel, X_new) -> np.ndarray:
         raise ConfigurationError(
             f"expected {model.n_variables} predictor columns, "
             f"got {X_new.shape[1]}")
-    centered = _centered_rows(X_new, model.bases, model.z_means)
-    return model.intercept + centered @ model.beta
+    return _score(X_new, model.bases, model.beta, model.z_means,
+                  model.intercept)
 
 
 def fitted_function(model: GamModel, variable: int,
@@ -177,8 +185,8 @@ def fitted_function(model: GamModel, variable: int,
     basis = model.bases[variable]
     lo, hi = basis.domain
     grid = np.linspace(lo, hi, grid_size)
-    B = eval_basis_grid(basis, grid)
     K = model.penalty.n_basis
     sl = slice(variable * K, (variable + 1) * K)
-    values = (B - model.z_means[sl]) @ model.beta[sl]
+    values = _score(grid[:, None], (basis,), model.beta[sl],
+                    model.z_means[sl], 0.0)
     return FittedFunction(variable=variable, grid=grid, values=values)

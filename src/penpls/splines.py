@@ -4,16 +4,24 @@ Each predictor variable gets its own basis.  A data matrix with p columns is
 mapped to a matrix with p*K columns, grouped contiguously by variable, where
 K is the number of basis functions per variable.
 
-``eval_basis_grid`` is the one evaluator: a Cox-de Boor recursion over all
-points of a column at once that computes, per point, only the ``degree + 1``
-basis functions that are nonzero there (local support).  Its work is
-``degree`` array passes over a ``(degree + 1, len(xs))`` table, not over
-every knot interval, run in cache-sized slices of points.  ``transform`` (a
-whole data matrix) and, through it, prediction and fitted curves all use
-it; ``loocv`` runs its recursion part, ``_eval_windows``, on every fold's
-basis at once.  Non-finite data are rejected where they enter, in
-``make_basis`` and ``transform``, rather than given an all-zero basis row;
-``eval_basis_grid`` clamps infinities to the boundary and rejects NaN.
+One Cox-de Boor recursion, ``_tables``, evaluates all points of a column
+at once and computes, per point, only the ``degree + 1`` basis functions
+that are nonzero there (local support).  Its work is ``degree`` array
+passes over a ``(degree + 1, len(xs))`` table, not over every knot
+interval, run in cache-sized slices of points.  The table has two
+consumers:
+
+* ``_eval_windows`` scatters it into the dense basis matrix.  This is
+  ``eval_basis_grid`` (one column) and ``transform`` (a whole data matrix),
+  which the fit uses; ``loocv`` calls it on every fold's basis at once.
+* ``_dot_windows`` multiplies it by the gathered coefficients of each
+  point's nonzero functions.  This is ``transform_dot``, the product
+  ``transform(X) @ coef`` without the dense matrix, from which prediction
+  and fitted curves are scored.
+
+Non-finite data are rejected where they enter, in ``make_basis``,
+``transform`` and ``transform_dot``, rather than given an all-zero basis
+row; ``eval_basis_grid`` clamps infinities to the boundary and rejects NaN.
 """
 from __future__ import annotations
 
@@ -25,7 +33,7 @@ from .errors import ConfigurationError, DataError, DegenerateVariableError
 
 DEFAULT_N_BASIS = 20
 DEFAULT_DEGREE = 3
-# points per pass of the recursion in ``_eval_windows``: a pass's
+# points per pass of the recursion in ``_tables``: a pass's
 # temporaries stay in a 2 MB L2 cache
 _SLICE = 4096
 
@@ -186,28 +194,72 @@ def _eval_windows(padded: np.ndarray, start: np.ndarray, first: np.ndarray,
     """The (len(x), n_basis) basis matrix of points x whose knot windows
     begin at entries ``start`` of ``padded``.
 
-    Point i's window is entries ``start[i] .. start[i] + 2 * degree + 1``
-    and its nonzero functions are ``first[i] - degree .. first[i]``.  For
+    Point i's nonzero functions are ``first[i] - degree .. first[i]``.  For
     one knot vector ``start`` is ``first``; ``padded`` may also be several
     padded vectors end to end, each point's ``start`` offset to its own
     vector, as long as no window crosses into the next one.
 
-    Degree 0 is the indicator of the point's interval; each of the
-    ``degree`` passes then combines neighbouring rows of a
-    ``(degree + 1, len(x))`` table with the knot-ratio weights
-    ``(x - t_j) / (t_{j+k} - t_j)`` and
-    ``(t_{j+k+1} - x) / (t_{j+k+1} - t_{j+1})``, a weight being zero where its
-    knot span is empty.  The table is scattered into the dense result; its
-    entries for columns outside ``[0, K)``, which only unclamped knot vectors
-    produce, are dropped.  Each kept entry comes from the same floating-point
-    operations on the same operands as in the Cox-de Boor recursion over all
-    ``len(knots) - 1`` intervals, whose other terms are exact zeros, so the
-    result is that recursion's bit for bit.
+    ``_tables`` evaluates the nonzero functions and this scatters them into
+    the dense result; entries for columns outside ``[0, K)``, which only
+    unclamped knot vectors produce, are dropped.
+    """
+    d = degree
+    # column c of the wide matrix is basis function c - d, so the columns
+    # of functions that do not exist (unclamped knots) are cut off
+    wide = np.zeros((len(x), n_basis + 2 * d))
+    rows = np.arange(d + 1)[:, None]
+    for lo, b in _tables(padded, start, x, d):
+        m = b.shape[1]
+        wide[lo:lo + m][np.arange(m), rows + first[lo:lo + m]] = b
+    return wide[:, d:d + n_basis]
 
-    The recursion runs over slices of at most ``_SLICE`` points, each
-    written straight into the result, so its temporaries stay
-    cache-sized.  Every operation is per point, so the slicing changes no
-    value.
+
+def _dot_windows(padded: np.ndarray, first: np.ndarray, x: np.ndarray,
+                 degree: int, coef: np.ndarray, out: np.ndarray):
+    """Add ``sum_k B_k(x[i]) * coef[k]`` to ``out[i]`` for each point, where
+    ``B_k`` are the functions of the one knot vector ``padded`` and the
+    points' knot windows begin at ``first``.
+
+    Only the ``degree + 1`` nonzero functions of each point are multiplied
+    by their gathered coefficients ``coef[first[i] - degree + r]``, summed
+    in the order r = 0 .. degree, so each point's value is independent of
+    the slicing and of every other point.  Functions outside ``[0, K)``
+    (unclamped knots) get a zero coefficient.
+    """
+    d = degree
+    wide = np.concatenate([np.zeros(d), coef, np.zeros(d)])
+    rows = np.arange(d + 1)[:, None]
+    for lo, b in _tables(padded, first, x, d):
+        m = b.shape[1]
+        # entry first + r of wide is the coefficient of function
+        # first - d + r
+        terms = np.take(wide, rows + first[lo:lo + m])
+        terms *= b
+        acc = out[lo:lo + m]
+        for term in terms:
+            acc += term
+
+
+def _tables(padded: np.ndarray, start: np.ndarray, x: np.ndarray,
+            degree: int):
+    """Yield ``(lo, table)`` per slice of at most ``_SLICE`` points from
+    ``lo``: row r of the ``(degree + 1, len(slice))`` table holds, for each
+    point, basis function ``first - degree + r``, evaluated on the
+    ``2 * degree + 2`` knots at entries ``start .. start + 2 * degree + 1``
+    of ``padded``.  This is the one Cox-de Boor recursion; a table is
+    overwritten by the next slice.
+
+    Degree 0 is the indicator of the point's interval; each of the
+    ``degree`` passes then combines neighbouring rows with the knot-ratio
+    weights ``(x - t_j) / (t_{j+k} - t_j)`` and
+    ``(t_{j+k+1} - x) / (t_{j+k+1} - t_{j+1})``, a weight being zero where
+    its knot span is empty.  Each table entry comes from the same
+    floating-point operations on the same operands as in the Cox-de Boor
+    recursion over all ``len(knots) - 1`` intervals, whose other terms are
+    exact zeros, so it is that recursion's bit for bit.
+
+    Slicing keeps a pass's temporaries cache-sized.  Every operation is per
+    point, so the slicing changes no value.
 
     Each weight is clipped to [0, 1].  Wherever the lower-degree function it
     multiplies is nonzero the weight already lies in [0, 1], so the clip
@@ -223,9 +275,6 @@ def _eval_windows(padded: np.ndarray, start: np.ndarray, first: np.ndarray,
         span = padded[k:] - padded[:-k]
         dens.append(np.where(span > 0, span, np.inf))
     window = np.arange(2 * d + 2)[:, None]
-    # column c of the wide matrix is basis function c - d, so the columns
-    # of functions that do not exist (unclamped knots) are cut off
-    wide = np.zeros((len(x), n_basis + 2 * d))
     for lo in range(0, len(x), _SLICE):
         xs = x[lo:lo + _SLICE]
         # row r of idx, and of the gathered knots tw, belongs to knot
@@ -249,9 +298,7 @@ def _eval_windows(padded: np.ndarray, start: np.ndarray, first: np.ndarray,
                 w2 *= b[d - k + 1:d + 2]
                 b[rows] *= w1
                 b[rows] += w2
-        cols = window[:d + 1] + first[lo:lo + _SLICE]
-        wide[lo:lo + len(xs)][np.arange(len(xs)), cols] = b[:d + 1]
-    return wide[:, d:d + n_basis]
+        yield lo, b[:d + 1]
 
 
 def transform(X, expansion: BasisExpansion) -> np.ndarray:
@@ -268,12 +315,7 @@ def transform(X, expansion: BasisExpansion) -> np.ndarray:
     DataError
         If X contains NaN or an infinity.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != expansion.n_variables:
-        raise ConfigurationError(
-            f"X has {X.shape[1]} columns but the expansion was built "
-            f"for {expansion.n_variables} variables")
-    _check_finite(X)
+    X = _checked_matrix(X, expansion)
     # each block is written as soon as it is evaluated, so no more than one
     # block's evaluation is held beside the result
     Z = np.empty((X.shape[0], sum(b.n_basis for b in expansion.bases)))
@@ -282,6 +324,52 @@ def transform(X, expansion: BasisExpansion) -> np.ndarray:
         Z[:, start:start + basis.n_basis] = eval_basis_grid(basis, X[:, j])
         start += basis.n_basis
     return Z
+
+
+def transform_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
+    """``transform(X, expansion) @ coef``, to rounding, without the dense
+    matrix: per variable, each point's ``degree + 1`` nonzero basis values
+    are multiplied by their coefficients straight from the recursion's
+    table (``_dot_windows``).  Memory is O(n) beside X, not O(n * p * K).
+
+    Row i's value is the sum over variables in block order, each
+    variable's terms summed in basis order, so it depends on ``X[i]``
+    alone, not on the other rows or the slicing.
+
+    Raises
+    ------
+    ConfigurationError
+        If the column count of X differs from the number of bases, or the
+        length of ``coef`` from the number of basis functions.
+    DataError
+        If X contains NaN or an infinity.
+    """
+    X = _checked_matrix(X, expansion)
+    coef = np.asarray(coef, dtype=float)
+    n_total = sum(b.n_basis for b in expansion.bases)
+    if coef.shape != (n_total,):
+        raise ConfigurationError(
+            f"coef has shape {coef.shape}; the expansion has {n_total} "
+            f"basis functions")
+    out = np.zeros(X.shape[0])
+    start = 0
+    for j, basis in enumerate(expansion.bases):
+        padded, first, x = _windows(basis.knots, basis.degree, X[:, j])
+        _dot_windows(padded, first, x, basis.degree,
+                     coef[start:start + basis.n_basis], out)
+        start += basis.n_basis
+    return out
+
+
+def _checked_matrix(X, expansion: BasisExpansion) -> np.ndarray:
+    """X as a finite 2-D float array with one column per basis."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != expansion.n_variables:
+        raise ConfigurationError(
+            f"X has {X.shape[1]} columns but the expansion was built "
+            f"for {expansion.n_variables} variables")
+    _check_finite(X)
+    return X
 
 
 def _check_finite(X: np.ndarray):

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .penalty import PenaltySpec, penalty_kernel
+from .splines import transform
 
 TRUTH_FUNCTIONS = {
     "linear": lambda x: 2.0 * x,
@@ -88,6 +89,14 @@ def cross_matrix(fit, X) -> np.ndarray:
     """R = T' X W of a PLS fit on the centered X it was fit to: upper
     bidiagonal for the PLS recursion (criterion 6)."""
     return fit.components.T @ np.asarray(X, dtype=float) @ fit.weights
+
+
+def dense_predict(model, X) -> np.ndarray:
+    """intercept + (Z - z_means) @ beta on the dense expansion Z of X: the
+    centered-design formula that ``predict``'s local-support scorer is
+    checked against."""
+    Z = transform(X, model.expansion)
+    return model.intercept + (Z - model.z_means) @ model.beta
 
 
 def assemble_penalty(spec: PenaltySpec) -> np.ndarray:

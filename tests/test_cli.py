@@ -283,9 +283,12 @@ class TestPredict:
         assert code == 0
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == ""
-        got = np.array([float(v) for v in out.read_text().split()])
         loaded, _, _ = load_model(model_path)
-        np.testing.assert_array_equal(got, predict(loaded, X[:4]))
+        # one line per row, each value to 17 significant digits
+        expect = predict(loaded, X[:4])
+        assert out.read_text() == "".join(f"{v:.17g}\n" for v in expect)
+        got = np.array([float(v) for v in out.read_text().split()])
+        np.testing.assert_array_equal(got, expect)
 
     def test_truncated_beta_exits_one(self, dataset, tmp_path, capsys):
         model_path = run_fit(dataset, tmp_path)

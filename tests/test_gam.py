@@ -1,11 +1,14 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from penpls import (ConfigurationError, DataError, DegenerateVariableError,
-                    PenaltySpec, fit_gam, fitted_function, predict)
-from penpls.testkit import SyntheticSpec, gen_additive
+                    GamModel, PenaltySpec, SplineBasis, eval_basis_grid,
+                    fit_gam, fitted_function, predict, splines)
+from penpls.testkit import SyntheticSpec, dense_predict, gen_additive
 
 
 def fit_fixture(seed=0, n=40, p=2, lam=10.0, n_basis=10, m=4, **kw):
@@ -230,3 +233,118 @@ class TestFittedFunction:
         _, _, model = fit_fixture()
         with pytest.raises(ConfigurationError):
             fitted_function(model, 5)
+
+
+def random_model(seed, degrees, clamped, n_basis):
+    """A model over random bases of the given degrees, each clamped or not,
+    with random coefficients, means and intercept: the scorer's inputs
+    without a fit."""
+    rng = np.random.default_rng(seed)
+    bases = []
+    for degree, is_clamped in zip(degrees, clamped):
+        lo = rng.uniform(-2.0, 1.0)
+        hi = lo + rng.uniform(0.5, 3.0)
+        # rounding ties some knots
+        size = n_basis - degree - 1 if is_clamped else n_basis + degree + 1
+        knots = np.sort(np.clip(np.round(rng.uniform(lo, hi, size), 1),
+                                lo, hi))
+        if is_clamped:
+            knots = np.concatenate([np.full(degree + 1, lo), knots,
+                                    np.full(degree + 1, hi)])
+        else:
+            knots[0], knots[-1] = lo, hi
+        bases.append(SplineBasis(degree, knots))
+    p = len(bases)
+    return GamModel(bases=tuple(bases),
+                    penalty=PenaltySpec.shared(1.0, p, n_basis),
+                    beta=rng.standard_normal(p * n_basis)
+                    * 10.0 ** rng.integers(-3, 4),
+                    intercept=float(rng.standard_normal() * 100.0),
+                    z_means=rng.uniform(0.0, 1.0, p * n_basis),
+                    n_components=1, requested_components=1)
+
+
+def scorer_inputs(model, seed, n):
+    """n rows in and beyond each variable's domain, followed by rows on
+    every knot and on both boundaries."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for basis in model.bases:
+        lo, hi = basis.domain
+        cols.append(np.concatenate([
+            rng.uniform(lo - 1.0, hi + 1.0, n),
+            np.resize(basis.knots, n), [lo, hi]]))
+    return np.column_stack(cols)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestScorer:
+    """``predict`` and ``fitted_function`` score from the local-support
+    table; the dense centered design is only the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.integers(0, 5), st.booleans()), min_size=1,
+                    max_size=4),
+           st.integers(6, 9), st.integers(1, 40))
+    def test_predict_matches_dense_oracle(self, seed, kinds, n_basis, n):
+        degrees, clamped = zip(*kinds)
+        model = random_model(seed, degrees, clamped, n_basis)
+        X = scorer_inputs(model, seed + 1, n)
+        got = predict(model, X)
+        # every term of the sum is at most |beta_k| (1 + z_k) in magnitude
+        scale = abs(model.intercept) + np.abs(model.beta) @ (1 + model.z_means)
+        np.testing.assert_allclose(got, dense_predict(model, X), rtol=0,
+                                   atol=1e-12 * scale)
+        K = n_basis
+        for j, basis in enumerate(model.bases):
+            fn = fitted_function(model, j, 9)
+            sl = slice(j * K, (j + 1) * K)
+            dense = (eval_basis_grid(basis, fn.grid) - model.z_means[sl]) \
+                @ model.beta[sl]
+            scale = np.abs(model.beta[sl]) @ (1 + model.z_means[sl])
+            np.testing.assert_allclose(fn.values, dense, rtol=0,
+                                       atol=1e-12 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.integers(0, 5), st.booleans()), min_size=1,
+                    max_size=3),
+           st.integers(1, 64))
+    def test_slices_change_no_bit(self, seed, kinds, slice_len):
+        degrees, clamped = zip(*kinds)
+        model = random_model(seed, degrees, clamped, 7)
+        X = scorer_inputs(model, seed + 1, 150)
+        whole = predict(model, X)
+        curves = [fitted_function(model, j, 150).values
+                  for j in range(model.n_variables)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splines, "_SLICE", slice_len)
+            np.testing.assert_array_equal(bits(predict(model, X)),
+                                          bits(whole))
+            for j, values in enumerate(curves):
+                np.testing.assert_array_equal(
+                    bits(fitted_function(model, j, 150).values), bits(values))
+
+    def test_rows_scored_alone_match_the_batch(self):
+        model = random_model(5, (3, 0, 5), (True, False, True), 8)
+        X = scorer_inputs(model, 6, 30)
+        whole = predict(model, X)
+        for i in range(len(X)):
+            assert bits(predict(model, X[i]))[0] == bits(whole[i])
+
+    def test_memory_stays_below_the_dense_design(self):
+        # 20k rows x 5 variables at K = 20: the dense design alone is
+        # 20_000 * 100 doubles, 16 MB
+        X = np.random.default_rng(3).uniform(size=(20_000, 5))
+        model = random_model(4, (3,) * 5, (True,) * 5, 20)
+        tracemalloc.start()
+        try:
+            predict(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000 / 4

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tempfile
 
@@ -176,9 +177,14 @@ class TestModelFile:
         path.write_text(text.replace("\nresponse_scale = none\n",
                                      "\nresponse_scale = 0.5\n"))
         loaded, _, _ = load_model(path)
+        # a loaded scale s means the model with s * beta, predicted by the
+        # one scorer bit for bit; the dense formula agrees to rounding
+        halved = dataclasses.replace(model, beta=0.5 * model.beta)
+        np.testing.assert_array_equal(predict(loaded, X), predict(halved, X))
         Zc = transform(X, model.expansion) - model.z_means
-        np.testing.assert_array_equal(
-            predict(loaded, X), model.intercept + 0.5 * (Zc @ model.beta))
+        np.testing.assert_allclose(
+            predict(loaded, X), model.intercept + 0.5 * (Zc @ model.beta),
+            rtol=1e-12)
 
         path.write_text(text.replace("\nresponse_scale = none\n", "\n"))
         with pytest.raises(ModelFormatError, match="response_scale"):

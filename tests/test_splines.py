@@ -10,6 +10,7 @@ from scipy.interpolate import BSpline
 from penpls import (BasisExpansion, ConfigurationError, DataError,
                     DegenerateVariableError, SplineBasis, eval_basis_grid,
                     make_basis, splines, transform)
+from penpls.splines import transform_dot
 
 
 def scalar_de_boor(basis, x):
@@ -338,3 +339,42 @@ class TestTransform:
         basis = make_basis(np.linspace(0, 1, 9), 5, 3)
         with pytest.raises(ConfigurationError):
             transform(np.zeros((4, 2)), BasisExpansion((basis,)))
+
+
+class TestTransformDot:
+    """``transform_dot`` is ``transform(X) @ coef`` without the dense
+    matrix."""
+
+    bases = (SplineBasis(0, [0.0, 0.3, 0.6, 1.0]),
+             SplineBasis(2, np.linspace(-0.5, 1.5, 9)),  # unclamped
+             make_basis(np.linspace(0, 1, 9), 6, 3),
+             SplineBasis(5, clamped_knots(5, [0.4, 0.4, 0.7])))
+
+    def test_matches_dense_product(self):
+        # bases of different sizes and degrees; points inside, on the
+        # knots, on both boundaries and beyond both ends
+        rng = np.random.default_rng(21)
+        expansion = BasisExpansion(self.bases)
+        X = np.column_stack([
+            np.concatenate([rng.uniform(-1.0, 2.0, 40), np.resize(b.knots, 12),
+                            b.domain]) for b in self.bases])
+        coef = rng.standard_normal(sum(b.n_basis for b in self.bases))
+        np.testing.assert_allclose(transform_dot(X, expansion, coef),
+                                   transform(X, expansion) @ coef,
+                                   rtol=0, atol=1e-12 * np.abs(coef).sum())
+
+    def test_zero_rows(self):
+        out = transform_dot(np.empty((0, 4)), BasisExpansion(self.bases),
+                            np.ones(3 + 6 + 6 + 9))
+        assert out.shape == (0,)
+
+    def test_inputs_checked(self):
+        expansion = BasisExpansion(self.bases)
+        X = np.full((3, 4), 0.5)
+        with pytest.raises(ConfigurationError, match="24 basis functions"):
+            transform_dot(X, expansion, np.ones(23))
+        with pytest.raises(ConfigurationError, match="columns"):
+            transform_dot(X[:, :3], expansion, np.ones(24))
+        X[1, 2] = np.nan
+        with pytest.raises(DataError, match=r"columns \[2\]"):
+            transform_dot(X, expansion, np.ones(24))
