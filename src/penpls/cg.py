@@ -40,6 +40,10 @@ def pcg_iterates(X, y, preconditioner: Preconditioner,
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
+    if X.ndim != 2:
+        raise ConfigurationError(f"X must be 2-D, got {X.ndim} dimensions")
+    if X.shape[0] != y.shape[0]:
+        raise ConfigurationError("X and y row counts differ")
     if n_steps < 1:
         raise ConfigurationError("n_steps must be at least 1")
 

@@ -3,7 +3,8 @@
 A model is fit by expanding each predictor in a B-spline basis, centering the
 expanded columns and the response, running penalized PLS, and storing the
 centering statistics so new observations can be scored honestly.
-``_design`` does this preprocessing for ``fit_gam`` and every ``loocv`` fold.
+``_design`` does this preprocessing for ``fit_gam``; ``loocv`` builds the
+bases and designs of all its folds together (see ``selection``).
 The fit is scale-equivariant in y, so coefficients are stored on the
 response's own scale; ``_design``'s exact power of two is the one rescaling.
 

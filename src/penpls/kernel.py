@@ -71,6 +71,8 @@ def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:
     if K.shape[0] != y.shape[0]:
         raise ConfigurationError("Gram matrix and response sizes differ")
     cfg = FitConfig(n_components)
+    if not np.isfinite(K).all():
+        raise InvalidKernelError("Gram matrix has non-finite values")
     scale = np.max(np.abs(K)) if K.size else 0.0
     if np.max(np.abs(K - K.T)) > _PSD_TOL * (scale + 1.0):
         raise InvalidKernelError("Gram matrix is not symmetric")

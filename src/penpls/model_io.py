@@ -204,9 +204,10 @@ def _parse_kv(lines):
     return out
 
 
-def _check_lengths(path, model: GamModel):
+def _check_arrays(path, model: GamModel):
     p, K = model.n_variables, model.penalty.n_basis
     expected = [("lambdas", model.penalty.lambdas, p),
+                ("intercept", [model.intercept], 1),
                 ("z_means", model.z_means, p * K),
                 ("beta", model.beta, p * K)]
     expected += [(f"knots.{j}", basis.knots, K + basis.degree + 1)
@@ -215,13 +216,16 @@ def _check_lengths(path, model: GamModel):
         if len(values) != n:
             raise ModelFormatError(
                 f"{path}: {key} has {len(values)} values, expected {n}")
+        if not np.isfinite(values).all():
+            raise ModelFormatError(f"{path}: {key} has non-finite values")
 
 
 def load_model(path):
     """Load a model file; returns (GamModel, predictor_names, response_name).
 
-    Raises ModelFormatError for unknown version tags, missing keys, and
-    arrays whose lengths do not fit p predictors with n_basis functions each.
+    Raises ModelFormatError for unknown version tags, missing keys, numbers
+    that are NaN or infinite, and arrays whose lengths do not fit p
+    predictors with n_basis functions each.
     """
     try:
         with open(path) as fh:
@@ -262,5 +266,5 @@ def load_model(path):
         raise ModelFormatError(f"{path}: missing key {exc}") from exc
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
-    _check_lengths(path, model)
+    _check_arrays(path, model)
     return model, predictors, response

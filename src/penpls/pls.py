@@ -7,14 +7,11 @@ relative tolerances.
 
 One loop computes every fit, primal or dual: a residual recursion on a
 score matrix S with a weight step.  The primal runs it on the one centered
-X with w_i = M X'r_i, so X is never deflated; the dual (``kernel``) on
-K = X M X' with w_i = r_i.  The scores t = S w are the same vectors, so the
-two stop at the same component.  ``penalized_pls_fits`` runs several fits
-of one (X, y) side by side, each with its own block of one preconditioner
-and its own residual; ``penalized_pls_fit`` and ``nipals_fit`` are its
-one-fit case.  Each fit in a stack is bit-identical to the same fit run
-alone and stops early on its own.  ``selection.loocv`` runs the loop on a
-stack of fold designs, every fold at every lambda in one pass.
+X with w = M X'r (``_primal_weights``), so X is never deflated; the dual
+(``kernel``) on K = X M X' with w = r.  The scores t = S w are the same
+vectors, so the two stop at the same component.  ``selection.loocv`` runs
+the primal loop on stacks of fold designs, every fold of a chunk at every
+lambda in one pass, each fit bit-identical to the same fit run alone.
 """
 from __future__ import annotations
 
@@ -26,21 +23,19 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateResponseError
 from .penalty import Preconditioner
 
-DEFAULT_NORM_TOL = 1e-10
+# a fit stops once a score's norm falls to this fraction of the first's
+_NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Requested component count and the relative early-stop threshold."""
+    """Requested component count."""
 
     n_components: int
-    norm_tol: float = DEFAULT_NORM_TOL
 
     def __post_init__(self):
         if self.n_components < 1:
             raise ConfigurationError("n_components must be at least 1")
-        if not 0.0 < self.norm_tol < 1.0:
-            raise ConfigurationError("norm_tol must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -93,14 +88,6 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each row is one BLAS dot, the call ``a[l] @ b[l]`` on 1-D operands makes.
     """
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
-
-
-def _matvecs(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise products ``A[l] @ v[l]`` (``A`` may be one shared matrix).
-
-    Each row is one BLAS gemv, the call the 2-D by 1-D product makes.
-    """
-    return (A @ v[..., None])[..., 0]
 
 
 def _vecmats(v: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -160,7 +147,7 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
         t = scores(w)
         t_norm = np.sqrt(_dots(t, t))
         if i == 0:
-            tol = cfg.norm_tol * t_norm
+            tol = _NORM_TOL * t_norm
             # squared with pow() per fit, as a lone fit squares its scalar:
             # numpy's array square can differ from pow(x, 2) in the last bit
             gram_tol = np.array([float(v) ** 2 for v in tol])
@@ -169,7 +156,8 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
         wt = w
         T_prev, Wt_prev = components[:, :i], eff_weights[:, :i]
         for _ in range(2):  # Gram-Schmidt twice keeps the scores orthogonal
-            coef = _matvecs(T_prev, t) / grams[:, :i]
+            # one gemv per fit: the call a lone fit's 2-D by 1-D product makes
+            coef = (T_prev @ t[..., None])[..., 0] / grams[:, :i]
             t = t - _vecmats(coef, T_prev)
             wt = wt - _vecmats(coef, Wt_prev)
         gram = _dots(t, t)
@@ -201,56 +189,51 @@ def _columns(a: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(a[:k].T)
 
 
-def _primal_fits(X, y, cfg: FitConfig,
-                 preconditioner: Preconditioner | None) -> list[PlsFit]:
-    """One fit per d-sized block of ``preconditioner`` (one plain fit
-    without it) of one centered (X, y): ``_pls_loop`` on S = X with the
-    weight step w = M X'r (w = X'r for NIPALS)."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise ConfigurationError("X and y row counts differ")
-    d = X.shape[1]
-    n_fits = 1
-    if preconditioner is not None:
-        n_fits = preconditioner.dim // d if d else 0
-        if n_fits < 1 or preconditioner.dim != n_fits * d:
-            raise ConfigurationError(
-                f"preconditioner dimension {preconditioner.dim} is not a "
-                f"positive multiple of d = {d}")
-    _check_centered(X, y)
+def _primal_weights(S: np.ndarray, preconditioner: Preconditioner | None
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    """``_pls_loop``'s primal weight step w = M S'r (S'r without M) on one
+    design S or a stack (F, n, d): fit ``f * L + l`` runs on ``S[f]`` with
+    d-block ``f * L + l`` of M, its S'r one gemv as in a lone fit."""
+    n, d = S.shape[-2:]
+    St = S.reshape(-1, n, d).transpose(0, 2, 1)[:, None]
 
     def weigh(r):
-        w = _matvecs(X.T, r)
+        w = (St @ r.reshape(St.shape[0], -1, n, 1)).reshape(-1, d)
         return w if preconditioner is None else \
-            preconditioner.apply(w.reshape(-1)).reshape(n_fits, d)
+            preconditioner.apply(w.reshape(-1)).reshape(w.shape)
+    return weigh
 
-    W, Wt, T, B, _, count = _pls_loop(X, y, cfg, weigh, n_fits)
-    return [PlsFit(*(_columns(a[l], k) for a in (W, Wt, T, B)),
-                   requested_components=cfg.n_components)
-            for l, k in enumerate(count)]
+
+def _primal_fit(X, y, cfg: FitConfig,
+                preconditioner: Preconditioner | None) -> PlsFit:
+    """``_pls_loop`` on one centered (X, y) with the weight step
+    ``_primal_weights``."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    if X.ndim != 2:
+        raise ConfigurationError(f"X must be 2-D, got {X.ndim} dimensions")
+    if X.shape[0] != y.shape[0]:
+        raise ConfigurationError("X and y row counts differ")
+    if preconditioner is not None and preconditioner.dim != X.shape[1]:
+        raise ConfigurationError(
+            f"X has {X.shape[1]} columns, preconditioner expects "
+            f"{preconditioner.dim}")
+    _check_centered(X, y)
+    W, Wt, T, B, _, (k,) = _pls_loop(X, y, cfg,
+                                     _primal_weights(X, preconditioner))
+    return PlsFit(*(_columns(a[0], k) for a in (W, Wt, T, B)),
+                  requested_components=cfg.n_components)
 
 
 def nipals_fit(X, y, cfg: FitConfig) -> PlsFit:
     """Ordinary PLS on centered data: w_i = X' r_i, r_i the residual."""
-    return _primal_fits(X, y, cfg, None)[0]
+    return _primal_fit(X, y, cfg, None)
 
 
 def penalized_pls_fit(X, y, preconditioner: Preconditioner,
                       cfg: FitConfig) -> PlsFit:
-    """Penalized PLS: the weight rule becomes w_i = M X' r_i."""
-    return _primal_fits(X, y, cfg, preconditioner)[0]
+    """Penalized PLS: the weight rule becomes w_i = M X' r_i.
 
-
-def penalized_pls_fits(X, y, preconditioner: Preconditioner,
-                       cfg: FitConfig) -> list[PlsFit]:
-    """Penalized PLS fits of one (X, y), one per d-sized block of
-    ``preconditioner``, in one stacked pass.
-
-    ``preconditioner.dim`` must be a positive multiple L of d; its block l,
-    rows ``l*d .. (l+1)*d``, is fit l's M.  Each fit is bit-identical to
-    ``penalized_pls_fit`` with that block alone, and stops early on its own.
-    Besides the shared X, memory is the ``(L, m, n + 3d)`` of results.
+    ``preconditioner.dim`` must equal X's column count d.
     """
-    return _primal_fits(X, y, cfg, preconditioner)
-
+    return _primal_fit(X, y, cfg, preconditioner)

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateVariableError
 from .gam import _response_scale, _training_data
 from .penalty import DEFAULT_DIFF_ORDER, PenaltySpec, make_preconditioner
-from .pls import FitConfig, _columns, _pls_loop
+from .pls import FitConfig, _columns, _pls_loop, _primal_weights
 from .splines import (DEFAULT_DEGREE, DEFAULT_N_BASIS, _check_basis_size,
                       _check_finite, _eval_windows, _knots, _windows)
 
@@ -62,19 +62,6 @@ class CvChoice:
     lambda_opt: float
     m_opt: int
     loo_error: float
-
-
-def _score_path(beta_path, held_row, held_response) -> np.ndarray:
-    """Squared prediction errors of every coefficient vector in a path.
-
-    ``held_row`` must already be expanded and centered with the training
-    statistics, and ``held_response`` expressed on the model's working scale.
-    """
-    beta_path = np.atleast_2d(np.asarray(beta_path, dtype=float))
-    if beta_path.size == 0:
-        raise ConfigurationError("empty coefficient path")
-    preds = np.asarray(held_row, dtype=float) @ beta_path
-    return (float(held_response) - preds) ** 2
 
 
 def _choose(lambdas, errors) -> CvChoice:
@@ -165,11 +152,7 @@ def _chunk_errors(X, y, folds, intercepts, exponents, knots, M, cfg,
     Y = np.ldexp(Y - intercepts[:, None], -exponents[:, None])
     y_held = np.ldexp(y[folds] - intercepts, -exponents)  # on Y's scale
 
-    def weigh(r):
-        w = S.transpose(0, 2, 1)[:, None] @ r.reshape(F, L, n - 1, 1)
-        return M.apply(w.reshape(-1)).reshape(F * L, d)
-
-    *_, betas, _, count = _pls_loop(S, Y, cfg, weigh, F * L)
+    *_, betas, _, count = _pls_loop(S, Y, cfg, _primal_weights(S, M), F * L)
     paths = np.ascontiguousarray(
         betas.reshape(F, L, m, d).transpose(0, 1, 3, 2))
     errors = (y_held[:, None, None] -
@@ -179,7 +162,7 @@ def _chunk_errors(X, y, folds, intercepts, exponents, knots, M, cfg,
     stopped = count < m
     for fl in np.flatnonzero(stopped):
         f, k = fl // L, count[fl]
-        err = _score_path(_columns(betas[fl], k), held[f], y_held[f])
+        err = (y_held[f] - held[f] @ _columns(betas[fl], k)) ** 2
         errors[f, fl % L] = np.pad(err, (0, m - k), "edge")
     return (np.ldexp(errors, 2 * (exponents - ref)[:, None, None]),
             stopped.reshape(F, L))

@@ -56,6 +56,8 @@ class SplineBasis:
         knots.setflags(write=False)
         if self.degree < 0:
             raise ConfigurationError("degree must be nonnegative")
+        if not np.isfinite(knots).all():
+            raise ConfigurationError("knots must be finite")
         if np.any(np.diff(knots) < 0):
             raise ConfigurationError("knots must be nondecreasing")
         if len(knots) < self.degree + 2:

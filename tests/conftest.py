@@ -114,6 +114,7 @@ def reference_pls_fit(X, y, preconditioner, cfg):
     so each product is the same BLAS call the stacked loop makes per fit.
     """
     from penpls import DegenerateResponseError, PlsFit
+    from penpls.pls import _NORM_TOL
 
     n, d = X.shape
     m = cfg.n_components
@@ -130,7 +131,7 @@ def reference_pls_fit(X, y, preconditioner, cfg):
         t = X @ w
         t_norm = np.sqrt(t @ t)
         if i == 0:
-            tol = cfg.norm_tol * t_norm
+            tol = _NORM_TOL * t_norm
         if t_norm <= tol:
             break
         wt = w

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import centered_problem, random_penalty
-from penpls import (FitConfig, NumericalError, PenaltySpec,
+from penpls import (ConfigurationError, FitConfig, NumericalError, PenaltySpec,
                     make_preconditioner, pcg_iterates, penalized_pls_fit)
 from penpls.testkit import (assemble_penalty, dense_ls_oracle, numerical_rank,
                             weighted_inner)
@@ -154,6 +154,14 @@ class TestPcgIterates:
             r = r_new
             np.testing.assert_allclose(res.iterates[:, i], beta,
                                        atol=1e-8 * np.linalg.norm(beta))
+
+    def test_row_count_mismatch_rejected(self):
+        X, y = centered_problem(14, 10, 4)
+        M = make_preconditioner(PenaltySpec(np.zeros(2), 1, 2))
+        with pytest.raises(ConfigurationError, match="row counts"):
+            pcg_iterates(X, y[:-1], M, 3)
+        with pytest.raises(ConfigurationError, match="2-D"):
+            pcg_iterates(X[:, 0], y, M, 3)
 
     def test_zero_rhs_is_an_error(self):
         X, _ = centered_problem(13, 10, 4)

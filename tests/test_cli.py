@@ -304,6 +304,21 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "beta has 13 values" in err
 
+    def test_non_finite_beta_exits_one(self, dataset, tmp_path, capsys):
+        model_path = run_fit(dataset, tmp_path)
+        data, _, _ = dataset
+        lines = ["beta = nan," + ln.split(",", 1)[1]
+                 if ln.startswith("beta = ") else ln
+                 for ln in model_path.read_text().splitlines()]
+        model_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path),
+                     "--data", str(data)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "beta has non-finite" in err
+
     def test_extra_column_exits_one(self, dataset, tmp_path, capsys):
         model_path = run_fit(dataset, tmp_path)
         bad = tmp_path / "bad.csv"

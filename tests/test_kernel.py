@@ -123,6 +123,13 @@ class TestKernelFit:
         with pytest.raises(InvalidKernelError):
             kernel_penalized_pls_fit(K, y, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kernel_rejected(self, bad):
+        _, y, _, K, m = dual_instance(17)
+        K[3, 5] = K[5, 3] = bad
+        with pytest.raises(InvalidKernelError, match="non-finite"):
+            kernel_penalized_pls_fit(K, y, m)
+
     def test_asymmetric_kernel_rejected(self):
         K = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(InvalidKernelError):

@@ -278,6 +278,25 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match=f"{key} has"):
             load_model(path)
 
+    @pytest.mark.parametrize("key,bad", [
+        ("beta", "nan"), ("beta", "inf"), ("z_means", "-inf"),
+        ("intercept", "nan"), ("knots.1", "nan"), ("lambdas", "inf"),
+        ("response_scale", "nan")])
+    def test_non_finite_number_refused(self, tmp_path, key, bad):
+        # a non-finite number would make every prediction NaN or infinite
+        _, _, model = fitted_model()
+        path = tmp_path / "m.txt"
+        save_model(path, model, ("u", "v"), "y")
+        lines = path.read_text().splitlines()
+        for i, line in enumerate(lines):
+            name, _, values = line.partition(" = ")
+            if name == key:
+                lines[i] = f"{name} = " + ",".join(
+                    [bad] + values.split(",")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match="finite"):
+            load_model(path)
+
     def test_extra_array_value_refused(self, tmp_path):
         _, _, model = fitted_model()
         path = tmp_path / "m.txt"

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import (centered_problem, dense_m, random_penalty,
                       reference_pls_fit)
 from penpls import (ConfigurationError, DegenerateResponseError, FitConfig,
-                    PenaltySpec, make_preconditioner,
-                    nipals_fit, penalized_pls_fit, penalized_pls_fits)
+                    PenaltySpec, PlsFit, make_preconditioner,
+                    nipals_fit, penalized_pls_fit)
+from penpls.pls import _columns, _pls_loop, _primal_weights
 from penpls.testkit import (closed_form_beta, cross_matrix, dense_ls_oracle,
                             krylov_basis, numerical_rank)
 
@@ -47,6 +48,14 @@ class TestNipals:
         y -= y.mean()
         with pytest.raises(ConfigurationError):
             nipals_fit(X, y, FitConfig(2))
+
+    def test_one_dimensional_x_rejected(self):
+        X, y = centered_problem(6, 10, 1)
+        M = make_preconditioner(PenaltySpec([1.0], 1, 2))
+        with pytest.raises(ConfigurationError, match="2-D"):
+            nipals_fit(X[:, 0], y, FitConfig(1))
+        with pytest.raises(ConfigurationError, match="2-D"):
+            penalized_pls_fit(X[:, 0], y, M, FitConfig(1))
 
     def test_early_stop_records_achieved_count(self):
         # rank-2 X cannot support more than 2 informative components
@@ -152,6 +161,21 @@ class TestPenalizedFit:
         assert numerical_rank(np.hstack([fit.weights[:, :m],
                                          basis[:, :m]])) == m
 
+    def test_path_matches_separate_refits(self):
+        # scoring the whole path of one fit agrees with refitting at each m,
+        # which is how loocv scores every component count at once
+        X, y = centered_problem(1, 20, 8)
+        M = make_preconditioner(PenaltySpec(np.array([1.0, 5.0]), 2, 4))
+        row = np.random.default_rng(1).standard_normal(8)
+        full = penalized_pls_fit(X, y, M, FitConfig(5))
+        scores = (1.5 - row @ full.beta_path) ** 2
+        for m in range(1, full.n_components + 1):
+            refit = penalized_pls_fit(X, y, M, FitConfig(m))
+            np.testing.assert_array_equal(refit.beta_path,
+                                          full.beta_path[:, :m])
+            assert scores[m - 1] == pytest.approx(
+                (1.5 - row @ refit.beta) ** 2, rel=1e-10)
+
     def test_ols_termination(self):
         # after d components the fit solves the unpenalized LS problem
         X, y, _, M, _ = penalized_instance(36, n=40, p=2, n_basis=5, m=10)
@@ -173,13 +197,24 @@ def low_rank_problem(seed, n, d, rank):
     return X, y
 
 
+def stacked_fits(X, y, M, cfg):
+    """One fit of (X, y) per d-sized block of M, all in one ``_pls_loop``
+    pass on the shared X through the primal weight step."""
+    n_fits = M.dim // X.shape[1]
+    W, Wt, T, B, _, count = _pls_loop(X, y, cfg, _primal_weights(X, M),
+                                      n_fits)
+    return [PlsFit(*(_columns(a[l], k) for a in (W, Wt, T, B)),
+                   requested_components=cfg.n_components)
+            for l, k in enumerate(count)]
+
+
 def stacked_and_lone(X, y, lambdas, p, n_basis, cfg, order=2):
     """The stacked fits of ``lambdas`` and the reference fit of each alone."""
     M = make_preconditioner(PenaltySpec(np.repeat(lambdas, p), order,
                                         n_basis))
     lone = [reference_pls_fit(X, y, make_preconditioner(
         PenaltySpec.shared(lam, p, n_basis, order)), cfg) for lam in lambdas]
-    return penalized_pls_fits(X, y, M, cfg), lone
+    return stacked_fits(X, y, M, cfg), lone
 
 
 def assert_fits_equal(got, expect):
@@ -196,13 +231,13 @@ class TestStackedFits:
            st.integers(3, 10), st.integers(1, 30),
            st.lists(st.sampled_from([0.0, 1e-2, 1.0, 1e3, 1e6]),
                     min_size=1, max_size=6),
-           st.integers(1, 14), st.floats(-12, -1), st.floats(0, 8))
+           st.integers(1, 14), st.floats(0, 8))
     def test_every_slice_matches_a_lone_fit(self, seed, n, p, n_basis, rank,
-                                            lambdas, m, log_tol, log_scale):
+                                            lambdas, m, log_scale):
         # a large X makes a stopped fit that kept its residual overflow
         X, y = low_rank_problem(seed, n, p * n_basis, rank)
         X *= 10.0 ** log_scale
-        cfg = FitConfig(m, 10.0 ** log_tol)
+        cfg = FitConfig(m)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
@@ -218,14 +253,29 @@ class TestStackedFits:
             assert_fits_equal(got, expect)
 
     def test_slices_stopping_at_different_steps(self):
-        X, y = low_rank_problem(7, 12, 16, 4)
-        lambdas = [0.0, 1.0, 1e6, 1.0]
-        cfg = FitConfig(10, 1e-4)
+        # a huge lambda leaves M near the 4-dimensional null space of the
+        # penalty, so that fit stops before the rank of X
+        X, y = low_rank_problem(7, 12, 16, 8)
+        lambdas = [0.0, 1.0, 1e12, 1.0]
+        cfg = FitConfig(10)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fits, lone = stacked_and_lone(X, y, lambdas, 2, 8, cfg)
         assert len({f.n_components for f in fits}) > 1
         assert all(f.early_stopped for f in fits)
+        for got, expect in zip(fits, lone, strict=True):
+            assert_fits_equal(got, expect)
+
+    def test_score_inside_the_earlier_scores_span_stops(self):
+        # y almost orthogonal to the columns of a rank-3 X: the fourth score
+        # is rounding noise, far above the score-norm threshold but inside
+        # the span of the first three, so the Gram threshold stops each fit
+        X, y = low_rank_problem(0, 12, 8, 3)
+        Q, _ = np.linalg.qr(X)
+        y_col = Q @ (Q.T @ y)
+        y = y - y_col + 1e-8 * y_col
+        fits, lone = stacked_and_lone(X, y, [0.0, 1.0], 2, 4, FitConfig(6))
+        assert [f.n_components for f in fits] == [3, 3]
         for got, expect in zip(fits, lone, strict=True):
             assert_fits_equal(got, expect)
 
@@ -236,26 +286,28 @@ class TestStackedFits:
         assert_fits_equal(plain, reference_pls_fit(X, y, None, FitConfig(8)))
 
     @pytest.mark.parametrize("d,p", [(2, 2), (1, 4), (3, 7), (0, 2), (8, 1),
-                                     (8, 3), (8, 5), (12, 2)])
+                                     (8, 3), (8, 5), (12, 2), (8, 4), (4, 1),
+                                     (4, 2)])
     def test_preconditioner_size_must_be_n_fits_times_d(self, d, p):
-        # dim 4p gives n_fits = 4p / d fits when that is a positive whole
-        # number and is refused otherwise; d = 0 divides nothing
+        # a public fit is one fit (n_fits = 1): M of dimension 4p is
+        # accepted only when 4p == d; a whole multiple of d (2d, 4d, 16d)
+        # is refused like any other size
         X, y = centered_problem(61, 10, d)
         M = make_preconditioner(PenaltySpec.shared(1.0, p, 4))
-        if d and (4 * p) % d == 0:
-            fits = penalized_pls_fits(X, y, M, FitConfig(3))
-            assert len(fits) == 4 * p // d
-            assert all(f.weights.shape[0] == d for f in fits)
+        if 4 * p == d:
+            fit = penalized_pls_fit(X, y, M, FitConfig(3))
+            assert fit.weights.shape[0] == d
             return
-        with pytest.raises(ConfigurationError, match="positive multiple"):
-            penalized_pls_fits(X, y, M, FitConfig(3))
+        with pytest.raises(ConfigurationError,
+                           match=f"{d} columns, preconditioner expects"):
+            penalized_pls_fit(X, y, M, FitConfig(3))
 
     def test_inputs_not_written(self):
         X, y = low_rank_problem(62, 15, 12, 5)
         X_before, y_before = X.copy(), y.copy()
         M = make_preconditioner(PenaltySpec(np.repeat([0.0, 1.0, 1e3], 3),
                                             2, 4))
-        penalized_pls_fits(X, y, M, FitConfig(10))
+        stacked_fits(X, y, M, FitConfig(10))
         np.testing.assert_array_equal(X, X_before)
         np.testing.assert_array_equal(y, y_before)
 
@@ -265,9 +317,9 @@ class TestStackedFits:
         y = np.array([1.0, -1.0, 1.0, -1.0])
         M = make_preconditioner(PenaltySpec([0.0, 5.0], 1, 2))
         with pytest.raises(DegenerateResponseError, match="no component"):
-            penalized_pls_fits(X, y, M, FitConfig(3))
+            stacked_fits(X, y, M, FitConfig(3))
         with pytest.raises(DegenerateResponseError, match="zero"):
-            penalized_pls_fits(X, np.zeros(4), M, FitConfig(3))
+            stacked_fits(X, np.zeros(4), M, FitConfig(3))
 
 
 class TestClosedForm:

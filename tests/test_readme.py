@@ -3,6 +3,8 @@ import os
 import re
 import shlex
 
+import penpls
+import penpls.testkit
 from penpls.cli import build_parser
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
@@ -20,6 +22,25 @@ def test_library_example_runs():
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     assert namespace["yhat"].shape == (100,)
     assert namespace["choice"].m_opt >= 1
+
+
+def _resolves(name):
+    parts = name.removeprefix("penpls.").split(".")
+    for root in (penpls, penpls.testkit):
+        obj = root
+        for part in parts:
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_library_names_resolve():
+    # every name the Library section puts in backticks is still there
+    section = _read_readme().split("## Library", 1)[1].split("\n## ", 1)[0]
+    names = set(re.findall(r"`([A-Za-z_][\w.]*)`", section))
+    assert {"penalized_pls_fit", "penpls.testkit"} <= names
+    assert [name for name in sorted(names) if not _resolves(name)] == []
 
 
 def test_command_line_examples_parse():

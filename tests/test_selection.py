@@ -10,8 +10,7 @@ from penpls import (BasisExpansion, ConfigurationError, DataError,
                     DegenerateVariableError, FitConfig, PenaltySpec,
                     SplineBasis, fit_gam, loocv, make_basis,
                     make_preconditioner, predict, selection, transform)
-from penpls.selection import (_choose, _fold_designs, _fold_knots,
-                              _score_path)
+from penpls.selection import _choose, _fold_designs, _fold_knots
 from penpls.testkit import SyntheticSpec, gen_additive
 
 
@@ -23,40 +22,6 @@ def small_dataset(seed=0, n=15, p=2):
 def bits(a):
     """A float array's bit patterns, so that equality is bit for bit."""
     return np.asarray(a, dtype=float).view(np.int64)
-
-
-class TestScorePath:
-    def test_single_step_path(self):
-        path = np.array([[1.0], [2.0]])
-        err = _score_path(path, np.array([1.0, 1.0]), 5.0)
-        np.testing.assert_allclose(err, [(5.0 - 3.0) ** 2])
-
-    def test_exact_fit_tail_is_zero(self):
-        row = np.array([1.0, -1.0])
-        path = np.column_stack([[0.5, 0.0], [1.0, -1.0], [1.0, -1.0]])
-        err = _score_path(path, row, 2.0)
-        np.testing.assert_allclose(err, [2.25, 0.0, 0.0])
-
-    def test_empty_path_rejected(self):
-        with pytest.raises(ConfigurationError):
-            _score_path(np.empty((3, 0)), np.zeros(3), 0.0)
-
-    def test_matches_separate_refits(self):
-        # scoring the whole path in one fit agrees with refitting at each m
-        from penpls import FitConfig, make_preconditioner, penalized_pls_fit
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((20, 8))
-        X -= X.mean(axis=0)
-        y = rng.standard_normal(20)
-        y -= y.mean()
-        M = make_preconditioner(PenaltySpec(np.array([1.0, 5.0]), 2, 4))
-        row = rng.standard_normal(8)
-        full = penalized_pls_fit(X, y, M, FitConfig(5))
-        scores = _score_path(full.beta_path, row, 1.5)
-        for m in range(1, full.n_components + 1):
-            refit = penalized_pls_fit(X, y, M, FitConfig(m))
-            expect = (1.5 - row @ refit.beta) ** 2
-            assert scores[m - 1] == pytest.approx(expect, rel=1e-10)
 
 
 def reference_loocv(X, y, lambdas, max_components, n_basis):

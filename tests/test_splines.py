@@ -97,6 +97,15 @@ class TestMakeBasis:
         assert len(basis.knots) == 12 + 3 + 1
 
 
+class TestSplineBasis:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_knot_rejected(self, bad):
+        knots = [0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0]
+        for i in (0, 4, 8):
+            with pytest.raises(ConfigurationError, match="finite"):
+                SplineBasis(3, knots[:i] + [bad] + knots[i + 1:])
+
+
 class TestEvalBasis:
     def test_degree_zero_indicators(self):
         basis = SplineBasis(0, [0.0, 1.0, 2.0])
