@@ -4,7 +4,8 @@ This solver certifies the penalized PLS iterates: run on M X'X beta = M X'y
 under the inner product defined by M^{-1} = I + P, its iterates coincide with
 the penalized PLS coefficient path.  The new search direction is projected
 against the full history of previous directions, mirroring the defining
-recursion rather than the classical two-term shortcut.
+recursion rather than the classical two-term shortcut.  Like the PLS loop,
+it works in units of 2^e for y's peak exponent e, so it is scale-equivariant.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .penalty import Preconditioner
+from .pls import _check_finite
 
 _NORM_TOL = 1e-12
 
@@ -46,6 +48,7 @@ def pcg_iterates(X, y, preconditioner: Preconditioner,
         raise ConfigurationError("X and y row counts differ")
     if n_steps < 1:
         raise ConfigurationError("n_steps must be at least 1")
+    _check_finite(X=X, y=y)
 
     def apply_a(v):
         return preconditioner.apply(X.T @ (X @ v))
@@ -53,7 +56,8 @@ def pcg_iterates(X, y, preconditioner: Preconditioner,
     def inner(u, v):
         return float(u @ preconditioner.apply_inverse(v))
 
-    b = preconditioner.apply(X.T @ y)
+    e = np.frexp(np.max(np.abs(y), initial=0.0))[1]
+    b = preconditioner.apply(X.T @ np.ldexp(y, -e))
     b_norm = np.sqrt(max(inner(b, b), 0.0))
     beta = np.zeros(X.shape[1])
     d = b.copy()
@@ -86,8 +90,5 @@ def pcg_iterates(X, y, preconditioner: Preconditioner,
 
     if not iterates:
         raise NumericalError("CG made no progress: zero initial residual")
-    return CgResult(
-        iterates=np.column_stack(iterates),
-        directions=np.column_stack(directions),
-        residuals=np.column_stack(residuals),
-    )
+    return CgResult(*(np.ldexp(np.column_stack(a), e)
+                      for a in (iterates, directions, residuals)))

@@ -5,8 +5,8 @@ expanded columns and the response, running penalized PLS, and storing the
 centering statistics so new observations can be scored honestly.
 ``_design`` does this preprocessing for ``fit_gam``; ``loocv`` builds the
 bases and designs of all its folds together (see ``selection``).
-The fit is scale-equivariant in y, so coefficients are stored on the
-response's own scale; ``_design``'s exact power of two is the one rescaling.
+The PLS fit is scale-equivariant in y (``pls`` picks its working units),
+so coefficients are stored on the response's own scale.
 
 Fitting needs the dense centered design; scoring does not.  ``predict`` and
 ``fitted_function`` both go through ``_score``, which multiplies each
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, DegenerateVariableError
 from .penalty import PenaltySpec, make_preconditioner
-from .pls import FitConfig, penalized_pls_fit
+from .pls import FitConfig, _check_finite, penalized_pls_fit
 from .splines import (BasisExpansion, SplineBasis, make_basis, transform,
                       transform_dot, DEFAULT_DEGREE)
 
@@ -72,25 +72,16 @@ def _training_data(X, y):
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.shape[0]:
         raise ConfigurationError("X and y row counts differ")
-    if not np.all(np.isfinite(y)):
-        raise DataError("y has non-finite values (NaN or inf)")
+    _check_finite(y=y)
     if X.shape[0] < 3:
         raise ConfigurationError("need at least 3 observations")
     return X, y
 
 
 def _design(X, y, n_basis: int, degree: int):
-    """Bases, expansion means, centered expansion, intercept, working
-    response and its binary exponent e of one training set.  ``yc`` is None
-    when the response is constant to rounding: the model is then its
-    intercept alone.
-
-    The working response is the centered response times 2^-e, chosen so
-    that its largest magnitude lies in [0.5, 1), so the scale of y cannot
-    push the squares and norms of the PLS loop out of floating-point range.
-    The loop is linear in y and a power of two scales exactly, so a
-    coefficient fitted to ``yc`` times 2^e is bit for bit the one fitted to
-    the unscaled response."""
+    """Bases, expansion means, centered expansion, intercept and centered
+    response ``yc`` of one training set.  ``yc`` is None when the response
+    is constant to rounding: the model is then its intercept alone."""
     bases = []
     for j in range(X.shape[1]):
         try:
@@ -102,22 +93,16 @@ def _design(X, y, n_basis: int, degree: int):
     z_means = Zc.mean(axis=0)
     Zc -= z_means
 
-    intercept, exponent = _response_scale(y)
-    if exponent is None:
-        return bases, z_means, Zc, intercept, None, 0
-    return bases, z_means, Zc, intercept, np.ldexp(y - intercept, -exponent), \
-        exponent
+    intercept, varies = _response_level(y)
+    return bases, z_means, Zc, intercept, y - intercept if varies else None
 
 
-def _response_scale(y):
-    """Intercept and the binary exponent e of the centered response's peak
-    (see ``_design``); e is None when the response is constant to
-    rounding."""
+def _response_level(y):
+    """Intercept of a response, and whether the response varies beyond
+    rounding; if not, the model is its intercept alone."""
     intercept = float(y.mean())
-    peak = np.max(np.abs(y - intercept))
-    if peak <= 1e-14 * np.max(np.abs(y)):
-        return intercept, None
-    return intercept, int(np.frexp(peak)[1])
+    return intercept, \
+        bool(np.max(np.abs(y - intercept)) > 1e-14 * np.max(np.abs(y)))
 
 
 def _score(X, bases, beta, z_means, level: float) -> np.ndarray:
@@ -148,13 +133,14 @@ def fit_gam(X, y, penalty: PenaltySpec, n_components: int,
             f"{penalty.n_variables} variables")
     cfg = FitConfig(n_components)
 
-    bases, z_means, Zc, intercept, yc, exponent = _design(
-        X, y, penalty.n_basis, degree)
+    bases, z_means, Zc, intercept, yc = _design(X, y, penalty.n_basis,
+                                                 degree)
     if yc is None:  # constant response: intercept-only model, zero components
         beta, k = np.zeros(Zc.shape[1]), 0
     else:
         fit = penalized_pls_fit(Zc, yc, make_preconditioner(penalty), cfg)
-        beta, k = np.ldexp(fit.beta, exponent), fit.n_components
+        # contiguous, as a reloaded model's, so predict rounds alike
+        beta, k = fit.beta.copy(), fit.n_components
     fitted = intercept + Zc @ beta
     return GamModel(bases=bases, penalty=penalty, beta=beta,
                     intercept=intercept, z_means=z_means, n_components=k,

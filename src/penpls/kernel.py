@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidKernelError
 from .penalty import Preconditioner
-from .pls import FitConfig, _columns, _pls_loop
+from .pls import FitConfig, _check_finite, _columns, _pls_loop
 
 _PSD_TOL = 1e-8
 
@@ -71,6 +71,7 @@ def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:
     if K.shape[0] != y.shape[0]:
         raise ConfigurationError("Gram matrix and response sizes differ")
     cfg = FitConfig(n_components)
+    _check_finite(y=y)
     if not np.isfinite(K).all():
         raise InvalidKernelError("Gram matrix has non-finite values")
     scale = np.max(np.abs(K)) if K.size else 0.0
@@ -80,8 +81,8 @@ def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:
     if evals[0] < -_PSD_TOL * max(1.0, evals[-1]):
         raise InvalidKernelError("Gram matrix is not positive semidefinite")
 
-    _, _, T, A, steps, (k,) = _pls_loop(K, y, cfg, lambda r: r)
-    T, alpha_path, steps = (_columns(a[0], k) for a in (T, A, steps))
+    _, _, T, A, steps, (k,), (e,) = _pls_loop(K, y, cfg, lambda r: r)
+    T, alpha_path = (_columns(a[0], k, e) for a in (T, A))
     return KernelFit(alpha_path=alpha_path, components=T,
-                     fitted_path=np.cumsum(T * steps, axis=1),
+                     fitted_path=np.cumsum(T * steps[0, :k], axis=1),
                      requested_components=n_components)

@@ -2,8 +2,10 @@
 
 Both fits record the weight vectors, the effective weights expressing each
 component in original coordinates, the components and the coefficient vector
-after every step.  Vectors are left unscaled, so downstream checks use
-relative tolerances.
+after every step.  Vectors are left unnormalised, so downstream checks use
+relative tolerances.  Each fit runs in units of 2^e, e the binary exponent
+of its response's peak, so no square overflows, and scales back by 2^e
+exactly: every fit is scale-equivariant in y.
 
 One loop computes every fit, primal or dual: a residual recursion on a
 score matrix S with a weight step.  The primal runs it on the one centered
@@ -20,10 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateResponseError
+from .errors import ConfigurationError, DataError, DegenerateResponseError
 from .penalty import Preconditioner
 
-# a fit stops once a score's norm falls to this fraction of the first's
+# a fit stops at an orthogonalised score no longer than this times the first
 _NORM_TOL = 1e-10
 
 
@@ -73,12 +75,19 @@ class PlsFit:
         return self.beta_path[:, -1]
 
 
+def _check_finite(**arrays: np.ndarray):
+    """DataError on NaN or inf, which ``_pls_loop``'s units cannot hold."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise DataError(f"{name} has non-finite values (NaN or inf)")
+
+
 def _check_centered(X: np.ndarray, y: np.ndarray):
-    col_scale = np.max(np.abs(X), axis=0)
-    if np.any(np.abs(X.mean(axis=0)) > 1e-8 * col_scale + 1e-12):
+    col_scale, y_scale = np.max(np.abs(X), axis=0), np.max(np.abs(y))
+    _check_finite(X=col_scale, y=y_scale)  # a NaN or inf sets its peak
+    if np.any(np.abs(X.mean(axis=0)) > 1e-8 * col_scale):
         raise ConfigurationError("X must be column-centered")
-    y_scale = np.max(np.abs(y)) if y.size else 0.0
-    if abs(y.mean()) > 1e-8 * y_scale + 1e-12:
+    if abs(y.mean()) > 1e-8 * y_scale:
         raise ConfigurationError("y must be centered")
 
 
@@ -106,18 +115,21 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
     ``n_fits`` is F * L and fit ``f * L + l`` runs on ``S[f]`` and ``y[f]``.
     Returns the stacked weights W, effective weights Wt and coefficient
     path (each (n_fits, m, d)), scores T (n_fits, m, n), steps
-    (n_fits, m) and each fit's component count k; fit l's results are
-    rows ``:k`` of its slice, and the rest of its rows are not results.
+    (n_fits, m), each fit's component count k and exponent e; fit l's
+    results are rows ``:k`` of its slice, the rest are not results.  Fit l
+    runs on its response times 2^-e, e the binary exponent of its peak, so
+    all but the (unitless) steps are in units of 2^e.
 
     Fit l keeps its own residual r (``weigh`` maps the stacked residuals to
     the stacked weights): w = weigh(r)[l], t = S w, orthogonalised twice
     against the earlier scores with the same coefficients applied to the
     effective weight (so S wt = t), then beta += step * wt and
-    r -= step * t with step = t'r / t't.  Every product is a stacked matmul
-    whose per-fit BLAS call is the one a lone fit makes, so each fit rounds
-    exactly as if it ran alone.  A fit that stops has its residual zeroed,
-    so all its later products are exact zeros and its coefficients stay
-    put.
+    r -= step * t with step = t'r / t't, until t't <= (``_NORM_TOL`` |t_1|)^2
+    (a score too short before the orthogonalisation is too short after it).
+    Every product is a stacked matmul whose per-fit BLAS call is the one a
+    lone fit makes, so each fit rounds exactly as if it ran alone.  A fit
+    that stops has its residual zeroed, so all its later products are exact
+    zeros and its coefficients stay put.
     """
     if not y.any(axis=-1).all():
         raise DegenerateResponseError("centered response is identically zero")
@@ -126,6 +138,7 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
     # one shared matrix is a stack of one, broadcast over the fits
     S = S.reshape(-1, n, d)
     F = S.shape[0]
+    exps = np.frexp(np.max(np.abs(y), axis=-1, keepdims=True))[1]
 
     def scores(w):
         return (S[:, None] @ w.reshape(F, -1, d, 1)).reshape(n_fits, n)
@@ -138,20 +151,18 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
     betas = np.zeros((n_fits, m, d))
     beta = np.zeros((n_fits, d))
     r = np.empty((n_fits, n))
-    r.reshape(y.size // n, -1, n)[...] = y.reshape(-1, 1, n)
+    r.reshape(y.size // n, -1, n)[...] = np.ldexp(y, -exps).reshape(-1, 1, n)
     active = np.ones(n_fits, dtype=bool)
     count = np.zeros(n_fits, dtype=int)
 
     for i in range(m):
         w = weigh(r)
         t = scores(w)
-        t_norm = np.sqrt(_dots(t, t))
         if i == 0:
-            tol = _NORM_TOL * t_norm
+            tol = _NORM_TOL * np.sqrt(_dots(t, t))
             # squared with pow() per fit, as a lone fit squares its scalar:
             # numpy's array square can differ from pow(x, 2) in the last bit
             gram_tol = np.array([float(v) ** 2 for v in tol])
-        active &= ~(t_norm <= tol)
 
         wt = w
         T_prev, Wt_prev = components[:, :i], eff_weights[:, :i]
@@ -180,13 +191,14 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
 
     if not count.all():
         raise DegenerateResponseError("no component could be extracted")
-    return weights, eff_weights, components, betas, steps, count
+    return weights, eff_weights, components, betas, steps, count, \
+        np.repeat(exps, n_fits * n // y.size)
 
 
-def _columns(a: np.ndarray, k: int) -> np.ndarray:
-    """Rows ``:k`` of one fit's slice of a ``_pls_loop`` result, as the
-    contiguous columns of its (., k) result matrix."""
-    return np.ascontiguousarray(a[:k].T)
+def _columns(a: np.ndarray, k: int, e: int = 0) -> np.ndarray:
+    """Rows ``:k`` of one fit's slice of a ``_pls_loop`` result, times 2^e,
+    as the contiguous columns of its (., k) result matrix."""
+    return np.ldexp(a[:k].T, e, order="C")
 
 
 def _primal_weights(S: np.ndarray, preconditioner: Preconditioner | None
@@ -219,9 +231,9 @@ def _primal_fit(X, y, cfg: FitConfig,
             f"X has {X.shape[1]} columns, preconditioner expects "
             f"{preconditioner.dim}")
     _check_centered(X, y)
-    W, Wt, T, B, _, (k,) = _pls_loop(X, y, cfg,
-                                     _primal_weights(X, preconditioner))
-    return PlsFit(*(_columns(a[0], k) for a in (W, Wt, T, B)),
+    W, Wt, T, B, _, (k,), (e,) = _pls_loop(
+        X, y, cfg, _primal_weights(X, preconditioner))
+    return PlsFit(*(_columns(a[0], k, e) for a in (W, Wt, T, B)),
                   requested_components=cfg.n_components)
 
 

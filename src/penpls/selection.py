@@ -1,12 +1,12 @@
 """Leave-one-out cross-validation over a shared-lambda grid.
 
 Fold i is the ``fit_gam`` of every row but i: its bases, expansion means,
-intercept and working response come from its training rows only, so the
+intercept and centered response come from its training rows only, so the
 held-out row never leaks into the fitted model, and a fold with a constant
 response is its intercept alone (an early stop at every lambda).  Errors
-are on the response's scale, as ``predict`` scores: a fold's working
-response is its centered response times an exact power of two, so the
-held-out response and the squared errors rescale exactly.
+are on the response's scale, as ``predict`` scores: the PLS loop fits a
+fold in units of an exact power of two and reports them, so the held-out
+response is put in the same units and the squared errors rescale exactly.
 
 The folds are computed together, not one by one, and every result is bit
 for bit the one-fold-at-a-time computation's:
@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateVariableError
-from .gam import _response_scale, _training_data
+from .gam import _response_level, _training_data
 from .penalty import DEFAULT_DIFF_ORDER, PenaltySpec, make_preconditioner
 from .pls import FitConfig, _columns, _pls_loop, _primal_weights
 from .splines import (DEFAULT_DEGREE, DEFAULT_N_BASIS, _check_basis_size,
@@ -126,8 +126,8 @@ def _fold_designs(X: np.ndarray, knots: list[np.ndarray],
     return Z
 
 
-def _chunk_errors(X, y, folds, intercepts, exponents, knots, M, cfg,
-                  degree: int, ref: int):
+def _chunk_errors(X, y, folds, intercepts, knots, M, cfg, degree: int,
+                  ref: int):
     """Squared held-out errors (F, L, m), of residuals in units of 2^ref,
     and early-stop flags (F, L) of the F folds holding out rows ``folds``
     (none of them intercept-only), at each of the L lambdas whose blocks
@@ -147,12 +147,13 @@ def _chunk_errors(X, y, folds, intercepts, exponents, knots, M, cfg,
         means = S[f].mean(axis=0)
         S[f] -= means
         held[f] -= means
-    intercepts, exponents = intercepts[folds], exponents[folds]
+    intercepts = intercepts[folds]
     Y = np.broadcast_to(y, (F, n))[train].reshape(F, n - 1)
-    Y = np.ldexp(Y - intercepts[:, None], -exponents[:, None])
-    y_held = np.ldexp(y[folds] - intercepts, -exponents)  # on Y's scale
 
-    *_, betas, _, count = _pls_loop(S, Y, cfg, _primal_weights(S, M), F * L)
+    *_, betas, _, count, exps = _pls_loop(
+        S, Y - intercepts[:, None], cfg, _primal_weights(S, M), F * L)
+    exps = exps[::L]  # fold f's paths are in units of 2^exps[f]
+    y_held = np.ldexp(y[folds] - intercepts, -exps)  # in the paths' units
     paths = np.ascontiguousarray(
         betas.reshape(F, L, m, d).transpose(0, 1, 3, 2))
     errors = (y_held[:, None, None] -
@@ -164,7 +165,7 @@ def _chunk_errors(X, y, folds, intercepts, exponents, knots, M, cfg,
         f, k = fl // L, count[fl]
         err = (y_held[f] - held[f] @ _columns(betas[fl], k)) ** 2
         errors[f, fl % L] = np.pad(err, (0, m - k), "edge")
-    return (np.ldexp(errors, 2 * (exponents - ref)[:, None, None]),
+    return (np.ldexp(errors, 2 * (exps - ref)[:, None, None]),
             stopped.reshape(F, L))
 
 
@@ -193,10 +194,8 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     if lambdas.size == 0:
         raise ConfigurationError("lambda grid is empty")
 
-    scales = [_response_scale(y[np.arange(n) != i]) for i in range(n)]
-    intercepts = np.array([c for c, _ in scales])
-    live = np.array([e is not None for _, e in scales])
-    exponents = np.array([0 if e is None else e for _, e in scales])
+    intercepts, live = map(np.array, zip(
+        *(_response_level(y[np.arange(n) != i]) for i in range(n))))
     live_folds = np.flatnonzero(live)
 
     # the grid, order and basis size are checked before the chunk size is
@@ -236,7 +235,7 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
         for lo in range(0, live_folds.size, chunk):
             folds = live_folds[lo:lo + chunk]
             yield from zip(*_chunk_errors(
-                X, y, folds, intercepts, exponents, knots,
+                X, y, folds, intercepts, knots,
                 M if folds.size == chunk else preconditioner(folds.size),
                 cfg, degree, ref))
 

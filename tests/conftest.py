@@ -67,10 +67,9 @@ def exact_roughness(X, y, lam, n_basis, components, grid_size=200, order=2,
     from penpls.splines import DEFAULT_DEGREE
     from penpls.testkit import assemble_penalty
 
-    bases, z_means, Zc, _, yc, exponent = _design(
+    bases, z_means, Zc, _, yc = _design(
         np.asarray(X, dtype=float), np.asarray(y, dtype=float), n_basis,
         DEFAULT_DEGREE)
-    yc = np.ldexp(yc, exponent)  # the centered response, unscaled exactly
     lo, hi = bases[0].domain
     rows = eval_basis_grid(bases[0], np.linspace(lo, hi, grid_size))
     penalty = assemble_penalty(PenaltySpec.shared(
@@ -110,6 +109,8 @@ def reference_pls_fit(X, y, preconditioner, cfg):
 
     The stacked loop in ``penpls.pls`` must reproduce every field of this
     bit for bit; it is kept here, outside the package, as that reference.
+    It also stops on a score's norm before orthogonalisation, a test the
+    package's loop leaves out as implied by its test of t't after it.
     Earlier scores and effective weights are the rows of C-ordered arrays,
     so each product is the same BLAS call the stacked loop makes per fit.
     """

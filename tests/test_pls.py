@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (centered_problem, dense_m, random_penalty,
                       reference_pls_fit)
-from penpls import (ConfigurationError, DegenerateResponseError, FitConfig,
-                    PenaltySpec, PlsFit, make_preconditioner,
-                    nipals_fit, penalized_pls_fit)
+from penpls import (ConfigurationError, DataError, DegenerateResponseError,
+                    FitConfig, PenaltySpec, PlsFit, gram_matrix,
+                    kernel_penalized_pls_fit, make_preconditioner,
+                    nipals_fit, pcg_iterates, penalized_pls_fit)
 from penpls.pls import _columns, _pls_loop, _primal_weights
 from penpls.testkit import (closed_form_beta, cross_matrix, dense_ls_oracle,
                             krylov_basis, numerical_rank)
@@ -48,6 +49,12 @@ class TestNipals:
         y -= y.mean()
         with pytest.raises(ConfigurationError):
             nipals_fit(X, y, FitConfig(2))
+        # the check is relative to the data's own size, however small
+        with pytest.raises(ConfigurationError, match="X must be column"):
+            nipals_fit(np.ldexp(X, -560), y, FitConfig(2))
+        with pytest.raises(ConfigurationError, match="y must be centered"):
+            nipals_fit(X - X.mean(axis=0), np.ldexp(y + 5.0, -560),
+                       FitConfig(2))
 
     def test_one_dimensional_x_rejected(self):
         X, y = centered_problem(6, 10, 1)
@@ -201,11 +208,11 @@ def stacked_fits(X, y, M, cfg):
     """One fit of (X, y) per d-sized block of M, all in one ``_pls_loop``
     pass on the shared X through the primal weight step."""
     n_fits = M.dim // X.shape[1]
-    W, Wt, T, B, _, count = _pls_loop(X, y, cfg, _primal_weights(X, M),
-                                      n_fits)
-    return [PlsFit(*(_columns(a[l], k) for a in (W, Wt, T, B)),
+    W, Wt, T, B, _, count, exps = _pls_loop(X, y, cfg,
+                                            _primal_weights(X, M), n_fits)
+    return [PlsFit(*(_columns(a[l], k, e) for a in (W, Wt, T, B)),
                    requested_components=cfg.n_components)
-            for l, k in enumerate(count)]
+            for l, (k, e) in enumerate(zip(count, exps))]
 
 
 def stacked_and_lone(X, y, lambdas, p, n_basis, cfg, order=2):
@@ -376,3 +383,60 @@ class TestFittedValues:
         X = np.outer(u, rng.standard_normal(5))
         fit = nipals_fit(X, u, FitConfig(1))
         np.testing.assert_allclose(X @ fit.beta, u, rtol=1e-8)
+
+
+_M8 = make_preconditioner(PenaltySpec.shared(2.0, 2, 4))  # d = 8
+
+# each lower-level fit of centered (X, y), X of 8 columns, with the names of
+# its vector fields
+ENTRY_POINTS = {
+    "nipals_fit": (lambda X, y: nipals_fit(X, y, FitConfig(6)), FIELDS),
+    "penalized_pls_fit": (
+        lambda X, y: penalized_pls_fit(X, y, _M8, FitConfig(6)), FIELDS),
+    "kernel_penalized_pls_fit": (
+        lambda X, y: kernel_penalized_pls_fit(gram_matrix(X, _M8), y, 6),
+        ("alpha_path", "components", "fitted_path")),
+    "pcg_iterates": (lambda X, y: pcg_iterates(X, y, _M8, 6),
+                     ("iterates", "directions", "residuals")),
+}
+
+
+class TestEntryPoints:
+    """Every lower-level fit is scale-equivariant in y and checks its
+    input for NaN and infinities."""
+
+    @pytest.mark.parametrize("power", [-600, -1, 1, 600])
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_power_of_two_scales_exactly(self, name, power):
+        fit_of, fields = ENTRY_POINTS[name]
+        X, y = centered_problem(70, 30, 8)
+        fit, scaled = fit_of(X, y), fit_of(X, np.ldexp(y, power))
+        for field in fields:
+            np.testing.assert_array_equal(
+                getattr(scaled, field), np.ldexp(getattr(fit, field), power),
+                err_msg=field)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_extreme_scales_fit(self, name, scale):
+        fit_of, fields = ENTRY_POINTS[name]
+        X, y = centered_problem(71, 30, 8)
+        fit, scaled = fit_of(X, y), fit_of(X, y * scale)
+        for field in fields:
+            expect = getattr(fit, field) * scale
+            # max norms: a 2-norm would square 1e300 and overflow
+            assert np.max(np.abs(getattr(scaled, field) - expect)) <= \
+                1e-13 * np.max(np.abs(expect)), field
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name, where", [
+        ("nipals_fit", "X"), ("nipals_fit", "y"),
+        ("penalized_pls_fit", "X"), ("penalized_pls_fit", "y"),
+        ("pcg_iterates", "X"), ("pcg_iterates", "y"),
+        ("kernel_penalized_pls_fit", "y")])
+    def test_non_finite_input_rejected(self, name, where, bad):
+        fit_of, _ = ENTRY_POINTS[name]
+        X, y = centered_problem(72, 30, 8)
+        (X if where == "X" else y)[3] = bad
+        with pytest.raises(DataError, match=f"{where} has non-finite"):
+            fit_of(X, y)
