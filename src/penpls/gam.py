@@ -68,8 +68,10 @@ class FittedFunction:
 
 def _training_data(X, y):
     """X as a 2-D and y as a 1-D float array, checked against each other."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
+    if X.ndim != 2:
+        raise ConfigurationError(f"X must be 2-D, got {X.ndim} dimensions")
     if X.shape[0] != y.shape[0]:
         raise ConfigurationError("X and y row counts differ")
     _check_finite(y=y)

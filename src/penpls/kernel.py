@@ -70,6 +70,8 @@ def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:
         raise ConfigurationError("Gram matrix must be square")
     if K.shape[0] != y.shape[0]:
         raise ConfigurationError("Gram matrix and response sizes differ")
+    if K.shape[0] == 0:
+        raise ConfigurationError("need at least one observation")
     cfg = FitConfig(n_components)
     _check_finite(y=y)
     if not np.isfinite(K).all():

@@ -4,9 +4,14 @@ The penalty on the expanded coefficient vector is block diagonal: variable j
 contributes ``lambda_j * K_q`` where ``K_q`` penalizes order-q differences of
 adjacent coefficients.  The preconditioner is the inverse of identity plus
 penalty.  It is held in the eigenbasis of ``K_q`` taken from the SVD of the
-difference operator (Demmler & Reinsch 1975): one K x K rotation shared by
-every variable and weight, plus a diagonal per variable.  It is never formed
-as an explicit inverse, and nothing is factorised.
+difference operator (Demmler & Reinsch 1975): one K x K rotation V shared
+by every variable and weight, plus a diagonal per variable.  It is never
+formed as an explicit inverse, and nothing is factorised.
+
+``Preconditioner.basis`` and ``Preconditioner.diagonal`` expose V and the
+per-block diagonals read-only.  In a design rotated once by blockdiag(V) the
+preconditioner is that diagonal alone, and ``Preconditioner.scale`` applies
+it; ``loocv`` runs its fits that way.
 """
 from __future__ import annotations
 
@@ -116,10 +121,24 @@ class Preconditioner:
         self._basis = vt.T
         self._forward = forward[:, None, :]
         self._inverse = 1.0 / self._forward
+        for a in (self._basis, self._forward, self._inverse):
+            a.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.spec.dim
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The K x K rotation V, read-only: column k is the k-th eigenvector
+        of K_q, with eigenvalue ``s[k]``."""
+        return self._basis
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """Block j of M in the basis V, read-only: row j of this (p, K)
+        array is ``1 / (1 + lambda_j s)``."""
+        return self._inverse[:, 0]
 
     def _rotated(self, v, scale) -> np.ndarray:
         """``V diag(scale[j]) V'`` applied to every K-block j of ``v``.
@@ -135,8 +154,7 @@ class Preconditioner:
             raise ConfigurationError(
                 f"vector of length {v.shape[0]} does not match "
                 f"preconditioner dimension {self.dim}")
-        if not np.isfinite(v).all():
-            raise NumericalError("preconditioner input has non-finite values")
+        _check_finite(v)
         p, K = self.spec.n_variables, self.spec.n_basis
         blocks = v.reshape(p, K, v[0].size).transpose(0, 2, 1)
         coords = blocks @ self._basis
@@ -153,6 +171,25 @@ class Preconditioner:
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         """Multiply by M^{-1} = I + P, blockwise."""
         return self._rotated(v, self._forward)
+
+    def scale(self, c: np.ndarray) -> np.ndarray:
+        """Multiply by M in the rotated coordinates blockdiag(V)' v: each
+        K-block j of the last axis of ``c`` (shape (..., dim)) times row j
+        of ``diagonal``.  Each entry is one product, so a row rounds the
+        same whatever rows are stacked with it.
+        """
+        c = np.asarray(c, dtype=float)
+        if c.shape[-1] != self.dim:
+            raise ConfigurationError(
+                f"coordinates of length {c.shape[-1]} do not match "
+                f"preconditioner dimension {self.dim}")
+        _check_finite(c)
+        return c * self.diagonal.reshape(self.dim)
+
+
+def _check_finite(v: np.ndarray):
+    if not np.isfinite(v).all():
+        raise NumericalError("preconditioner input has non-finite values")
 
 
 def make_preconditioner(spec: PenaltySpec) -> Preconditioner:

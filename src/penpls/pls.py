@@ -12,8 +12,10 @@ score matrix S with a weight step.  The primal runs it on the one centered
 X with w = M X'r (``_primal_weights``), so X is never deflated; the dual
 (``kernel``) on K = X M X' with w = r.  The scores t = S w are the same
 vectors, so the two stop at the same component.  ``selection.loocv`` runs
-the primal loop on stacks of fold designs, every fold of a chunk at every
-lambda in one pass, each fit bit-identical to the same fit run alone.
+the primal loop on stacks of fold designs rotated to M's eigenbasis, where
+the weight step is the scaling ``Preconditioner.scale``, every fold of a
+chunk at every lambda in one pass, each fit bit-identical to the same fit
+run alone on its rotated design.
 """
 from __future__ import annotations
 
@@ -36,6 +38,11 @@ class FitConfig:
     n_components: int
 
     def __post_init__(self):
+        if isinstance(self.n_components, bool) or \
+                not isinstance(self.n_components, (int, np.integer)):
+            raise ConfigurationError(
+                f"n_components must be an integer, got "
+                f"{self.n_components!r}")
         if self.n_components < 1:
             raise ConfigurationError("n_components must be at least 1")
 
@@ -201,18 +208,21 @@ def _columns(a: np.ndarray, k: int, e: int = 0) -> np.ndarray:
     return np.ldexp(a[:k].T, e, order="C")
 
 
-def _primal_weights(S: np.ndarray, preconditioner: Preconditioner | None
+def _primal_weights(S: np.ndarray,
+                    precondition: Callable[[np.ndarray], np.ndarray] | None
                     ) -> Callable[[np.ndarray], np.ndarray]:
-    """``_pls_loop``'s primal weight step w = M S'r (S'r without M) on one
-    design S or a stack (F, n, d): fit ``f * L + l`` runs on ``S[f]`` with
-    d-block ``f * L + l`` of M, its S'r one gemv as in a lone fit."""
+    """``_pls_loop``'s primal weight step w = precondition(S'r) (S'r without
+    it) on one design S or a stack (F, n, d): fit ``f * L + l`` runs on
+    ``S[f]``, its S'r one gemv as in a lone fit.  ``precondition`` maps an
+    (F, L * d) array, row f the S'r of design f's L fits end to end, to
+    the weights: ``Preconditioner.apply`` on a plain design, or
+    ``Preconditioner.scale`` on one rotated to M's eigenbasis."""
     n, d = S.shape[-2:]
     St = S.reshape(-1, n, d).transpose(0, 2, 1)[:, None]
 
     def weigh(r):
-        w = (St @ r.reshape(St.shape[0], -1, n, 1)).reshape(-1, d)
-        return w if preconditioner is None else \
-            preconditioner.apply(w.reshape(-1)).reshape(w.shape)
+        w = (St @ r.reshape(St.shape[0], -1, n, 1)).reshape(St.shape[0], -1)
+        return (w if precondition is None else precondition(w)).reshape(-1, d)
     return weigh
 
 
@@ -226,13 +236,16 @@ def _primal_fit(X, y, cfg: FitConfig,
         raise ConfigurationError(f"X must be 2-D, got {X.ndim} dimensions")
     if X.shape[0] != y.shape[0]:
         raise ConfigurationError("X and y row counts differ")
+    if X.shape[0] == 0:
+        raise ConfigurationError("need at least one observation")
     if preconditioner is not None and preconditioner.dim != X.shape[1]:
         raise ConfigurationError(
             f"X has {X.shape[1]} columns, preconditioner expects "
             f"{preconditioner.dim}")
     _check_centered(X, y)
-    W, Wt, T, B, _, (k,), (e,) = _pls_loop(
-        X, y, cfg, _primal_weights(X, preconditioner))
+    W, Wt, T, B, _, (k,), (e,) = _pls_loop(X, y, cfg, _primal_weights(
+        X, None if preconditioner is None else
+        lambda w: preconditioner.apply(w[0])))
     return PlsFit(*(_columns(a[0], k, e) for a in (W, Wt, T, B)),
                   requested_components=cfg.n_components)
 

@@ -8,20 +8,31 @@ are on the response's scale, as ``predict`` scores: the PLS loop fits a
 fold in units of an exact power of two and reports them, so the held-out
 response is put in the same units and the squared errors rescale exactly.
 
-The folds are computed together, not one by one, and every result is bit
-for bit the one-fold-at-a-time computation's:
+The folds are computed together, not one by one, and in the preconditioner's
+Demmler-Reinsch basis: with V the K x K rotation of ``Preconditioner.basis``,
+a fold's design Z is replaced by its rotation Z blockdiag(V), where
+M = (I + P)^-1 is the diagonal ``Preconditioner.scale``.  The scores Z w,
+the fitted paths and the held-out predictions are the same numbers up to
+rounding; every result is bit for bit that of one lone fit per fold and
+lambda on the fold's rotated design:
 
 * knots: per variable, one ``np.unique`` of the column gives every fold's
   distinct values (``_fold_knots``), so the folds' knots take at most two
   ``np.quantile`` calls, not n ``make_basis`` calls;
-* designs: per variable, one ``splines._eval_windows`` call evaluates all n
-  rows in every fold's basis, the folds' padded knot vectors laid end to
-  end (``_fold_designs``); a fold's design is its training rows, centered
-  by their own means, and its held-out row is sliced from the same
-  evaluation;
+* designs: one vectorised search finds the knot windows of every point in
+  every fold's bases of a chunk (``_fold_windows``, the same integers as
+  ``splines._windows``), and one ``splines._dot_windows`` pass multiplies
+  each point's nonzero B-spline values by their rows of V, so the rotated
+  designs are built straight from the spline table, with no dense basis
+  matrix and no separate rotation (``_fold_designs``).  A fold's rows are
+  its training rows, centered by their own means, then its held-out row;
 * fits: every fold at every lambda runs in one ``pls._pls_loop`` pass on
-  the stacked fold designs, each fit bit-identical to a lone one;
-* scores: one stacked product scores every fit's whole coefficient path.
+  the stacked fold designs, each fit bit-identical to a lone one; the
+  weight step w = M S'r is one scaling of S'r by the lambda's diagonal,
+  which is checked to be finite first;
+* scores: one stacked product scores every fit's whole coefficient path
+  against its held-out row, both in the rotated basis, so nothing is
+  rotated back.
 
 The folds run in chunks whose designs and fit results stay within
 ``_CHUNK_BYTES``, so memory does not grow with n times the work of a fold.
@@ -38,7 +49,7 @@ from .gam import _response_level, _training_data
 from .penalty import DEFAULT_DIFF_ORDER, PenaltySpec, make_preconditioner
 from .pls import FitConfig, _columns, _pls_loop, _primal_weights
 from .splines import (DEFAULT_DEGREE, DEFAULT_N_BASIS, _check_basis_size,
-                      _check_finite, _eval_windows, _knots, _windows)
+                      _check_finite, _dot_windows, _knots)
 
 # bytes of one chunk of folds: their designs and their fits' stacked results
 _CHUNK_BYTES = 2 << 20
@@ -104,25 +115,57 @@ def _fold_knots(col: np.ndarray, n_basis: int, degree: int):
     return knots, distinct.size - single
 
 
-def _fold_designs(X: np.ndarray, knots: list[np.ndarray],
-                  degree: int) -> np.ndarray:
-    """All n rows of X expanded in each of F folds' bases, (F, n, p * K);
+def _fold_windows(knots: np.ndarray, degree: int, X: np.ndarray):
+    """``splines._windows`` of every point in its own fold's knot vectors,
+    all in one vectorised search.
+
+    ``knots`` is (F, p, width), the knot vector of each fold and variable;
+    X is (n, p), the same points for every fold, or (F, n, p), fold f's
+    points ``X[f]``.  Returns the F * p padded knot vectors end to end,
+    and per point, in (fold, row, variable) order, the entry of that array
+    where its window starts, its first window index in its own vector, and
+    the clamped point.  The first index is the number of knots at or below
+    the clamped point, less one, as ``searchsorted(side="right")`` gives
+    it, or at the right boundary the last nonempty knot interval, so it
+    equals ``_windows``' exactly.
+    """
+    F, p, width = knots.shape
+    lo, hi = knots[:, None, :, 0], knots[:, None, :, -1]  # (F, 1, p)
+    x = np.clip(X, lo, hi)  # (F, n, p)
+    # compared with the points innermost, the counts add whole rows
+    below = knots[..., None] <= x.transpose(0, 2, 1)[:, :, None]
+    first = below.sum(axis=2).transpose(0, 2, 1) - 1
+    nonempty = knots[..., 1:] > knots[..., :-1]
+    last = width - 2 - np.argmax(nonempty[..., ::-1], axis=-1)  # (F, p)
+    first = np.where(x >= hi, last[:, None], first)
+    padded = np.concatenate([np.repeat(knots[..., :1], degree, axis=-1),
+                             knots,
+                             np.repeat(knots[..., -1:], degree + 1, axis=-1)],
+                            axis=-1)
+    start = first + padded.shape[-1] * np.arange(F * p).reshape(F, 1, p)
+    return padded.ravel(), start.ravel(), first.ravel(), x.ravel()
+
+
+def _fold_designs(X: np.ndarray, knots: list[np.ndarray], degree: int,
+                  rotation: np.ndarray) -> np.ndarray:
+    """The rows of X expanded in each of F folds' bases and rotated,
+    (F, n, p * K): block j of fold f is B V, with B fold f's (n, K) basis
+    matrix of column j and V the K x K ``rotation``.  X is (n, p), the
+    same rows for every fold, or (F, n, p), fold f's rows ``X[f]``;
     ``knots[j]`` holds the F folds' knot vectors of column j.
 
-    Per column, one ``_eval_windows`` call evaluates every fold: the folds'
-    padded knot vectors are laid end to end and each fold's window indices
-    offset into its own vector.
+    One ``_fold_windows`` search finds every point's window and one
+    ``_dot_windows`` pass adds each point's ``degree + 1`` nonzero basis
+    values times their rows of V, straight into the design, so B is never
+    formed.
     """
-    n, p = X.shape
+    n, p = X.shape[-2:]
     F, width = knots[0].shape
     n_basis = width - degree - 1
-    Z = np.empty((F, n, p * n_basis))
-    for j in range(p):
-        padded, first, x = (np.concatenate(part) for part in zip(
-            *(_windows(t, degree, X[:, j]) for t in knots[j])))
-        start = first + np.repeat(np.arange(F) * (padded.size // F), n)
-        Z[:, :, j * n_basis:(j + 1) * n_basis] = _eval_windows(
-            padded, start, first, x, degree, n_basis).reshape(F, n, n_basis)
+    Z = np.zeros((F, n, p * n_basis))
+    # row (f, i, j) of this view is block j of fold f's row i
+    _dot_windows(*_fold_windows(np.stack(knots, axis=1), degree, X), degree,
+                 rotation, Z.reshape(F * n * p, n_basis))
     return Z
 
 
@@ -131,27 +174,29 @@ def _chunk_errors(X, y, folds, intercepts, knots, M, cfg, degree: int,
     """Squared held-out errors (F, L, m), of residuals in units of 2^ref,
     and early-stop flags (F, L) of the F folds holding out rows ``folds``
     (none of them intercept-only), at each of the L lambdas whose blocks
-    ``M`` holds."""
+    ``M`` holds.
+
+    The fits run on the fold designs rotated by ``M.basis``, where M is
+    the diagonal ``M.scale``, and score the held-out rows in that basis.
+    """
     n, p = X.shape
     F, m = len(folds), cfg.n_components
-    Z = _fold_designs(X, [k[folds] for k in knots], degree)
+    # fold f's rows: its training rows, then the row it holds out
+    train = np.arange(n) != folds[:, None]
+    order = np.column_stack([np.nonzero(train)[1].reshape(F, n - 1), folds])
+    Z = _fold_designs(X[order], [k[folds] for k in knots], degree, M.basis)
     d = Z.shape[2]
-    L = M.dim // (F * d)
-    at = np.arange(F), folds
-    train = np.ones((F, n), dtype=bool)
-    train[at] = False
-    S = Z[train].reshape(F, n - 1, d)
-    held = Z[at]
-    del Z
+    L = M.dim // d
+    S, held = Z[:, :-1], Z[:, -1]
     for f in range(F):
         means = S[f].mean(axis=0)
         S[f] -= means
         held[f] -= means
     intercepts = intercepts[folds]
-    Y = np.broadcast_to(y, (F, n))[train].reshape(F, n - 1)
+    Y = y[order[:, :-1]]
 
     *_, betas, _, count, exps = _pls_loop(
-        S, Y - intercepts[:, None], cfg, _primal_weights(S, M), F * L)
+        S, Y - intercepts[:, None], cfg, _primal_weights(S, M.scale), F * L)
     exps = exps[::L]  # fold f's paths are in units of 2^exps[f]
     y_held = np.ldexp(y[folds] - intercepts, -exps)  # in the paths' units
     paths = np.ascontiguousarray(
@@ -187,8 +232,7 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     """
     X, y = _training_data(X, y)
     n, p = X.shape
-    if max_components < 1:
-        raise ConfigurationError("max_components must be at least 1")
+    cfg = FitConfig(max_components)
     lambdas = default_lambda_grid() if lambdas is None else \
         np.asarray(lambdas, dtype=float).ravel()
     if lambdas.size == 0:
@@ -204,18 +248,13 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     _check_finite(X)
     _check_basis_size(n_basis, degree)
 
-    def preconditioner(n_folds):  # one block per (fold, lambda, variable)
-        return make_preconditioner(
-            replace(spec, lambdas=np.tile(spec.lambdas, n_folds)))
-
-    # a fold's share of a chunk: its design over all rows and over its
-    # training rows, and per fit the weights, effective weights,
-    # coefficient path, its scoring copy and the scores
+    # a fold's share of a chunk: its design (training rows and held-out
+    # row), and per fit the weights, effective weights, coefficient path,
+    # its scoring copy and the scores
     d, L, m = p * n_basis, lambdas.size, max_components
-    chunk = _CHUNK_BYTES // (8 * (2 * n * d + L * m * (4 * d + n)))
+    chunk = _CHUNK_BYTES // (8 * (n * d + L * m * (4 * d + n)))
     chunk = max(1, min(chunk, live_folds.size))
-    M = preconditioner(chunk)
-    cfg = FitConfig(max_components)
+    M = make_preconditioner(spec)  # one block per (lambda, variable)
 
     knots, n_distinct = zip(*(_fold_knots(X[:, j], n_basis, degree)
                               for j in range(p)))
@@ -234,10 +273,8 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     def live_errors():
         for lo in range(0, live_folds.size, chunk):
             folds = live_folds[lo:lo + chunk]
-            yield from zip(*_chunk_errors(
-                X, y, folds, intercepts, knots,
-                M if folds.size == chunk else preconditioner(folds.size),
-                cfg, degree, ref))
+            yield from zip(*_chunk_errors(X, y, folds, intercepts, knots, M,
+                                          cfg, degree, ref))
 
     errors = np.zeros((L, m))
     early_stops = np.zeros(L, dtype=int)

@@ -13,11 +13,14 @@ consumers:
 
 * ``_eval_windows`` scatters it into the dense basis matrix.  This is
   ``eval_basis_grid`` (one column) and ``transform`` (a whole data matrix),
-  which the fit uses; ``loocv`` calls it on every fold's basis at once.
+  which the fit uses.
 * ``_dot_windows`` multiplies it by the gathered coefficients of each
-  point's nonzero functions.  This is ``transform_dot``, the product
-  ``transform(X) @ coef`` without the dense matrix, from which prediction
-  and fitted curves are scored.
+  point's nonzero functions.  With a coefficient vector this is
+  ``transform_dot``, the product ``transform(X) @ coef`` without the dense
+  matrix, from which prediction and fitted curves are scored.  With a
+  K x K matrix it is the design times that matrix: ``loocv`` passes the
+  preconditioner's rotation V and the windows of every fold's bases at
+  once, and gets the rotated fold designs without a dense basis matrix.
 
 Non-finite data are rejected where they enter, in ``make_basis``,
 ``transform`` and ``transform_dot``, rather than given an all-zero basis
@@ -148,9 +151,7 @@ def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
     Only the ``degree + 1`` functions that are nonzero at a point are
     evaluated (local support; de Boor's BSPLVB).  ``_windows`` locates each
     point's knot window; ``_eval_windows`` runs the recursion on those
-    windows and scatters the result.  The two parts work on plain arrays,
-    so ``loocv`` feeds ``_eval_windows`` the windows of many knot vectors
-    at once.
+    windows and scatters the result.
 
     Points are clamped to the boundary-knot interval first, so out-of-domain
     points are evaluated at the nearest boundary.  The right boundary, which
@@ -162,7 +163,7 @@ def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
         If ``xs`` contains NaN.
     """
     padded, mu, x = _windows(basis.knots, basis.degree, xs)
-    return _eval_windows(padded, mu, mu, x, basis.degree, basis.n_basis)
+    return _eval_windows(padded, mu, x, basis.degree, basis.n_basis)
 
 
 def _windows(knots: np.ndarray, degree: int, xs):
@@ -175,8 +176,9 @@ def _windows(knots: np.ndarray, degree: int, xs):
     ``mu[i] .. mu[i] + 2 * degree + 1``; the padding (``degree`` copies of
     the left boundary, ``degree + 1`` of the right) keeps every such index
     in range.  Its values reach only functions outside [0, K), which an
-    unclamped knot vector's windows hold and which ``_eval_windows`` cuts
-    off.
+    unclamped knot vector's windows hold and which ``_eval_windows`` and
+    ``_dot_windows`` drop.  ``selection._fold_windows`` finds the same
+    windows for many knot vectors at once.
     """
     t, d = knots, degree
     lo, hi = t[0], t[-1]
@@ -191,52 +193,58 @@ def _windows(knots: np.ndarray, degree: int, xs):
     return padded, mu, x
 
 
-def _eval_windows(padded: np.ndarray, start: np.ndarray, first: np.ndarray,
-                  x: np.ndarray, degree: int, n_basis: int) -> np.ndarray:
+def _eval_windows(padded: np.ndarray, first: np.ndarray, x: np.ndarray,
+                  degree: int, n_basis: int) -> np.ndarray:
     """The (len(x), n_basis) basis matrix of points x whose knot windows
-    begin at entries ``start`` of ``padded``.
+    begin at entries ``first`` of ``padded``.
 
-    Point i's nonzero functions are ``first[i] - degree .. first[i]``.  For
-    one knot vector ``start`` is ``first``; ``padded`` may also be several
-    padded vectors end to end, each point's ``start`` offset to its own
-    vector, as long as no window crosses into the next one.
-
-    ``_tables`` evaluates the nonzero functions and this scatters them into
-    the dense result; entries for columns outside ``[0, K)``, which only
-    unclamped knot vectors produce, are dropped.
+    Point i's nonzero functions are ``first[i] - degree .. first[i]``.
+    ``_tables`` evaluates them and this scatters them into the dense
+    result; entries for columns outside ``[0, K)``, which only unclamped
+    knot vectors produce, are dropped.
     """
     d = degree
     # column c of the wide matrix is basis function c - d, so the columns
     # of functions that do not exist (unclamped knots) are cut off
     wide = np.zeros((len(x), n_basis + 2 * d))
     rows = np.arange(d + 1)[:, None]
-    for lo, b in _tables(padded, start, x, d):
+    for lo, b in _tables(padded, first, x, d):
         m = b.shape[1]
         wide[lo:lo + m][np.arange(m), rows + first[lo:lo + m]] = b
     return wide[:, d:d + n_basis]
 
 
-def _dot_windows(padded: np.ndarray, first: np.ndarray, x: np.ndarray,
-                 degree: int, coef: np.ndarray, out: np.ndarray):
+def _dot_windows(padded: np.ndarray, start: np.ndarray, first: np.ndarray,
+                 x: np.ndarray, degree: int, coef: np.ndarray,
+                 out: np.ndarray):
     """Add ``sum_k B_k(x[i]) * coef[k]`` to ``out[i]`` for each point, where
-    ``B_k`` are the functions of the one knot vector ``padded`` and the
-    points' knot windows begin at ``first``.
+    ``B_k`` are the functions of a knot vector and point i's knot window
+    begins at entry ``start[i]`` of ``padded``.
 
-    Only the ``degree + 1`` nonzero functions of each point are multiplied
-    by their gathered coefficients ``coef[first[i] - degree + r]``, summed
-    in the order r = 0 .. degree, so each point's value is independent of
-    the slicing and of every other point.  Functions outside ``[0, K)``
-    (unclamped knots) get a zero coefficient.
+    Point i's nonzero functions are ``first[i] - degree .. first[i]``.  For
+    one knot vector ``start`` is ``first``; ``padded`` may also be several
+    padded vectors end to end, each point's ``start`` offset to its own
+    vector, as long as no window crosses into the next one.
+
+    ``coef`` is a vector of K coefficients, or a (K, c) matrix whose rows
+    are added, so that ``out`` is (len(x), c): with the Demmler-Reinsch
+    rotation V this is the rotated design B V.  Only the ``degree + 1``
+    nonzero functions of each point are multiplied by their gathered
+    coefficients ``coef[first[i] - degree + r]``, summed in the order
+    r = 0 .. degree, so each point's value is independent of the slicing
+    and of every other point.  Functions outside ``[0, K)`` (unclamped
+    knots) get a zero coefficient.
     """
     d = degree
-    wide = np.concatenate([np.zeros(d), coef, np.zeros(d)])
+    pad = np.zeros((d,) + coef.shape[1:])
+    wide = np.concatenate([pad, coef, pad])
     rows = np.arange(d + 1)[:, None]
-    for lo, b in _tables(padded, first, x, d):
+    for lo, b in _tables(padded, start, x, d):
         m = b.shape[1]
         # entry first + r of wide is the coefficient of function
         # first - d + r
-        terms = np.take(wide, rows + first[lo:lo + m])
-        terms *= b
+        terms = np.take(wide, rows + first[lo:lo + m], axis=0)
+        terms *= b.reshape(b.shape + (1,) * (coef.ndim - 1))
         acc = out[lo:lo + m]
         for term in terms:
             acc += term
@@ -357,7 +365,7 @@ def transform_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
     start = 0
     for j, basis in enumerate(expansion.bases):
         padded, first, x = _windows(basis.knots, basis.degree, X[:, j])
-        _dot_windows(padded, first, x, basis.degree,
+        _dot_windows(padded, first, first, x, basis.degree,
                      coef[start:start + basis.n_basis], out)
         start += basis.n_basis
     return out

@@ -106,6 +106,19 @@ class TestFitGam:
         assert np.max(np.abs(centered.mean(axis=0))) <= 1e-10
 
 
+class TestInputShape:
+    def test_one_dimensional_x_rejected(self):
+        X, y, _ = gen_additive(SyntheticSpec(0, 20, 1, 0.2, ("sine",)))
+        with pytest.raises(ConfigurationError, match="X must be 2-D"):
+            fit_gam(X[:, 0], y, PenaltySpec.shared(1.0, 1, 6), 2)
+
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_non_integer_component_count_rejected(self, count):
+        X, y, _ = gen_additive(SyntheticSpec(0, 20, 1, 0.2, ("sine",)))
+        with pytest.raises(ConfigurationError, match="integer"):
+            fit_gam(X, y, PenaltySpec.shared(1.0, 1, 6), count)
+
+
 class TestResponseScale:
     """PLS is scale-equivariant in y, at any scale a double can hold."""
 

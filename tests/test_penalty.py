@@ -139,6 +139,47 @@ class TestPreconditioner:
         with pytest.raises(ConfigurationError):
             M.apply(np.zeros(5))
 
+    def test_scale_is_m_in_the_rotated_basis(self, rng):
+        # block j of M is V diag(diagonal[j]) V'
+        spec = PenaltySpec(np.array([0.0, 3.0, 1e6]), 2, 6)
+        M = make_preconditioner(spec)
+        V = M.basis
+        np.testing.assert_allclose(V.T @ V, np.eye(6), atol=1e-14)
+        v = rng.standard_normal(spec.dim)
+        coords = (v.reshape(3, 6) @ V).reshape(-1)  # blockdiag(V)' v
+        back = (M.scale(coords).reshape(3, 6) @ V.T).reshape(-1)
+        np.testing.assert_allclose(back, M.apply(v), atol=1e-13)
+
+    def test_scale_multiplies_by_the_diagonal(self, rng):
+        # each row is scaled alone, bit for bit, and stacked rows broadcast
+        spec = PenaltySpec(np.array([0.5, 40.0]), 2, 5)
+        M = make_preconditioner(spec)
+        assert M.diagonal.shape == (2, 5)
+        s = np.linalg.eigvalsh(penalty_kernel(5, 2))
+        np.testing.assert_allclose(np.sort(1 / M.diagonal[1] - 1),
+                                   np.sort(40.0 * s), atol=1e-10)
+        c = rng.standard_normal((3, 2, spec.dim))
+        np.testing.assert_array_equal(M.scale(c),
+                                      c * M.diagonal.reshape(-1))
+        np.testing.assert_array_equal(M.scale(c[1, 0]),
+                                      M.scale(c)[1, 0])
+
+    def test_exposed_arrays_are_read_only(self):
+        M = make_preconditioner(PenaltySpec(np.array([1.0, 2.0]), 2, 4))
+        for a in (M.basis, M.diagonal):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+
+    def test_scale_checks_its_input(self):
+        M = make_preconditioner(PenaltySpec(np.array([1.0]), 2, 4))
+        with pytest.raises(ConfigurationError):
+            M.scale(np.zeros((2, 5)))
+        for bad in (np.nan, np.inf):
+            c = np.zeros((2, 4))
+            c[1, 2] = bad
+            with pytest.raises(NumericalError, match="non-finite"):
+                M.scale(c)
+
     def test_eigenvector_weighting(self, rng):
         # directions with small penalty eigenvalue get weight 1/(1+theta)
         spec = PenaltySpec(np.array([1.0]), 2, 8)

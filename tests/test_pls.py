@@ -208,8 +208,8 @@ def stacked_fits(X, y, M, cfg):
     """One fit of (X, y) per d-sized block of M, all in one ``_pls_loop``
     pass on the shared X through the primal weight step."""
     n_fits = M.dim // X.shape[1]
-    W, Wt, T, B, _, count, exps = _pls_loop(X, y, cfg,
-                                            _primal_weights(X, M), n_fits)
+    W, Wt, T, B, _, count, exps = _pls_loop(
+        X, y, cfg, _primal_weights(X, lambda w: M.apply(w[0])), n_fits)
     return [PlsFit(*(_columns(a[l], k, e) for a in (W, Wt, T, B)),
                    requested_components=cfg.n_components)
             for l, (k, e) in enumerate(zip(count, exps))]
@@ -440,3 +440,36 @@ class TestEntryPoints:
         (X if where == "X" else y)[3] = bad
         with pytest.raises(DataError, match=f"{where} has non-finite"):
             fit_of(X, y)
+
+    @pytest.mark.parametrize("fit_of", [
+        lambda: nipals_fit(np.zeros((0, 3)), np.zeros(0), FitConfig(1)),
+        lambda: penalized_pls_fit(
+            np.zeros((0, 3)), np.zeros(0),
+            make_preconditioner(PenaltySpec([1.0], 1, 3)), FitConfig(1)),
+        lambda: kernel_penalized_pls_fit(np.zeros((0, 0)), np.zeros(0), 1)],
+        ids=["nipals_fit", "penalized_pls_fit", "kernel_penalized_pls_fit"])
+    def test_zero_observations_rejected(self, fit_of):
+        with pytest.raises(ConfigurationError, match="at least one"):
+            fit_of()
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, False, "2", None])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(ConfigurationError, match="integer"):
+            FitConfig(count)
+
+    @pytest.mark.parametrize("count", [3, np.int64(3), np.int32(3),
+                                       np.uint8(3)])
+    def test_integer_count_accepted(self, count):
+        assert FitConfig(count).n_components == 3
+        X, y = centered_problem(73, 20, 5)
+        assert nipals_fit(X, y, FitConfig(count)).n_components == 3
+
+    def test_kernel_fit_refuses_non_integer_count(self):
+        X, y = centered_problem(74, 20, 5)
+        K = gram_matrix(X, make_preconditioner(PenaltySpec([1.0], 2, 5)))
+        with pytest.raises(ConfigurationError, match="integer"):
+            kernel_penalized_pls_fit(K, y, 2.5)
+        assert kernel_penalized_pls_fit(K, y, np.int64(2)).n_components == 2
+

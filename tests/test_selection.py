@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import explicit_folds, reference_pls_fit
 from penpls import (BasisExpansion, ConfigurationError, DataError,
-                    DegenerateVariableError, FitConfig, PenaltySpec,
-                    SplineBasis, fit_gam, loocv, make_basis,
+                    DegenerateVariableError, FitConfig, NumericalError,
+                    PenaltySpec, SplineBasis, fit_gam, loocv, make_basis,
                     make_preconditioner, predict, selection, transform)
-from penpls.selection import _choose, _fold_designs, _fold_knots
+from penpls.selection import (_choose, _fold_designs, _fold_knots,
+                              _fold_windows)
+from penpls.splines import _dot_windows, _windows
 from penpls.testkit import SyntheticSpec, gen_additive
 
 
@@ -24,8 +27,26 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-def reference_loocv(X, y, lambdas, max_components, n_basis):
+def rotated_design(X, bases, rotation):
+    """``transform(X, BasisExpansion(bases)) @ blockdiag(rotation)`` from
+    each basis's own windows (``_windows``) and the spline table times the
+    rotation (``_dot_windows``), one basis at a time."""
+    K = rotation.shape[0]
+    Z = np.zeros((len(X), K * len(bases)))
+    for j, basis in enumerate(bases):
+        padded, first, x = _windows(basis.knots, basis.degree, X[:, j])
+        _dot_windows(padded, first, first, x, basis.degree, rotation,
+                     Z[:, j * K:(j + 1) * K])
+    return Z
+
+
+def reference_loocv(X, y, lambdas, max_components, n_basis, rotated=True):
     """Mean LOO errors and early-stop counts from one fit per (fold, lambda).
+
+    With ``rotated``, as ``loocv`` fits: each fold's design is rotated to
+    the preconditioner's eigenbasis (``rotated_design``), where M is the
+    diagonal ``Preconditioner.scale``.  Without, the plain design and
+    ``Preconditioner.apply``, the same fits but for rounding.
 
     A fold whose centered response is zero to rounding predicts its mean,
     and a fold whose training rows leave a predictor fewer than two
@@ -44,17 +65,25 @@ def reference_loocv(X, y, lambdas, max_components, n_basis):
             except DegenerateVariableError as exc:
                 raise DegenerateVariableError(
                     f"fold holding out row {i}: predictor column {j}: {exc}")
-        expansion = BasisExpansion(bases)
-        Z = transform(X[keep], expansion)
+        if rotated:
+            V = make_preconditioner(PenaltySpec.shared(0.0, p, n_basis)).basis
+            Z = rotated_design(X[keep], bases, V)
+            z_held = rotated_design(X[i:i + 1], bases, V)[0]
+        else:
+            expansion = BasisExpansion(bases)
+            Z = transform(X[keep], expansion)
+            z_held = transform(X[i:i + 1], expansion)[0]
         z_means = Z.mean(axis=0)
         y_mean = y[keep].mean()
         if np.max(np.abs(y[keep] - y_mean)) <= 1e-14 * np.max(np.abs(y[keep])):
             errors += (y[i] - y_mean) ** 2
             early_stops += 1
             continue
-        z_held = transform(X[i:i + 1], expansion)[0] - z_means
+        z_held = z_held - z_means
         for li, lam in enumerate(lambdas):
             M = make_preconditioner(PenaltySpec.shared(lam, p, n_basis))
+            if rotated:
+                M = SimpleNamespace(apply=M.scale)
             fit = reference_pls_fit(Z - z_means, y[keep] - y_mean, M,
                                     FitConfig(max_components))
             err = (y[i] - y_mean - z_held @ fit.beta_path) ** 2
@@ -219,6 +248,39 @@ class TestLoocv:
         with pytest.raises(ConfigurationError, match="row counts"):
             loocv(X, y[:-1], lambdas=[1.0], max_components=2, n_basis=5)
 
+    def test_one_dimensional_x_rejected(self):
+        X, y = small_dataset(9, n=8)
+        with pytest.raises(ConfigurationError, match="X must be 2-D"):
+            loocv(X[:, 0], y, lambdas=[1.0], max_components=2, n_basis=5)
+
+    @pytest.mark.parametrize("count", [2.5, True, 0])
+    def test_bad_component_count_rejected(self, count):
+        X, y = small_dataset(9, n=8)
+        with pytest.raises(ConfigurationError):
+            loocv(X, y, lambdas=[1.0], max_components=count, n_basis=5)
+
+    def test_numpy_integer_component_count_accepted(self):
+        X, y = small_dataset(9, n=8)
+        kw = dict(lambdas=[1.0, 10.0], n_basis=5)
+        grid, _ = loocv(X, y, max_components=np.int64(2), **kw)
+        np.testing.assert_array_equal(
+            grid.errors, loocv(X, y, max_components=2, **kw)[0].errors)
+
+    def test_non_finite_weights_raise(self, monkeypatch):
+        # the rotated weight step checks S'r before it scales, so a design
+        # gone non-finite fails loudly instead of giving NaN errors
+        real = selection._fold_designs
+
+        def broken(*args):
+            Z = real(*args)
+            Z[0, 2, 1] = np.nan
+            return Z
+
+        monkeypatch.setattr(selection, "_fold_designs", broken)
+        X, y = small_dataset(9, n=8)
+        with pytest.raises(NumericalError, match="non-finite"):
+            loocv(X, y, lambdas=[1.0], max_components=2, n_basis=5)
+
     def test_empty_grid_rejected(self):
         X, y = small_dataset(7)
         with pytest.raises(ConfigurationError):
@@ -325,6 +387,21 @@ class TestLoocv:
         assert peak < 4 * selection._CHUNK_BYTES
 
 
+def fold_design_case(seed, n, p, decimals, degree, extra):
+    """A random generator, an (n, p) X (rounded draws tie), every fold's
+    knot vectors per column and the folds whose bases exist."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(n, p))
+    if decimals is not None:
+        X = np.round(X, decimals)
+    n_basis = degree + 1 + extra
+    knots = [_fold_knots(X[:, j], n_basis, degree)[0] for j in range(p)]
+    usable = [i for i in range(n)
+              if all(np.unique(np.delete(X[:, j], i)).size >= 2
+                     for j in range(p))]
+    return rng, X, knots, usable
+
+
 class TestBatchedFolds:
     """The batched folds reproduce the one-fold-at-a-time computation."""
 
@@ -395,19 +472,113 @@ class TestBatchedFolds:
            st.sampled_from([None, 1]), st.integers(0, 4), st.integers(0, 8))
     def test_fold_designs_match_transform(self, seed, n, p, decimals, degree,
                                           extra):
-        # the folds' windows laid end to end give each fold's transform
+        # the folds' windows laid end to end give each fold's rotated
+        # design, as its own windows and the table times the rotation do
+        rng, X, knots, usable = fold_design_case(seed, n, p, decimals,
+                                                 degree, extra)
+        n_basis = degree + 1 + extra
+        rotation = rng.standard_normal((n_basis, n_basis))
+        fold_knots = [k[usable] for k in knots]
+        Z = _fold_designs(X, fold_knots, degree, rotation)
+        # each fold's own order of the rows gives the same rows
+        order = np.array([rng.permutation(n) for _ in usable],
+                         dtype=int).reshape(-1, n)
+        Z_ordered = _fold_designs(X[order], fold_knots, degree, rotation)
+        for f, i in enumerate(usable):
+            bases = [SplineBasis(degree, k[i]) for k in knots]
+            np.testing.assert_array_equal(bits(Z[f]),
+                                          bits(rotated_design(X, bases,
+                                                              rotation)))
+            np.testing.assert_array_equal(bits(Z_ordered[f]),
+                                          bits(Z[f][order[f]]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 25), st.integers(1, 3),
+           st.sampled_from([None, 1]), st.integers(0, 4), st.integers(0, 8))
+    def test_rotated_designs_are_transform_times_rotation(
+            self, seed, n, p, decimals, degree, extra):
+        rng, X, knots, usable = fold_design_case(seed, n, p, decimals,
+                                                 degree, extra)
+        n_basis = degree + 1 + extra
+        V = np.linalg.qr(rng.standard_normal((n_basis, n_basis)))[0]
+        Z = _fold_designs(X, [k[usable] for k in knots], degree, V)
+        for f, i in enumerate(usable):
+            dense = transform(X, BasisExpansion(
+                [SplineBasis(degree, k[i]) for k in knots]))
+            expect = (dense.reshape(n, p, n_basis) @ V).reshape(n, -1)
+            np.testing.assert_allclose(Z[f], expect, rtol=0, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 3),
+           st.sampled_from([None, 1, 2]), st.integers(0, 4),
+           st.integers(0, 8), st.integers(1, 6), st.booleans())
+    def test_fold_windows_match_windows(self, seed, n, p, decimals, degree,
+                                        extra, n_folds, per_fold_points):
+        # points beyond both ends and on every knot are clamped and placed
+        # as by one ``_windows`` call per fold and variable
+        rng = np.random.default_rng(seed)
+        n_basis = degree + 1 + extra
+        cols = rng.uniform(size=(n + 2, p))
+        if decimals is not None:
+            cols = np.round(cols, decimals)
+        cols[:3] = [[0.0], [0.5], [1.0]]  # at least 3 distinct values
+        knots = np.stack([_fold_knots(cols[:, j], n_basis, degree)[0]
+                          for j in range(p)], axis=1)[:n_folds]
+        F = len(knots)
+        X = np.concatenate([rng.uniform(-0.5, 1.5, size=(n, p)),
+                            np.broadcast_to(knots[0].T, (knots.shape[2], p))])
+        if per_fold_points:
+            X = np.stack([rng.permutation(X) for _ in range(F)])
+        padded, start, first, clamped = _fold_windows(knots, degree, X)
+        width = padded.size // (F * p)
+        rows = X.shape[-2]
+        at = np.arange(F * rows * p).reshape(F, rows, p)
+        X = np.broadcast_to(X, (F, rows, p))
+        for f in range(F):
+            for j in range(p):
+                pad, mu, x = _windows(knots[f, j], degree, X[f, :, j])
+                block = f * p + j
+                np.testing.assert_array_equal(
+                    padded[block * width:(block + 1) * width], pad)
+                np.testing.assert_array_equal(first[at[f, :, j]], mu)
+                np.testing.assert_array_equal(start[at[f, :, j]],
+                                              mu + block * width)
+                np.testing.assert_array_equal(bits(clamped[at[f, :, j]]),
+                                              bits(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 24), st.integers(1, 3),
+           st.sampled_from([None, 1, 2]), st.integers(4, 8),
+           st.integers(1, 8),
+           st.lists(st.sampled_from([0.0, 1e-2, 1.0, 1e3, 1e6, 1e10]),
+                    min_size=1, max_size=4),
+           st.sampled_from(["noise", "spike"]))
+    def test_rotation_changes_errors_only_by_rounding(
+            self, seed, n, p, decimals, n_basis, m, lambdas, response):
+        # loocv fits in the rotated basis; the plain-basis fits agree but
+        # for rounding, stop at the same step, and choose the same cell
+        # unless the best two cells are within rounding of each other
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(n, p))
         if decimals is not None:
             X = np.round(X, decimals)
-        n_basis = degree + 1 + extra
-        knots = [_fold_knots(X[:, j], n_basis, degree)[0] for j in range(p)]
-        usable = [i for i in range(n)
-                  if all(np.unique(np.delete(X[:, j], i)).size >= 2
-                         for j in range(p))]
-        Z = _fold_designs(X, [k[usable] for k in knots], degree)
-        for f, i in enumerate(usable):
-            expansion = BasisExpansion([SplineBasis(degree, k[i])
-                                        for k in knots])
-            np.testing.assert_array_equal(bits(Z[f]),
-                                          bits(transform(X, expansion)))
+        y = rng.standard_normal(n)
+        if response == "spike":
+            y = np.zeros(n)
+            y[rng.integers(n)] = rng.uniform(0.5, 2.0)
+        got = outcome(lambda: loocv(X, y, lambdas=lambdas, max_components=m,
+                                    n_basis=n_basis))
+        expect = outcome(lambda: reference_loocv(X, y, lambdas, m, n_basis,
+                                                 rotated=False))
+        if isinstance(expect[0], type):
+            assert got == expect
+            return
+        (grid, choice), (errors, early_stops) = got, expect
+        np.testing.assert_allclose(grid.errors, errors, rtol=1e-10, atol=0)
+        np.testing.assert_array_equal(grid.early_stops, early_stops)
+        best, second = np.partition(errors.ravel(), 1)[:2] \
+            if errors.size > 1 else (errors.min(), np.inf)
+        if second - best > 1e-10 * best:
+            expect_choice = _choose(np.asarray(lambdas, dtype=float), errors)
+            assert (choice.lambda_opt, choice.m_opt) == \
+                (expect_choice.lambda_opt, expect_choice.m_opt)
