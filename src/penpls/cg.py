@@ -46,6 +46,8 @@ def pcg_iterates(X, y, preconditioner: Preconditioner,
         raise ConfigurationError(f"X must be 2-D, got {X.ndim} dimensions")
     if X.shape[0] != y.shape[0]:
         raise ConfigurationError("X and y row counts differ")
+    if X.shape[0] == 0:
+        raise ConfigurationError("need at least one observation")
     if n_steps < 1:
         raise ConfigurationError("n_steps must be at least 1")
     _check_finite(X=X, y=y)

@@ -74,6 +74,8 @@ def _training_data(X, y):
         raise ConfigurationError(f"X must be 2-D, got {X.ndim} dimensions")
     if X.shape[0] != y.shape[0]:
         raise ConfigurationError("X and y row counts differ")
+    if X.shape[1] == 0:
+        raise ConfigurationError("X needs at least one predictor column")
     _check_finite(y=y)
     if X.shape[0] < 3:
         raise ConfigurationError("need at least 3 observations")

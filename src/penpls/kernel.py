@@ -83,8 +83,8 @@ def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:
     if evals[0] < -_PSD_TOL * max(1.0, evals[-1]):
         raise InvalidKernelError("Gram matrix is not positive semidefinite")
 
-    _, _, T, A, steps, (k,), (e,) = _pls_loop(K, y, cfg, lambda r: r)
-    T, alpha_path = (_columns(a[0], k, e) for a in (T, A))
+    _, _, T, A, steps, e = _pls_loop(K, y, cfg, lambda r: r)
+    T, alpha_path = (_columns(a, e) for a in (T, A))
     return KernelFit(alpha_path=alpha_path, components=T,
-                     fitted_path=np.cumsum(T * steps[0, :k], axis=1),
+                     fitted_path=np.cumsum(T * steps, axis=1),
                      requested_components=n_components)

@@ -13,8 +13,7 @@ Demmler-Reinsch basis: with V the K x K rotation of ``Preconditioner.basis``,
 a fold's design Z is replaced by its rotation Z blockdiag(V), where
 M = (I + P)^-1 is the diagonal ``Preconditioner.scale``.  The scores Z w,
 the fitted paths and the held-out predictions are the same numbers up to
-rounding; every result is bit for bit that of one lone fit per fold and
-lambda on the fold's rotated design:
+rounding:
 
 * knots: per variable, one ``np.unique`` of the column gives every fold's
   distinct values (``_fold_knots``), so the folds' knots take at most two
@@ -26,13 +25,14 @@ lambda on the fold's rotated design:
   designs are built straight from the spline table, with no dense basis
   matrix and no separate rotation (``_fold_designs``).  A fold's rows are
   its training rows, centered by their own means, then its held-out row;
-* fits: every fold at every lambda runs in one ``pls._pls_loop`` pass on
-  the stacked fold designs, each fit bit-identical to a lone one; the
-  weight step w = M S'r is one scaling of S'r by the lambda's diagonal,
-  which is checked to be finite first;
-* scores: one stacked product scores every fit's whole coefficient path
-  against its held-out row, both in the rotated basis, so nothing is
-  rotated back.
+* fits: every fold at every lambda runs in one pass of ``_fold_fits``, the
+  PLS recursion on the fold's cross-products S'S and S'y, so each step
+  costs one product per fold for all its lambdas; the weight step
+  w = M S'r is one scaling of S'r by the lambda's diagonal, which is
+  checked to be finite first;
+* scores: each step predicts every fit's held-out row from its
+  coefficients, both in the rotated basis, so nothing is rotated back and
+  no coefficient path is kept.
 
 The folds run in chunks whose designs and fit results stay within
 ``_CHUNK_BYTES``, so memory does not grow with n times the work of a fold.
@@ -44,14 +44,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateVariableError
+from .errors import (ConfigurationError, DegenerateResponseError,
+                     DegenerateVariableError)
 from .gam import _response_level, _training_data
-from .penalty import DEFAULT_DIFF_ORDER, PenaltySpec, make_preconditioner
-from .pls import FitConfig, _columns, _pls_loop, _primal_weights
+from .penalty import (DEFAULT_DIFF_ORDER, PenaltySpec, Preconditioner,
+                      make_preconditioner)
+from .pls import _NORM_TOL, FitConfig
 from .splines import (DEFAULT_DEGREE, DEFAULT_N_BASIS, _check_basis_size,
                       _check_finite, _dot_windows, _knots)
 
-# bytes of one chunk of folds: their designs and their fits' stacked results
+# bytes of one chunk of folds: their designs, cross-products and fit results
 _CHUNK_BYTES = 2 << 20
 
 
@@ -169,6 +171,100 @@ def _fold_designs(X: np.ndarray, knots: list[np.ndarray], degree: int,
     return Z
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products ``a[..., :] @ b[..., :]``, one BLAS dot each, the call
+    ``a[f, l] @ b[f, l]`` on 1-D operands makes."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+def _fold_fits(S: np.ndarray, y: np.ndarray, held: np.ndarray,
+               M: Preconditioner, cfg: FitConfig) -> tuple[np.ndarray, ...]:
+    """Penalized PLS fits of F fold designs S (F, n, d), rotated to M's
+    eigenbasis, with centered responses y (F, n), at each of the L lambdas
+    whose blocks M holds, scored on the held-out rows ``held`` (F, d): fit
+    (f, l) is fold f at lambda l.
+
+    Returns the effective weights and their images (each (F, L, m, d)),
+    the held-out predictions (F, L, m), each fit's component count k
+    (F, L) and each fold's exponent e (F,).  Fit (f, l)'s weights and
+    images are its first k[f, l] rows; its predictions are one per
+    component, the last repeated after an early stop.  All are in units of
+    2^e[f], e[f] the binary exponent of fold f's response peak.
+
+    This is ``pls._pls_loop``'s recursion run in d-space: PLS needs a design
+    only through S'S and S'y.  With g = S'r for the residual r, the weight
+    is w = M g (the diagonal ``M.scale``, which checks g is finite) and the
+    score t = S w enters only through its image u = S't.  Orthogonalising
+    t against the earlier scores t_j = S wt_j takes t_j't = u_j'wt, and
+    updates the effective weight wt and its image u with the same
+    coefficients (twice); then t't = wt'u, t'r = wt'g, beta += step * wt
+    and g -= step * u with step = t'r / t't, until
+    t't <= (``_NORM_TOL`` |t_1|)^2.  Each step predicts the held-out row as
+    held'beta.  A fit that stops has g zeroed, so its later products are
+    exact zeros and its beta and prediction stay put.
+
+    The image is one product per fold and step for all L lambdas: w S'S,
+    with S'S formed once, when the fold has at least as many rows as
+    columns, else (w S') S, which never forms the d x d matrix.  A gemm
+    rounds a row depending on its row count, so a fit is bit for bit the
+    same fit run with its fold alone, not with its lambda alone; every
+    other product is one BLAS call per fit, as the same fit run alone
+    makes it.
+    """
+    if not y.any(axis=-1).all():
+        raise DegenerateResponseError("centered response is identically zero")
+    F, n, d = S.shape
+    L, m = M.dim // d, cfg.n_components
+    exps = np.frexp(np.max(np.abs(y), axis=-1))[1]
+    St = S.transpose(0, 2, 1)
+    b = (St @ np.ldexp(y, -exps[:, None])[..., None])[..., 0]
+    A = St @ S if n >= d else None
+    held = held[:, None, :, None]  # one column per fold, for all L fits
+
+    # row i of fit (f, l): its effective weight, then the weight's image
+    wu_rows = np.empty((F, L, m, 2 * d))
+    grams = np.empty((F, L, m))  # t't of each kept score (1 where stopped)
+    preds = np.empty((F, L, m))
+    beta = np.zeros((F, L, d))
+    g = np.repeat(b[:, None], L, axis=1)
+    active = np.ones((F, L), dtype=bool)
+    count = np.zeros((F, L), dtype=int)
+
+    for i in range(m):
+        w = M.scale(g.reshape(F, L * d)).reshape(F, L, d)
+        wu = wu_rows[:, :, i]
+        wu[..., :d] = w
+        wu[..., d:] = w @ A if A is not None else (w @ St) @ S
+        if i == 0:  # t't >= 0, but w'u can round below it
+            tol = _NORM_TOL * np.sqrt(np.maximum(_dots(w, wu[..., d:]), 0.0))
+            gram_tol = tol * tol
+        prev = wu_rows[:, :, :i]
+        for _ in range(2 if i else 0):
+            # Gram-Schmidt twice keeps the scores orthogonal; one gemv per
+            # fit each, as a lone fit's 2-D by 1-D products make them
+            coef = (prev[..., d:] @ wu[..., :d, None])[..., 0] / grams[..., :i]
+            wu -= (coef[..., None, :] @ prev)[..., 0, :]
+        wt, u = wu[..., :d], wu[..., d:]
+        gram = _dots(wt, u)
+        active &= ~(gram <= gram_tol)
+        gram = np.where(active, gram, 1.0)
+        step = np.where(active, _dots(wt, g), 0.0) / gram
+        beta += step[..., None] * wt
+        g -= step[..., None] * u
+        g[~active] = 0.0
+
+        grams[..., i] = gram
+        preds[..., i] = (beta[..., None, :] @ held)[..., 0, 0]
+        count += active
+        if not active.any():
+            preds[..., i + 1:] = preds[..., i, None]
+            break
+
+    if not count.all():
+        raise DegenerateResponseError("no component could be extracted")
+    return wu_rows[..., :d], wu_rows[..., d:], preds, count, exps
+
+
 def _chunk_errors(X, y, folds, intercepts, knots, M, cfg, degree: int,
                   ref: int):
     """Squared held-out errors (F, L, m), of residuals in units of 2^ref,
@@ -185,8 +281,6 @@ def _chunk_errors(X, y, folds, intercepts, knots, M, cfg, degree: int,
     train = np.arange(n) != folds[:, None]
     order = np.column_stack([np.nonzero(train)[1].reshape(F, n - 1), folds])
     Z = _fold_designs(X[order], [k[folds] for k in knots], degree, M.basis)
-    d = Z.shape[2]
-    L = M.dim // d
     S, held = Z[:, :-1], Z[:, -1]
     for f in range(F):
         means = S[f].mean(axis=0)
@@ -195,23 +289,11 @@ def _chunk_errors(X, y, folds, intercepts, knots, M, cfg, degree: int,
     intercepts = intercepts[folds]
     Y = y[order[:, :-1]]
 
-    *_, betas, _, count, exps = _pls_loop(
-        S, Y - intercepts[:, None], cfg, _primal_weights(S, M.scale), F * L)
-    exps = exps[::L]  # fold f's paths are in units of 2^exps[f]
-    y_held = np.ldexp(y[folds] - intercepts, -exps)  # in the paths' units
-    paths = np.ascontiguousarray(
-        betas.reshape(F, L, m, d).transpose(0, 1, 3, 2))
-    errors = (y_held[:, None, None] -
-              (held[:, None, None] @ paths)[:, :, 0]) ** 2
-    # an early-stopped path is final: scored at its own length (a product's
-    # rounding depends on its column count), then padded with its end
-    stopped = count < m
-    for fl in np.flatnonzero(stopped):
-        f, k = fl // L, count[fl]
-        err = (y_held[f] - held[f] @ _columns(betas[fl], k)) ** 2
-        errors[f, fl % L] = np.pad(err, (0, m - k), "edge")
-    return (np.ldexp(errors, 2 * (exps - ref)[:, None, None]),
-            stopped.reshape(F, L))
+    *_, preds, count, exps = _fold_fits(S, Y - intercepts[:, None], held, M,
+                                        cfg)
+    y_held = np.ldexp(y[folds] - intercepts, -exps)  # in the fits' units
+    errors = (y_held[:, None, None] - preds) ** 2
+    return np.ldexp(errors, 2 * (exps - ref)[:, None, None]), count < m
 
 
 def loocv(X, y, lambdas=None, max_components: int = 10,
@@ -249,10 +331,11 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     _check_basis_size(n_basis, degree)
 
     # a fold's share of a chunk: its design (training rows and held-out
-    # row), and per fit the weights, effective weights, coefficient path,
-    # its scoring copy and the scores
+    # row), S'S when it is formed, and per fit the effective weights and
+    # their images, and a step's g, beta, weight and two-row products
     d, L, m = p * n_basis, lambdas.size, max_components
-    chunk = _CHUNK_BYTES // (8 * (n * d + L * m * (4 * d + n)))
+    fold_doubles = n * d + (d * d if n - 1 >= d else 0) + L * (2 * m + 5) * d
+    chunk = _CHUNK_BYTES // (8 * fold_doubles)
     chunk = max(1, min(chunk, live_folds.size))
     M = make_preconditioner(spec)  # one block per (lambda, variable)
 
@@ -285,7 +368,9 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
             errors += fold_err
             early_stops += stopped
         else:  # intercept-only fold: predicts its mean at every cell
-            errors += np.ldexp(y[i] - intercepts[i], -ref) ** 2
+            # squared by np.square, rounded like the fits' errors: a scalar
+            # ** 2 calls pow(), which can be a unit in the last place off
+            errors += np.square(np.ldexp(y[i] - intercepts[i], -ref))
             early_stops += 1
 
     errors /= n

@@ -246,8 +246,9 @@ def _dot_windows(padded: np.ndarray, start: np.ndarray, first: np.ndarray,
         terms = np.take(wide, rows + first[lo:lo + m], axis=0)
         terms *= b.reshape(b.shape + (1,) * (coef.ndim - 1))
         acc = out[lo:lo + m]
-        for term in terms:
-            acc += term
+        for r in range(d + 1):
+            acc += terms[r]
+        del terms  # so the next slice's terms are not built beside these
 
 
 def _tables(padded: np.ndarray, start: np.ndarray, x: np.ndarray,

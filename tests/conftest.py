@@ -107,12 +107,12 @@ def reference_pls_fit(X, y, preconditioner, cfg):
     """One (penalized) PLS fit as a plain per-fit residual loop on 2-D/1-D
     arrays.
 
-    The stacked loop in ``penpls.pls`` must reproduce every field of this
-    bit for bit; it is kept here, outside the package, as that reference.
-    It also stops on a score's norm before orthogonalisation, a test the
-    package's loop leaves out as implied by its test of t't after it.
-    Earlier scores and effective weights are the rows of C-ordered arrays,
-    so each product is the same BLAS call the stacked loop makes per fit.
+    The public primal fits of ``penpls.pls`` must reproduce every field of
+    this bit for bit; it is kept here, outside the package, as that
+    reference.  It also stops on a score's norm before orthogonalisation,
+    a test the package's loop leaves out as implied by its test of t't
+    after it.  Earlier scores and effective weights are the rows of
+    C-ordered arrays, as in the package's loop.
     """
     from penpls import DegenerateResponseError, PlsFit
     from penpls.pls import _NORM_TOL
@@ -155,3 +155,67 @@ def reference_pls_fit(X, y, preconditioner, cfg):
                   components=np.ascontiguousarray(T[:k].T),
                   beta_path=np.ascontiguousarray(B[:k].T),
                   requested_components=m)
+
+
+def reference_fold_fits(S, y, held, M, cfg):
+    """One fold's penalized PLS fits at every lambda of M, as plain per-fit
+    loops on 2-D/1-D arrays run on the fold's cross-products.
+
+    ``selection._fold_fits`` must reproduce every field of this bit for
+    bit, for each fold of a chunk; it is kept here, outside the package, as
+    that reference.  S (n, d) is the fold's design rotated to M's
+    eigenbasis, y its centered response, ``held`` (d,) its held-out row,
+    and M holds L blocks of d, one per lambda.  Fit l keeps g = S'r; its
+    weight is w = M g (``M.scale``) and the image of its score is
+    u = S'S w.  The images of the L weights are one product, w S'S (or
+    (w S') S when n < d), as in the package, because a gemm rounds a row
+    depending on how many rows it has; every other product is the fit's
+    own 1-D or 2-D call, on rows that hold the effective weight and its
+    image end to end.
+
+    Returns the exponent e and, per lambda, the effective weights (k, d),
+    their images (k, d) and the m held-out predictions, in units of 2^e.
+    """
+    from penpls import DegenerateResponseError
+    from penpls.pls import _NORM_TOL
+
+    n, d = S.shape
+    L, m = M.dim // d, cfg.n_components
+    if not y.any():
+        raise DegenerateResponseError("centered response is identically zero")
+    e = int(np.frexp(np.max(np.abs(y)))[1])
+    b = S.T @ np.ldexp(y, -e)
+    A = S.T @ S if n >= d else None
+    g = np.tile(b, (L, 1))
+    WU = np.empty((L, m, 2 * d))
+    grams, preds = np.empty((L, m)), np.empty((L, m))
+    beta = np.zeros((L, d))
+    tol = np.empty(L)
+    k = np.zeros(L, dtype=int)
+    active = np.ones(L, dtype=bool)
+    for i in range(m):
+        w = M.scale(g.ravel()).reshape(L, d)
+        images = w @ A if A is not None else (w @ S.T) @ S
+        for l in np.flatnonzero(active):
+            wu = np.concatenate([w[l], images[l]])
+            if i == 0:
+                tol[l] = _NORM_TOL * np.sqrt(max(wu[:d] @ wu[d:], 0.0))
+            for _ in range(2 if i else 0):
+                coef = (WU[l, :i, d:] @ wu[:d]) / grams[l, :i]
+                wu = wu - coef @ WU[l, :i]
+            gram = wu[:d] @ wu[d:]
+            if gram <= tol[l] * tol[l]:
+                active[l] = False
+                g[l] = 0.0
+                continue
+            step = (wu[:d] @ g[l]) / gram
+            beta[l] = beta[l] + step * wu[:d]
+            g[l] = g[l] - step * wu[d:]
+            WU[l, i], grams[l, i] = wu, gram
+            k[l] = i + 1
+        for l in range(L):  # a stopped fit's beta, so its prediction, stays
+            preds[l, i] = beta[l] @ held
+    if not k.all():
+        raise DegenerateResponseError("no component could be extracted")
+    return e, [(WU[l, :k[l], :d], WU[l, :k[l], d:], preds[l])
+               for l in range(L)]

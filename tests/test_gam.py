@@ -118,6 +118,11 @@ class TestInputShape:
         with pytest.raises(ConfigurationError, match="integer"):
             fit_gam(X, y, PenaltySpec.shared(1.0, 1, 6), count)
 
+    def test_zero_columns_rejected(self):
+        with pytest.raises(ConfigurationError, match="predictor column"):
+            fit_gam(np.zeros((5, 0)), np.arange(5.0),
+                    PenaltySpec.shared(1.0, 1, 6), 1)
+
 
 class TestResponseScale:
     """PLS is scale-equivariant in y, at any scale a double can hold."""

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (centered_problem, dense_m, random_penalty,
-                      reference_pls_fit)
+                      reference_fold_fits, reference_pls_fit)
 from penpls import (ConfigurationError, DataError, DegenerateResponseError,
                     FitConfig, PenaltySpec, PlsFit, gram_matrix,
                     kernel_penalized_pls_fit, make_preconditioner,
                     nipals_fit, pcg_iterates, penalized_pls_fit)
-from penpls.pls import _columns, _pls_loop, _primal_weights
+from penpls.selection import _fold_fits
 from penpls.testkit import (closed_form_beta, cross_matrix, dense_ls_oracle,
                             krylov_basis, numerical_rank)
 
@@ -204,24 +204,33 @@ def low_rank_problem(seed, n, d, rank):
     return X, y
 
 
-def stacked_fits(X, y, M, cfg):
-    """One fit of (X, y) per d-sized block of M, all in one ``_pls_loop``
-    pass on the shared X through the primal weight step."""
-    n_fits = M.dim // X.shape[1]
-    W, Wt, T, B, _, count, exps = _pls_loop(
-        X, y, cfg, _primal_weights(X, lambda w: M.apply(w[0])), n_fits)
-    return [PlsFit(*(_columns(a[l], k, e) for a in (W, Wt, T, B)),
-                   requested_components=cfg.n_components)
-            for l, (k, e) in enumerate(zip(count, exps))]
+def folds_problem(seed, n_folds, n, d, rank):
+    """``n_folds`` centered low-rank problems stacked as one chunk of fold
+    designs (F, n, d) and responses (F, n)."""
+    problems = [low_rank_problem(seed + f, n, d, rank)
+                for f in range(n_folds)]
+    return (np.stack([X for X, _ in problems]),
+            np.stack([y for _, y in problems]))
 
 
-def stacked_and_lone(X, y, lambdas, p, n_basis, cfg, order=2):
-    """The stacked fits of ``lambdas`` and the reference fit of each alone."""
+def chunk_fits(S, y, M, cfg):
+    """Every fold's fits at every lambda of M from one ``_fold_fits`` pass,
+    scored on each fold's first row, laid out as ``reference_fold_fits``
+    gives one fold's."""
+    Wt, U, preds, count, exps = _fold_fits(S, y, S[:, 0], M, cfg)
+    return [(e, [(Wt[f, l, :k], U[f, l, :k], preds[f, l])
+                 for l, k in enumerate(count[f])])
+            for f, e in enumerate(exps)]
+
+
+def chunk_and_lone(S, y, lambdas, p, n_basis, cfg, order=2):
+    """The chunk's fits at ``lambdas`` and the reference fits of each of its
+    folds run alone."""
     M = make_preconditioner(PenaltySpec(np.repeat(lambdas, p), order,
                                         n_basis))
-    lone = [reference_pls_fit(X, y, make_preconditioner(
-        PenaltySpec.shared(lam, p, n_basis, order)), cfg) for lam in lambdas]
-    return stacked_fits(X, y, M, cfg), lone
+    return chunk_fits(S, y, M, cfg), \
+        [reference_fold_fits(S_f, y_f, S_f[0], M, cfg)
+         for S_f, y_f in zip(S, y)]
 
 
 def assert_fits_equal(got, expect):
@@ -232,59 +241,101 @@ def assert_fits_equal(got, expect):
         assert a.flags.c_contiguous == b.flags.c_contiguous, name
 
 
+def assert_folds_equal(got, expect):
+    """Equal exponents and, bit for bit, equal effective weights, images
+    and held-out predictions, fold by fold and lambda by lambda."""
+    for (e, fits), (e_lone, lone) in zip(got, expect, strict=True):
+        assert e == e_lone
+        for fit, fit_lone in zip(fits, lone, strict=True):
+            for a, b in zip(fit, fit_lone, strict=True):
+                assert a.shape == b.shape
+                np.testing.assert_array_equal(
+                    np.ascontiguousarray(a).view(np.int64),
+                    np.ascontiguousarray(b).view(np.int64))
+
+
 class TestStackedFits:
+    """``selection._fold_fits``, loocv's cross-product loop, runs every fold
+    of a chunk at every lambda as the reference runs each fold alone."""
+
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(4, 30), st.integers(1, 3),
-           st.integers(3, 10), st.integers(1, 30),
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(4, 30),
+           st.integers(1, 3), st.integers(3, 10), st.integers(1, 30),
            st.lists(st.sampled_from([0.0, 1e-2, 1.0, 1e3, 1e6]),
                     min_size=1, max_size=6),
            st.integers(1, 14), st.floats(0, 8))
-    def test_every_slice_matches_a_lone_fit(self, seed, n, p, n_basis, rank,
-                                            lambdas, m, log_scale):
-        # a large X makes a stopped fit that kept its residual overflow
-        X, y = low_rank_problem(seed, n, p * n_basis, rank)
-        X *= 10.0 ** log_scale
+    def test_every_slice_matches_a_lone_fit(self, seed, n_folds, n, p,
+                                            n_basis, rank, lambdas, m,
+                                            log_scale):
+        # n below and above d = p * n_basis takes both image products; a
+        # large X makes a stopped fit that kept its g overflow
+        S, y = folds_problem(seed, n_folds, n, p * n_basis, rank)
+        S *= 10.0 ** log_scale
         cfg = FitConfig(m)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
-                fits, lone = stacked_and_lone(X, y, lambdas, p, n_basis, cfg)
+                fits, lone = chunk_and_lone(S, y, lambdas, p, n_basis, cfg)
             except DegenerateResponseError:
-                # only when some lambda alone extracts nothing
+                # only when some fold alone extracts nothing at some lambda
+                M = make_preconditioner(PenaltySpec(np.repeat(lambdas, p), 2,
+                                                    n_basis))
                 with pytest.raises(DegenerateResponseError):
-                    for lam in lambdas:
-                        reference_pls_fit(X, y, make_preconditioner(
-                            PenaltySpec.shared(lam, p, n_basis)), cfg)
+                    for S_f, y_f in zip(S, y):
+                        reference_fold_fits(S_f, y_f, S_f[0], M, cfg)
                 return
-        for got, expect in zip(fits, lone, strict=True):
-            assert_fits_equal(got, expect)
+        assert_folds_equal(fits, lone)
 
     def test_slices_stopping_at_different_steps(self):
         # a huge lambda leaves M near the 4-dimensional null space of the
-        # penalty, so that fit stops before the rank of X
-        X, y = low_rank_problem(7, 12, 16, 8)
+        # penalty, so that fit stops before the rank of X; 12 rows take the
+        # (w S') S image, 24 rows w S'S
         lambdas = [0.0, 1.0, 1e12, 1.0]
         cfg = FitConfig(10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            fits, lone = stacked_and_lone(X, y, lambdas, 2, 8, cfg)
-        assert len({f.n_components for f in fits}) > 1
-        assert all(f.early_stopped for f in fits)
-        for got, expect in zip(fits, lone, strict=True):
-            assert_fits_equal(got, expect)
+        for n in (12, 24):
+            S, y = folds_problem(7, 2, n, 16, 8)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                fits, lone = chunk_and_lone(S, y, lambdas, 2, 8, cfg)
+            counts = [[len(wt) for wt, *_ in f] for _, f in fits]
+            assert all(len(set(c)) > 1 for c in counts)
+            assert all(k < 10 for c in counts for k in c)
+            assert_folds_equal(fits, lone)
 
     def test_score_inside_the_earlier_scores_span_stops(self):
         # y almost orthogonal to the columns of a rank-3 X: the fourth score
-        # is rounding noise, far above the score-norm threshold but inside
-        # the span of the first three, so the Gram threshold stops each fit
+        # is rounding noise inside the span of the first three, so the Gram
+        # threshold stops each fit
         X, y = low_rank_problem(0, 12, 8, 3)
         Q, _ = np.linalg.qr(X)
         y_col = Q @ (Q.T @ y)
         y = y - y_col + 1e-8 * y_col
-        fits, lone = stacked_and_lone(X, y, [0.0, 1.0], 2, 4, FitConfig(6))
-        assert [f.n_components for f in fits] == [3, 3]
-        for got, expect in zip(fits, lone, strict=True):
-            assert_fits_equal(got, expect)
+        fits, lone = chunk_and_lone(X[None], y[None], [0.0, 1.0], 2, 4,
+                                    FitConfig(6))
+        assert [len(wt) for wt, *_ in fits[0][1]] == [3, 3]
+        assert_folds_equal(fits, lone)
+
+    def test_first_score_below_rounding_stops(self):
+        # two columns 1e-9 apart and a response whose S'y lies along their
+        # difference: t't = |S w|^2 is below the rounding of w'S'S w, which
+        # comes out negative, so the fit stops at once instead of taking a
+        # NaN tolerance
+        rng = np.random.default_rng(61)
+        c = rng.standard_normal(12)
+        c -= c.mean()
+        delta = 1e-9 * rng.standard_normal(12)
+        delta -= delta.mean()
+        S = np.column_stack([c, c + delta])
+        y = rng.standard_normal(12)
+        y -= y.mean()
+        y -= (c @ y + (delta @ y) / 2) / (c @ c + (delta @ c) / 2) * c
+        b = S.T @ y
+        assert b @ (b @ (S.T @ S)) < 0
+        M = make_preconditioner(PenaltySpec([0.0], 1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateResponseError, match="no component"):
+                chunk_fits(S[None], y[None], M, FitConfig(2))
 
     def test_one_fit_matches_reference(self):
         X, y, _, M, fit = penalized_instance(60)
@@ -296,9 +347,9 @@ class TestStackedFits:
                                      (8, 3), (8, 5), (12, 2), (8, 4), (4, 1),
                                      (4, 2)])
     def test_preconditioner_size_must_be_n_fits_times_d(self, d, p):
-        # a public fit is one fit (n_fits = 1): M of dimension 4p is
-        # accepted only when 4p == d; a whole multiple of d (2d, 4d, 16d)
-        # is refused like any other size
+        # a public fit is one fit: M of dimension 4p is accepted only when
+        # 4p == d; a whole multiple of d (2d, 4d, 16d), which would be one
+        # block per lambda in loocv, is refused like any other size
         X, y = centered_problem(61, 10, d)
         M = make_preconditioner(PenaltySpec.shared(1.0, p, 4))
         if 4 * p == d:
@@ -310,13 +361,14 @@ class TestStackedFits:
             penalized_pls_fit(X, y, M, FitConfig(3))
 
     def test_inputs_not_written(self):
-        X, y = low_rank_problem(62, 15, 12, 5)
-        X_before, y_before = X.copy(), y.copy()
         M = make_preconditioner(PenaltySpec(np.repeat([0.0, 1.0, 1e3], 3),
                                             2, 4))
-        stacked_fits(X, y, M, FitConfig(10))
-        np.testing.assert_array_equal(X, X_before)
-        np.testing.assert_array_equal(y, y_before)
+        for n in (8, 15):  # both image products
+            S, y = folds_problem(62, 2, n, 12, 5)
+            S_before, y_before = S.copy(), y.copy()
+            chunk_fits(S, y, M, FitConfig(10))
+            np.testing.assert_array_equal(S, S_before)
+            np.testing.assert_array_equal(y, y_before)
 
     def test_fits_that_extract_nothing_raise(self):
         # X'y is exactly zero, so every weight vector and score is zero
@@ -324,9 +376,9 @@ class TestStackedFits:
         y = np.array([1.0, -1.0, 1.0, -1.0])
         M = make_preconditioner(PenaltySpec([0.0, 5.0], 1, 2))
         with pytest.raises(DegenerateResponseError, match="no component"):
-            stacked_fits(X, y, M, FitConfig(3))
+            chunk_fits(X[None], y[None], M, FitConfig(3))
         with pytest.raises(DegenerateResponseError, match="zero"):
-            stacked_fits(X, np.zeros(4), M, FitConfig(3))
+            chunk_fits(X[None], np.zeros((1, 4)), M, FitConfig(3))
 
 
 class TestClosedForm:
@@ -446,8 +498,12 @@ class TestEntryPoints:
         lambda: penalized_pls_fit(
             np.zeros((0, 3)), np.zeros(0),
             make_preconditioner(PenaltySpec([1.0], 1, 3)), FitConfig(1)),
-        lambda: kernel_penalized_pls_fit(np.zeros((0, 0)), np.zeros(0), 1)],
-        ids=["nipals_fit", "penalized_pls_fit", "kernel_penalized_pls_fit"])
+        lambda: kernel_penalized_pls_fit(np.zeros((0, 0)), np.zeros(0), 1),
+        lambda: pcg_iterates(
+            np.zeros((0, 3)), np.zeros(0),
+            make_preconditioner(PenaltySpec([1.0], 1, 3)), 1)],
+        ids=["nipals_fit", "penalized_pls_fit", "kernel_penalized_pls_fit",
+             "pcg_iterates"])
     def test_zero_observations_rejected(self, fit_of):
         with pytest.raises(ConfigurationError, match="at least one"):
             fit_of()

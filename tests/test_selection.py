@@ -1,12 +1,12 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import explicit_folds, reference_pls_fit
+from conftest import (explicit_folds, reference_fold_fits,
+                      reference_pls_fit)
 from penpls import (BasisExpansion, ConfigurationError, DataError,
                     DegenerateVariableError, FitConfig, NumericalError,
                     PenaltySpec, SplineBasis, fit_gam, loocv, make_basis,
@@ -41,12 +41,14 @@ def rotated_design(X, bases, rotation):
 
 
 def reference_loocv(X, y, lambdas, max_components, n_basis, rotated=True):
-    """Mean LOO errors and early-stop counts from one fit per (fold, lambda).
+    """Mean LOO errors and early-stop counts, one fold at a time.
 
     With ``rotated``, as ``loocv`` fits: each fold's design is rotated to
-    the preconditioner's eigenbasis (``rotated_design``), where M is the
-    diagonal ``Preconditioner.scale``.  Without, the plain design and
-    ``Preconditioner.apply``, the same fits but for rounding.
+    the preconditioner's eigenbasis (``rotated_design``), and the fold's
+    fits at every lambda run on its cross-products
+    (``reference_fold_fits``).  Without, the plain design and one
+    ``reference_pls_fit`` per lambda with ``Preconditioner.apply``, the
+    same fits but for rounding.
 
     A fold whose centered response is zero to rounding predicts its mean,
     and a fold whose training rows leave a predictor fewer than two
@@ -54,6 +56,7 @@ def reference_loocv(X, y, lambdas, max_components, n_basis, rotated=True):
     does.
     """
     n, p = X.shape
+    cfg = FitConfig(max_components)
     errors = np.zeros((len(lambdas), max_components))
     early_stops = np.zeros(len(lambdas), dtype=int)
     for i in range(n):
@@ -76,16 +79,22 @@ def reference_loocv(X, y, lambdas, max_components, n_basis, rotated=True):
         z_means = Z.mean(axis=0)
         y_mean = y[keep].mean()
         if np.max(np.abs(y[keep] - y_mean)) <= 1e-14 * np.max(np.abs(y[keep])):
-            errors += (y[i] - y_mean) ** 2
+            errors += np.square(y[i] - y_mean)  # not pow(), as loocv
             early_stops += 1
             continue
         z_held = z_held - z_means
+        if rotated:
+            e, fits = reference_fold_fits(
+                Z - z_means, y[keep] - y_mean, z_held, make_preconditioner(
+                    PenaltySpec(np.repeat(lambdas, p), 2, n_basis)), cfg)
+            for li, (wt, _, preds) in enumerate(fits):
+                errors[li] += (y[i] - y_mean - np.ldexp(preds, e)) ** 2
+                early_stops[li] += len(wt) < max_components
+            continue
         for li, lam in enumerate(lambdas):
-            M = make_preconditioner(PenaltySpec.shared(lam, p, n_basis))
-            if rotated:
-                M = SimpleNamespace(apply=M.scale)
-            fit = reference_pls_fit(Z - z_means, y[keep] - y_mean, M,
-                                    FitConfig(max_components))
+            fit = reference_pls_fit(Z - z_means, y[keep] - y_mean,
+                                    make_preconditioner(PenaltySpec.shared(
+                                        lam, p, n_basis)), cfg)
             err = (y[i] - y_mean - z_held @ fit.beta_path) ** 2
             early_stops[li] += fit.early_stopped
             errors[li] += np.pad(err, (0, max_components - err.size),
@@ -114,22 +123,23 @@ class TestLoocv:
         assert choice.loo_error == errors.min()
 
     def test_one_stacked_pass_per_chunk(self, monkeypatch):
-        # every live fold at every lambda runs in stacked passes of F folds,
-        # F * L fits each; the fold holding out row 3 is intercept-only
+        # every live fold at every lambda runs in one cross-product pass per
+        # chunk of F folds, F * L fits; the fold holding out row 3 is
+        # intercept-only
         X, _ = small_dataset(11, n=10)
         y = np.zeros(10)
         y[3] = 1.0
         calls = []
-        real = selection._pls_loop
+        real = selection._fold_fits
 
-        def counted(S, Y, cfg, weigh, n_fits):
-            calls.append((S.shape[0], n_fits))
-            return real(S, Y, cfg, weigh, n_fits)
+        def counted(S, Y, held, M, cfg):
+            calls.append((S.shape[0], M.dim // S.shape[2]))
+            return real(S, Y, held, M, cfg)
 
-        monkeypatch.setattr(selection, "_pls_loop", counted)
+        monkeypatch.setattr(selection, "_fold_fits", counted)
         kw = dict(lambdas=[0.1, 1.0, 10.0], max_components=2, n_basis=5)
         loocv(X, y, **kw)
-        assert calls == [(9, 27)]  # the default bound holds every fold
+        assert calls == [(9, 3)]  # the default bound holds every fold
         calls.clear()
         monkeypatch.setattr(selection, "_CHUNK_BYTES", 10_000)
         loocv(X, y, **kw)
@@ -138,7 +148,7 @@ class TestLoocv:
         assert len(calls) == math.ceil(9 / per_chunk)
         assert [f for f, _ in calls[:-1]] == [per_chunk] * (len(calls) - 1)
         assert sum(f for f, _ in calls) == 9
-        assert all(n_fits == 3 * f for f, n_fits in calls)
+        assert all(n_lambdas == 3 for _, n_lambdas in calls)
 
     def test_early_stops_counted(self):
         # 7 training rows of a 10-column expansion: at most 6 components
@@ -252,6 +262,11 @@ class TestLoocv:
         X, y = small_dataset(9, n=8)
         with pytest.raises(ConfigurationError, match="X must be 2-D"):
             loocv(X[:, 0], y, lambdas=[1.0], max_components=2, n_basis=5)
+
+    def test_zero_columns_rejected(self):
+        with pytest.raises(ConfigurationError, match="predictor column"):
+            loocv(np.zeros((5, 0)), np.arange(5.0), lambdas=[1.0],
+                  max_components=1)
 
     @pytest.mark.parametrize("count", [2.5, True, 0])
     def test_bad_component_count_rejected(self, count):
@@ -374,17 +389,19 @@ class TestLoocv:
 
     def test_memory_stays_within_the_chunk_bound(self):
         # unchunked, the 400 fold designs alone would take 400 * 400 * 20
-        # doubles, 25.6 MB
-        X, y = gen_additive(SyntheticSpec(17, 400, 2, 0.3,
-                                          ("sine", "linear")))[:2]
-        tracemalloc.start()
-        try:
-            loocv(X, y, lambdas=[0.1, 1.0, 10.0], max_components=3,
-                  n_basis=10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * selection._CHUNK_BYTES
+        # doubles, 25.6 MB; the 60 wide folds (59 rows, d = 400, so no S'S)
+        # 60 * 60 * 400 doubles and their fits 60 * 9 * 3 * 400, 17.1 MB
+        for n, p, n_basis in ((400, 2, 10), (60, 20, 20)):
+            X, y = gen_additive(SyntheticSpec(
+                17, n, p, 0.3, ("sine", "linear") * (p // 2)))[:2]
+            tracemalloc.start()
+            try:
+                loocv(X, y, lambdas=[0.1, 1.0, 10.0], max_components=3,
+                      n_basis=n_basis)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * selection._CHUNK_BYTES
 
 
 def fold_design_case(seed, n, p, decimals, degree, extra):
@@ -545,6 +562,42 @@ class TestBatchedFolds:
                                               mu + block * width)
                 np.testing.assert_array_equal(bits(clamped[at[f, :, j]]),
                                               bits(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 6),
+           st.integers(1, 3), st.integers(4, 8),
+           st.sampled_from(["collinear", "tied"]), st.integers(0, 8),
+           st.sampled_from(["noise", "spike", "two spikes"]))
+    def test_stop_rule_on_tiny_scores(self, seed, tall, extra, p, n_basis,
+                                      predictors, beyond_rank, response):
+        # lambda = 0 on near-collinear or tied predictors and spiky
+        # responses, with m beyond the fold's rank: the last scores are
+        # rounding noise, and the cross-product fits stop where the plain
+        # fits do, with S'S (tall folds, n - 1 >= d) or without it
+        rng = np.random.default_rng(seed)
+        d = p * n_basis
+        n = d + 1 + extra if tall else max(5, d - extra)
+        X = np.repeat(rng.uniform(size=(n, 1)), p, axis=1)
+        if predictors == "collinear":
+            X[:, 1:] += 1e-9 * rng.standard_normal((n, p - 1))
+        else:
+            X = np.round(X + 0.1 * rng.uniform(size=(n, p)), 1)
+        y = rng.standard_normal(n)
+        if response != "noise":
+            y = np.zeros(n)
+            spikes = 1 if response == "spike" else 2
+            y[rng.choice(n, spikes, replace=False)] = rng.uniform(0.5, 2.0,
+                                                                  spikes)
+        m = min(n - 1, d) + beyond_rank
+        lambdas = [0.0, 1.0]
+        got = outcome(lambda: loocv(X, y, lambdas=lambdas, max_components=m,
+                                    n_basis=n_basis))
+        expect = outcome(lambda: reference_loocv(X, y, lambdas, m, n_basis,
+                                                 rotated=False))
+        if isinstance(expect[0], type):
+            assert got == expect
+            return
+        np.testing.assert_array_equal(got[0].early_stops, expect[1])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(4, 24), st.integers(1, 3),
