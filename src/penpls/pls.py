@@ -12,7 +12,8 @@ a score matrix S with a weight step.  The primal runs it on the one centered
 X with w = M X'r, so X is never deflated; the dual (``kernel``) on
 K = X M X' with w = r.  The scores t = S w are the same vectors, so the two
 stop at the same component.  ``selection.loocv`` runs the same recursion in
-d-space, on each fold's cross-products S'S and S'y (``selection._fold_fits``).
+d-space, on each fold's S'y and the images S'(S w) of its weights
+(``selection._fold_fits``).
 """
 from __future__ import annotations
 

@@ -26,17 +26,17 @@ rounding:
   matrix and no separate rotation (``_fold_designs``).  A fold's rows are
   its training rows, centered by their own means, then its held-out row;
 * fits: every fold at every lambda runs in one pass of ``_fold_fits``, the
-  PLS recursion on the fold's cross-products S'S and S'y, so each step
-  costs one product per fold for all its lambdas; the weight step
-  w = M S'r is one scaling of S'r by the lambda's diagonal, which is
-  checked to be finite first;
+  PLS recursion in d-space on the fold's S'y and the images S'(S w) of
+  its weights, so each step costs two products per fold for all its
+  lambdas; the weight step w = M S'r is one scaling of S'r by the
+  lambda's diagonal, which is checked to be finite first;
 * scores: each step predicts every fit's held-out row from its
   coefficients, both in the rotated basis, so nothing is rotated back and
   no coefficient path is kept.
 
 The folds run in chunks whose designs and fit results stay within
-``_CHUNK_BYTES``, so memory does not grow with n times the work of a fold.
-Errors are added up fold by fold, in fold order.
+``_FOLD_CHUNK_BYTES``, so memory does not grow with n times the work of a
+fold.  Errors are added up fold by fold, in fold order.
 """
 from __future__ import annotations
 
@@ -53,8 +53,13 @@ from .pls import _NORM_TOL, FitConfig
 from .splines import (DEFAULT_DEGREE, DEFAULT_N_BASIS, _check_basis_size,
                       _check_finite, _dot_windows, _knots)
 
-# bytes of one chunk of folds: their designs, cross-products and fit results
+# bytes of one block of leave-one-out value sets in ``_fold_knots``
 _CHUNK_BYTES = 2 << 20
+# bytes of one chunk of folds: their designs and fit arrays.  The time per
+# fold falls only slowly with the chunk: at n = 100, p = 3, K = 20 and 20
+# lambdas, 1 MiB holds 3 folds, and 2 MiB held 6 for about 15% less time
+# and 1 MB more peak RSS
+_FOLD_CHUNK_BYTES = 1 << 20
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -192,33 +197,30 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, held: np.ndarray,
     2^e[f], e[f] the binary exponent of fold f's response peak.
 
     This is ``pls._pls_loop``'s recursion run in d-space: PLS needs a design
-    only through S'S and S'y.  With g = S'r for the residual r, the weight
-    is w = M g (the diagonal ``M.scale``, which checks g is finite) and the
-    score t = S w enters only through its image u = S't.  Orthogonalising
-    t against the earlier scores t_j = S wt_j takes t_j't = u_j'wt, and
-    updates the effective weight wt and its image u with the same
-    coefficients (twice); then t't = wt'u, t'r = wt'g, beta += step * wt
-    and g -= step * u with step = t'r / t't, until
-    t't <= (``_NORM_TOL`` |t_1|)^2.  Each step predicts the held-out row as
-    held'beta.  A fit that stops has g zeroed, so its later products are
-    exact zeros and its beta and prediction stay put.
+    only through S'y and the images S't of its scores.  With g = S'r for
+    the residual r, the weight is w = M g (the diagonal ``M.scale``, which
+    checks g is finite) and the score t = S w enters only through its
+    image u = S't.  Orthogonalising t against the earlier scores
+    t_j = S wt_j takes t_j't = u_j'wt, and updates the effective weight wt
+    and its image u with the same coefficients (twice); then t't = wt'u,
+    t'r = wt'g, beta += step * wt and g -= step * u with step = t'r / t't,
+    until t't <= (``_NORM_TOL`` |t_1|)^2.  Each step predicts the held-out
+    row as held'beta.  A fit that stops has g zeroed, so its later
+    products are exact zeros and its beta and prediction stay put.
 
-    The image is one product per fold and step for all L lambdas: w S'S,
-    with S'S formed once, when the fold has at least as many rows as
-    columns, else (w S') S, which never forms the d x d matrix.  A gemm
-    rounds a row depending on its row count, so a fit is bit for bit the
-    same fit run with its fold alone, not with its lambda alone; every
-    other product is one BLAS call per fit, as the same fit run alone
-    makes it.
+    The images are two products per fold and step for all L lambdas,
+    (w S') S: the scores S w, then S' times them.  A gemm rounds a row
+    depending on its row count, so a fit is bit for bit the same fit run
+    with its fold alone, not with its lambda alone; every other product is
+    one BLAS call per fit, as the same fit run alone makes it.
     """
     if not y.any(axis=-1).all():
         raise DegenerateResponseError("centered response is identically zero")
-    F, n, d = S.shape
+    F, _, d = S.shape
     L, m = M.dim // d, cfg.n_components
     exps = np.frexp(np.max(np.abs(y), axis=-1))[1]
     St = S.transpose(0, 2, 1)
     b = (St @ np.ldexp(y, -exps[:, None])[..., None])[..., 0]
-    A = St @ S if n >= d else None
     held = held[:, None, :, None]  # one column per fold, for all L fits
 
     # row i of fit (f, l): its effective weight, then the weight's image
@@ -234,9 +236,10 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, held: np.ndarray,
         w = M.scale(g.reshape(F, L * d)).reshape(F, L, d)
         wu = wu_rows[:, :, i]
         wu[..., :d] = w
-        wu[..., d:] = w @ A if A is not None else (w @ St) @ S
-        if i == 0:  # t't >= 0, but w'u can round below it
-            tol = _NORM_TOL * np.sqrt(np.maximum(_dots(w, wu[..., d:]), 0.0))
+        t = w @ St  # the scores S w
+        wu[..., d:] = t @ S
+        if i == 0:
+            tol = _NORM_TOL * np.sqrt(_dots(t, t))
             gram_tol = tol * tol
         prev = wu_rows[:, :, :i]
         for _ in range(2 if i else 0):
@@ -331,11 +334,11 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     _check_basis_size(n_basis, degree)
 
     # a fold's share of a chunk: its design (training rows and held-out
-    # row), S'S when it is formed, and per fit the effective weights and
-    # their images, and a step's g, beta, weight and two-row products
+    # row), and per fit the effective weights and their images, and a
+    # step's g, beta, weight, S w, image and two-row products
     d, L, m = p * n_basis, lambdas.size, max_components
-    fold_doubles = n * d + (d * d if n - 1 >= d else 0) + L * (2 * m + 5) * d
-    chunk = _CHUNK_BYTES // (8 * fold_doubles)
+    fold_doubles = n * d + L * ((2 * m + 6) * d + n)
+    chunk = _FOLD_CHUNK_BYTES // (8 * fold_doubles)
     chunk = max(1, min(chunk, live_folds.size))
     M = make_preconditioner(spec)  # one block per (lambda, variable)
 

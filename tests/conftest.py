@@ -167,8 +167,8 @@ def reference_fold_fits(S, y, held, M, cfg):
     eigenbasis, y its centered response, ``held`` (d,) its held-out row,
     and M holds L blocks of d, one per lambda.  Fit l keeps g = S'r; its
     weight is w = M g (``M.scale``) and the image of its score is
-    u = S'S w.  The images of the L weights are one product, w S'S (or
-    (w S') S when n < d), as in the package, because a gemm rounds a row
+    u = S'S w.  The images of the L weights are two products for all of
+    them, (w S') S, as in the package, because a gemm rounds a row
     depending on how many rows it has; every other product is the fit's
     own 1-D or 2-D call, on rows that hold the effective weight and its
     image end to end.
@@ -179,13 +179,12 @@ def reference_fold_fits(S, y, held, M, cfg):
     from penpls import DegenerateResponseError
     from penpls.pls import _NORM_TOL
 
-    n, d = S.shape
+    d = S.shape[1]
     L, m = M.dim // d, cfg.n_components
     if not y.any():
         raise DegenerateResponseError("centered response is identically zero")
     e = int(np.frexp(np.max(np.abs(y)))[1])
     b = S.T @ np.ldexp(y, -e)
-    A = S.T @ S if n >= d else None
     g = np.tile(b, (L, 1))
     WU = np.empty((L, m, 2 * d))
     grams, preds = np.empty((L, m)), np.empty((L, m))
@@ -195,11 +194,12 @@ def reference_fold_fits(S, y, held, M, cfg):
     active = np.ones(L, dtype=bool)
     for i in range(m):
         w = M.scale(g.ravel()).reshape(L, d)
-        images = w @ A if A is not None else (w @ S.T) @ S
+        scores = w @ S.T
+        images = scores @ S
         for l in np.flatnonzero(active):
             wu = np.concatenate([w[l], images[l]])
             if i == 0:
-                tol[l] = _NORM_TOL * np.sqrt(max(wu[:d] @ wu[d:], 0.0))
+                tol[l] = _NORM_TOL * np.sqrt(scores[l] @ scores[l])
             for _ in range(2 if i else 0):
                 coef = (WU[l, :i, d:] @ wu[:d]) / grams[l, :i]
                 wu = wu - coef @ WU[l, :i]

@@ -267,7 +267,7 @@ class TestStackedFits:
     def test_every_slice_matches_a_lone_fit(self, seed, n_folds, n, p,
                                             n_basis, rank, lambdas, m,
                                             log_scale):
-        # n below and above d = p * n_basis takes both image products; a
+        # n below and above d = p * n_basis gives wide and tall folds; a
         # large X makes a stopped fit that kept its g overflow
         S, y = folds_problem(seed, n_folds, n, p * n_basis, rank)
         S *= 10.0 ** log_scale
@@ -288,8 +288,8 @@ class TestStackedFits:
 
     def test_slices_stopping_at_different_steps(self):
         # a huge lambda leaves M near the 4-dimensional null space of the
-        # penalty, so that fit stops before the rank of X; 12 rows take the
-        # (w S') S image, 24 rows w S'S
+        # penalty, so that fit stops before the rank of X; 12 rows make
+        # wide folds, 24 rows tall ones
         lambdas = [0.0, 1.0, 1e12, 1.0]
         cfg = FitConfig(10)
         for n in (12, 24):
@@ -314,28 +314,6 @@ class TestStackedFits:
                                     FitConfig(6))
         assert [len(wt) for wt, *_ in fits[0][1]] == [3, 3]
         assert_folds_equal(fits, lone)
-
-    def test_first_score_below_rounding_stops(self):
-        # two columns 1e-9 apart and a response whose S'y lies along their
-        # difference: t't = |S w|^2 is below the rounding of w'S'S w, which
-        # comes out negative, so the fit stops at once instead of taking a
-        # NaN tolerance
-        rng = np.random.default_rng(61)
-        c = rng.standard_normal(12)
-        c -= c.mean()
-        delta = 1e-9 * rng.standard_normal(12)
-        delta -= delta.mean()
-        S = np.column_stack([c, c + delta])
-        y = rng.standard_normal(12)
-        y -= y.mean()
-        y -= (c @ y + (delta @ y) / 2) / (c @ c + (delta @ c) / 2) * c
-        b = S.T @ y
-        assert b @ (b @ (S.T @ S)) < 0
-        M = make_preconditioner(PenaltySpec([0.0], 1, 2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(DegenerateResponseError, match="no component"):
-                chunk_fits(S[None], y[None], M, FitConfig(2))
 
     def test_one_fit_matches_reference(self):
         X, y, _, M, fit = penalized_instance(60)

@@ -141,7 +141,7 @@ class TestLoocv:
         loocv(X, y, **kw)
         assert calls == [(9, 3)]  # the default bound holds every fold
         calls.clear()
-        monkeypatch.setattr(selection, "_CHUNK_BYTES", 10_000)
+        monkeypatch.setattr(selection, "_FOLD_CHUNK_BYTES", 10_000)
         loocv(X, y, **kw)
         per_chunk = calls[0][0]
         assert 1 < per_chunk < 9
@@ -389,7 +389,7 @@ class TestLoocv:
 
     def test_memory_stays_within_the_chunk_bound(self):
         # unchunked, the 400 fold designs alone would take 400 * 400 * 20
-        # doubles, 25.6 MB; the 60 wide folds (59 rows, d = 400, so no S'S)
+        # doubles, 25.6 MB; the 60 wide folds (59 rows, d = 400)
         # 60 * 60 * 400 doubles and their fits 60 * 9 * 3 * 400, 17.1 MB
         for n, p, n_basis in ((400, 2, 10), (60, 20, 20)):
             X, y = gen_additive(SyntheticSpec(
@@ -445,6 +445,7 @@ class TestBatchedFolds:
             y[rng.integers(n)] = rng.uniform(0.5, 2.0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(selection, "_CHUNK_BYTES", chunk_bytes)
+            mp.setattr(selection, "_FOLD_CHUNK_BYTES", chunk_bytes)
             got = outcome(lambda: loocv(X, y, lambdas=lambdas,
                                         max_components=m, n_basis=n_basis))
         expect = outcome(lambda: reference_loocv(X, y, lambdas, m, n_basis))
@@ -573,7 +574,7 @@ class TestBatchedFolds:
         # lambda = 0 on near-collinear or tied predictors and spiky
         # responses, with m beyond the fold's rank: the last scores are
         # rounding noise, and the cross-product fits stop where the plain
-        # fits do, with S'S (tall folds, n - 1 >= d) or without it
+        # fits do, on tall (n - 1 >= d) and wide folds
         rng = np.random.default_rng(seed)
         d = p * n_basis
         n = d + 1 + extra if tall else max(5, d - extra)
