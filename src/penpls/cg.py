@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import NumericalError, _check_int
 from .penalty import Preconditioner
-from .pls import _check_finite
+from .pls import _check_finite, _checked_xy
 
 _NORM_TOL = 1e-12
 
@@ -40,16 +40,8 @@ def pcg_iterates(X, y, preconditioner: Preconditioner,
     Stops early once the residual norm falls to ``_NORM_TOL`` (1e-12) times
     the initial residual.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2:
-        raise ConfigurationError(f"X must be 2-D, got {X.ndim} dimensions")
-    if X.shape[0] != y.shape[0]:
-        raise ConfigurationError("X and y row counts differ")
-    if X.shape[0] == 0:
-        raise ConfigurationError("need at least one observation")
-    if n_steps < 1:
-        raise ConfigurationError("n_steps must be at least 1")
+    X, y = _checked_xy(X, y)
+    _check_int(n_steps, "n_steps", 1)
     _check_finite(X=X, y=y)
 
     def apply_a(v):

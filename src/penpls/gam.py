@@ -3,10 +3,13 @@
 A model is fit by expanding each predictor in a B-spline basis, centering the
 expanded columns and the response, running penalized PLS, and storing the
 centering statistics so new observations can be scored honestly.
-``_design`` does this preprocessing for ``fit_gam``; ``loocv`` builds the
-bases and designs of all its folds together (see ``selection``).
-The PLS fit is scale-equivariant in y (``pls`` picks its working units),
-so coefficients are stored on the response's own scale.
+
+``fit_gam`` runs a ``loocv`` fold's code (see ``selection``): its design,
+rotated to the penalty's Demmler-Reinsch basis (``splines._fold_designs``)
+and centered (``_center``), is fitted by ``pls._fold_fits`` at one lambda
+with no held-out row, and beta and the expansion means are rotated back
+once, so the model holds the plain B-spline basis.  The PLS fit is
+scale-equivariant in y, so coefficients are stored on the response's scale.
 
 Fitting needs the dense centered design; scoring does not.  ``predict`` and
 ``fitted_function`` both go through ``_score``, which multiplies each
@@ -20,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DegenerateVariableError
-from .penalty import PenaltySpec, make_preconditioner
-from .pls import FitConfig, _check_finite, penalized_pls_fit
-from .splines import (BasisExpansion, SplineBasis, make_basis, transform,
+from .errors import (ConfigurationError, DataError, DegenerateVariableError,
+                     _as_float, _check_int)
+from .penalty import PenaltySpec, Preconditioner
+from .pls import FitConfig, _check_finite, _checked_xy, _fold_fits
+from .splines import (BasisExpansion, SplineBasis, _fold_designs, make_basis,
                       transform_dot, DEFAULT_DEGREE)
 
 
@@ -68,12 +72,7 @@ class FittedFunction:
 
 def _training_data(X, y):
     """X as a 2-D and y as a 1-D float array, checked against each other."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2:
-        raise ConfigurationError(f"X must be 2-D, got {X.ndim} dimensions")
-    if X.shape[0] != y.shape[0]:
-        raise ConfigurationError("X and y row counts differ")
+    X, y = _checked_xy(X, y)
     if X.shape[1] == 0:
         raise ConfigurationError("X needs at least one predictor column")
     _check_finite(y=y)
@@ -82,23 +81,22 @@ def _training_data(X, y):
     return X, y
 
 
-def _design(X, y, n_basis: int, degree: int):
-    """Bases, expansion means, centered expansion, intercept and centered
-    response ``yc`` of one training set.  ``yc`` is None when the response
-    is constant to rounding: the model is then its intercept alone."""
-    bases = []
-    for j in range(X.shape[1]):
-        try:
-            bases.append(make_basis(X[:, j], n_basis, degree))
-        except (DataError, DegenerateVariableError) as exc:
-            raise type(exc)(f"predictor column {j}: {exc}") from exc
-    bases = tuple(bases)
-    Zc = transform(X, BasisExpansion(bases))
-    z_means = Zc.mean(axis=0)
-    Zc -= z_means
+def _center(Z: np.ndarray, n_train: int) -> np.ndarray:
+    """Center each fold's design ``Z[f]`` (F, rows, d) in place by the
+    column means of its first ``n_train`` rows, its training rows; rows
+    after them, held out, are shifted by the same means.  Returns the
+    means (F, d)."""
+    means = np.empty((Z.shape[0], Z.shape[2]))
+    for f, Zf in enumerate(Z):
+        means[f] = Zf[:n_train].mean(axis=0)
+        Zf -= means[f]
+    return means
 
-    intercept, varies = _response_level(y)
-    return bases, z_means, Zc, intercept, y - intercept if varies else None
+
+def _unrotated(v: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+    """``blockdiag(V) v``: each K-block of v times the K x K rotation V,
+    contiguous, as a reloaded model's arrays, so ``predict`` rounds alike."""
+    return (v.reshape(-1, len(rotation)) @ rotation.T).ravel()
 
 
 def _response_level(y):
@@ -137,24 +135,33 @@ def fit_gam(X, y, penalty: PenaltySpec, n_components: int,
             f"{penalty.n_variables} variables")
     cfg = FitConfig(n_components)
 
-    bases, z_means, Zc, intercept, yc = _design(X, y, penalty.n_basis,
-                                                 degree)
-    if yc is None:  # constant response: intercept-only model, zero components
-        beta, k = np.zeros(Zc.shape[1]), 0
-    else:
-        fit = penalized_pls_fit(Zc, yc, make_preconditioner(penalty), cfg)
-        # contiguous, as a reloaded model's, so predict rounds alike
-        beta, k = fit.beta.copy(), fit.n_components
-    fitted = intercept + Zc @ beta
-    return GamModel(bases=bases, penalty=penalty, beta=beta,
-                    intercept=intercept, z_means=z_means, n_components=k,
+    bases = []
+    for j in range(X.shape[1]):
+        try:
+            bases.append(make_basis(X[:, j], penalty.n_basis, degree))
+        except (DataError, DegenerateVariableError) as exc:
+            raise type(exc)(f"predictor column {j}: {exc}") from exc
+    M = Preconditioner(penalty)
+    Z = _fold_designs(X, [b.knots[None] for b in bases], degree, M.basis)
+    z_means = _center(Z, len(X))[0]
+
+    intercept, varies = _response_level(y)
+    beta, k = np.zeros(penalty.dim), 0
+    if varies:  # else intercept-only: zero components
+        _, _, fit_beta, _, count, exps = _fold_fits(
+            Z, (y - intercept)[None], Z[:, :0], M, cfg)
+        beta, k = np.ldexp(fit_beta[0, 0], exps[0]), int(count[0, 0])
+    fitted = intercept + Z[0] @ beta
+    return GamModel(bases=tuple(bases), penalty=penalty,
+                    beta=_unrotated(beta, M.basis), intercept=intercept,
+                    z_means=_unrotated(z_means, M.basis), n_components=k,
                     requested_components=n_components, fitted=fitted)
 
 
 def predict(model: GamModel, X_new) -> np.ndarray:
     """Score new observations; out-of-domain values are clamped to the
     training range of each variable."""
-    X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
+    X_new = np.atleast_2d(_as_float(X_new, "X_new"))
     if X_new.shape[1] != model.n_variables:
         raise ConfigurationError(
             f"expected {model.n_variables} predictor columns, "
@@ -167,12 +174,12 @@ def fitted_function(model: GamModel, variable: int,
                     grid_size: int = 200) -> FittedFunction:
     """Evaluate one additive component on an equispaced grid over its
     training range."""
+    _check_int(variable, "variable")
+    _check_int(grid_size, "grid_size", 2)
     if not 0 <= variable < model.n_variables:
         raise ConfigurationError(
             f"variable index {variable} out of range for "
             f"{model.n_variables} predictors")
-    if grid_size < 2:
-        raise ConfigurationError("grid_size must be at least 2")
     basis = model.bases[variable]
     lo, hi = basis.domain
     grid = np.linspace(lo, hi, grid_size)

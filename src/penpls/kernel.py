@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidKernelError
+from .errors import ConfigurationError, InvalidKernelError, _as_float
 from .penalty import Preconditioner
 from .pls import FitConfig, _check_finite, _columns, _pls_loop
 
@@ -46,10 +46,10 @@ class KernelFit:
 
 def gram_matrix(X, preconditioner: Preconditioner) -> np.ndarray:
     """Gram matrix of M-inner products between observations: X M X'."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] != preconditioner.dim:
+    X = _as_float(X, "X")
+    if X.ndim != 2 or X.shape[1] != preconditioner.dim:
         raise ConfigurationError(
-            f"X has {X.shape[1]} columns, preconditioner expects "
+            f"X has shape {X.shape}, preconditioner expects "
             f"{preconditioner.dim}")
     gram = X @ preconditioner.apply(X.T)
     return 0.5 * (gram + gram.T)  # symmetrize away round-off
@@ -64,8 +64,7 @@ def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:
     the dual weights alpha_tilde (K alpha_tilde = t), its coefficient path
     is ``alpha_path``, and the fitted path is the running sum of step * t.
     """
-    K = np.asarray(K, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
+    K, y = _as_float(K, "K"), _as_float(y, "y").ravel()
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ConfigurationError("Gram matrix must be square")
     if K.shape[0] != y.shape[0]:

@@ -19,17 +19,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, _as_float, _check_int
 
 DEFAULT_DIFF_ORDER = 2
+
+
+def _check_order(n_basis: int, order: int):
+    _check_int(n_basis, "n_basis")
+    _check_int(order, "difference order")
+    if not 1 <= order <= n_basis - 1:
+        raise ConfigurationError(
+            f"difference order {order} out of range for n_basis={n_basis}")
 
 
 def _difference_operator(n_basis: int, order: int) -> np.ndarray:
     """Order-q difference operator D, a (K - q) x K integer matrix: q
     rounds of row i minus row i + 1, starting from the identity."""
-    if not 1 <= order <= n_basis - 1:
-        raise ConfigurationError(
-            f"difference order {order} out of range for n_basis={n_basis}")
+    _check_order(n_basis, order)
     diff = np.eye(n_basis)
     for _ in range(order):
         diff = diff[:-1] - diff[1:]
@@ -65,17 +71,16 @@ class PenaltySpec:
     n_basis: int
 
     def __post_init__(self):
-        lambdas = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
+        lambdas = np.atleast_1d(_as_float(self.lambdas, "lambdas"))
         object.__setattr__(self, "lambdas", lambdas)
         lambdas.setflags(write=False)
+        if lambdas.ndim != 1:
+            raise ConfigurationError("penalty weights must be a vector")
         if not np.all(np.isfinite(lambdas)):
             raise ConfigurationError("penalty weights must be finite")
         if np.any(lambdas < 0):
             raise ConfigurationError("penalty weights must be nonnegative")
-        if not 1 <= self.order <= self.n_basis - 1:
-            raise ConfigurationError(
-                f"difference order {self.order} out of range for "
-                f"n_basis={self.n_basis}")
+        _check_order(self.n_basis, self.order)
 
     @classmethod
     def shared(cls, lam: float, n_variables: int, n_basis: int,
@@ -149,10 +154,10 @@ class Preconditioner:
         block and the column count, so a block rounds the same whatever
         blocks surround it.  The caller's array is never written.
         """
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.dim:
+        v = _as_float(v, "v")
+        if v.ndim not in (1, 2) or v.shape[0] != self.dim:
             raise ConfigurationError(
-                f"vector of length {v.shape[0]} does not match "
+                f"array of shape {v.shape} does not match "
                 f"preconditioner dimension {self.dim}")
         _check_finite(v)
         p, K = self.spec.n_variables, self.spec.n_basis
@@ -178,10 +183,10 @@ class Preconditioner:
         of ``diagonal``.  Each entry is one product, so a row rounds the
         same whatever rows are stacked with it.
         """
-        c = np.asarray(c, dtype=float)
-        if c.shape[-1] != self.dim:
+        c = _as_float(c, "c")
+        if c.ndim == 0 or c.shape[-1] != self.dim:
             raise ConfigurationError(
-                f"coordinates of length {c.shape[-1]} do not match "
+                f"coordinates of shape {c.shape} do not match "
                 f"preconditioner dimension {self.dim}")
         _check_finite(c)
         return c * self.diagonal.reshape(self.dim)

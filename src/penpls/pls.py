@@ -11,9 +11,13 @@ One loop computes every lone fit, primal or dual: a residual recursion on
 a score matrix S with a weight step.  The primal runs it on the one centered
 X with w = M X'r, so X is never deflated; the dual (``kernel``) on
 K = X M X' with w = r.  The scores t = S w are the same vectors, so the two
-stop at the same component.  ``selection.loocv`` runs the same recursion in
-d-space, on each fold's S'y and the images S'(S w) of its weights
-(``selection._fold_fits``).
+stop at the same component.
+
+``_fold_fits`` runs the same recursion in d-space, on a stack of designs
+rotated to M's eigenbasis, through their S'y and the images S'(S w) of
+their weights; there M is the diagonal ``Preconditioner.scale``.  It is the
+fit of ``gam.fit_gam`` (one design, one lambda) and of every fold of
+``selection.loocv`` (a chunk of folds at every lambda).
 """
 from __future__ import annotations
 
@@ -22,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DegenerateResponseError
+from .errors import (ConfigurationError, DataError, DegenerateResponseError,
+                     _as_float, _check_int)
 from .penalty import Preconditioner
 
 # a fit stops at an orthogonalised score no longer than this times the first
@@ -36,13 +41,7 @@ class FitConfig:
     n_components: int
 
     def __post_init__(self):
-        if isinstance(self.n_components, bool) or \
-                not isinstance(self.n_components, (int, np.integer)):
-            raise ConfigurationError(
-                f"n_components must be an integer, got "
-                f"{self.n_components!r}")
-        if self.n_components < 1:
-            raise ConfigurationError("n_components must be at least 1")
+        _check_int(self.n_components, "n_components", 1)
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,19 @@ def _check_finite(**arrays: np.ndarray):
     for name, a in arrays.items():
         if not np.isfinite(a).all():
             raise DataError(f"{name} has non-finite values (NaN or inf)")
+
+
+def _checked_xy(X, y):
+    """X as a 2-D and y as a 1-D float array, with the same number of rows,
+    at least one."""
+    X, y = _as_float(X, "X"), _as_float(y, "y").ravel()
+    if X.ndim != 2:
+        raise ConfigurationError(f"X must be 2-D, got {X.ndim} dimensions")
+    if X.shape[0] != y.shape[0]:
+        raise ConfigurationError("X and y row counts differ")
+    if X.shape[0] == 0:
+        raise ConfigurationError("need at least one observation")
+    return X, y
 
 
 def _check_centered(X: np.ndarray, y: np.ndarray):
@@ -160,14 +172,7 @@ def _primal_fit(X, y, cfg: FitConfig,
                 preconditioner: Preconditioner | None) -> PlsFit:
     """``_pls_loop`` on one centered (X, y) with the weight step
     w = M X'r (X'r without a preconditioner)."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2:
-        raise ConfigurationError(f"X must be 2-D, got {X.ndim} dimensions")
-    if X.shape[0] != y.shape[0]:
-        raise ConfigurationError("X and y row counts differ")
-    if X.shape[0] == 0:
-        raise ConfigurationError("need at least one observation")
+    X, y = _checked_xy(X, y)
     if preconditioner is not None and preconditioner.dim != X.shape[1]:
         raise ConfigurationError(
             f"X has {X.shape[1]} columns, preconditioner expects "
@@ -194,3 +199,96 @@ def penalized_pls_fit(X, y, preconditioner: Preconditioner,
     ``preconditioner.dim`` must equal X's column count d.
     """
     return _primal_fit(X, y, cfg, preconditioner)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products ``a[..., :] @ b[..., :]``, one BLAS dot each, the call
+    ``a[f, l] @ b[f, l]`` on 1-D operands makes."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+def _fold_fits(S: np.ndarray, y: np.ndarray, held: np.ndarray,
+               M: Preconditioner, cfg: FitConfig) -> tuple[np.ndarray, ...]:
+    """Penalized PLS fits of F fold designs S (F, n, d), rotated to M's
+    eigenbasis, with centered responses y (F, n), at each of the L lambdas
+    whose blocks M holds, scored on h held-out rows ``held`` (F, h, d)
+    (``loocv``: h = 1; ``fit_gam``: F = L = 1, h = 0).
+
+    Returns the effective weights and their images (each (F, L, m, d)),
+    the final coefficients (F, L, d), the held-out predictions
+    (F, L, h, m), each fit's component count k (F, L) and each fold's
+    exponent e (F,).  Fit (f, l)'s weights and images are its first
+    k[f, l] rows; its predictions are one per component, the last repeated
+    after an early stop.  All are in units of 2^e[f], e[f] the binary
+    exponent of fold f's response peak.
+
+    This is ``_pls_loop``'s recursion run in d-space: PLS needs a design
+    only through S'y and the images S't of its scores.  With g = S'r for
+    the residual r, the weight is w = M g (the diagonal ``M.scale``, which
+    checks g is finite) and the score t = S w enters only through its
+    image u = S't.  Orthogonalising t against the earlier scores
+    t_j = S wt_j takes t_j't = u_j'wt, and updates the effective weight wt
+    and its image u with the same coefficients (twice); then t't = wt'u,
+    t'r = wt'g, beta += step * wt and g -= step * u with step = t'r / t't,
+    until t't <= (``_NORM_TOL`` |t_1|)^2.  Each step predicts the held-out
+    row as held'beta.  A fit that stops has g zeroed, so its later
+    products are exact zeros and its beta and prediction stay put.
+
+    The images are two products per fold and step for all L lambdas,
+    (w S') S: the scores S w, then S' times them.  A gemm rounds a row
+    depending on its row count, so a fit is bit for bit the same fit run
+    with its fold alone, not with its lambda alone; every other product is
+    one BLAS call per fit, as the same fit run alone makes it.
+    """
+    if not y.any(axis=-1).all():
+        raise DegenerateResponseError("centered response is identically zero")
+    F, _, d = S.shape
+    L, m = M.dim // d, cfg.n_components
+    exps = np.frexp(np.max(np.abs(y), axis=-1))[1]
+    St = S.transpose(0, 2, 1)
+    b = (St @ np.ldexp(y, -exps[:, None])[..., None])[..., 0]
+    held = held.transpose(0, 2, 1)[:, None]  # (F, 1, d, h), for all L fits
+
+    # row i of fit (f, l): its effective weight, then the weight's image
+    wu_rows = np.empty((F, L, m, 2 * d))
+    grams = np.empty((F, L, m))  # t't of each kept score (1 where stopped)
+    preds = np.empty((F, L, held.shape[-1], m))
+    beta = np.zeros((F, L, d))
+    g = np.repeat(b[:, None], L, axis=1)
+    active = np.ones((F, L), dtype=bool)
+    count = np.zeros((F, L), dtype=int)
+
+    for i in range(m):
+        w = M.scale(g.reshape(F, L * d)).reshape(F, L, d)
+        wu = wu_rows[:, :, i]
+        wu[..., :d] = w
+        t = w @ St  # the scores S w
+        wu[..., d:] = t @ S
+        if i == 0:
+            tol = _NORM_TOL * np.sqrt(_dots(t, t))
+            gram_tol = tol * tol
+        prev = wu_rows[:, :, :i]
+        for _ in range(2 if i else 0):
+            # Gram-Schmidt twice keeps the scores orthogonal; one gemv per
+            # fit each, as a lone fit's 2-D by 1-D products make them
+            coef = (prev[..., d:] @ wu[..., :d, None])[..., 0] / grams[..., :i]
+            wu -= (coef[..., None, :] @ prev)[..., 0, :]
+        wt, u = wu[..., :d], wu[..., d:]
+        gram = _dots(wt, u)
+        active &= ~(gram <= gram_tol)
+        gram = np.where(active, gram, 1.0)
+        step = np.where(active, _dots(wt, g), 0.0) / gram
+        beta += step[..., None] * wt
+        g -= step[..., None] * u
+        g[~active] = 0.0
+
+        grams[..., i] = gram
+        preds[..., i] = (beta[..., None, :] @ held)[..., 0, :]
+        count += active
+        if not active.any():
+            preds[..., i + 1:] = preds[..., i, None]
+            break
+
+    if not count.all():
+        raise DegenerateResponseError("no component could be extracted")
+    return wu_rows[..., :d], wu_rows[..., d:], beta, preds, count, exps

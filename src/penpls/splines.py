@@ -4,23 +4,22 @@ Each predictor variable gets its own basis.  A data matrix with p columns is
 mapped to a matrix with p*K columns, grouped contiguously by variable, where
 K is the number of basis functions per variable.
 
-One Cox-de Boor recursion, ``_tables``, evaluates all points of a column
-at once and computes, per point, only the ``degree + 1`` basis functions
-that are nonzero there (local support).  Its work is ``degree`` array
-passes over a ``(degree + 1, len(xs))`` table, not over every knot
-interval, run in cache-sized slices of points.  The table has two
-consumers:
+One search, ``_windows``, finds each point's knot window, in one knot
+vector or in every fold's at once.  One Cox-de Boor recursion, ``_tables``,
+then computes per point only the ``degree + 1`` basis functions that are
+nonzero there (local support): ``degree`` array passes over a
+``(degree + 1, len(xs))`` table, run in cache-sized slices of points.  The
+table has one consumer, ``_dot_windows``, which multiplies it by the
+gathered coefficients of each point's nonzero functions:
 
-* ``_eval_windows`` scatters it into the dense basis matrix.  This is
-  ``eval_basis_grid`` (one column) and ``transform`` (a whole data matrix),
-  which the fit uses.
-* ``_dot_windows`` multiplies it by the gathered coefficients of each
-  point's nonzero functions.  With a coefficient vector this is
-  ``transform_dot``, the product ``transform(X) @ coef`` without the dense
-  matrix, from which prediction and fitted curves are scored.  With a
-  K x K matrix it is the design times that matrix: ``loocv`` passes the
-  preconditioner's rotation V and the windows of every fold's bases at
-  once, and gets the rotated fold designs without a dense basis matrix.
+* with a coefficient vector it is ``transform_dot``, the product
+  ``transform(X) @ coef`` without the dense matrix, which scores
+  prediction and fitted curves;
+* with the preconditioner's Demmler-Reinsch rotation V it is the rotated
+  design B V (``_fold_designs``): of one fold for ``fit_gam``, of a chunk
+  of folds for ``loocv``;
+* with the K x K identity it is the basis matrix itself, bit for bit:
+  ``eval_basis_grid`` (one column) and ``transform`` (a whole data matrix).
 
 Non-finite data are rejected where they enter, in ``make_basis``,
 ``transform`` and ``transform_dot``, rather than given an all-zero basis
@@ -32,13 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DegenerateVariableError
+from .errors import (ConfigurationError, DataError, DegenerateVariableError,
+                     _as_float, _check_int)
 
 DEFAULT_N_BASIS = 20
 DEFAULT_DEGREE = 3
 # points per pass of the recursion in ``_tables``: a pass's
 # temporaries stay in a 2 MB L2 cache
 _SLICE = 4096
+# bytes of the coefficient terms ``_dot_windows`` gathers per pass: at
+# 512 KiB the tall workload's peak RSS was 0.7 MB higher, at 128 KiB its
+# and the wide workload's fits were about 3% slower in-process
+_TERM_BYTES = 256 << 10
 
 
 @dataclass(frozen=True)
@@ -54,11 +58,12 @@ class SplineBasis:
     knots: np.ndarray
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
+        knots = _as_float(self.knots, "knots")
         object.__setattr__(self, "knots", knots)
         knots.setflags(write=False)
-        if self.degree < 0:
-            raise ConfigurationError("degree must be nonnegative")
+        _check_int(self.degree, "degree", 0)
+        if knots.ndim != 1:
+            raise ConfigurationError("knots must be a vector")
         if not np.isfinite(knots).all():
             raise ConfigurationError("knots must be finite")
         if np.any(np.diff(knots) < 0):
@@ -108,7 +113,7 @@ def make_basis(values, n_basis: int = DEFAULT_N_BASIS,
     DegenerateVariableError
         If ``values`` has fewer than two distinct entries.
     """
-    values = np.asarray(values, dtype=float).ravel()
+    values = _as_float(values, "values").ravel()
     if not np.all(np.isfinite(values)):
         raise DataError("variable has non-finite values (NaN or inf)")
     _check_basis_size(n_basis, degree)
@@ -136,8 +141,8 @@ def _knots(distinct: np.ndarray, n_basis: int, degree: int) -> np.ndarray:
 
 
 def _check_basis_size(n_basis: int, degree: int):
-    if degree < 0:
-        raise ConfigurationError("degree must be nonnegative")
+    _check_int(n_basis, "n_basis")
+    _check_int(degree, "degree", 0)
     if n_basis < degree + 1:
         raise ConfigurationError(
             f"n_basis={n_basis} is too small for degree {degree} "
@@ -150,8 +155,9 @@ def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
 
     Only the ``degree + 1`` functions that are nonzero at a point are
     evaluated (local support; de Boor's BSPLVB).  ``_windows`` locates each
-    point's knot window; ``_eval_windows`` runs the recursion on those
-    windows and scatters the result.
+    point's knot window; ``_dot_windows`` multiplies the recursion's table
+    by the identity, which puts each value in its column exactly: this is
+    ``_fold_designs`` of one fold with the identity for the rotation.
 
     Points are clamped to the boundary-knot interval first, so out-of-domain
     points are evaluated at the nearest boundary.  The right boundary, which
@@ -162,93 +168,110 @@ def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
     DataError
         If ``xs`` contains NaN.
     """
-    padded, mu, x = _windows(basis.knots, basis.degree, xs)
-    return _eval_windows(padded, mu, x, basis.degree, basis.n_basis)
-
-
-def _windows(knots: np.ndarray, degree: int, xs):
-    """The padded knot vector, each point's first window index and the
-    clamped points, for the knot vector ``knots``.
-
-    One ``searchsorted`` finds each point's half-open knot interval
-    ``[t_mu, t_{mu+1})``.  Entry q of the padded vector is knot q - degree,
-    so the ``2 * degree + 2`` knots around point i are entries
-    ``mu[i] .. mu[i] + 2 * degree + 1``; the padding (``degree`` copies of
-    the left boundary, ``degree + 1`` of the right) keeps every such index
-    in range.  Its values reach only functions outside [0, K), which an
-    unclamped knot vector's windows hold and which ``_eval_windows`` and
-    ``_dot_windows`` drop.  ``selection._fold_windows`` finds the same
-    windows for many knot vectors at once.
-    """
-    t, d = knots, degree
-    lo, hi = t[0], t[-1]
-    x = np.clip(np.asarray(xs, dtype=float).ravel(), lo, hi)
+    x = _as_float(xs, "xs").ravel()
     if np.isnan(x).any():
         raise DataError("points to evaluate include NaN")
-    mu = np.searchsorted(t, x, side="right") - 1
-    at_end = x >= hi
-    if at_end.any():
-        mu[at_end] = np.nonzero(t[1:] > t[:-1])[0][-1]
-    padded = np.concatenate([np.full(d, lo), t, np.full(d + 1, hi)])
-    return padded, mu, x
+    return _fold_designs(x[:, None], [basis.knots[None]], basis.degree,
+                         np.eye(basis.n_basis))[0]
 
 
-def _eval_windows(padded: np.ndarray, first: np.ndarray, x: np.ndarray,
-                  degree: int, n_basis: int) -> np.ndarray:
-    """The (len(x), n_basis) basis matrix of points x whose knot windows
-    begin at entries ``first`` of ``padded``.
+def _windows(knots: np.ndarray, degree: int, X: np.ndarray):
+    """Every point's knot window in its own knot vector, in one search.
 
-    Point i's nonzero functions are ``first[i] - degree .. first[i]``.
-    ``_tables`` evaluates them and this scatters them into the dense
-    result; entries for columns outside ``[0, K)``, which only unclamped
-    knot vectors produce, are dropped.
+    ``knots`` is (F, p, width), F sets (folds) of one knot vector per
+    column; X is (n, p), the same points for every set, or (F, n, p).
+    Returns the F * p padded knot vectors, one per row, and per point in
+    (set, row, column) order the entry of their flat array where its
+    window starts, w * b + mu for padded width w, vector b and first
+    window index mu, and the point clamped to its vector's boundaries.
+
+    mu is the number of knots at or below the point, less one, so the
+    point lies in ``[t_mu, t_{mu+1})``; at the right boundary, which no
+    half-open interval holds, it is the last nonempty interval.  Entry q
+    of a padded vector is knot q - degree, so the ``2 * degree + 2`` knots
+    around a point are entries ``mu .. mu + 2 * degree + 1``; the padding
+    keeps them in range and reaches only functions outside [0, K), which
+    ``_dot_windows`` drops.  The knots are compared with at most ``_SLICE``
+    points at a time.  NaN points are the callers' to reject.
     """
-    d = degree
-    # column c of the wide matrix is basis function c - d, so the columns
-    # of functions that do not exist (unclamped knots) are cut off
-    wide = np.zeros((len(x), n_basis + 2 * d))
-    rows = np.arange(d + 1)[:, None]
-    for lo, b in _tables(padded, first, x, d):
-        m = b.shape[1]
-        wide[lo:lo + m][np.arange(m), rows + first[lo:lo + m]] = b
-    return wide[:, d:d + n_basis]
+    F, p, width = knots.shape
+    lo, hi = knots[:, None, :, 0], knots[:, None, :, -1]  # (F, 1, p)
+    x = np.clip(X, lo, hi)  # (F, n, p)
+    first = np.empty(x.shape, dtype=np.intp)
+    rows = max(1, _SLICE // max(F * p, 1))
+    for a in range(0, x.shape[1], rows):
+        # compared with the points innermost, the counts add whole rows
+        below = knots[..., None] <= x[:, a:a + rows].transpose(0, 2, 1)[
+            :, :, None]
+        first[:, a:a + rows] = below.sum(axis=2).transpose(0, 2, 1) - 1
+    nonempty = knots[..., 1:] > knots[..., :-1]
+    last = width - 2 - np.argmax(nonempty[..., ::-1], axis=-1)  # (F, p)
+    np.copyto(first, last[:, None], where=x >= hi)
+    # entry q of a padded vector is knot q - degree, clamped to the vector
+    index = np.clip(np.arange(-degree, width + degree + 1), 0, width - 1)
+    padded = knots[..., index].reshape(F * p, index.size)
+    first += index.size * np.arange(F * p).reshape(F, 1, p)
+    return padded, first.ravel(), x.ravel()
 
 
-def _dot_windows(padded: np.ndarray, start: np.ndarray, first: np.ndarray,
-                 x: np.ndarray, degree: int, coef: np.ndarray,
-                 out: np.ndarray):
+def _dot_windows(padded: np.ndarray, start: np.ndarray, x: np.ndarray,
+                 degree: int, coef: np.ndarray, out: np.ndarray):
     """Add ``sum_k B_k(x[i]) * coef[k]`` to ``out[i]`` for each point, where
-    ``B_k`` are the functions of a knot vector and point i's knot window
-    begins at entry ``start[i]`` of ``padded``.
+    ``B_k`` are the functions of point i's knot vector, one row of
+    ``padded``, and its window begins at entry ``start[i]`` of their flat
+    array (``_windows``).
 
-    Point i's nonzero functions are ``first[i] - degree .. first[i]``.  For
-    one knot vector ``start`` is ``first``; ``padded`` may also be several
-    padded vectors end to end, each point's ``start`` offset to its own
-    vector, as long as no window crosses into the next one.
+    With ``first[i]`` the window's index within its row, point i's nonzero
+    functions are ``first[i] - degree .. first[i]``.
 
     ``coef`` is a vector of K coefficients, or a (K, c) matrix whose rows
-    are added, so that ``out`` is (len(x), c): with the Demmler-Reinsch
-    rotation V this is the rotated design B V.  Only the ``degree + 1``
-    nonzero functions of each point are multiplied by their gathered
-    coefficients ``coef[first[i] - degree + r]``, summed in the order
-    r = 0 .. degree, so each point's value is independent of the slicing
-    and of every other point.  Functions outside ``[0, K)`` (unclamped
-    knots) get a zero coefficient.
+    are added, so that ``out`` is (len(x), c): with the identity this is
+    the basis matrix, with the Demmler-Reinsch rotation V the rotated
+    design B V.  Only the ``degree + 1`` nonzero functions of each point
+    are multiplied by their gathered coefficients
+    ``coef[first[i] - degree + r]``, summed in the order r = 0 .. degree,
+    so each point's value is independent of the slicing (the terms are
+    gathered ``_TERM_BYTES`` at a time) and of every other point.
+    Functions outside ``[0, K)`` (unclamped knots) get a zero coefficient.
     """
     d = degree
     pad = np.zeros((d,) + coef.shape[1:])
     wide = np.concatenate([pad, coef, pad])
     rows = np.arange(d + 1)[:, None]
-    for lo, b in _tables(padded, start, x, d):
-        m = b.shape[1]
-        # entry first + r of wide is the coefficient of function
-        # first - d + r
-        terms = np.take(wide, rows + first[lo:lo + m], axis=0)
-        terms *= b.reshape(b.shape + (1,) * (coef.ndim - 1))
-        acc = out[lo:lo + m]
-        for r in range(d + 1):
-            acc += terms[r]
-        del terms  # so the next slice's terms are not built beside these
+    step = max(1, _TERM_BYTES // (8 * (d + 1) * (coef.size // len(coef))))
+    width = padded.shape[1]
+    for lo, table in _tables(padded.ravel(), start, x, d):
+        for a in range(0, table.shape[1], step):
+            b = table[:, a:a + step]
+            at = slice(lo + a, lo + a + b.shape[1])
+            # entry first + r of wide is the coefficient of function
+            # first - d + r
+            terms = np.take(wide, rows + start[at] % width, axis=0)
+            terms *= b.reshape(b.shape + (1,) * (coef.ndim - 1))
+            acc = out[at]
+            for r in range(d + 1):
+                acc += terms[r]
+
+
+def _fold_designs(X: np.ndarray, knots: list[np.ndarray], degree: int,
+                  rotation: np.ndarray) -> np.ndarray:
+    """The rows of X expanded in each of F folds' bases and rotated,
+    (F, n, p * K): block j of fold f is B V, with B fold f's (n, K) basis
+    matrix of column j and V the K x K ``rotation``.  X is (n, p), the
+    same rows for every fold, or (F, n, p), fold f's rows ``X[f]``;
+    ``knots[j]`` holds the F folds' knot vectors of column j.  One
+    ``_windows`` search and one ``_dot_windows`` pass write each point's
+    ``degree + 1`` nonzero basis values times their rows of V straight
+    into the design, so B is never formed.
+    """
+    n, p = X.shape[-2:]
+    F, width = knots[0].shape
+    n_basis = width - degree - 1
+    Z = np.zeros((F, n, p * n_basis))
+    # row (f, i, j) of this view is block j of fold f's row i
+    _dot_windows(*_windows(np.stack(knots, axis=1), degree, X), degree,
+                 rotation, Z.reshape(F * n * p, n_basis))
+    return Z
 
 
 def _tables(padded: np.ndarray, start: np.ndarray, x: np.ndarray,
@@ -356,7 +379,7 @@ def transform_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
         If X contains NaN or an infinity.
     """
     X = _checked_matrix(X, expansion)
-    coef = np.asarray(coef, dtype=float)
+    coef = _as_float(coef, "coef")
     n_total = sum(b.n_basis for b in expansion.bases)
     if coef.shape != (n_total,):
         raise ConfigurationError(
@@ -365,16 +388,18 @@ def transform_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
     out = np.zeros(X.shape[0])
     start = 0
     for j, basis in enumerate(expansion.bases):
-        padded, first, x = _windows(basis.knots, basis.degree, X[:, j])
-        _dot_windows(padded, first, first, x, basis.degree,
-                     coef[start:start + basis.n_basis], out)
+        _dot_windows(*_windows(basis.knots[None, None], basis.degree,
+                               X[:, j:j + 1]),
+                     basis.degree, coef[start:start + basis.n_basis], out)
         start += basis.n_basis
     return out
 
 
 def _checked_matrix(X, expansion: BasisExpansion) -> np.ndarray:
     """X as a finite 2-D float array with one column per basis."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(_as_float(X, "X"))
+    if X.ndim != 2:
+        raise ConfigurationError(f"X must be 2-D, got {X.ndim} dimensions")
     if X.shape[1] != expansion.n_variables:
         raise ConfigurationError(
             f"X has {X.shape[1]} columns but the expansion was built "

@@ -54,22 +54,24 @@ def exact_roughness(X, y, lam, n_basis, components, grid_size=200, order=2,
     ``fit_gam(X, y, PenaltySpec.shared(lam, p, n_basis, order), m)`` for each
     m in ``components``, computed in ``digits``-digit arithmetic.
 
-    The float centered expansion, response, curve-grid basis rows and
-    expansion means that ``fit_gam`` and ``fitted_function`` use are taken
-    as exact inputs.  Each beta is the exact least-squares coefficient on the
-    Krylov space K_m(M Z'Z, M Z'y), M = (I + P)^-1, which is what m
-    penalized PLS components span; so the result carries no rounding of the
-    PLS recursion at all.
+    The float centered expansion and response, built from the public
+    ``make_basis`` and ``transform`` and not from the fit's own design code,
+    the curve-grid basis rows and the expansion means are taken as exact
+    inputs.  Each beta is the exact least-squares coefficient on the Krylov
+    space K_m(M Z'Z, M Z'y), M = (I + P)^-1, which is what m penalized PLS
+    components span; so the result carries no rounding of the PLS
+    recursion or of the fit's basis rotation at all.
     """
     import mpmath
-    from penpls import PenaltySpec, eval_basis_grid
-    from penpls.gam import _design
-    from penpls.splines import DEFAULT_DEGREE
+    from penpls import BasisExpansion, eval_basis_grid, make_basis, transform
     from penpls.testkit import assemble_penalty
 
-    bases, z_means, Zc, _, yc = _design(
-        np.asarray(X, dtype=float), np.asarray(y, dtype=float), n_basis,
-        DEFAULT_DEGREE)
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    bases = [make_basis(X[:, j], n_basis) for j in range(X.shape[1])]
+    Zc = transform(X, BasisExpansion(bases))
+    z_means = Zc.mean(axis=0)
+    Zc -= z_means
+    yc = y - y.mean()
     lo, hi = bases[0].domain
     rows = eval_basis_grid(bases[0], np.linspace(lo, hi, grid_size))
     penalty = assemble_penalty(PenaltySpec.shared(

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from penpls import (ConfigurationError, DataError, DegenerateVariableError,
-                    GamModel, PenaltySpec, SplineBasis, eval_basis_grid,
-                    fit_gam, fitted_function, predict, splines)
+from penpls import (BasisExpansion, ConfigurationError, DataError,
+                    DegenerateVariableError, FitConfig, GamModel, PenaltySpec,
+                    SplineBasis, eval_basis_grid, fit_gam, fitted_function,
+                    make_basis, make_preconditioner, penalized_pls_fit,
+                    predict, splines, transform)
 from penpls.testkit import SyntheticSpec, dense_predict, gen_additive
 
 
@@ -104,6 +106,65 @@ class TestFitGam:
         Z = transform(X, model.expansion)
         centered = Z - model.z_means
         assert np.max(np.abs(centered.mean(axis=0))) <= 1e-10
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def without_block_means(beta, n_basis):
+    """beta less each variable's mean coefficient: the part of beta that a
+    centered design of clamped bases, whose rows sum to one per variable,
+    can see."""
+    blocks = beta.reshape(-1, n_basis)
+    return (blocks - blocks.mean(axis=1, keepdims=True)).ravel()
+
+
+class TestOneFoldFit:
+    """``fit_gam`` runs a ``loocv`` fold's code: the design rotated to the
+    Demmler-Reinsch basis and the PLS recursion on its cross-products.  It
+    agrees with the public primal fit on the plain centered design.
+
+    Adding a constant to one variable's coefficients changes neither the
+    fitted values nor a prediction, and at lambda >= 1e6 that direction of
+    beta is rounding noise that the penalty does not damp: there the two
+    fits' raw betas differ by up to about 1e-5, and either one differs as
+    much from an 80-digit beta of the same float design.  So beta is
+    compared without its per-variable means, and in full through the
+    fitted values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 8),
+           st.integers(1, 3), st.integers(4, 8), st.integers(1, 8),
+           st.sampled_from([0.0, 1e-2, 1.0, 1e3, 1e6, 1e10]),
+           st.sampled_from([None, 1, 2]))
+    def test_matches_penalized_pls_fit_on_the_plain_design(
+            self, seed, tall, extra, p, n_basis, m, lam, decimals):
+        # tall (n > d) and wide (n < d) designs, rounded draws tie
+        rng = np.random.default_rng(seed)
+        d = p * n_basis
+        n = d + 1 + extra if tall else max(5, d - extra)
+        X = rng.uniform(size=(n, p))
+        if decimals is not None:
+            X = np.round(X, decimals)
+        y = rng.standard_normal(n)
+        spec = PenaltySpec.shared(lam, p, n_basis)
+        try:
+            bases = [make_basis(X[:, j], n_basis) for j in range(p)]
+        except DegenerateVariableError:
+            with pytest.raises(DegenerateVariableError):
+                fit_gam(X, y, spec, m)
+            return
+        model = fit_gam(X, y, spec, m)
+        Z = transform(X, BasisExpansion(bases))
+        Zc, yc = Z - Z.mean(axis=0), y - y.mean()
+        fit = penalized_pls_fit(Zc, yc, make_preconditioner(spec),
+                                FitConfig(m))
+        assert model.n_components == fit.n_components
+        assert model.early_stopped == fit.early_stopped
+        assert rel_err(without_block_means(model.beta, n_basis),
+                       without_block_means(fit.beta, n_basis)) <= 1e-8
+        assert rel_err(model.fitted - model.intercept, Zc @ fit.beta) <= 1e-8
 
 
 class TestInputShape:

@@ -10,7 +10,7 @@ from penpls import (ConfigurationError, DataError, DegenerateResponseError,
                     FitConfig, PenaltySpec, PlsFit, gram_matrix,
                     kernel_penalized_pls_fit, make_preconditioner,
                     nipals_fit, pcg_iterates, penalized_pls_fit)
-from penpls.selection import _fold_fits
+from penpls.pls import _fold_fits
 from penpls.testkit import (closed_form_beta, cross_matrix, dense_ls_oracle,
                             krylov_basis, numerical_rank)
 
@@ -217,8 +217,8 @@ def chunk_fits(S, y, M, cfg):
     """Every fold's fits at every lambda of M from one ``_fold_fits`` pass,
     scored on each fold's first row, laid out as ``reference_fold_fits``
     gives one fold's."""
-    Wt, U, preds, count, exps = _fold_fits(S, y, S[:, 0], M, cfg)
-    return [(e, [(Wt[f, l, :k], U[f, l, :k], preds[f, l])
+    Wt, U, _, preds, count, exps = _fold_fits(S, y, S[:, :1], M, cfg)
+    return [(e, [(Wt[f, l, :k], U[f, l, :k], preds[f, l, 0])
                  for l, k in enumerate(count[f])])
             for f, e in enumerate(exps)]
 
@@ -255,7 +255,7 @@ def assert_folds_equal(got, expect):
 
 
 class TestStackedFits:
-    """``selection._fold_fits``, loocv's cross-product loop, runs every fold
+    """``pls._fold_fits``, loocv's cross-product loop, runs every fold
     of a chunk at every lambda as the reference runs each fold alone."""
 
     @settings(max_examples=60, deadline=None)

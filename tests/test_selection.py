@@ -10,10 +10,10 @@ from conftest import (explicit_folds, reference_fold_fits,
 from penpls import (BasisExpansion, ConfigurationError, DataError,
                     DegenerateVariableError, FitConfig, NumericalError,
                     PenaltySpec, SplineBasis, fit_gam, loocv, make_basis,
-                    make_preconditioner, predict, selection, transform)
-from penpls.selection import (_choose, _fold_designs, _fold_knots,
-                              _fold_windows)
-from penpls.splines import _dot_windows, _windows
+                    make_preconditioner, predict, selection, splines,
+                    transform)
+from penpls.selection import _choose, _fold_knots
+from penpls.splines import _dot_windows, _fold_designs, _windows
 from penpls.testkit import SyntheticSpec, gen_additive
 
 
@@ -29,15 +29,30 @@ def bits(a):
 
 def rotated_design(X, bases, rotation):
     """``transform(X, BasisExpansion(bases)) @ blockdiag(rotation)`` from
-    each basis's own windows (``_windows``) and the spline table times the
-    rotation (``_dot_windows``), one basis at a time."""
+    each basis's own windows (``_windows`` of one knot vector) and the
+    spline table times the rotation (``_dot_windows``), one basis at a
+    time."""
     K = rotation.shape[0]
     Z = np.zeros((len(X), K * len(bases)))
     for j, basis in enumerate(bases):
-        padded, first, x = _windows(basis.knots, basis.degree, X[:, j])
-        _dot_windows(padded, first, first, x, basis.degree, rotation,
-                     Z[:, j * K:(j + 1) * K])
+        _dot_windows(*_windows(basis.knots[None, None], basis.degree,
+                               X[:, j:j + 1]),
+                     basis.degree, rotation, Z[:, j * K:(j + 1) * K])
     return Z
+
+
+def searchsorted_windows(knots, degree, xs):
+    """The padded knot vector, each point's first window index and the
+    clamped points of one knot vector, by ``np.searchsorted``: the
+    half-open interval ``[t_mu, t_{mu+1})`` holding the point, or at the
+    right boundary the last nonempty one."""
+    lo, hi = knots[0], knots[-1]
+    x = np.clip(xs, lo, hi)
+    mu = np.searchsorted(knots, x, side="right") - 1
+    mu[x >= hi] = np.nonzero(knots[1:] > knots[:-1])[0][-1]
+    padded = np.concatenate([np.full(degree, lo), knots,
+                             np.full(degree + 1, hi)])
+    return padded, mu, x
 
 
 def reference_loocv(X, y, lambdas, max_components, n_basis, rotated=True):
@@ -390,18 +405,25 @@ class TestLoocv:
     def test_memory_stays_within_the_chunk_bound(self):
         # unchunked, the 400 fold designs alone would take 400 * 400 * 20
         # doubles, 25.6 MB; the 60 wide folds (59 rows, d = 400)
-        # 60 * 60 * 400 doubles and their fits 60 * 9 * 3 * 400, 17.1 MB
-        for n, p, n_basis in ((400, 2, 10), (60, 20, 20)):
+        # 60 * 60 * 400 doubles and their fits 60 * 9 * 3 * 400, 17.1 MB.
+        # At K = 40, with one lambda and one component, a chunk's fold
+        # designs hold about 3,300 points, and the spline table's gathered
+        # terms for them would be 4 * 3,300 * 40 doubles, 4.2 MB, were they
+        # not bounded (5.6 MiB peak then, 2.5 MiB bounded)
+        for n, p, n_basis, lambdas, m, bound in (
+                (400, 2, 10, [0.1, 1.0, 10.0], 3, 4 * selection._CHUNK_BYTES),
+                (60, 20, 20, [0.1, 1.0, 10.0], 3, 4 * selection._CHUNK_BYTES),
+                (80, 4, 40, [1.0], 1, 2 * selection._CHUNK_BYTES)):
             X, y = gen_additive(SyntheticSpec(
                 17, n, p, 0.3, ("sine", "linear") * (p // 2)))[:2]
             tracemalloc.start()
             try:
-                loocv(X, y, lambdas=[0.1, 1.0, 10.0], max_components=3,
+                loocv(X, y, lambdas=lambdas, max_components=m,
                       n_basis=n_basis)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 4 * selection._CHUNK_BYTES
+            assert peak < bound
 
 
 def fold_design_case(seed, n, p, decimals, degree, extra):
@@ -529,11 +551,14 @@ class TestBatchedFolds:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 3),
            st.sampled_from([None, 1, 2]), st.integers(0, 4),
-           st.integers(0, 8), st.integers(1, 6), st.booleans())
+           st.integers(0, 8), st.integers(1, 6), st.booleans(),
+           st.integers(1, 64))
     def test_fold_windows_match_windows(self, seed, n, p, decimals, degree,
-                                        extra, n_folds, per_fold_points):
+                                        extra, n_folds, per_fold_points,
+                                        slice_len):
         # points beyond both ends and on every knot are clamped and placed
-        # as by one ``_windows`` call per fold and variable
+        # as one ``searchsorted`` per fold and variable places them, in
+        # comparison slices of any size
         rng = np.random.default_rng(seed)
         n_basis = degree + 1 + extra
         cols = rng.uniform(size=(n + 2, p))
@@ -547,18 +572,19 @@ class TestBatchedFolds:
                             np.broadcast_to(knots[0].T, (knots.shape[2], p))])
         if per_fold_points:
             X = np.stack([rng.permutation(X) for _ in range(F)])
-        padded, start, first, clamped = _fold_windows(knots, degree, X)
-        width = padded.size // (F * p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splines, "_SLICE", slice_len)
+            padded, start, clamped = _windows(knots, degree, X)
+        width = padded.shape[1]
         rows = X.shape[-2]
         at = np.arange(F * rows * p).reshape(F, rows, p)
         X = np.broadcast_to(X, (F, rows, p))
         for f in range(F):
             for j in range(p):
-                pad, mu, x = _windows(knots[f, j], degree, X[f, :, j])
+                pad, mu, x = searchsorted_windows(knots[f, j], degree,
+                                                  X[f, :, j])
                 block = f * p + j
-                np.testing.assert_array_equal(
-                    padded[block * width:(block + 1) * width], pad)
-                np.testing.assert_array_equal(first[at[f, :, j]], mu)
+                np.testing.assert_array_equal(padded[block], pad)
                 np.testing.assert_array_equal(start[at[f, :, j]],
                                               mu + block * width)
                 np.testing.assert_array_equal(bits(clamped[at[f, :, j]]),

@@ -196,6 +196,30 @@ class TestEvalBasis:
         np.testing.assert_array_equal(sliced.view(np.int64),
                                       whole.view(np.int64))
 
+    @pytest.mark.parametrize("term_bytes", [1, 200, 5000])
+    def test_term_blocks_change_no_bit(self, monkeypatch, term_bytes):
+        # the table consumer gathers its coefficient terms a bounded block
+        # of points at a time; any block, down to one point, gives the
+        # same basis matrix, products and rotated design
+        basis = make_basis(np.random.default_rng(12).uniform(size=300), 12)
+        xs = np.random.default_rng(13).uniform(-0.1, 1.1, size=1000)
+        coef = np.random.default_rng(14).standard_normal(12)
+        V = np.linalg.qr(np.random.default_rng(15).standard_normal(
+            (12, 12)))[0]
+        X, expansion = xs[:, None], BasisExpansion([basis])
+
+        def results():
+            return (eval_basis_grid(basis, xs),
+                    transform_dot(X, expansion, coef),
+                    splines._fold_designs(X, [basis.knots[None]],
+                                          basis.degree, V))
+
+        whole = results()
+        monkeypatch.setattr(splines, "_TERM_BYTES", term_bytes)
+        for got, expect in zip(results(), whole, strict=True):
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          expect.view(np.int64))
+
 
 @pytest.fixture(scope="module")
 def basis():
