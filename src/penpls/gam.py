@@ -4,12 +4,14 @@ A model is fit by expanding each predictor in a B-spline basis, centering the
 expanded columns and the response, running penalized PLS, and storing the
 centering statistics so new observations can be scored honestly.
 
-``fit_gam`` runs a ``loocv`` fold's code (see ``selection``): its design,
-rotated to the penalty's Demmler-Reinsch basis (``splines._fold_designs``)
-and centered (``_center``), is fitted by ``pls._fold_fits`` at one lambda
-with no held-out row, and beta and the expansion means are rotated back
-once, so the model holds the plain B-spline basis.  The PLS fit is
-scale-equivariant in y, so coefficients are stored on the response's scale.
+``fit_gam`` expands with the public ``transform``, centers with
+``_center`` and fits with the public ``penalized_pls_fit``.  ``transform``
+runs the spline-table code of a ``loocv`` fold's design
+(``splines._fold_designs``) with the identity where a fold has the
+penalty's rotation, and ``_center`` is the folds' helper; ``loocv`` fits
+its folds in d-space (see ``selection``).  The PLS fit is
+scale-equivariant in y (``pls`` picks its working units), so coefficients
+are stored on the response's own scale.
 
 Fitting needs the dense centered design; scoring does not.  ``predict`` and
 ``fitted_function`` both go through ``_score``, which multiplies each
@@ -25,9 +27,9 @@ import numpy as np
 
 from .errors import (ConfigurationError, DataError, DegenerateVariableError,
                      _as_float, _check_int)
-from .penalty import PenaltySpec, Preconditioner
-from .pls import FitConfig, _check_finite, _checked_xy, _fold_fits
-from .splines import (BasisExpansion, SplineBasis, _fold_designs, make_basis,
+from .penalty import PenaltySpec, make_preconditioner
+from .pls import FitConfig, _check_finite, _checked_xy, penalized_pls_fit
+from .splines import (BasisExpansion, SplineBasis, make_basis, transform,
                       transform_dot, DEFAULT_DEGREE)
 
 
@@ -93,12 +95,6 @@ def _center(Z: np.ndarray, n_train: int) -> np.ndarray:
     return means
 
 
-def _unrotated(v: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    """``blockdiag(V) v``: each K-block of v times the K x K rotation V,
-    contiguous, as a reloaded model's arrays, so ``predict`` rounds alike."""
-    return (v.reshape(-1, len(rotation)) @ rotation.T).ravel()
-
-
 def _response_level(y):
     """Intercept of a response, and whether the response varies beyond
     rounding; if not, the model is its intercept alone."""
@@ -141,20 +137,19 @@ def fit_gam(X, y, penalty: PenaltySpec, n_components: int,
             bases.append(make_basis(X[:, j], penalty.n_basis, degree))
         except (DataError, DegenerateVariableError) as exc:
             raise type(exc)(f"predictor column {j}: {exc}") from exc
-    M = Preconditioner(penalty)
-    Z = _fold_designs(X, [b.knots[None] for b in bases], degree, M.basis)
-    z_means = _center(Z, len(X))[0]
+    M = make_preconditioner(penalty)
+    Zc = transform(X, BasisExpansion(bases))
+    z_means = _center(Zc[None], len(X))[0]
 
     intercept, varies = _response_level(y)
     beta, k = np.zeros(penalty.dim), 0
     if varies:  # else intercept-only: zero components
-        _, _, fit_beta, _, count, exps = _fold_fits(
-            Z, (y - intercept)[None], Z[:, :0], M, cfg)
-        beta, k = np.ldexp(fit_beta[0, 0], exps[0]), int(count[0, 0])
-    fitted = intercept + Z[0] @ beta
-    return GamModel(bases=tuple(bases), penalty=penalty,
-                    beta=_unrotated(beta, M.basis), intercept=intercept,
-                    z_means=_unrotated(z_means, M.basis), n_components=k,
+        fit = penalized_pls_fit(Zc, y - intercept, M, cfg)
+        # contiguous, as a reloaded model's, so predict rounds alike
+        beta, k = fit.beta.copy(), fit.n_components
+    fitted = intercept + Zc @ beta
+    return GamModel(bases=tuple(bases), penalty=penalty, beta=beta,
+                    intercept=intercept, z_means=z_means, n_components=k,
                     requested_components=n_components, fitted=fitted)
 
 

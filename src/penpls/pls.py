@@ -15,9 +15,8 @@ stop at the same component.
 
 ``_fold_fits`` runs the same recursion in d-space, on a stack of designs
 rotated to M's eigenbasis, through their S'y and the images S'(S w) of
-their weights; there M is the diagonal ``Preconditioner.scale``.  It is the
-fit of ``gam.fit_gam`` (one design, one lambda) and of every fold of
-``selection.loocv`` (a chunk of folds at every lambda).
+their weights; there M is the diagonal ``Preconditioner.scale``.  It fits
+``selection.loocv``'s folds, a chunk of them at every lambda at once.
 """
 from __future__ import annotations
 
@@ -211,16 +210,15 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, held: np.ndarray,
                M: Preconditioner, cfg: FitConfig) -> tuple[np.ndarray, ...]:
     """Penalized PLS fits of F fold designs S (F, n, d), rotated to M's
     eigenbasis, with centered responses y (F, n), at each of the L lambdas
-    whose blocks M holds, scored on h held-out rows ``held`` (F, h, d)
-    (``loocv``: h = 1; ``fit_gam``: F = L = 1, h = 0).
+    whose blocks M holds, scored on the held-out rows ``held`` (F, d): fit
+    (f, l) is fold f at lambda l.
 
     Returns the effective weights and their images (each (F, L, m, d)),
-    the final coefficients (F, L, d), the held-out predictions
-    (F, L, h, m), each fit's component count k (F, L) and each fold's
-    exponent e (F,).  Fit (f, l)'s weights and images are its first
-    k[f, l] rows; its predictions are one per component, the last repeated
-    after an early stop.  All are in units of 2^e[f], e[f] the binary
-    exponent of fold f's response peak.
+    the held-out predictions (F, L, m), each fit's component count k
+    (F, L) and each fold's exponent e (F,).  Fit (f, l)'s weights and
+    images are its first k[f, l] rows; its predictions are one per
+    component, the last repeated after an early stop.  All are in units of
+    2^e[f], e[f] the binary exponent of fold f's response peak.
 
     This is ``_pls_loop``'s recursion run in d-space: PLS needs a design
     only through S'y and the images S't of its scores.  With g = S'r for
@@ -247,12 +245,12 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, held: np.ndarray,
     exps = np.frexp(np.max(np.abs(y), axis=-1))[1]
     St = S.transpose(0, 2, 1)
     b = (St @ np.ldexp(y, -exps[:, None])[..., None])[..., 0]
-    held = held.transpose(0, 2, 1)[:, None]  # (F, 1, d, h), for all L fits
+    held = held[:, None, :, None]  # one column per fold, for all L fits
 
     # row i of fit (f, l): its effective weight, then the weight's image
     wu_rows = np.empty((F, L, m, 2 * d))
     grams = np.empty((F, L, m))  # t't of each kept score (1 where stopped)
-    preds = np.empty((F, L, held.shape[-1], m))
+    preds = np.empty((F, L, m))
     beta = np.zeros((F, L, d))
     g = np.repeat(b[:, None], L, axis=1)
     active = np.ones((F, L), dtype=bool)
@@ -283,7 +281,7 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, held: np.ndarray,
         g[~active] = 0.0
 
         grams[..., i] = gram
-        preds[..., i] = (beta[..., None, :] @ held)[..., 0, :]
+        preds[..., i] = (beta[..., None, :] @ held)[..., 0, 0]
         count += active
         if not active.any():
             preds[..., i + 1:] = preds[..., i, None]
@@ -291,4 +289,4 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, held: np.ndarray,
 
     if not count.all():
         raise DegenerateResponseError("no component could be extracted")
-    return wu_rows[..., :d], wu_rows[..., d:], beta, preds, count, exps
+    return wu_rows[..., :d], wu_rows[..., d:], preds, count, exps

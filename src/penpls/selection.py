@@ -1,10 +1,12 @@
 """Leave-one-out cross-validation over a shared-lambda grid.
 
-Fold i is the ``fit_gam`` of every row but i, run by ``fit_gam``'s own
-design and fit code: its bases, expansion means, intercept and centered
-response come from its training rows only, so the held-out row never leaks
-into the fitted model, and a fold with a constant response is its
-intercept alone (an early stop at every lambda).  Errors
+Fold i is the ``fit_gam`` of every row but i: its bases, expansion means,
+intercept and centered response come from its training rows only, so the
+held-out row never leaks into the fitted model, and a fold with a constant
+response is its intercept alone (an early stop at every lambda).  Its
+design comes from the same code as ``fit_gam``'s, ``splines._fold_designs``
+centered by ``gam._center``, rotated by the V below where ``fit_gam``'s
+is not.  Errors
 are on the response's scale, as ``predict`` scores: the PLS loop fits a
 fold in units of an exact power of two and reports them, so the held-out
 response is put in the same units and the squared errors rescale exactly.
@@ -137,9 +139,9 @@ def _chunk_errors(X, y, folds, intercepts, knots, M, cfg, degree: int,
     Y = y[order[:, :-1]]
 
     *_, preds, count, exps = _fold_fits(Z[:, :-1], Y - intercepts[:, None],
-                                        Z[:, -1:], M, cfg)
+                                        Z[:, -1], M, cfg)
     y_held = np.ldexp(y[folds] - intercepts, -exps)  # in the fits' units
-    errors = (y_held[:, None, None] - preds[:, :, 0]) ** 2
+    errors = (y_held[:, None, None] - preds) ** 2
     return np.ldexp(errors, 2 * (exps - ref)[:, None, None]), count < m
 
 

@@ -16,10 +16,10 @@ gathered coefficients of each point's nonzero functions:
   ``transform(X) @ coef`` without the dense matrix, which scores
   prediction and fitted curves;
 * with the preconditioner's Demmler-Reinsch rotation V it is the rotated
-  design B V (``_fold_designs``): of one fold for ``fit_gam``, of a chunk
-  of folds for ``loocv``;
+  design B V (``_fold_designs``) of a chunk of ``loocv``'s folds;
 * with the K x K identity it is the basis matrix itself, bit for bit:
-  ``eval_basis_grid`` (one column) and ``transform`` (a whole data matrix).
+  ``eval_basis_grid`` (one column) and ``transform`` (a whole data matrix,
+  ``fit_gam``'s design).
 
 Non-finite data are rejected where they enter, in ``make_basis``,
 ``transform`` and ``transform_dot``, rather than given an all-zero basis

@@ -163,7 +163,7 @@ def reference_fold_fits(S, y, held, M, cfg):
     """One fold's penalized PLS fits at every lambda of M, as plain per-fit
     loops on 2-D/1-D arrays run on the fold's cross-products.
 
-    ``selection._fold_fits`` must reproduce every field of this bit for
+    ``pls._fold_fits`` must reproduce every field of this bit for
     bit, for each fold of a chunk; it is kept here, outside the package, as
     that reference.  S (n, d) is the fold's design rotated to M's
     eigenbasis, y its centered response, ``held`` (d,) its held-out row,

@@ -217,8 +217,8 @@ def chunk_fits(S, y, M, cfg):
     """Every fold's fits at every lambda of M from one ``_fold_fits`` pass,
     scored on each fold's first row, laid out as ``reference_fold_fits``
     gives one fold's."""
-    Wt, U, _, preds, count, exps = _fold_fits(S, y, S[:, :1], M, cfg)
-    return [(e, [(Wt[f, l, :k], U[f, l, :k], preds[f, l, 0])
+    Wt, U, preds, count, exps = _fold_fits(S, y, S[:, 0], M, cfg)
+    return [(e, [(Wt[f, l, :k], U[f, l, :k], preds[f, l])
                  for l, k in enumerate(count[f])])
             for f, e in enumerate(exps)]
 
