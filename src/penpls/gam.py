@@ -96,11 +96,12 @@ def _center(Z: np.ndarray, n_train: int) -> np.ndarray:
 
 
 def _response_level(y):
-    """Intercept of a response, and whether the response varies beyond
-    rounding; if not, the model is its intercept alone."""
-    intercept = float(y.mean())
-    return intercept, \
-        bool(np.max(np.abs(y - intercept)) > 1e-14 * np.max(np.abs(y)))
+    """Intercepts of responses along the last axis, and whether each
+    response varies beyond rounding; if not, its model is its intercept
+    alone."""
+    intercept = y.mean(axis=-1)
+    spread = np.max(np.abs(y - intercept[..., None]), axis=-1)
+    return intercept, spread > 1e-14 * np.max(np.abs(y), axis=-1)
 
 
 def _score(X, bases, beta, z_means, level: float) -> np.ndarray:
@@ -142,6 +143,7 @@ def fit_gam(X, y, penalty: PenaltySpec, n_components: int,
     z_means = _center(Zc[None], len(X))[0]
 
     intercept, varies = _response_level(y)
+    intercept = float(intercept)
     beta, k = np.zeros(penalty.dim), 0
     if varies:  # else intercept-only: zero components
         fit = penalized_pls_fit(Zc, y - intercept, M, cfg)

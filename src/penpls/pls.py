@@ -218,7 +218,11 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, held: np.ndarray,
     (F, L) and each fold's exponent e (F,).  Fit (f, l)'s weights and
     images are its first k[f, l] rows; its predictions are one per
     component, the last repeated after an early stop.  All are in units of
-    2^e[f], e[f] the binary exponent of fold f's response peak.
+    2^e[f], e[f] the binary exponent of fold f's response peak.  A fold
+    whose response is zero, an intercept-only fold, is an ordinary fold
+    whose fits extract nothing: its first scores are zero, so every fit
+    stops at once, with count 0 and prediction 0.  Only a fit of a nonzero
+    response that extracts nothing raises.
 
     This is ``_pls_loop``'s recursion run in d-space: PLS needs a design
     only through S'y and the images S't of its scores.  With g = S'r for
@@ -238,8 +242,6 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, held: np.ndarray,
     with its fold alone, not with its lambda alone; every other product is
     one BLAS call per fit, as the same fit run alone makes it.
     """
-    if not y.any(axis=-1).all():
-        raise DegenerateResponseError("centered response is identically zero")
     F, _, d = S.shape
     L, m = M.dim // d, cfg.n_components
     exps = np.frexp(np.max(np.abs(y), axis=-1))[1]
@@ -287,6 +289,6 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, held: np.ndarray,
             preds[..., i + 1:] = preds[..., i, None]
             break
 
-    if not count.all():
+    if not count[y.any(axis=-1)].all():
         raise DegenerateResponseError("no component could be extracted")
     return wu_rows[..., :d], wu_rows[..., d:], preds, count, exps

@@ -2,14 +2,16 @@
 
 Fold i is the ``fit_gam`` of every row but i: its bases, expansion means,
 intercept and centered response come from its training rows only, so the
-held-out row never leaks into the fitted model, and a fold with a constant
-response is its intercept alone (an early stop at every lambda).  Its
-design comes from the same code as ``fit_gam``'s, ``splines._fold_designs``
+held-out row never leaks into the fitted model.  A fold whose response
+does not vary (``gam._response_level``, ``fit_gam``'s rule) is its
+intercept alone: it runs with the other folds, with a zero response, so
+its fits extract nothing (an early stop at every lambda).  Its design
+comes from the same code as ``fit_gam``'s, ``splines._fold_designs``
 centered by ``gam._center``, rotated by the V below where ``fit_gam``'s
-is not.  Errors
-are on the response's scale, as ``predict`` scores: the PLS loop fits a
-fold in units of an exact power of two and reports them, so the held-out
-response is put in the same units and the squared errors rescale exactly.
+is not.  Errors are on the response's scale, as ``predict`` scores: the
+PLS loop fits a fold in units of an exact power of two and reports them,
+so the held-out response is put in the same units and the squared errors
+rescale exactly.
 
 The folds are computed together, not one by one, and in the preconditioner's
 Demmler-Reinsch basis: with V the K x K rotation of ``Preconditioner.basis``,
@@ -32,9 +34,9 @@ rounding:
   coefficients, both in the rotated basis, so nothing is rotated back and
   no coefficient path is kept.
 
-The folds run in chunks whose designs and fit results stay within
-``_FOLD_CHUNK_BYTES``, so memory does not grow with n times the work of a
-fold.  Errors are added up fold by fold, in fold order.
+All n folds run in one pass, in chunks whose designs and fit results
+stay within ``_FOLD_CHUNK_BYTES``, so memory does not grow with n times
+the work of a fold.  Errors are added up fold by fold, in fold order.
 """
 from __future__ import annotations
 
@@ -49,12 +51,11 @@ from .pls import FitConfig, _fold_fits
 from .splines import (DEFAULT_DEGREE, DEFAULT_N_BASIS, _check_basis_size,
                       _check_finite, _fold_designs, _knots)
 
-# bytes of one block of leave-one-out value sets in ``_fold_knots``
-_CHUNK_BYTES = 2 << 20
-# bytes of one chunk of folds: their designs and fit arrays.  The time per
-# fold falls only slowly with the chunk: at n = 100, p = 3, K = 20 and 20
-# lambdas, 1 MiB holds 3 folds, and 2 MiB held 6 for about 15% less time
-# and 1 MB more peak RSS
+# bytes of one chunk of folds: their designs and fit arrays, or one block
+# of ``_fold_knots``' leave-one-out value sets.  The time per fold falls
+# only slowly with the chunk: at n = 100, p = 3, K = 20 and 20 lambdas,
+# 1 MiB holds 3 folds, and 2 MiB held 6 for about 15% less time and 1 MB
+# more peak RSS
 _FOLD_CHUNK_BYTES = 1 << 20
 
 
@@ -100,7 +101,7 @@ def _fold_knots(col: np.ndarray, n_basis: int, degree: int):
     the column, so those folds share one knot vector.  A fold that holds
     out a value seen once keeps the other U - 1; those sets are the rows of
     one matrix, given to ``splines._knots`` (``make_basis``'s knot rule) in
-    blocks of at most ``_CHUNK_BYTES``.
+    blocks of at most ``_FOLD_CHUNK_BYTES``.
     """
     distinct, inverse, counts = np.unique(col, return_inverse=True,
                                           return_counts=True)
@@ -109,7 +110,7 @@ def _fold_knots(col: np.ndarray, n_basis: int, degree: int):
     if not single.all():
         knots[~single] = _knots(distinct, n_basis, degree)
     rows = np.flatnonzero(single)
-    block = max(1, _CHUNK_BYTES // (8 * distinct.size))
+    block = max(1, _FOLD_CHUNK_BYTES // (8 * distinct.size))
     kept = np.arange(distinct.size - 1)
     for lo in range(0, rows.size, block):
         held = inverse[rows[lo:lo + block], None]
@@ -118,15 +119,18 @@ def _fold_knots(col: np.ndarray, n_basis: int, degree: int):
     return knots, distinct.size - single
 
 
-def _chunk_errors(X, y, folds, intercepts, knots, M, cfg, degree: int,
-                  ref: int):
+def _chunk_errors(X, y, folds, knots, M, cfg, degree: int, ref: int):
     """Squared held-out errors (F, L, m), of residuals in units of 2^ref,
-    and early-stop flags (F, L) of the F folds holding out rows ``folds``
-    (none of them intercept-only), at each of the L lambdas whose blocks
-    ``M`` holds.
+    and early-stop flags (F, L) of the F folds holding out rows ``folds``,
+    at each of the L lambdas whose blocks ``M`` holds.
 
-    The fits run on the fold designs rotated by ``M.basis``, where M is
-    the diagonal ``M.scale``, and score the held-out rows in that basis.
+    Each fold's intercept, and whether its response varies, come from its
+    own training responses, as ``fit_gam``'s do.  A fold whose response
+    does not vary is its intercept alone: its centered response is zero,
+    so its fits extract nothing and predict 0, and its residual is in
+    units of 2^ref.  The fits run on the fold designs rotated by
+    ``M.basis``, where M is the diagonal ``M.scale``, and score the
+    held-out rows in that basis.
     """
     n = len(X)
     F, m = len(folds), cfg.n_components
@@ -135,11 +139,12 @@ def _chunk_errors(X, y, folds, intercepts, knots, M, cfg, degree: int,
     order = np.column_stack([np.nonzero(train)[1].reshape(F, n - 1), folds])
     Z = _fold_designs(X[order], [k[folds] for k in knots], degree, M.basis)
     _center(Z, n - 1)
-    intercepts = intercepts[folds]
     Y = y[order[:, :-1]]
+    intercepts, varies = _response_level(Y)
+    Y = np.where(varies[:, None], Y - intercepts[:, None], 0.0)
 
-    *_, preds, count, exps = _fold_fits(Z[:, :-1], Y - intercepts[:, None],
-                                        Z[:, -1], M, cfg)
+    *_, preds, count, exps = _fold_fits(Z[:, :-1], Y, Z[:, -1], M, cfg)
+    exps = np.where(varies, exps, ref)
     y_held = np.ldexp(y[folds] - intercepts, -exps)  # in the fits' units
     errors = (y_held[:, None, None] - preds) ** 2
     return np.ldexp(errors, 2 * (exps - ref)[:, None, None]), count < m
@@ -169,10 +174,6 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     if lambdas.size == 0:
         raise ConfigurationError("lambda grid is empty")
 
-    intercepts, live = map(np.array, zip(
-        *(_response_level(y[np.arange(n) != i]) for i in range(n))))
-    live_folds = np.flatnonzero(live)
-
     # the grid, order and basis size are checked before the chunk size is
     # reckoned from them
     spec = PenaltySpec(np.repeat(lambdas, p), diff_order, n_basis)
@@ -184,8 +185,7 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     # step's g, beta, weight, S w, image and two-row products
     d, L, m = p * n_basis, lambdas.size, max_components
     fold_doubles = n * d + L * ((2 * m + 6) * d + n)
-    chunk = _FOLD_CHUNK_BYTES // (8 * fold_doubles)
-    chunk = max(1, min(chunk, live_folds.size))
+    chunk = max(1, _FOLD_CHUNK_BYTES // (8 * fold_doubles))
     M = make_preconditioner(spec)  # one block per (lambda, variable)
 
     knots, n_distinct = zip(*(_fold_knots(X[:, j], n_basis, degree)
@@ -202,25 +202,14 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     # so no square overflows; a power of two rescales exactly at the end
     ref = int(np.frexp(np.max(np.abs(y - y.mean())))[1])
 
-    def live_errors():
-        for lo in range(0, live_folds.size, chunk):
-            folds = live_folds[lo:lo + chunk]
-            yield from zip(*_chunk_errors(X, y, folds, intercepts, knots, M,
-                                          cfg, degree, ref))
-
     errors = np.zeros((L, m))
     early_stops = np.zeros(L, dtype=int)
-    fits = live_errors()
-    for i in range(n):
-        if live[i]:
-            fold_err, stopped = next(fits)
+    for lo in range(0, n, chunk):
+        folds = np.arange(lo, min(lo + chunk, n))
+        for fold_err, stopped in zip(*_chunk_errors(X, y, folds, knots, M,
+                                                    cfg, degree, ref)):
             errors += fold_err
             early_stops += stopped
-        else:  # intercept-only fold: predicts its mean at every cell
-            # squared by np.square, rounded like the fits' errors: a scalar
-            # ** 2 calls pow(), which can be a unit in the last place off
-            errors += np.square(np.ldexp(y[i] - intercepts[i], -ref))
-            early_stops += 1
 
     errors /= n
     choice = _choose(lambdas, errors)  # in units of 2^ref: no cell is inf

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from conftest import explicit_folds
 from penpls import PenaltySpec, fit_gam, fitted_function, load_model, loocv, predict
@@ -371,3 +374,94 @@ class TestCurves:
                      "--output-dir", str(tmp_path / "d")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+# what a mutation writes in place of a span of a file: numbers the parsers
+# must refuse or carry, separators, a byte that is not UTF-8, nothing
+PAYLOADS = [b"nan", b"inf", b"-inf", b"1e308", b"-1e308", b"1e999", b"-0.0",
+            b"5e-324", b"3e200", b"0", b"-1", b"1" * 40, b"abc", b"", b",",
+            b"\n", b" = ", b"\xff"]
+EDITS = st.lists(st.tuples(
+    st.sampled_from(["replace", "delete", "truncate", "duplicate line",
+                     "drop line", "byte"]),
+    st.integers(0, 2_000), st.integers(0, 30), st.sampled_from(PAYLOADS),
+    st.integers(0, 255)), min_size=1, max_size=3)
+
+
+def mutate(blob: bytes, edits) -> bytes:
+    """``blob`` after each edit in turn; positions wrap around its length."""
+    for kind, at, span, payload, byte in edits:
+        at %= len(blob) + 1
+        end = min(len(blob), at + span)
+        lines = blob.split(b"\n")
+        line = at % len(lines)
+        if kind == "replace":
+            blob = blob[:at] + payload + blob[end:]
+        elif kind == "delete":
+            blob = blob[:at] + blob[end:]
+        elif kind == "truncate":
+            blob = blob[:at]
+        elif kind == "duplicate line":
+            blob = b"\n".join(lines[:line] + [lines[span % len(lines)]] +
+                              lines[line:])
+        elif kind == "drop line":
+            blob = b"\n".join(lines[:line] + lines[line + 1:])
+        else:
+            blob = blob[:at] + bytes([byte]) + blob[at + 1:]
+    return blob
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A working directory and the bytes of a valid training CSV and of the
+    model file ``fit`` writes from it."""
+    work = tmp_path_factory.mktemp("fuzz")
+    X, y, _ = gen_additive(SyntheticSpec(0, 10, 2, 0.2, ("sine", "linear")))
+    write_csv(work / "seed.csv", X, y, ["a", "b"], "y")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fit", "--data", str(work / "seed.csv"), "--response",
+                     "y", "--basis-size", "6", "--components", "3",
+                     "--output", str(work / "seed.txt")]) == 0
+    return work, (work / "seed.csv").read_bytes(), \
+        (work / "seed.txt").read_bytes()
+
+
+class TestMutationFuzz:
+    """Mutated model files and CSVs through every subcommand: each run
+    exits 0, 1 or 2 and no exception escapes ``main``."""
+
+    @seed(20061019)
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(["predict", "curves", "fit", "cv"]),
+           st.sampled_from(["model", "data", "both"]), EDITS)
+    def test_mutated_inputs_exit_cleanly(self, fuzz_files, command, target,
+                                         edits):
+        work, data, model = fuzz_files
+        if command in ("fit", "cv") or target != "model":
+            data = mutate(data, edits)
+        if command == "curves" or target != "data":
+            model = mutate(model, edits)
+        (work / "data.csv").write_bytes(data)
+        (work / "model.txt").write_bytes(model)
+        argv = {
+            "predict": ["predict", "--model", "model.txt", "--data",
+                        "data.csv", "--output", "pred.txt"],
+            "curves": ["curves", "--model", "model.txt", "--output-dir",
+                       "curves", "--grid-size", "5"],
+            "fit": ["fit", "--data", "data.csv", "--response", "y",
+                    "--basis-size", "6", "--components", "3", "--output",
+                    "fitted.txt"],
+            "cv": ["cv", "--data", "data.csv", "--response", "y",
+                   "--basis-size", "6", "--lambda-grid", "0.1,10",
+                   "--max-components", "3"]}[command]
+        argv = [str(work / a) if a.endswith((".txt", ".csv")) or
+                a == "curves" else a for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from penpls import (DataError, GamModel, ModelFormatError, PenaltySpec,
-                    SplineBasis, fit_gam, ingest, ingest_for_model,
-                    load_model, predict, save_model, transform)
+                    PenplsError, SplineBasis, fit_gam, ingest,
+                    ingest_for_model, load_model, predict, save_model,
+                    transform)
 from penpls.model_io import FORMAT_TAG, _read_table, file_sha256
 from penpls.testkit import SyntheticSpec, gen_additive, write_csv
 
@@ -400,6 +401,70 @@ class TestRoundTripProperty:
         assert (loaded.n_components, loaded.requested_components) == (
             model.n_components, model.requested_components)
         np.testing.assert_array_equal(predict(loaded, X), predict(model, X))
+
+
+TIED_CELLS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 3.0])
+DATA_CELLS = TIED_CELLS | st.floats(-10.0, 10.0)
+LONG_NAMES = st.text(max_size=8) | st.text("abc_ .-\u00e9\u4e2d", min_size=100,
+                                            max_size=300)
+
+
+@st.composite
+def training_tables(draw):
+    """An (n, p) X and an n-vector y of tied, signed-zero and free cells,
+    each column and the response at a scale from 1e-300 to 1e300."""
+    p, n = draw(st.integers(1, 3)), draw(st.integers(3, 12))
+    table = np.array(draw(st.lists(st.lists(DATA_CELLS, min_size=p + 1,
+                                            max_size=p + 1),
+                                   min_size=n, max_size=n)))
+    scales = 10.0 ** np.array(draw(st.lists(
+        st.sampled_from([-300, -150, 0, 150, 300]) | st.integers(-5, 5),
+        min_size=p + 1, max_size=p + 1)))
+    table = table * scales  # -0.0 stays -0.0
+    return table[:, :-1], table[:, -1]
+
+
+class TestFitRoundTripProperty:
+    """Whatever ``ingest`` accepts and ``fit_gam`` fits, ``save_model``
+    writes, ``load_model`` reads back, and the reloaded model predicts
+    bit for bit what the fitted one does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(training_tables(), st.lists(LONG_NAMES, min_size=4, max_size=4),
+           st.sampled_from([0.0, 1.0, 1e6]), st.integers(4, 6),
+           st.integers(1, 4))
+    def test_fitted_model_reloads_and_predicts_bit_identically(
+            self, table, names, lam, n_basis, m):
+        X, y = table
+        p = X.shape[1]
+        with tempfile.TemporaryDirectory() as tmp:
+            data_path = os.path.join(tmp, "data.csv")
+            write_csv(data_path, X, y, names[:p], names[p])
+            try:
+                data = ingest(data_path, names[p].strip())
+                model = fit_gam(data.X, data.y,
+                                PenaltySpec.shared(lam, p, n_basis), m)
+            except PenplsError:
+                return  # not accepted or not fitted: nothing to save
+            path = os.path.join(tmp, "m.txt")
+            try:
+                save_model(path, model, data.predictor_names,
+                           data.response_name)
+            except ModelFormatError:
+                # refused only for names the format cannot hold
+                assert any("," in n or len(n.splitlines()) > 1
+                           for n in data.predictor_names) or \
+                    len(data.response_name.splitlines()) > 1
+                assert not os.path.exists(path)
+                return
+            loaded, got_names, got_response = load_model(path)
+        assert (got_names, got_response) == (data.predictor_names,
+                                             data.response_name)
+        lo, hi = np.min(X, axis=0), np.max(X, axis=0)
+        beyond = np.stack([lo - (hi - lo) / 4, hi + (hi - lo) / 4])
+        for rows in (X, beyond):
+            assert predict(loaded, rows).view(np.int64).tolist() == \
+                predict(model, rows).view(np.int64).tolist()
 
 
 class TestChecksum:

@@ -355,8 +355,46 @@ class TestStackedFits:
         M = make_preconditioner(PenaltySpec([0.0, 5.0], 1, 2))
         with pytest.raises(DegenerateResponseError, match="no component"):
             chunk_fits(X[None], y[None], M, FitConfig(3))
-        with pytest.raises(DegenerateResponseError, match="zero"):
-            chunk_fits(X[None], np.zeros((1, 4)), M, FitConfig(3))
+        # a zero response, an intercept-only fold, extracts nothing and
+        # predicts 0 at every lambda without raising
+        (_, fits), = chunk_fits(X[None], np.zeros((1, 4)), M, FitConfig(3))
+        for wt, u, preds in fits:
+            assert wt.shape == u.shape == (0, 2)
+            np.testing.assert_array_equal(preds, 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(4, 30),
+           st.integers(1, 3), st.integers(3, 8),
+           st.lists(st.sampled_from([0.0, 1e-2, 1.0, 1e3, 1e6]),
+                    min_size=1, max_size=4),
+           st.integers(1, 10), st.data())
+    def test_zero_response_folds_ride_along(self, seed, n_folds, n, p,
+                                            n_basis, lambdas, m, data):
+        # a chunk that mixes zero-response folds with live ones: the zero
+        # folds extract nothing and predict 0; the live folds are bit for
+        # bit their lone runs
+        zero = np.array(data.draw(st.lists(
+            st.booleans(), min_size=n_folds, max_size=n_folds).filter(
+                lambda z: any(z) and not all(z))))
+        S, y = folds_problem(seed, n_folds, n, p * n_basis, n)
+        y[zero] = 0.0
+        cfg = FitConfig(m)
+        M = make_preconditioner(PenaltySpec(np.repeat(lambdas, p), 2,
+                                            n_basis))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                lone = [reference_fold_fits(S_f, y_f, S_f[0], M, cfg)
+                        for S_f, y_f in zip(S[~zero], y[~zero])]
+            except DegenerateResponseError:
+                return  # some live fold alone extracts nothing
+            mixed = chunk_fits(S, y, M, cfg)
+        assert_folds_equal([f for f, z in zip(mixed, zero) if not z], lone)
+        for (_, fits), z in zip(mixed, zero):
+            if z:
+                for wt, u, preds in fits:
+                    assert len(wt) == len(u) == 0
+                    np.testing.assert_array_equal(preds, 0.0)
 
 
 class TestClosedForm:
