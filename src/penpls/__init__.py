@@ -6,8 +6,7 @@ from .errors import (ConfigurationError, DataError, DegenerateResponseError,
                      ModelFormatError, NumericalError, PenplsError)
 from .splines import (BasisExpansion, SplineBasis, eval_basis_grid,
                       make_basis, transform)
-from .penalty import (PenaltySpec, Preconditioner, make_preconditioner,
-                      penalty_kernel)
+from .penalty import PenaltySpec, Preconditioner, make_preconditioner
 from .pls import FitConfig, PlsFit, nipals_fit, penalized_pls_fit
 from .kernel import KernelFit, gram_matrix, kernel_penalized_pls_fit
 from .cg import CgResult, pcg_iterates
@@ -28,6 +27,5 @@ __all__ = [
     "default_lambda_grid", "eval_basis_grid", "fit_gam", "fitted_function",
     "gram_matrix", "ingest", "ingest_for_model", "kernel_penalized_pls_fit",
     "load_model", "loocv", "make_basis", "make_preconditioner", "nipals_fit",
-    "pcg_iterates", "penalized_pls_fit", "penalty_kernel", "predict",
-    "save_model", "transform",
+    "pcg_iterates", "penalized_pls_fit", "predict", "save_model", "transform",
 ]

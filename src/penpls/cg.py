@@ -4,7 +4,9 @@ This solver certifies the penalized PLS iterates: run on M X'X beta = M X'y
 under the inner product defined by M^{-1} = I + P, its iterates coincide with
 the penalized PLS coefficient path.  The new search direction is projected
 against the full history of previous directions, mirroring the defining
-recursion rather than the classical two-term shortcut.  Like the PLS loop,
+recursion rather than the classical two-term shortcut.  M^{-1} is applied
+once to each residual and once to each A_M d_i, and those images serve the
+norm test, the step and every later projection.  Like the PLS loop,
 it works in units of 2^e for y's peak exponent e, so it is scale-equivariant.
 """
 from __future__ import annotations
@@ -47,40 +49,38 @@ def pcg_iterates(X, y, preconditioner: Preconditioner,
     def apply_a(v):
         return preconditioner.apply(X.T @ (X @ v))
 
-    def inner(u, v):
-        return float(u @ preconditioner.apply_inverse(v))
-
     e = np.frexp(np.max(np.abs(y), initial=0.0))[1]
     b = preconditioner.apply(X.T @ np.ldexp(y, -e))
-    b_norm = np.sqrt(max(inner(b, b), 0.0))
+    inv_r = preconditioner.apply_inverse(b)
+    b_norm = np.sqrt(max(b @ inv_r, 0.0))
     beta = np.zeros(X.shape[1])
-    d = b.copy()
-    r = b.copy()
+    d = r = b
 
     iterates, directions, residuals = [], [], []
-    a_dirs = []   # A_M d_i, kept for the full-history projection
-    d_a_d = []    # <d_i, A_M d_i>
+    inv_a_dirs = []  # M^{-1} A_M d_i, kept for the full-history projection
+    d_a_d = []       # <d_i, A_M d_i>
 
     for _ in range(n_steps):
-        if np.sqrt(max(inner(r, r), 0.0)) <= _NORM_TOL * b_norm:
+        if np.sqrt(max(r @ inv_r, 0.0)) <= _NORM_TOL * b_norm:
             break
-        ad = apply_a(d)
-        denom = inner(d, ad)
+        inv_ad = preconditioner.apply_inverse(apply_a(d))
+        denom = float(d @ inv_ad)
         if denom <= 0.0:
             raise NumericalError("CG breakdown: direction with nonpositive curvature")
-        a = inner(d, r) / denom
+        a = float(d @ inv_r) / denom
         beta = beta + a * d
 
         directions.append(d)
         residuals.append(r)
         iterates.append(beta)
-        a_dirs.append(ad)
+        inv_a_dirs.append(inv_ad)
         d_a_d.append(denom)
 
         r = b - apply_a(beta)
-        d = r.copy()
-        for d_i, ad_i, curv_i in zip(directions, a_dirs, d_a_d):
-            d = d - (inner(r, ad_i) / curv_i) * d_i
+        inv_r = preconditioner.apply_inverse(r)
+        d = r
+        for d_i, inv_ad_i, curv_i in zip(directions, inv_a_dirs, d_a_d):
+            d = d - (float(r @ inv_ad_i) / curv_i) * d_i
 
     if not iterates:
         raise NumericalError("CG made no progress: zero initial residual")

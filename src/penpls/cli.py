@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import model_io
-from .errors import PenplsError
+from .errors import DataError, PenplsError
 from .gam import fit_gam, fitted_function, predict
 from .penalty import DEFAULT_DIFF_ORDER, PenaltySpec
 from .selection import default_lambda_grid, loocv
@@ -166,6 +166,13 @@ def _cmd_predict(args) -> int:
 
 def _cmd_curves(args) -> int:
     model, predictors, _ = model_io.load_model(args.model)
+    # a name is written as part of a file name inside --output-dir
+    bad = [n for n in predictors
+           if any(c and c in n for c in (os.sep, os.altsep, "\0"))]
+    if bad:
+        raise DataError(
+            f"predictor names {bad} cannot name a curve file (no name may "
+            f"contain a path separator or a NUL character)")
     os.makedirs(args.output_dir, exist_ok=True)
     for j, name in enumerate(predictors):
         fn = fitted_function(model, j, args.grid_size)

@@ -5,13 +5,13 @@ expanded columns and the response, running penalized PLS, and storing the
 centering statistics so new observations can be scored honestly.
 
 ``fit_gam`` expands with the public ``transform``, centers with
-``_center`` and fits with the public ``penalized_pls_fit``.  ``transform``
-runs the spline-table code of a ``loocv`` fold's design
-(``splines._fold_designs``) with the identity where a fold has the
-penalty's rotation, and ``_center`` is the folds' helper; ``loocv`` fits
-its folds in d-space (see ``selection``).  The PLS fit is
-scale-equivariant in y (``pls`` picks its working units), so coefficients
-are stored on the response's own scale.
+``_center`` and ``_centered_response`` and fits with the public
+``penalized_pls_fit``.  ``transform`` runs the spline-table code of a
+``loocv`` fold's design (``splines._fold_designs``) with the identity where
+a fold has the penalty's rotation, and both centering helpers are the
+folds' too; ``loocv`` fits its folds in d-space (see ``selection``).  The
+PLS fit is scale-equivariant in y (``pls`` picks its working units), so
+coefficients are stored on the response's own scale.
 
 Fitting needs the dense centered design; scoring does not.  ``predict`` and
 ``fitted_function`` both go through ``_score``, which multiplies each
@@ -95,13 +95,22 @@ def _center(Z: np.ndarray, n_train: int) -> np.ndarray:
     return means
 
 
-def _response_level(y):
-    """Intercepts of responses along the last axis, and whether each
-    response varies beyond rounding; if not, its model is its intercept
-    alone."""
+def _centered_response(y):
+    """Intercepts of responses along the last axis, the responses less
+    them, and whether each varies beyond rounding.  A response that does
+    not vary is its intercept alone, and its centered response is zero.
+    Where y less its mean still has a mean that ``pls._check_centered``
+    refuses (a spread near 1e-12 of the level), it is centered once more;
+    the intercept stays the mean of y.
+    """
     intercept = y.mean(axis=-1)
-    spread = np.max(np.abs(y - intercept[..., None]), axis=-1)
-    return intercept, spread > 1e-14 * np.max(np.abs(y), axis=-1)
+    yc = y - intercept[..., None]
+    varies = np.max(np.abs(yc), axis=-1) > 1e-14 * np.max(np.abs(y), axis=-1)
+    yc = np.where(varies[..., None], yc, 0.0)
+    mean = yc.mean(axis=-1)
+    off = np.abs(mean) > 1e-8 * np.max(np.abs(yc), axis=-1)
+    yc = np.where(off[..., None], yc - mean[..., None], yc)
+    return intercept, yc, varies
 
 
 def _score(X, bases, beta, z_means, level: float) -> np.ndarray:
@@ -142,11 +151,11 @@ def fit_gam(X, y, penalty: PenaltySpec, n_components: int,
     Zc = transform(X, BasisExpansion(bases))
     z_means = _center(Zc[None], len(X))[0]
 
-    intercept, varies = _response_level(y)
+    intercept, yc, varies = _centered_response(y)
     intercept = float(intercept)
     beta, k = np.zeros(penalty.dim), 0
     if varies:  # else intercept-only: zero components
-        fit = penalized_pls_fit(Zc, y - intercept, M, cfg)
+        fit = penalized_pls_fit(Zc, yc, M, cfg)
         # contiguous, as a reloaded model's, so predict rounds alike
         beta, k = fit.beta.copy(), fit.n_components
     fitted = intercept + Zc @ beta

@@ -1,9 +1,9 @@
 """Dual (kernel) penalized PLS on the n x n Gram matrix of M-inner products.
 
 The fit is the primal's residual recursion (``pls._pls_loop``) run on
-K = X M X' in place of X, with the residual as the weight.  It depends only
-on the Gram matrix and the response, so the cost is governed by the number
-of observations, not the feature dimension.
+K = X M X' in place of X, with the residual as the weight, at a cost set by
+n, not the feature dimension.  K is Y Y', Y = X blockdiag(V) diag(d)^(1/2)
+with V and d the preconditioner's ``basis`` and ``diagonal``.
 """
 from __future__ import annotations
 
@@ -45,14 +45,17 @@ class KernelFit:
 
 
 def gram_matrix(X, preconditioner: Preconditioner) -> np.ndarray:
-    """Gram matrix of M-inner products between observations: X M X'."""
+    """Gram matrix of M-inner products between observations: X M X', as
+    Y Y' by one symmetric rank-k update, so exactly symmetric."""
     X = _as_float(X, "X")
     if X.ndim != 2 or X.shape[1] != preconditioner.dim:
         raise ConfigurationError(
             f"X has shape {X.shape}, preconditioner expects "
             f"{preconditioner.dim}")
-    gram = X @ preconditioner.apply(X.T)
-    return 0.5 * (gram + gram.T)  # symmetrize away round-off
+    _check_finite(X=X)
+    Y = X.reshape(-1, preconditioner.spec.n_basis) @ preconditioner.basis
+    Y = Y.reshape(X.shape) * np.sqrt(preconditioner.diagonal).ravel()
+    return Y @ Y.T
 
 
 def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:

@@ -157,12 +157,21 @@ def save_model(path, model: GamModel, predictor_names, response_name,
                dataset_checksum: str = ""):
     """Write the model in the versioned key/value format.
 
-    Raises ModelFormatError, before writing anything, for names the file
+    Raises ModelFormatError, before writing anything, for what the file
     cannot hold: a line break or leading or trailing whitespace in any
-    name, or a comma in a predictor name.
+    name, a comma in a predictor name, bases that do not all share one
+    degree and ``penalty.n_basis`` functions, or arrays that ``load_model``
+    would refuse.
     """
     if len(predictor_names) != model.n_variables:
         raise ModelFormatError("predictor name count does not match model")
+    shapes = [(b.degree, b.n_basis) for b in model.bases]
+    if set(shapes) != {(shapes[0][0], model.penalty.n_basis)}:
+        raise ModelFormatError(
+            f"bases of (degree, size) {shapes} cannot be stored in a model "
+            f"file (it holds one degree, and n_basis = "
+            f"{model.penalty.n_basis} for every basis)")
+    _check_arrays(path, model)
     bad = [n for n in predictor_names if "," in n or not _storable(n)]
     if not _storable(response_name):
         bad.append(response_name)

@@ -42,16 +42,6 @@ def _difference_operator(n_basis: int, order: int) -> np.ndarray:
     return diff
 
 
-def penalty_kernel(n_basis: int, order: int) -> np.ndarray:
-    """Order-q difference penalty kernel, D'D with D the stacked differences.
-
-    Symmetric positive semidefinite with rank ``n_basis - order``; its null
-    space is spanned by discrete polynomials of degree below ``order``.
-    """
-    diff = _difference_operator(n_basis, order)
-    return diff.T @ diff
-
-
 @dataclass(frozen=True)
 class PenaltySpec:
     """Per-variable penalty weights plus the shared difference structure.

@@ -3,7 +3,7 @@
 Fold i is the ``fit_gam`` of every row but i: its bases, expansion means,
 intercept and centered response come from its training rows only, so the
 held-out row never leaks into the fitted model.  A fold whose response
-does not vary (``gam._response_level``, ``fit_gam``'s rule) is its
+does not vary (``gam._centered_response``, ``fit_gam``'s rule) is its
 intercept alone: it runs with the other folds, with a zero response, so
 its fits extract nothing (an early stop at every lambda).  Its design
 comes from the same code as ``fit_gam``'s, ``splines._fold_designs``
@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateVariableError, _as_float
-from .gam import _center, _response_level, _training_data
+from .gam import _center, _centered_response, _training_data
 from .penalty import DEFAULT_DIFF_ORDER, PenaltySpec, make_preconditioner
 from .pls import FitConfig, _fold_fits
 from .splines import (DEFAULT_DEGREE, DEFAULT_N_BASIS, _check_basis_size,
@@ -139,9 +139,7 @@ def _chunk_errors(X, y, folds, knots, M, cfg, degree: int, ref: int):
     order = np.column_stack([np.nonzero(train)[1].reshape(F, n - 1), folds])
     Z = _fold_designs(X[order], [k[folds] for k in knots], degree, M.basis)
     _center(Z, n - 1)
-    Y = y[order[:, :-1]]
-    intercepts, varies = _response_level(Y)
-    Y = np.where(varies[:, None], Y - intercepts[:, None], 0.0)
+    intercepts, Y, varies = _centered_response(y[order[:, :-1]])
 
     *_, preds, count, exps = _fold_fits(Z[:, :-1], Y, Z[:, -1], M, cfg)
     exps = np.where(varies, exps, ref)

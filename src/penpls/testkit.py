@@ -1,8 +1,8 @@
 """Seeded synthetic data and independent oracles used by the test suites.
 
 The generator is NumPy's ``default_rng`` (PCG64), so a fixed seed reproduces
-the same dataset bytes on any platform.  The oracles here deliberately avoid
-the algorithmic code paths they are used to certify.
+the same dataset bytes on any platform.  The oracles here, the dense K_q and
+penalty matrix among them, avoid the code paths they are used to certify.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .penalty import PenaltySpec, penalty_kernel
+from .penalty import PenaltySpec, _difference_operator
 from .splines import transform
 
 TRUTH_FUNCTIONS = {
@@ -97,6 +97,13 @@ def dense_predict(model, X) -> np.ndarray:
     checked against."""
     Z = transform(X, model.expansion)
     return model.intercept + (Z - model.z_means) @ model.beta
+
+
+def penalty_kernel(n_basis: int, order: int) -> np.ndarray:
+    """Dense order-q difference penalty K_q = D'D: symmetric PSD of rank
+    ``n_basis - order``, null on polynomials of degree below ``order``."""
+    diff = _difference_operator(n_basis, order)
+    return diff.T @ diff
 
 
 def assemble_penalty(spec: PenaltySpec) -> np.ndarray:

@@ -16,10 +16,10 @@ from penpls import (FitConfig, PenaltySpec, eval_basis_grid, fit_gam,
                     fitted_function, gram_matrix,
                     kernel_penalized_pls_fit, loocv, make_basis,
                     make_preconditioner, nipals_fit, pcg_iterates,
-                    penalized_pls_fit, penalty_kernel)
+                    penalized_pls_fit)
 from penpls.testkit import (SyntheticSpec, closed_form_beta, cross_matrix,
                             dense_ls_oracle, gen_additive, krylov_basis,
-                            numerical_rank)
+                            numerical_rank, penalty_kernel)
 
 BIRTH_DATA = os.environ.get(
     "BIRTH_DATA", os.path.join(os.path.dirname(__file__), "data", "birth.csv"))

@@ -155,6 +155,20 @@ class TestPcgIterates:
             np.testing.assert_allclose(res.iterates[:, i], beta,
                                        atol=1e-8 * np.linalg.norm(beta))
 
+    @pytest.mark.parametrize("d,steps", [(12, 8), (6, 6)],
+                             ids=["full", "early_stop"])
+    def test_applies_the_inverse_twice_per_step(self, d, steps):
+        # M^{-1} once per residual and once per A_M d_i, plus once for b;
+        # with d = 6 the norm test stops CG after its 6th step of 8
+        X, y = centered_problem(15, 30, d)
+        M = make_preconditioner(random_penalty(15, 2, d // 2))
+        calls = []
+        real = M.apply_inverse
+        M.apply_inverse = lambda v: calls.append(1) or real(v)
+        res = pcg_iterates(X, y, M, 8)
+        assert res.n_steps == steps
+        assert len(calls) <= 2 * res.n_steps + 1
+
     def test_row_count_mismatch_rejected(self):
         X, y = centered_problem(14, 10, 4)
         M = make_preconditioner(PenaltySpec(np.zeros(2), 1, 2))

@@ -375,12 +375,43 @@ class TestCurves:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["a/b", "../up", "/abs", "..", "a\x00b",
+                                      ".hidden", "a b"])
+    def test_nothing_is_written_outside_the_output_dir(self, tmp_path, capsys,
+                                                       name):
+        # a predictor name with a path separator or a NUL is refused
+        # before any file is written; every other name stays in the dir
+        X, y, _ = gen_additive(SyntheticSpec(0, 25, 2, 0.2,
+                                             ("sine", "linear")))
+        write_csv(tmp_path / "train.csv", X, y, [name, "b"], "y")
+        assert main(["fit", "--data", str(tmp_path / "train.csv"),
+                     "--response", "y", "--basis-size", "6", "--output",
+                     str(tmp_path / "model.txt")]) == 0
+        capsys.readouterr()
+        before = set(tmp_path.rglob("*"))
+        out_dir = tmp_path / "out" / "curves"
+        code = main(["curves", "--model", str(tmp_path / "model.txt"),
+                     "--output-dir", str(out_dir), "--grid-size", "5"])
+        err = capsys.readouterr().err
+        new = set(tmp_path.rglob("*")) - before
+        if "/" in name or "\x00" in name:
+            assert code == 1
+            assert err.startswith("error:") and "predictor names" in err
+            assert not new
+        else:
+            assert code == 0
+            assert new - {tmp_path / "out", out_dir} == {
+                out_dir / f"curve_{n}.csv" for n in (name, "b")}
+
 
 # what a mutation writes in place of a span of a file: numbers the parsers
 # must refuse or carry, separators, a byte that is not UTF-8, nothing
 PAYLOADS = [b"nan", b"inf", b"-inf", b"1e308", b"-1e308", b"1e999", b"-0.0",
             b"5e-324", b"3e200", b"0", b"-1", b"1" * 40, b"abc", b"", b",",
             b"\n", b" = ", b"\xff"]
+# a first predictor name: plain, with a path separator, with ".." parts,
+# with a NUL
+FUZZ_NAMES = [b"a", b"a/b", b"../a", b"..", b"/a", b"a\x00b"]
 EDITS = st.lists(st.tuples(
     st.sampled_from(["replace", "delete", "truncate", "duplicate line",
                      "drop line", "byte"]),
@@ -433,10 +464,15 @@ class TestMutationFuzz:
     @seed(20061019)
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(["predict", "curves", "fit", "cv"]),
-           st.sampled_from(["model", "data", "both"]), EDITS)
+           st.sampled_from(["model", "data", "both"]), EDITS,
+           st.sampled_from(FUZZ_NAMES))
     def test_mutated_inputs_exit_cleanly(self, fuzz_files, command, target,
-                                         edits):
+                                         edits, name):
         work, data, model = fuzz_files
+        # the first predictor's name, in the CSV header and the model file
+        data = data.replace(b"a,b,y", name + b",b,y", 1)
+        model = model.replace(b"predictors = a,b",
+                              b"predictors = " + name + b",b", 1)
         if command in ("fit", "cv") or target != "model":
             data = mutate(data, edits)
         if command == "curves" or target != "data":
@@ -447,7 +483,7 @@ class TestMutationFuzz:
             "predict": ["predict", "--model", "model.txt", "--data",
                         "data.csv", "--output", "pred.txt"],
             "curves": ["curves", "--model", "model.txt", "--output-dir",
-                       "curves", "--grid-size", "5"],
+                       "curves_dir", "--grid-size", "5"],
             "fit": ["fit", "--data", "data.csv", "--response", "y",
                     "--basis-size", "6", "--components", "3", "--output",
                     "fitted.txt"],
@@ -455,7 +491,7 @@ class TestMutationFuzz:
                    "--basis-size", "6", "--lambda-grid", "0.1,10",
                    "--max-components", "3"]}[command]
         argv = [str(work / a) if a.endswith((".txt", ".csv")) or
-                a == "curves" else a for a in argv]
+                a == "curves_dir" else a for a in argv]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):

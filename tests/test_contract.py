@@ -21,8 +21,8 @@ import penpls
 from penpls import (FitConfig, PenaltySpec, PenplsError, Preconditioner,
                     SplineBasis, eval_basis_grid, fit_gam, fitted_function,
                     gram_matrix, kernel_penalized_pls_fit, loocv, make_basis,
-                    nipals_fit, pcg_iterates, penalized_pls_fit,
-                    penalty_kernel, predict, transform)
+                    nipals_fit, pcg_iterates, penalized_pls_fit, predict,
+                    transform)
 
 N, P, K = 12, 2, 6
 COUNTS = st.sampled_from([0, -1, 2.5, True, np.int64(3), 3, None, "3"])
@@ -113,7 +113,6 @@ CALLS = {
     "FitConfig": lambda d: FitConfig(d(COUNTS)),
     "fitted_function": lambda d: fitted_function(fitted_model(), d(COUNTS),
                                                  d(COUNTS)),
-    "penalty_kernel": lambda d: penalty_kernel(d(COUNTS), d(COUNTS)),
 }
 
 # public names that take neither an array nor a count: error and result

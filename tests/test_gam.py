@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from penpls import (BasisExpansion, ConfigurationError, DataError,
                     DegenerateVariableError, FitConfig, GamModel, PenaltySpec,
                     SplineBasis, eval_basis_grid, fit_gam, fitted_function,
-                    make_basis, make_preconditioner, penalized_pls_fit,
-                    predict, splines, transform)
+                    loocv, make_basis, make_preconditioner,
+                    penalized_pls_fit, predict, splines, transform)
 from penpls.testkit import SyntheticSpec, dense_predict, gen_additive
 
 
@@ -190,6 +190,39 @@ class TestResponseScale:
         scaled = fit_gam(X, np.ldexp(y, power), model.penalty, 4)
         np.testing.assert_array_equal(scaled.beta,
                                       np.ldexp(model.beta, power))
+
+
+class TestNearConstantResponse:
+    """A response that varies by far less than its level is centered once
+    more where y less its mean is still off center; the intercept stays
+    the mean of y."""
+
+    def test_response_varying_by_1e_12_of_its_level_fits(self):
+        X = np.random.default_rng(3).uniform(size=(8, 2))
+        y = 3.0 * (1.0 + 1e-12 * np.array([-1, 0, 1, -1, 0, 1, -1, 1]))
+        spec = PenaltySpec.shared(1.0, 2, 5)
+        model = fit_gam(X, y, spec, 2)
+        assert model.intercept == y.mean()
+        yc = y - y.mean()
+        assert abs(yc.mean()) > 1e-8 * np.max(np.abs(yc))  # off center
+        Z = transform(X, model.expansion)
+        fit = penalized_pls_fit(Z - Z.mean(axis=0), yc - yc.mean(),
+                                make_preconditioner(spec), FitConfig(2))
+        np.testing.assert_array_equal(model.beta, fit.beta)
+        loocv(X, y, lambdas=[1.0], max_components=2, n_basis=5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 30),
+           st.floats(-15.5, -7.0), st.booleans())
+    def test_no_near_constant_response_is_refused(self, seed, n, log_spread,
+                                                 ternary):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(n, 2))
+        noise = rng.integers(-1, 2, size=n) if ternary else \
+            rng.standard_normal(n)
+        y = rng.uniform(-10.0, 10.0) * (1.0 + 10.0 ** log_spread * noise)
+        model = fit_gam(X, y, PenaltySpec.shared(1.0, 2, 5), 2)
+        assert model.intercept == y.mean()
 
 
 class TestNonFiniteInput:

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import centered_problem, random_penalty
-from penpls import (DegenerateResponseError, FitConfig, InvalidKernelError,
-                    PenaltySpec, gram_matrix, kernel_penalized_pls_fit,
-                    make_preconditioner, penalized_pls_fit)
+from penpls import (DataError, DegenerateResponseError, FitConfig,
+                    InvalidKernelError, PenaltySpec, gram_matrix,
+                    kernel_penalized_pls_fit, make_preconditioner,
+                    penalized_pls_fit)
 from penpls.testkit import krylov_basis, numerical_rank
 
 
@@ -44,6 +45,26 @@ class TestGramMatrix:
         _, _, _, K, _ = dual_instance(4)
         np.testing.assert_allclose(K, K.T, atol=1e-10)
         assert np.linalg.eigvalsh(K)[0] >= -1e-10 * np.max(np.abs(K))
+
+    @pytest.mark.parametrize("lambdas", [
+        [0.0], [1e-2], [1.0], [1e3], [1e6], [1e10], [1.0] * 3,
+        [0.0, 1e-2, 1.0, 1e3, 1e6, 1e10]])
+    def test_exactly_symmetric_and_equal_to_the_product(self, lambdas):
+        # Y Y' is one symmetric rank-k update: symmetric bit for bit, and
+        # X M X' to rounding, one block or several
+        X, _ = centered_problem(6, 40, 9 * len(lambdas))
+        M = make_preconditioner(PenaltySpec(np.array(lambdas), 2, 9))
+        K = gram_matrix(X, M)
+        assert np.array_equal(K, K.T)
+        ref = X @ M.apply(X.T)
+        assert np.max(np.abs(K - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_design_rejected(self, bad):
+        X, _, M, _, _ = dual_instance(5)
+        X[2, 3] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            gram_matrix(X, M)
 
 
 class TestKernelFit:

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dense_m
 from penpls import (ConfigurationError, NumericalError, PenaltySpec,
-                    make_preconditioner, penalty_kernel)
+                    make_preconditioner)
 from penpls.penalty import _difference_operator
-from penpls.testkit import assemble_penalty
+from penpls.testkit import assemble_penalty, penalty_kernel
 
 
 class TestDifferenceMatrix:
@@ -57,6 +57,12 @@ class TestPenaltyKernel:
             penalty_kernel(4, 4)
         with pytest.raises(ConfigurationError):
             penalty_kernel(4, 0)
+
+    @pytest.mark.parametrize("args", [(4.0, 2), (4, 2.5), (True, 1),
+                                      ("4", 2), (4, None)])
+    def test_non_integer_arguments_rejected(self, args):
+        with pytest.raises(ConfigurationError):
+            penalty_kernel(*args)
 
 
 class TestAssemblePenalty:
