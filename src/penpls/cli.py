@@ -15,7 +15,7 @@ from . import model_io
 from .errors import DataError, PenplsError
 from .gam import fit_gam, fitted_function, predict
 from .penalty import DEFAULT_DIFF_ORDER, PenaltySpec
-from .selection import default_lambda_grid, loocv
+from .selection import loocv
 from .splines import DEFAULT_DEGREE, DEFAULT_N_BASIS
 
 
@@ -128,9 +128,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_cv(args) -> int:
     data = model_io.ingest(args.data, args.response)
-    lambdas = args.lambda_grid if args.lambda_grid is not None \
-        else default_lambda_grid()
-    grid, choice = loocv(data.X, data.y, lambdas=lambdas,
+    grid, choice = loocv(data.X, data.y, lambdas=args.lambda_grid,
                          max_components=args.max_components,
                          n_basis=args.basis_size, degree=args.degree,
                          diff_order=args.diff_order)

@@ -88,10 +88,8 @@ def _center(Z: np.ndarray, n_train: int) -> np.ndarray:
     column means of its first ``n_train`` rows, its training rows; rows
     after them, held out, are shifted by the same means.  Returns the
     means (F, d)."""
-    means = np.empty((Z.shape[0], Z.shape[2]))
-    for f, Zf in enumerate(Z):
-        means[f] = Zf[:n_train].mean(axis=0)
-        Zf -= means[f]
+    means = Z[:, :n_train].mean(axis=1)
+    Z -= means[:, None]
     return means
 
 
@@ -168,6 +166,9 @@ def predict(model: GamModel, X_new) -> np.ndarray:
     """Score new observations; out-of-domain values are clamped to the
     training range of each variable."""
     X_new = np.atleast_2d(_as_float(X_new, "X_new"))
+    if X_new.ndim != 2:
+        raise ConfigurationError(
+            f"X_new must be 2-D, got {X_new.ndim} dimensions")
     if X_new.shape[1] != model.n_variables:
         raise ConfigurationError(
             f"expected {model.n_variables} predictor columns, "

@@ -2,8 +2,9 @@
 
 The fit is the primal's residual recursion (``pls._pls_loop``) run on
 K = X M X' in place of X, with the residual as the weight, at a cost set by
-n, not the feature dimension.  K is Y Y', Y = X blockdiag(V) diag(d)^(1/2)
-with V and d the preconditioner's ``basis`` and ``diagonal``.
+n, not the feature dimension; both paths are summed from its steps after
+it.  K is Y Y', Y = X blockdiag(V) diag(d)^(1/2) with V and d the
+preconditioner's ``basis`` and ``diagonal``.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidKernelError, _as_float
 from .penalty import Preconditioner
-from .pls import FitConfig, _check_finite, _columns, _pls_loop
+from .pls import FitConfig, _check_finite, _columns, _path, _pls_loop
 
 _PSD_TOL = 1e-8
 
@@ -64,8 +65,8 @@ def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:
     This is the primal's loop with K = X M X' as the score matrix and the
     residual r as the weight, so the score t = K r is the primal's X M X'r
     and the dual stops where the primal does.  Its effective weights are
-    the dual weights alpha_tilde (K alpha_tilde = t), its coefficient path
-    is ``alpha_path``, and the fitted path is the running sum of step * t.
+    the dual weights alpha_tilde (K alpha_tilde = t); ``alpha_path`` is the
+    running sum of step * alpha_tilde and the fitted path that of step * t.
     """
     K, y = _as_float(K, "K"), _as_float(y, "y").ravel()
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -85,8 +86,8 @@ def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:
     if evals[0] < -_PSD_TOL * max(1.0, evals[-1]):
         raise InvalidKernelError("Gram matrix is not positive semidefinite")
 
-    _, _, T, A, steps, e = _pls_loop(K, y, cfg, lambda r: r)
-    T, alpha_path = (_columns(a, e) for a in (T, A))
-    return KernelFit(alpha_path=alpha_path, components=T,
+    _, A, T, steps, e = _pls_loop(K, y, cfg, lambda r: r)
+    T = _columns(T, e)
+    return KernelFit(alpha_path=_path(A, steps, e), components=T,
                      fitted_path=np.cumsum(T * steps, axis=1),
                      requested_components=n_components)

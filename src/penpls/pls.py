@@ -11,7 +11,8 @@ One loop computes every lone fit, primal or dual: a residual recursion on
 a score matrix S with a weight step.  The primal runs it on the one centered
 X with w = M X'r, so X is never deflated; the dual (``kernel``) on
 K = X M X' with w = r.  The scores t = S w are the same vectors, so the two
-stop at the same component.
+stop at the same component.  The loop keeps no coefficient: each caller
+sums its path after it, steps times effective weights.
 
 ``_fold_fits`` runs the same recursion in d-space, on a stack of designs
 rotated to M's eigenbasis, through their S'y and the images S'(S w) of
@@ -112,27 +113,26 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
               ) -> tuple[np.ndarray, ...]:
     """Run one PLS fit on an n x d score matrix S with centered response y.
 
-    Returns the weights W, effective weights Wt and coefficient path (each
-    (k, d)), scores T (k, n), steps (k,) and the exponent e, for the k
-    components extracted.  The fit runs on y times 2^-e, e the binary
-    exponent of y's peak, so all but the (unitless) steps are in units of
-    2^e.
+    Returns the weights W and effective weights Wt (each (k, d)), scores
+    T (k, n), steps (k,) and the exponent e, for the k components
+    extracted; ``_path`` sums the coefficients.  The fit runs on y times
+    2^-e, e the binary exponent of y's peak, so all but the (unitless)
+    steps are in units of 2^e.
 
     The fit keeps a residual r: w = weigh(r), t = S w, orthogonalised twice
     against the earlier scores with the same coefficients applied to the
-    effective weight (so S wt = t), then beta += step * wt and
-    r -= step * t with step = t'r / t't, until t't <= (``_NORM_TOL`` |t_1|)^2
-    (a score too short before the orthogonalisation is too short after it).
+    effective weight (so S wt = t), then r -= step * t with
+    step = t'r / t't, until t't <= (``_NORM_TOL`` |t_1|)^2 (a score too
+    short before the orthogonalisation is too short after it).
     """
     if not y.any():
         raise DegenerateResponseError("centered response is identically zero")
     n, d = S.shape
     m = cfg.n_components
     e = int(np.frexp(np.max(np.abs(y)))[1])
-    weights, eff_weights, betas = (np.empty((m, d)) for _ in range(3))
+    weights, eff_weights = np.empty((m, d)), np.empty((m, d))
     components = np.empty((m, n))
     grams, steps = np.empty(m), np.empty(m)
-    beta = np.zeros(d)
     r = np.ldexp(y, -e)
     k = 0
     for i in range(m):
@@ -146,25 +146,28 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
             t = t - coef @ components[:i]
             wt = wt - coef @ eff_weights[:i]
         gram = t @ t
-        if gram <= tol ** 2:
+        if gram <= tol * tol:
             break
         steps[i] = (t @ r) / gram
-        beta = beta + steps[i] * wt
         r = r - steps[i] * t
-        weights[i], eff_weights[i], components[i] = w, wt, t
-        grams[i], betas[i] = gram, beta
+        weights[i], eff_weights[i], components[i], grams[i] = w, wt, t, gram
         k = i + 1
 
     if not k:
         raise DegenerateResponseError("no component could be extracted")
-    return weights[:k], eff_weights[:k], components[:k], betas[:k], \
-        steps[:k], e
+    return weights[:k], eff_weights[:k], components[:k], steps[:k], e
 
 
 def _columns(a: np.ndarray, e: int) -> np.ndarray:
     """A ``_pls_loop`` result's rows times 2^e, as the contiguous columns
     of its (., k) result matrix."""
     return np.ldexp(a.T, e, order="C")
+
+
+def _path(rows: np.ndarray, steps: np.ndarray, e: int) -> np.ndarray:
+    """``_columns`` of the running sum of step times row, from +0.0 as the
+    loop's coefficient was (a first term of -0.0 reads +0.0)."""
+    return _columns(np.cumsum(steps[:, None] * rows, axis=0) + 0.0, e)
 
 
 def _primal_fit(X, y, cfg: FitConfig,
@@ -181,8 +184,9 @@ def _primal_fit(X, y, cfg: FitConfig,
     def weigh(r):
         w = X.T @ r
         return w if preconditioner is None else preconditioner.apply(w)
-    W, Wt, T, B, _, e = _pls_loop(X, y, cfg, weigh)
-    return PlsFit(*(_columns(a, e) for a in (W, Wt, T, B)),
+    W, Wt, T, steps, e = _pls_loop(X, y, cfg, weigh)
+    return PlsFit(*(_columns(a, e) for a in (W, Wt, T)),
+                  beta_path=_path(Wt, steps, e),
                   requested_components=cfg.n_components)
 
 
@@ -206,23 +210,22 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
-def _fold_fits(S: np.ndarray, y: np.ndarray, held: np.ndarray,
-               M: Preconditioner, cfg: FitConfig) -> tuple[np.ndarray, ...]:
+def _fold_fits(S: np.ndarray, y: np.ndarray, M: Preconditioner,
+               cfg: FitConfig) -> tuple[np.ndarray, ...]:
     """Penalized PLS fits of F fold designs S (F, n, d), rotated to M's
     eigenbasis, with centered responses y (F, n), at each of the L lambdas
-    whose blocks M holds, scored on the held-out rows ``held`` (F, d): fit
-    (f, l) is fold f at lambda l.
+    whose blocks M holds: fit (f, l) is fold f at lambda l.
 
     Returns the effective weights and their images (each (F, L, m, d)),
-    the held-out predictions (F, L, m), each fit's component count k
-    (F, L) and each fold's exponent e (F,).  Fit (f, l)'s weights and
-    images are its first k[f, l] rows; its predictions are one per
-    component, the last repeated after an early stop.  All are in units of
-    2^e[f], e[f] the binary exponent of fold f's response peak.  A fold
+    the steps (F, L, m), each fit's component count k (F, L) and each
+    fold's exponent e (F,).  Fit (f, l)'s weights and images are its first
+    k[f, l] rows, and its steps are exact zeros after them, so the caller
+    can sum steps times rows over all m.  All but the steps are in units
+    of 2^e[f], e[f] the binary exponent of fold f's response peak.  A fold
     whose response is zero, an intercept-only fold, is an ordinary fold
     whose fits extract nothing: its first scores are zero, so every fit
-    stops at once, with count 0 and prediction 0.  Only a fit of a nonzero
-    response that extracts nothing raises.
+    stops at once, with count 0.  Only a fit of a nonzero response that
+    extracts nothing raises.
 
     This is ``_pls_loop``'s recursion run in d-space: PLS needs a design
     only through S'y and the images S't of its scores.  With g = S'r for
@@ -231,10 +234,9 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, held: np.ndarray,
     image u = S't.  Orthogonalising t against the earlier scores
     t_j = S wt_j takes t_j't = u_j'wt, and updates the effective weight wt
     and its image u with the same coefficients (twice); then t't = wt'u,
-    t'r = wt'g, beta += step * wt and g -= step * u with step = t'r / t't,
-    until t't <= (``_NORM_TOL`` |t_1|)^2.  Each step predicts the held-out
-    row as held'beta.  A fit that stops has g zeroed, so its later
-    products are exact zeros and its beta and prediction stay put.
+    t'r = wt'g and g -= step * u with step = t'r / t't, until
+    t't <= (``_NORM_TOL`` |t_1|)^2.  A fit that stops has g zeroed, so its
+    later products are exact zeros.
 
     The images are two products per fold and step for all L lambdas,
     (w S') S: the scores S w, then S' times them.  A gemm rounds a row
@@ -247,13 +249,12 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, held: np.ndarray,
     exps = np.frexp(np.max(np.abs(y), axis=-1))[1]
     St = S.transpose(0, 2, 1)
     b = (St @ np.ldexp(y, -exps[:, None])[..., None])[..., 0]
-    held = held[:, None, :, None]  # one column per fold, for all L fits
 
     # row i of fit (f, l): its effective weight, then the weight's image
-    wu_rows = np.empty((F, L, m, 2 * d))
+    # (zeros: rows after an early break are never written, yet summed)
+    wu_rows = np.zeros((F, L, m, 2 * d))
     grams = np.empty((F, L, m))  # t't of each kept score (1 where stopped)
-    preds = np.empty((F, L, m))
-    beta = np.zeros((F, L, d))
+    steps = np.zeros((F, L, m))
     g = np.repeat(b[:, None], L, axis=1)
     active = np.ones((F, L), dtype=bool)
     count = np.zeros((F, L), dtype=int)
@@ -278,17 +279,14 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, held: np.ndarray,
         active &= ~(gram <= gram_tol)
         gram = np.where(active, gram, 1.0)
         step = np.where(active, _dots(wt, g), 0.0) / gram
-        beta += step[..., None] * wt
         g -= step[..., None] * u
         g[~active] = 0.0
 
-        grams[..., i] = gram
-        preds[..., i] = (beta[..., None, :] @ held)[..., 0, 0]
+        grams[..., i], steps[..., i] = gram, step
         count += active
         if not active.any():
-            preds[..., i + 1:] = preds[..., i, None]
             break
 
     if not count[y.any(axis=-1)].all():
         raise DegenerateResponseError("no component could be extracted")
-    return wu_rows[..., :d], wu_rows[..., d:], preds, count, exps
+    return wu_rows[..., :d], wu_rows[..., d:], steps, count, exps

@@ -30,9 +30,9 @@ rounding:
 * fits: every fold at every lambda runs in one pass of ``pls._fold_fits``,
   the PLS recursion in d-space, two products per fold and step for all
   its lambdas; the weight step w = M S'r is one scaling of S'r;
-* scores: each step predicts every fit's held-out row from its
-  coefficients, both in the rotated basis, so nothing is rotated back and
-  no coefficient path is kept.
+* scores: after the fits, the held-out predictions are the running sums
+  of each fit's steps times w~'held, in the rotated basis, so nothing is
+  rotated back and no coefficient is formed.
 
 All n folds run in one pass, in chunks whose designs and fit results
 stay within ``_FOLD_CHUNK_BYTES``, so memory does not grow with n times
@@ -141,7 +141,8 @@ def _chunk_errors(X, y, folds, knots, M, cfg, degree: int, ref: int):
     _center(Z, n - 1)
     intercepts, Y, varies = _centered_response(y[order[:, :-1]])
 
-    *_, preds, count, exps = _fold_fits(Z[:, :-1], Y, Z[:, -1], M, cfg)
+    Wt, _, steps, count, exps = _fold_fits(Z[:, :-1], Y, M, cfg)
+    preds = np.cumsum(steps * (Wt @ Z[:, -1, None, :, None])[..., 0], axis=-1)
     exps = np.where(varies, exps, ref)
     y_held = np.ldexp(y[folds] - intercepts, -exps)  # in the fits' units
     errors = (y_held[:, None, None] - preds) ** 2
@@ -180,9 +181,9 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
 
     # a fold's share of a chunk: its design (training rows and held-out
     # row), and per fit the effective weights and their images, and a
-    # step's g, beta, weight, S w, image and two-row products
+    # step's g, weight, S w, image and two-row products
     d, L, m = p * n_basis, lambdas.size, max_components
-    fold_doubles = n * d + L * ((2 * m + 6) * d + n)
+    fold_doubles = n * d + L * ((2 * m + 5) * d + n)
     chunk = max(1, _FOLD_CHUNK_BYTES // (8 * fold_doubles))
     M = make_preconditioner(spec)  # one block per (lambda, variable)
 

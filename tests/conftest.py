@@ -143,7 +143,7 @@ def reference_pls_fit(X, y, preconditioner, cfg):
             t = t - coef @ T[:i]
             wt = wt - coef @ Wt[:i]
         gram = t @ t
-        if gram <= tol ** 2:
+        if gram <= tol * tol:
             break
         step = (t @ r) / gram
         beta = beta + step * wt
@@ -159,24 +159,24 @@ def reference_pls_fit(X, y, preconditioner, cfg):
                   requested_components=m)
 
 
-def reference_fold_fits(S, y, held, M, cfg):
+def reference_fold_fits(S, y, M, cfg):
     """One fold's penalized PLS fits at every lambda of M, as plain per-fit
     loops on 2-D/1-D arrays run on the fold's cross-products.
 
     ``pls._fold_fits`` must reproduce every field of this bit for
     bit, for each fold of a chunk; it is kept here, outside the package, as
     that reference.  S (n, d) is the fold's design rotated to M's
-    eigenbasis, y its centered response, ``held`` (d,) its held-out row,
-    and M holds L blocks of d, one per lambda.  Fit l keeps g = S'r; its
-    weight is w = M g (``M.scale``) and the image of its score is
-    u = S'S w.  The images of the L weights are two products for all of
-    them, (w S') S, as in the package, because a gemm rounds a row
-    depending on how many rows it has; every other product is the fit's
-    own 1-D or 2-D call, on rows that hold the effective weight and its
-    image end to end.
+    eigenbasis, y its centered response, and M holds L blocks of d, one per
+    lambda.  Fit l keeps g = S'r; its weight is w = M g (``M.scale``) and
+    the image of its score is u = S'S w.  The images of the L weights are
+    two products for all of them, (w S') S, as in the package, because a
+    gemm rounds a row depending on how many rows it has; every other
+    product is the fit's own 1-D or 2-D call, on rows that hold the
+    effective weight and its image end to end.
 
-    Returns the exponent e and, per lambda, the effective weights (k, d),
-    their images (k, d) and the m held-out predictions, in units of 2^e.
+    Returns the exponent e and, per lambda, the effective weights (k, d)
+    and their images (k, d), in units of 2^e, and the m steps, exact zeros
+    from the step where the fit stops.
     """
     from penpls import DegenerateResponseError
     from penpls.pls import _NORM_TOL
@@ -189,8 +189,7 @@ def reference_fold_fits(S, y, held, M, cfg):
     b = S.T @ np.ldexp(y, -e)
     g = np.tile(b, (L, 1))
     WU = np.empty((L, m, 2 * d))
-    grams, preds = np.empty((L, m)), np.empty((L, m))
-    beta = np.zeros((L, d))
+    grams, steps = np.empty((L, m)), np.zeros((L, m))
     tol = np.empty(L)
     k = np.zeros(L, dtype=int)
     active = np.ones(L, dtype=bool)
@@ -210,14 +209,22 @@ def reference_fold_fits(S, y, held, M, cfg):
                 active[l] = False
                 g[l] = 0.0
                 continue
-            step = (wu[:d] @ g[l]) / gram
-            beta[l] = beta[l] + step * wu[:d]
-            g[l] = g[l] - step * wu[d:]
+            steps[l, i] = (wu[:d] @ g[l]) / gram
+            g[l] = g[l] - steps[l, i] * wu[d:]
             WU[l, i], grams[l, i] = wu, gram
             k[l] = i + 1
-        for l in range(L):  # a stopped fit's beta, so its prediction, stays
-            preds[l, i] = beta[l] @ held
     if not k.all():
         raise DegenerateResponseError("no component could be extracted")
-    return e, [(WU[l, :k[l], :d], WU[l, :k[l], d:], preds[l])
+    return e, [(WU[l, :k[l], :d], WU[l, :k[l], d:], steps[l])
                for l in range(L)]
+
+
+def held_out_predictions(Wt, steps, held):
+    """Predictions of a fit's held-out row ``held`` (d,) after each of its
+    m components, from its k effective weights ``Wt`` (k, d) and its m
+    steps, as ``selection.loocv`` forms them: the running sum of the steps
+    times w~'held, with the weights' products one gemv on m rows (a gemv
+    rounds a row depending on how many rows it has)."""
+    rows = np.zeros((len(steps), Wt.shape[1]))
+    rows[:len(Wt)] = Wt
+    return np.cumsum(steps * (rows @ held))

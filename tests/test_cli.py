@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from conftest import explicit_folds
-from penpls import PenaltySpec, fit_gam, fitted_function, load_model, loocv, predict
+from penpls import (PenaltySpec, default_lambda_grid, fit_gam,
+                    fitted_function, load_model, loocv, predict)
 from penpls.cli import build_parser, main
 from penpls.testkit import SyntheticSpec, gen_additive, write_csv
 
@@ -195,6 +196,20 @@ class TestCv:
             np.testing.assert_array_equal(cells[1:], row)
         assert lines[3] == (f"chosen: lambda={choice.lambda_opt!r}, "
                             f"m={choice.m_opt}, loo={choice.loo_error!r}")
+
+    def test_default_grid_is_loocvs(self, dataset, capsys):
+        # without --lambda-grid, cv scores loocv's own default grid
+        data, X, y = dataset
+        code = main(["cv", "--data", str(data), "--response", "out",
+                     "--max-components", "2", "--basis-size", "6"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[21].startswith("chosen: ")  # 20 rows, one per lambda
+        cells = np.array([[float(v) for v in ln.split(",")]
+                          for ln in lines[1:21]])
+        np.testing.assert_array_equal(cells[:, 0], default_lambda_grid())
+        grid, _ = loocv(X, y, max_components=2, n_basis=6)
+        np.testing.assert_array_equal(cells[:, 1:], grid.errors)
 
     def test_bad_lambda_grid_exits_two(self, dataset):
         data, _, _ = dataset

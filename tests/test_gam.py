@@ -168,6 +168,15 @@ class TestInputShape:
             fit_gam(np.zeros((5, 0)), np.arange(5.0),
                     PenaltySpec.shared(1.0, 1, 6), 1)
 
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (2, 3, 2), (1, 1, 1, 2)])
+    def test_predict_refuses_more_than_two_dimensions(self, shape):
+        # refused for its dimension count, before any column count is read
+        _, _, model = fit_fixture()
+        with pytest.raises(ConfigurationError,
+                           match=f"X_new must be 2-D, got {len(shape)} "
+                                 f"dimensions"):
+            predict(model, np.zeros(shape))
+
 
 class TestResponseScale:
     """PLS is scale-equivariant in y, at any scale a double can hold."""

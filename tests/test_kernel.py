@@ -168,3 +168,15 @@ class TestKernelFit:
         K = np.outer(y, y)  # one component fits exactly
         fit = kernel_penalized_pls_fit(K, y, 5)
         assert fit.n_components == 1
+
+    def test_alpha_path_sums_from_positive_zero(self):
+        # the first dual weight is the response itself, so a -0.0 in y
+        # makes a first term of -0.0; the path is a running sum that
+        # starts from +0.0, so that entry of alpha reads +0.0
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((5, 3))
+        X -= X.mean(axis=0)
+        y = np.array([1.0, -1.0, -0.0, 2.0, -2.0])
+        fit = kernel_penalized_pls_fit(X @ X.T, y, 2)
+        assert fit.alpha_path[2, 0] == 0.0
+        assert not np.signbit(fit.alpha_path[2, 0])

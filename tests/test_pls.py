@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (centered_problem, dense_m, random_penalty,
-                      reference_fold_fits, reference_pls_fit)
+from conftest import (centered_problem, dense_m, held_out_predictions,
+                      random_penalty, reference_fold_fits, reference_pls_fit)
 from penpls import (ConfigurationError, DataError, DegenerateResponseError,
                     FitConfig, PenaltySpec, PlsFit, gram_matrix,
                     kernel_penalized_pls_fit, make_preconditioner,
@@ -215,10 +215,9 @@ def folds_problem(seed, n_folds, n, d, rank):
 
 def chunk_fits(S, y, M, cfg):
     """Every fold's fits at every lambda of M from one ``_fold_fits`` pass,
-    scored on each fold's first row, laid out as ``reference_fold_fits``
-    gives one fold's."""
-    Wt, U, preds, count, exps = _fold_fits(S, y, S[:, 0], M, cfg)
-    return [(e, [(Wt[f, l, :k], U[f, l, :k], preds[f, l])
+    laid out as ``reference_fold_fits`` gives one fold's."""
+    Wt, U, steps, count, exps = _fold_fits(S, y, M, cfg)
+    return [(e, [(Wt[f, l, :k], U[f, l, :k], steps[f, l])
                  for l, k in enumerate(count[f])])
             for f, e in enumerate(exps)]
 
@@ -229,8 +228,7 @@ def chunk_and_lone(S, y, lambdas, p, n_basis, cfg, order=2):
     M = make_preconditioner(PenaltySpec(np.repeat(lambdas, p), order,
                                         n_basis))
     return chunk_fits(S, y, M, cfg), \
-        [reference_fold_fits(S_f, y_f, S_f[0], M, cfg)
-         for S_f, y_f in zip(S, y)]
+        [reference_fold_fits(S_f, y_f, M, cfg) for S_f, y_f in zip(S, y)]
 
 
 def assert_fits_equal(got, expect):
@@ -243,7 +241,7 @@ def assert_fits_equal(got, expect):
 
 def assert_folds_equal(got, expect):
     """Equal exponents and, bit for bit, equal effective weights, images
-    and held-out predictions, fold by fold and lambda by lambda."""
+    and steps, fold by fold and lambda by lambda."""
     for (e, fits), (e_lone, lone) in zip(got, expect, strict=True):
         assert e == e_lone
         for fit, fit_lone in zip(fits, lone, strict=True):
@@ -252,6 +250,26 @@ def assert_folds_equal(got, expect):
                 np.testing.assert_array_equal(
                     np.ascontiguousarray(a).view(np.int64),
                     np.ascontiguousarray(b).view(np.int64))
+
+
+def assert_predictions_close(S, got, expect):
+    """Each fit's held-out predictions of its fold's first row, from its
+    steps as ``loocv`` forms them (``held_out_predictions``), agree with
+    held'beta, beta the reference's coefficient after each step (its
+    running sum of step times effective weight), to 1e-13 of the sum of
+    the terms' magnitudes |step| |w~|'|held|."""
+    for S_f, (_, fits), (_, lone) in zip(S, got, expect, strict=True):
+        held = S_f[0]
+        for (wt, _, steps), (wt_lone, _, steps_lone) in zip(fits, lone):
+            k, beta, expect_preds = len(wt_lone), np.zeros_like(held), []
+            for i, step in enumerate(steps_lone):
+                if i < k:
+                    beta = beta + step * wt_lone[i]
+                expect_preds.append(beta @ held)
+            terms = np.abs(steps_lone[:k]) * (np.abs(wt_lone) @ np.abs(held))
+            bound = 1e-13 * np.cumsum(np.pad(terms, (0, len(steps) - k)))
+            preds = held_out_predictions(wt, steps, held)
+            assert np.all(np.abs(preds - expect_preds) <= bound)
 
 
 class TestStackedFits:
@@ -282,9 +300,10 @@ class TestStackedFits:
                                                     n_basis))
                 with pytest.raises(DegenerateResponseError):
                     for S_f, y_f in zip(S, y):
-                        reference_fold_fits(S_f, y_f, S_f[0], M, cfg)
+                        reference_fold_fits(S_f, y_f, M, cfg)
                 return
         assert_folds_equal(fits, lone)
+        assert_predictions_close(S, fits, lone)
 
     def test_slices_stopping_at_different_steps(self):
         # a huge lambda leaves M near the 4-dimensional null space of the
@@ -301,6 +320,8 @@ class TestStackedFits:
             assert all(len(set(c)) > 1 for c in counts)
             assert all(k < 10 for c in counts for k in c)
             assert_folds_equal(fits, lone)
+            assert_predictions_close(S, fits, lone)
+        assert_predictions_close(S, fits, lone)
 
     def test_score_inside_the_earlier_scores_span_stops(self):
         # y almost orthogonal to the columns of a rank-3 X: the fourth score
@@ -314,6 +335,7 @@ class TestStackedFits:
                                     FitConfig(6))
         assert [len(wt) for wt, *_ in fits[0][1]] == [3, 3]
         assert_folds_equal(fits, lone)
+        assert_predictions_close(X[None], fits, lone)
 
     def test_one_fit_matches_reference(self):
         X, y, _, M, fit = penalized_instance(60)
@@ -356,11 +378,11 @@ class TestStackedFits:
         with pytest.raises(DegenerateResponseError, match="no component"):
             chunk_fits(X[None], y[None], M, FitConfig(3))
         # a zero response, an intercept-only fold, extracts nothing and
-        # predicts 0 at every lambda without raising
+        # takes zero steps at every lambda without raising
         (_, fits), = chunk_fits(X[None], np.zeros((1, 4)), M, FitConfig(3))
-        for wt, u, preds in fits:
+        for wt, u, steps in fits:
             assert wt.shape == u.shape == (0, 2)
-            np.testing.assert_array_equal(preds, 0.0)
+            np.testing.assert_array_equal(steps, 0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(4, 30),
@@ -371,8 +393,8 @@ class TestStackedFits:
     def test_zero_response_folds_ride_along(self, seed, n_folds, n, p,
                                             n_basis, lambdas, m, data):
         # a chunk that mixes zero-response folds with live ones: the zero
-        # folds extract nothing and predict 0; the live folds are bit for
-        # bit their lone runs
+        # folds extract nothing and take zero steps; the live folds are bit
+        # for bit their lone runs
         zero = np.array(data.draw(st.lists(
             st.booleans(), min_size=n_folds, max_size=n_folds).filter(
                 lambda z: any(z) and not all(z))))
@@ -384,7 +406,7 @@ class TestStackedFits:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
-                lone = [reference_fold_fits(S_f, y_f, S_f[0], M, cfg)
+                lone = [reference_fold_fits(S_f, y_f, M, cfg)
                         for S_f, y_f in zip(S[~zero], y[~zero])]
             except DegenerateResponseError:
                 return  # some live fold alone extracts nothing
@@ -392,9 +414,9 @@ class TestStackedFits:
         assert_folds_equal([f for f, z in zip(mixed, zero) if not z], lone)
         for (_, fits), z in zip(mixed, zero):
             if z:
-                for wt, u, preds in fits:
+                for wt, u, steps in fits:
                     assert len(wt) == len(u) == 0
-                    np.testing.assert_array_equal(preds, 0.0)
+                    np.testing.assert_array_equal(steps, 0.0)
 
 
 class TestClosedForm:

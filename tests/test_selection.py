@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (explicit_folds, reference_fold_fits,
-                      reference_pls_fit)
+from conftest import (explicit_folds, held_out_predictions,
+                      reference_fold_fits, reference_pls_fit)
 from penpls import (BasisExpansion, ConfigurationError, DataError,
                     DegenerateResponseError, DegenerateVariableError,
                     FitConfig, NumericalError, PenaltySpec, SplineBasis,
@@ -61,9 +61,10 @@ def reference_loocv(X, y, lambdas, max_components, n_basis, rotated=True):
     With ``rotated``, as ``loocv`` fits: each fold's design is rotated to
     the preconditioner's eigenbasis (``rotated_design``), and the fold's
     fits at every lambda run on its cross-products
-    (``reference_fold_fits``).  Without, the plain design and one
-    ``reference_pls_fit`` per lambda with ``Preconditioner.apply``, the
-    same fits but for rounding.
+    (``reference_fold_fits``), predicting the held-out row from their steps
+    (``held_out_predictions``).  Without, the plain design and one
+    ``reference_pls_fit`` per lambda with ``Preconditioner.apply``,
+    predicting from its coefficient path, the same fits but for rounding.
 
     A fold whose centered response is zero to rounding predicts its mean,
     and a fold whose training rows leave a predictor fewer than two
@@ -100,9 +101,10 @@ def reference_loocv(X, y, lambdas, max_components, n_basis, rotated=True):
         z_held = z_held - z_means
         if rotated:
             e, fits = reference_fold_fits(
-                Z - z_means, y[keep] - y_mean, z_held, make_preconditioner(
+                Z - z_means, y[keep] - y_mean, make_preconditioner(
                     PenaltySpec(np.repeat(lambdas, p), 2, n_basis)), cfg)
-            for li, (wt, _, preds) in enumerate(fits):
+            for li, (wt, _, steps) in enumerate(fits):
+                preds = held_out_predictions(wt, steps, z_held)
                 errors[li] += (y[i] - y_mean - np.ldexp(preds, e)) ** 2
                 early_stops[li] += len(wt) < max_components
             continue
@@ -216,9 +218,9 @@ class TestLoocv:
         calls = []
         real = selection._fold_fits
 
-        def counted(S, Y, held, M, cfg):
+        def counted(S, Y, M, cfg):
             calls.append((S.shape[0], M.dim // S.shape[2]))
-            return real(S, Y, held, M, cfg)
+            return real(S, Y, M, cfg)
 
         monkeypatch.setattr(selection, "_fold_fits", counted)
         kw = dict(lambdas=[0.1, 1.0, 10.0], max_components=2, n_basis=5)
