@@ -6,12 +6,13 @@ centering statistics so new observations can be scored honestly.
 
 ``fit_gam`` expands with the public ``transform``, centers with
 ``_center`` and ``_centered_response`` and fits with the public
-``penalized_pls_fit``.  ``transform`` runs the spline-table code of a
-``loocv`` fold's design (``splines._fold_designs``) with the identity where
-a fold has the penalty's rotation, and both centering helpers are the
-folds' too; ``loocv`` fits its folds in d-space (see ``selection``).  The
-PLS fit is scale-equivariant in y (``pls`` picks its working units), so
-coefficients are stored on the response's own scale.
+``penalized_pls_fit``.  ``transform`` writes the basis matrix from the
+spline table that also builds a ``loocv`` fold's rotated design
+(``splines._fold_designs``), bit for bit that design with the identity for
+the rotation, and both centering helpers are the folds' too; ``loocv``
+fits its folds in d-space (see ``selection``).  The PLS fit is
+scale-equivariant in y (``pls`` picks its working units), so coefficients
+are stored on the response's own scale.
 
 Fitting needs the dense centered design; scoring does not.  ``predict`` and
 ``fitted_function`` both go through ``_score``, which multiplies each

@@ -10,7 +10,8 @@ from scipy.interpolate import BSpline
 from penpls import (BasisExpansion, ConfigurationError, DataError,
                     DegenerateVariableError, SplineBasis, eval_basis_grid,
                     make_basis, splines, transform)
-from penpls.splines import transform_dot
+from penpls.splines import (_fold_designs, _knot_set_of, _windows,
+                            transform_dot)
 
 
 def scalar_de_boor(basis, x):
@@ -411,3 +412,153 @@ class TestTransformDot:
         X[1, 2] = np.nan
         with pytest.raises(DataError, match=r"columns \[2\]"):
             transform_dot(X, expansion, np.ones(24))
+
+
+class TestEntryPointTypes:
+    """A spline entry point given something that is not a basis or an
+    expansion raises ``ConfigurationError`` naming the argument."""
+
+    def test_expansion_of_non_bases(self):
+        basis = make_basis(np.linspace(0, 1, 9), 5, 3)
+        with pytest.raises(ConfigurationError, match=r"bases\[0\].*str"):
+            BasisExpansion(["x"])
+        with pytest.raises(ConfigurationError, match=r"bases\[1\].*str"):
+            BasisExpansion([basis, "x"])
+        with pytest.raises(ConfigurationError, match="bases"):
+            BasisExpansion(5)
+
+    def test_non_basis_to_eval_basis_grid(self):
+        with pytest.raises(ConfigurationError, match="basis.*str"):
+            eval_basis_grid("x", [0.1])
+
+    def test_non_expansion_to_transform(self):
+        X = np.full((3, 1), 0.5)
+        with pytest.raises(ConfigurationError, match="expansion.*str"):
+            transform(X, "x")
+        with pytest.raises(ConfigurationError, match="expansion.*str"):
+            transform_dot(X, "x", np.ones(5))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@st.composite
+def knot_vectors(draw):
+    """A basis of degree 0-3 on a clamped, unclamped or repeated knot
+    vector, or one with a subnormal span."""
+    degree = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["clamped", "unclamped", "repeated",
+                                 "subnormal"]))
+    value = st.floats(-1.0, 2.0, **finite)
+    if kind == "clamped":
+        knots = clamped_knots(degree, draw(st.lists(value, max_size=8)),
+                              -1.0, 2.0)
+    elif kind == "unclamped":
+        knots = np.sort(draw(st.lists(value, min_size=degree + 2,
+                                      max_size=degree + 10, unique=True)))
+    elif kind == "repeated":
+        interior = draw(st.lists(value, min_size=1, max_size=5))
+        interior += draw(st.lists(st.sampled_from(interior), min_size=1,
+                                  max_size=degree + 1))
+        knots = clamped_knots(degree, interior, -1.0, 2.0)
+    else:
+        knots = clamped_knots(degree, [0.0, 5e-324], -1.0, 2.0)
+    return SplineBasis(degree, knots)
+
+
+def points(basis, finite_only=False):
+    """Points off the domain, inside it, on the knots, -0.0 and, unless
+    ``finite_only``, the infinities; zero of them too."""
+    lo, hi = basis.domain
+    point = (st.floats(lo - 1.0, hi + 1.0, **finite)
+             | st.sampled_from(list(basis.knots) + [-0.0, 0.0]))
+    if not finite_only:
+        point |= st.sampled_from([-np.inf, np.inf])
+    return st.lists(point, max_size=30).map(
+        lambda xs: np.array(xs, dtype=float))
+
+
+def identity_design(basis, xs):
+    """The rotated fold design of one fold with the identity rotation."""
+    return _fold_designs(xs[:, None], [basis.knots[None]], basis.degree,
+                         np.eye(basis.n_basis))[0]
+
+
+class TestBasisMatrixIsTheIdentityRotation:
+    """The basis matrix written from the spline table is, bit for bit,
+    the table times the identity (the rotated-design path)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_eval_basis_grid(self, data):
+        basis = data.draw(knot_vectors())
+        xs = data.draw(points(basis))
+        B = eval_basis_grid(basis, xs)
+        assert B.shape == (len(xs), basis.n_basis)
+        np.testing.assert_array_equal(bits(B),
+                                      bits(identity_design(basis, xs)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_block_of_transform(self, data):
+        bases = data.draw(st.lists(knot_vectors(), min_size=1, max_size=3))
+        n = data.draw(st.integers(0, 20))
+        X = np.column_stack(
+            [np.resize(data.draw(points(b, finite_only=True)), n)
+             if n else np.empty(0) for b in bases]).reshape(n, len(bases))
+        Z = transform(X, BasisExpansion(bases))
+        start = 0
+        for j, basis in enumerate(bases):
+            block = Z[:, start:start + basis.n_basis]
+            np.testing.assert_array_equal(
+                bits(block), bits(identity_design(basis, X[:, j])))
+            start += basis.n_basis
+
+
+def counted_window(knots, x):
+    """The window index by its rule: the number of knots at or below x,
+    less one, or the last nonempty interval at the right end."""
+    if x >= knots[-1]:
+        return np.flatnonzero(knots[1:] > knots[:-1])[-1]
+    return np.count_nonzero(knots <= x) - 1
+
+
+class TestWindows:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 12), st.integers(0, 3),
+           st.sampled_from([None, 255, 256, 300]), st.booleans(),
+           st.integers(1, 50))
+    def test_window_index_is_the_counting_rule(self, seed, F, p, n, degree,
+                                               n_knots, per_set_points,
+                                               slice_len):
+        # knots drawn from few values, so many repeat, and every knot
+        # among the points; wide vectors count past one byte
+        rng = np.random.default_rng(seed)
+        width = n_knots or int(rng.integers(degree + 2, degree + 12))
+        values = rng.uniform(-1.0, 1.0, size=int(rng.integers(2, 8)))
+        knots = np.sort(rng.choice(values, size=(F, p, width)), axis=-1)
+        knots[..., -1] = np.maximum(knots[..., -1], knots[..., 0] + 0.5)
+        # points beyond both ends, inside, and on every knot of their set
+        X = np.stack([np.concatenate([rng.uniform(-1.5, 1.5, size=(n, p)),
+                                      knots[f].T]) for f in range(F)])
+        if not per_set_points:
+            X = X[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splines, "_SLICE", slice_len)
+            knot_set = _knot_set_of(knots, degree)
+            start, clamped = _windows(knot_set, X)
+        rows = X.shape[-2]
+        Xs = np.broadcast_to(X, (F, rows, p))
+        start = start.reshape(F, rows, p)
+        clamped = clamped.reshape(F, rows, p)
+        for f in range(F):
+            for j in range(p):
+                t = knots[f, j]
+                x = np.clip(Xs[f, :, j], t[0], t[-1])
+                np.testing.assert_array_equal(bits(clamped[f, :, j]),
+                                              bits(x))
+                expect = [counted_window(t, v) for v in x]
+                np.testing.assert_array_equal(
+                    start[f, :, j] - knot_set.width * (f * p + j), expect)
