@@ -8,21 +8,19 @@ One search, ``_windows``, finds each point's knot window, in one knot
 vector or in every fold's at once.  One Cox-de Boor recursion, ``_tables``,
 then computes per point only the ``degree + 1`` basis functions that are
 nonzero there (local support): ``degree`` array passes over a
-``(degree + 1, len(xs))`` table, run in cache-sized slices of points.  What
-both need of the knots alone (padded knot vectors, the last nonempty
-interval, the knot spans) is a ``_KnotSet``, which a ``SplineBasis`` builds
-once.  The table has one consumer, ``_dot_windows``:
+``(degree + 1, len(xs))`` table, run in cache-sized slices of points.  The
+table is used in two ways:
 
-* with no coefficients it adds each point's ``degree + 1`` values into
-  their columns of a zeroed matrix, which is the basis matrix:
-  ``eval_basis_grid`` (one column) and ``transform`` (a whole data matrix,
-  ``fit_gam``'s design, one ``eval_basis_grid`` call per column).  This is
-  bit for bit the table times the K x K identity;
-* with a coefficient vector it multiplies the values by their gathered
-  coefficients: ``transform_dot``, the product ``transform(X) @ coef``
-  without the dense matrix, which scores prediction and fitted curves;
-* with the preconditioner's Demmler-Reinsch rotation V it is the rotated
-  design B V (``_fold_designs``) of a chunk of ``loocv``'s folds.
+* ``eval_basis_grid`` adds each point's ``degree + 1`` values into their
+  columns of a zeroed matrix, which is the basis matrix; ``transform``
+  (``fit_gam``'s design) makes one such call per column of a data matrix;
+* ``_dot_windows`` multiplies the values by their gathered coefficients:
+  with a coefficient vector it is ``transform_dot``, the product
+  ``transform(X) @ coef`` without the dense matrix, which scores prediction
+  and fitted curves; with the preconditioner's Demmler-Reinsch rotation V
+  it is the rotated design B V (``_fold_designs``) of a chunk of
+  ``loocv``'s folds.  With the identity for V it is the basis matrix that
+  ``eval_basis_grid`` writes, bit for bit.
 
 Non-finite data are rejected where they enter, in ``make_basis``,
 ``transform`` and ``transform_dot``, rather than given an all-zero basis
@@ -31,8 +29,6 @@ row; ``eval_basis_grid`` clamps infinities to the boundary and rejects NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,11 +81,6 @@ class SplineBasis:
     @property
     def domain(self) -> tuple[float, float]:
         return float(self.knots[0]), float(self.knots[-1])
-
-    @cached_property
-    def _knot_set(self) -> "_KnotSet":
-        # built on first use and kept: the knots are read-only
-        return _knot_set_of(self.knots[None, None], self.degree)
 
 
 @dataclass(frozen=True)
@@ -174,10 +165,10 @@ def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
 
     Only the ``degree + 1`` functions that are nonzero at a point are
     evaluated (local support; de Boor's BSPLVB).  ``_windows`` locates each
-    point's knot window, and ``_dot_windows``, given no coefficients, adds
-    the recursion's table values into their columns of a zeroed matrix.
-    This is bit for bit ``_fold_designs`` of one fold with the identity for
-    the rotation.
+    point's knot window, and the recursion's table values are added into
+    their columns of a zeroed matrix.  Each entry is +0.0 plus one table
+    value or nothing, so this is bit for bit ``_fold_designs`` of one fold
+    with the identity for the rotation, signs of zero included.
 
     Points are clamped to the boundary-knot interval first, so out-of-domain
     points are evaluated at the nearest boundary.  The right boundary, which
@@ -194,140 +185,103 @@ def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
     x = _as_float(xs, "xs").ravel()
     if np.isnan(x).any():
         raise DataError("points to evaluate include NaN")
-    knots = basis._knot_set
-    out = np.zeros((len(x), basis.n_basis))
-    _dot_windows(knots, *_windows(knots, x[:, None]), None, out)
+    d, n_basis = basis.degree, basis.n_basis
+    padded, first, x = _windows(basis.knots[None, None], d, x[:, None])
+    out = np.zeros((len(x), n_basis))
+    rows = np.arange(d + 1)[:, None]
+    for lo, table in _tables(padded.ravel(), first, x, d):
+        m = table.shape[1]
+        # with one knot vector a window's start is its index first; row r
+        # of the table is function first - d + r, entry
+        # K * i + first - d + r of out flattened
+        col = first[lo:lo + m] - d + rows
+        cell = col + n_basis * np.arange(lo, lo + m)
+        if col[0].min() < 0 or col[-1].max() >= n_basis:
+            # unclamped knots: drop the functions outside [0, K)
+            keep = (col >= 0) & (col < n_basis)
+            cell, table = cell[keep], table[keep]
+        out.put(cell, out.take(cell) + table)
     return out
 
 
-class _KnotSet(NamedTuple):
-    """What the window search and the recursion need of F x p knot vectors
-    that depends on the knots alone, the (F, p, len) ``vectors``.
-    ``_knot_set_of`` builds it; a ``SplineBasis`` builds its own once,
-    ``_fold_designs`` one per call.
-
-    ``padded`` holds the F * p padded vectors end to end, each ``width``
-    long: entry q of one is knot q - degree, clamped to the vector, so the
-    ``2 * degree + 2`` knots around any point's window are in range.
-    ``last`` (F, 1, p) is each vector's last nonempty interval, which holds
-    its right boundary.  ``dens[k - 1][q]`` is the knot span
-    ``padded[q + k] - padded[q]`` that pass k of ``_tables`` divides by, or
-    inf where the span is empty, which gives a zero weight.
-    """
-
-    vectors: np.ndarray
-    degree: int
-    padded: np.ndarray
-    width: int
-    last: np.ndarray
-    dens: tuple
-
-
-def _knot_set_of(knots: np.ndarray, degree: int) -> _KnotSet:
-    """The ``_KnotSet`` of ``knots``, (F, p, len) nondecreasing vectors."""
-    F, p, n_knots = knots.shape
-    nonempty = knots[..., 1:] > knots[..., :-1]
-    last = n_knots - 2 - np.argmax(nonempty[..., ::-1], axis=-1)
-    index = np.minimum(np.maximum(np.arange(-degree, n_knots + degree + 1),
-                                  0), n_knots - 1)
-    padded = knots[..., index].ravel()
-    dens = []
-    for k in range(1, degree + 1):
-        span = padded[k:] - padded[:-k]
-        span[span <= 0] = np.inf
-        dens.append(span)
-    return _KnotSet(knots, degree, padded, index.size, last[:, None],
-                    tuple(dens))
-
-
-def _windows(knots: _KnotSet, X: np.ndarray):
+def _windows(knots: np.ndarray, degree: int, X: np.ndarray):
     """Every point's knot window in its own knot vector, in one search.
 
-    ``knots`` holds F sets (folds) of one knot vector per column; X is
-    (n, p), the same points for every set, or (F, n, p).  Returns per point
-    in (set, row, column) order the entry of ``knots.padded`` where its
+    ``knots`` is (F, p, width), F sets (folds) of one knot vector per
+    column; X is (n, p), the same points for every set, or (F, n, p).
+    Returns the F * p padded knot vectors, one per row, and per point in
+    (set, row, column) order the entry of their flat array where its
     window starts, w * b + mu for padded width w, vector b and first
     window index mu, and the point clamped to its vector's boundaries.
 
     mu is the number of knots at or below the point, less one, so the
     point lies in ``[t_mu, t_{mu+1})``; at the right boundary, which no
-    half-open interval holds, it is the last nonempty interval.  The
-    ``2 * degree + 2`` knots around a point are then entries
-    ``mu .. mu + 2 * degree + 1`` of its padded vector; the padding reaches
-    only functions outside [0, K), which ``_dot_windows`` drops.  The knots
-    are compared with at most ``_SLICE`` points at a time.  The counts are
-    summed as bytes, several times faster than as integers, when a vector
-    has at most 255 knots, so no count can overflow.  NaN points are the
-    callers' to reject.
+    half-open interval holds, it is the last nonempty interval.  Entry q
+    of a padded vector is knot q - degree, so the ``2 * degree + 2`` knots
+    around a point are entries ``mu .. mu + 2 * degree + 1``; the padding
+    keeps them in range and reaches only functions outside [0, K), which
+    the table's users drop.  The knots are compared with at most
+    ``_SLICE`` points at a time.  The counts are summed as bytes, several
+    times faster than as integers, when a vector has at most 255 knots, so
+    no count can overflow.  NaN points are the callers' to reject.
     """
-    t = knots.vectors
-    F, p, n_knots = t.shape
-    lo, hi = t[:, None, :, 0], t[:, None, :, -1]  # (F, 1, p)
+    F, p, width = knots.shape
+    lo, hi = knots[:, None, :, 0], knots[:, None, :, -1]  # (F, 1, p)
     x = np.clip(X, lo, hi)  # (F, n, p)
     first = np.empty(x.shape, dtype=np.intp)
     rows = max(1, _SLICE // max(F * p, 1))
-    count = np.uint8 if n_knots < 256 else np.intp
+    count = np.uint8 if width < 256 else np.intp
     for a in range(0, x.shape[1], rows):
         # compared with the points innermost, the counts add whole rows;
         # every point is at or above its first knot, so each count is >= 1
-        below = t[..., None] <= x[:, a:a + rows].transpose(0, 2, 1)[
+        below = knots[..., None] <= x[:, a:a + rows].transpose(0, 2, 1)[
             :, :, None]
         first[:, a:a + rows] = np.add.reduce(
             below.view(np.uint8), axis=2, dtype=count).transpose(0, 2, 1) - 1
-    np.copyto(first, knots.last, where=x >= hi)
-    first += knots.width * np.arange(F * p).reshape(F, 1, p)
-    return first.ravel(), x.ravel()
+    nonempty = knots[..., 1:] > knots[..., :-1]
+    last = width - 2 - np.argmax(nonempty[..., ::-1], axis=-1)  # (F, p)
+    np.copyto(first, last[:, None], where=x >= hi)
+    # entry q of a padded vector is knot q - degree, clamped to the vector
+    index = np.minimum(np.maximum(np.arange(-degree, width + degree + 1), 0),
+                       width - 1)
+    padded = knots[..., index].reshape(F * p, index.size)
+    first += index.size * np.arange(F * p).reshape(F, 1, p)
+    return padded, first.ravel(), x.ravel()
 
 
-def _dot_windows(knots: _KnotSet, start: np.ndarray, x: np.ndarray,
-                 coef: np.ndarray | None, out: np.ndarray):
+def _dot_windows(padded: np.ndarray, start: np.ndarray, x: np.ndarray,
+                 degree: int, coef: np.ndarray, out: np.ndarray):
     """Add ``sum_k B_k(x[i]) * coef[k]`` to ``out[i]`` for each point, where
-    ``B_k`` are the K functions of point i's knot vector, and its window
-    begins at entry ``start[i]`` of ``knots.padded`` (``_windows``).
+    ``B_k`` are the functions of point i's knot vector, one row of
+    ``padded``, and its window begins at entry ``start[i]`` of their flat
+    array (``_windows``).
 
-    With ``first[i]`` the window's index within its padded vector, point
-    i's nonzero functions are ``first[i] - degree .. first[i]``, the rows of
-    its column of the recursion's table (``_tables``).  Functions outside
-    ``[0, K)`` (unclamped knots) are dropped.
+    With ``first[i]`` the window's index within its row, point i's nonzero
+    functions are ``first[i] - degree .. first[i]``.
 
-    * ``coef`` None: ``out`` is (len(x), K), and each point's ``degree + 1``
-      table values are added into their columns of its row, so a zeroed
-      ``out`` becomes the basis matrix.  This is what the identity for
-      ``coef`` would give, bit for bit, signs of zero included: each entry
-      is +0.0 plus one table value or nothing.
-    * ``coef`` a vector of K coefficients, or a (K, c) matrix whose rows are
-      added, so that ``out`` is (len(x), c): with the Demmler-Reinsch
-      rotation V it is the rotated design B V.  The nonzero functions'
-      gathered coefficients ``coef[first[i] - degree + r]`` times their
-      values are summed in the order r = 0 .. degree, so each point's value
-      is independent of the slicing (the terms are gathered
-      ``_TERM_BYTES`` at a time) and of every other point.
+    ``coef`` is a vector of K coefficients, or a (K, c) matrix whose rows
+    are added, so that ``out`` is (len(x), c): with the Demmler-Reinsch
+    rotation V it is the rotated design B V.  Only the ``degree + 1``
+    nonzero functions of each point are multiplied by their gathered
+    coefficients ``coef[first[i] - degree + r]``, summed in the order
+    r = 0 .. degree, so each point's value is independent of the slicing
+    (the terms are gathered ``_TERM_BYTES`` at a time) and of every other
+    point.  Functions outside ``[0, K)`` (unclamped knots) get a zero
+    coefficient.
     """
-    d = knots.degree
-    rows = np.arange(d + 1)[:, None]
-    if coef is None:
-        n_basis = out.shape[1]
-        for lo, table in _tables(knots, start, x):
-            m = table.shape[1]
-            # row r of the table is function first - d + r, entry
-            # K * i + first - d + r of out flattened
-            col = start[lo:lo + m] % knots.width - d + rows
-            cell = col + n_basis * np.arange(lo, lo + m)
-            if col[0].min() < 0 or col[-1].max() >= n_basis:
-                keep = (col >= 0) & (col < n_basis)
-                cell, table = cell[keep], table[keep]
-            out.put(cell, out.take(cell) + table)
-        return
+    d = degree
     pad = np.zeros((d,) + coef.shape[1:])
     wide = np.concatenate([pad, coef, pad])
+    rows = np.arange(d + 1)[:, None]
     step = max(1, _TERM_BYTES // (8 * (d + 1) * (coef.size // len(coef))))
-    for lo, table in _tables(knots, start, x):
+    width = padded.shape[1]
+    for lo, table in _tables(padded.ravel(), start, x, d):
         for a in range(0, table.shape[1], step):
             b = table[:, a:a + step]
             at = slice(lo + a, lo + a + b.shape[1])
             # entry first + r of wide is the coefficient of function
             # first - d + r
-            terms = np.take(wide, rows + start[at] % knots.width, axis=0)
+            terms = np.take(wide, rows + start[at] % width, axis=0)
             terms *= b.reshape(b.shape + (1,) * (coef.ndim - 1))
             acc = out[at]
             for r in range(d + 1):
@@ -350,29 +304,29 @@ def _fold_designs(X: np.ndarray, knots: list[np.ndarray], degree: int,
     F, width = knots[0].shape
     n_basis = width - degree - 1
     Z = np.zeros((F, n, p * n_basis))
-    knot_set = _knot_set_of(np.stack(knots, axis=1), degree)
     # row (f, i, j) of this view is block j of fold f's row i
-    _dot_windows(knot_set, *_windows(knot_set, X), rotation,
-                 Z.reshape(F * n * p, n_basis))
+    _dot_windows(*_windows(np.stack(knots, axis=1), degree, X), degree,
+                 rotation, Z.reshape(F * n * p, n_basis))
     return Z
 
 
-def _tables(knots: _KnotSet, start: np.ndarray, x: np.ndarray):
+def _tables(padded: np.ndarray, start: np.ndarray, x: np.ndarray,
+            degree: int):
     """Yield ``(lo, table)`` per slice of at most ``_SLICE`` points from
     ``lo``: row r of the ``(degree + 1, len(slice))`` table holds, for each
     point, basis function ``first - degree + r``, evaluated on the
     ``2 * degree + 2`` knots at entries ``start .. start + 2 * degree + 1``
-    of ``knots.padded``.  This is the one Cox-de Boor recursion; a table is
+    of ``padded``.  This is the one Cox-de Boor recursion; a table is
     overwritten by the next slice.
 
     Degree 0 is the indicator of the point's interval; each of the
     ``degree`` passes then combines neighbouring rows with the knot-ratio
     weights ``(x - t_j) / (t_{j+k} - t_j)`` and
     ``(t_{j+k+1} - x) / (t_{j+k+1} - t_{j+1})``, a weight being zero where
-    its knot span is empty (``knots.dens``).  Each table entry comes from
-    the same floating-point operations on the same operands as in the
-    Cox-de Boor recursion over all ``len(knots) - 1`` intervals, whose other
-    terms are exact zeros, so it is that recursion's bit for bit.
+    its knot span is empty.  Each table entry comes from the same
+    floating-point operations on the same operands as in the Cox-de Boor
+    recursion over all ``len(knots) - 1`` intervals, whose other terms are
+    exact zeros, so it is that recursion's bit for bit.
 
     Slicing keeps a pass's temporaries cache-sized.  Every operation is per
     point, so the slicing changes no value.
@@ -383,14 +337,21 @@ def _tables(knots: _KnotSet, start: np.ndarray, x: np.ndarray):
     subnormal knot span from turning ``0 * inf`` into NaN; that overflow is
     expected and not warned about.
     """
-    d = knots.degree
+    d = degree
+    # entry q of dens[k - 1] is t[q + k] - t[q] in padded terms; an empty
+    # span divides by inf, which gives a zero weight
+    dens = []
+    for k in range(1, d + 1):
+        span = padded[k:] - padded[:-k]
+        span[span <= 0] = np.inf
+        dens.append(span)
     window = np.arange(2 * d + 2)[:, None]
     for lo in range(0, len(x), _SLICE):
         xs = x[lo:lo + _SLICE]
         # row r of idx, and of the gathered knots tw, belongs to knot
         # first - d + r
         idx = window + start[lo:lo + _SLICE]
-        tw = knots.padded[idx]
+        tw = padded[idx]
         # the weights' numerators: x - t_j for the first d + 1 knots and
         # t_j - x for the rest, the same in every pass
         left = xs - tw[:d + 1]
@@ -402,7 +363,7 @@ def _tables(knots: _KnotSet, start: np.ndarray, x: np.ndarray):
         with np.errstate(over="ignore"):
             for k in range(1, d + 1):
                 rows = slice(d - k, d + 1)
-                den = np.take(knots.dens[k - 1], idx[d - k:d + 2])
+                den = np.take(dens[k - 1], idx[d - k:d + 2])
                 w1 = np.divide(left[rows], den[:-1])
                 w1.clip(0.0, 1.0, out=w1)
                 w2 = np.divide(right[:k + 1], den[1:])
@@ -468,9 +429,9 @@ def transform_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
     out = np.zeros(X.shape[0])
     start = 0
     for j, basis in enumerate(expansion.bases):
-        knots = basis._knot_set
-        _dot_windows(knots, *_windows(knots, X[:, j:j + 1]),
-                     coef[start:start + basis.n_basis], out)
+        _dot_windows(*_windows(basis.knots[None, None], basis.degree,
+                               X[:, j:j + 1]),
+                     basis.degree, coef[start:start + basis.n_basis], out)
         start += basis.n_basis
     return out
 

@@ -13,8 +13,7 @@ from penpls import (BasisExpansion, ConfigurationError, DataError,
                     fit_gam, loocv, make_basis, make_preconditioner, predict,
                     selection, splines, transform)
 from penpls.selection import _choose, _fold_knots
-from penpls.splines import (_dot_windows, _fold_designs, _knot_set_of,
-                            _windows)
+from penpls.splines import _dot_windows, _fold_designs, _windows
 from penpls.testkit import SyntheticSpec, gen_additive
 
 
@@ -36,9 +35,9 @@ def rotated_design(X, bases, rotation):
     K = rotation.shape[0]
     Z = np.zeros((len(X), K * len(bases)))
     for j, basis in enumerate(bases):
-        knots = _knot_set_of(basis.knots[None, None], basis.degree)
-        _dot_windows(knots, *_windows(knots, X[:, j:j + 1]), rotation,
-                     Z[:, j * K:(j + 1) * K])
+        _dot_windows(*_windows(basis.knots[None, None], basis.degree,
+                               X[:, j:j + 1]),
+                     basis.degree, rotation, Z[:, j * K:(j + 1) * K])
     return Z
 
 
@@ -693,10 +692,8 @@ class TestBatchedFolds:
             X = np.stack([rng.permutation(X) for _ in range(F)])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(splines, "_SLICE", slice_len)
-            knot_set = _knot_set_of(knots, degree)
-            start, clamped = _windows(knot_set, X)
-        width = knot_set.width
-        padded = knot_set.padded.reshape(F * p, width)
+            padded, start, clamped = _windows(knots, degree, X)
+        width = padded.shape[1]
         rows = X.shape[-2]
         at = np.arange(F * rows * p).reshape(F, rows, p)
         X = np.broadcast_to(X, (F, rows, p))

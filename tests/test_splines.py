@@ -10,8 +10,7 @@ from scipy.interpolate import BSpline
 from penpls import (BasisExpansion, ConfigurationError, DataError,
                     DegenerateVariableError, SplineBasis, eval_basis_grid,
                     make_basis, splines, transform)
-from penpls.splines import (_fold_designs, _knot_set_of, _windows,
-                            transform_dot)
+from penpls.splines import _fold_designs, _windows, transform_dot
 
 
 def scalar_de_boor(basis, x):
@@ -547,8 +546,7 @@ class TestWindows:
             X = X[0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(splines, "_SLICE", slice_len)
-            knot_set = _knot_set_of(knots, degree)
-            start, clamped = _windows(knot_set, X)
+            padded, start, clamped = _windows(knots, degree, X)
         rows = X.shape[-2]
         Xs = np.broadcast_to(X, (F, rows, p))
         start = start.reshape(F, rows, p)
@@ -561,4 +559,4 @@ class TestWindows:
                                               bits(x))
                 expect = [counted_window(t, v) for v in x]
                 np.testing.assert_array_equal(
-                    start[f, :, j] - knot_set.width * (f * p + j), expect)
+                    start[f, :, j] - padded.shape[1] * (f * p + j), expect)
