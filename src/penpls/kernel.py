@@ -4,7 +4,10 @@ The fit is the primal's residual recursion (``pls._pls_loop``) run on
 K = X M X' in place of X, with the residual as the weight, at a cost set by
 n, not the feature dimension; both paths are summed from its steps after
 it.  K is Y Y', Y = X blockdiag(V) diag(d)^(1/2) with V and d the
-preconditioner's ``basis`` and ``diagonal``.
+preconditioner's ``basis`` and ``diagonal``.  The fit refuses a K that is
+not positive semidefinite (``_check_psd``): a Cholesky factorisation
+settles a K that is PSD to rounding, as every ``gram_matrix`` is, and only
+a K it refuses pays for the eigenvalues.
 """
 from __future__ import annotations
 
@@ -14,7 +17,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidKernelError, _as_float
 from .penalty import Preconditioner
-from .pls import FitConfig, _check_finite, _columns, _path, _pls_loop
+from .pls import (FitConfig, _check_finite, _check_preconditioner, _columns,
+                  _path, _pls_loop)
 
 _PSD_TOL = 1e-8
 
@@ -49,14 +53,35 @@ def gram_matrix(X, preconditioner: Preconditioner) -> np.ndarray:
     """Gram matrix of M-inner products between observations: X M X', as
     Y Y' by one symmetric rank-k update, so exactly symmetric."""
     X = _as_float(X, "X")
-    if X.ndim != 2 or X.shape[1] != preconditioner.dim:
-        raise ConfigurationError(
-            f"X has shape {X.shape}, preconditioner expects "
-            f"{preconditioner.dim}")
+    if X.ndim != 2:
+        raise ConfigurationError(f"X must be 2-D, got {X.ndim} dimensions")
+    _check_preconditioner(preconditioner, X.shape[1])
     _check_finite(X=X)
     Y = X.reshape(-1, preconditioner.spec.n_basis) @ preconditioner.basis
     Y = Y.reshape(X.shape) * np.sqrt(preconditioner.diagonal).ravel()
     return Y @ Y.T
+
+
+def _check_psd(K: np.ndarray):
+    """``InvalidKernelError`` if the symmetric part S of K has
+    lambda_min < -``_PSD_TOL`` max(1, lambda_max).
+
+    A Cholesky factorisation of S + tau I, tau = ``_PSD_TOL`` max(1, max
+    diag S), settles most matrices: max diag S <= lambda_max, so one that
+    succeeds proves lambda_min > -tau, inside the rule.  Only a matrix it
+    refuses pays for the eigenvalues, which give the verdict.
+    """
+    shifted = K + K.T
+    shifted *= 0.5
+    diagonal = shifted.ravel()[::K.shape[0] + 1]
+    diagonal += _PSD_TOL * max(1.0, diagonal.max())
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        evals = np.linalg.eigvalsh(0.5 * (K + K.T))
+        if evals[0] < -_PSD_TOL * max(1.0, evals[-1]):
+            raise InvalidKernelError(
+                "Gram matrix is not positive semidefinite") from None
 
 
 def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:
@@ -82,9 +107,7 @@ def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:
     scale = np.max(np.abs(K)) if K.size else 0.0
     if np.max(np.abs(K - K.T)) > _PSD_TOL * (scale + 1.0):
         raise InvalidKernelError("Gram matrix is not symmetric")
-    evals = np.linalg.eigvalsh(0.5 * (K + K.T))
-    if evals[0] < -_PSD_TOL * max(1.0, evals[-1]):
-        raise InvalidKernelError("Gram matrix is not positive semidefinite")
+    _check_psd(K)
 
     _, A, T, steps, e = _pls_loop(K, y, cfg, lambda r: r)
     T = _columns(T, e)

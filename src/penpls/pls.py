@@ -170,15 +170,23 @@ def _path(rows: np.ndarray, steps: np.ndarray, e: int) -> np.ndarray:
     return _columns(np.cumsum(steps[:, None] * rows, axis=0) + 0.0, e)
 
 
+def _check_preconditioner(preconditioner, n_columns: int):
+    """``ConfigurationError`` unless ``preconditioner`` is a
+    ``Preconditioner`` for ``n_columns`` columns."""
+    if not isinstance(preconditioner, Preconditioner):
+        raise ConfigurationError(
+            f"preconditioner must be a Preconditioner, got "
+            f"{type(preconditioner).__name__}")
+    if preconditioner.dim != n_columns:
+        raise ConfigurationError(
+            f"X has {n_columns} columns, preconditioner expects "
+            f"{preconditioner.dim}")
+
+
 def _primal_fit(X, y, cfg: FitConfig,
                 preconditioner: Preconditioner | None) -> PlsFit:
-    """``_pls_loop`` on one centered (X, y) with the weight step
+    """``_pls_loop`` on one checked, centered (X, y) with the weight step
     w = M X'r (X'r without a preconditioner)."""
-    X, y = _checked_xy(X, y)
-    if preconditioner is not None and preconditioner.dim != X.shape[1]:
-        raise ConfigurationError(
-            f"X has {X.shape[1]} columns, preconditioner expects "
-            f"{preconditioner.dim}")
     _check_centered(X, y)
 
     def weigh(r):
@@ -192,7 +200,7 @@ def _primal_fit(X, y, cfg: FitConfig,
 
 def nipals_fit(X, y, cfg: FitConfig) -> PlsFit:
     """Ordinary PLS on centered data: w_i = X' r_i, r_i the residual."""
-    return _primal_fit(X, y, cfg, None)
+    return _primal_fit(*_checked_xy(X, y), cfg, None)
 
 
 def penalized_pls_fit(X, y, preconditioner: Preconditioner,
@@ -201,6 +209,8 @@ def penalized_pls_fit(X, y, preconditioner: Preconditioner,
 
     ``preconditioner.dim`` must equal X's column count d.
     """
+    X, y = _checked_xy(X, y)
+    _check_preconditioner(preconditioner, X.shape[1])
     return _primal_fit(X, y, cfg, preconditioner)
 
 

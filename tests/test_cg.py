@@ -157,17 +157,38 @@ class TestPcgIterates:
 
     @pytest.mark.parametrize("d,steps", [(12, 8), (6, 6)],
                              ids=["full", "early_stop"])
-    def test_applies_the_inverse_twice_per_step(self, d, steps):
-        # M^{-1} once per residual and once per A_M d_i, plus once for b;
-        # with d = 6 the norm test stops CG after its 6th step of 8
+    def test_applies_m_and_its_inverse_once_per_step(self, d, steps):
+        # M once for b and once per A_M d_i = M (X'X d_i), M^{-1} once for
+        # b and once per residual; with d = 6 the norm test stops CG after
+        # its 6th step of 8
         X, y = centered_problem(15, 30, d)
         M = make_preconditioner(random_penalty(15, 2, d // 2))
         calls = []
-        real = M.apply_inverse
-        M.apply_inverse = lambda v: calls.append(1) or real(v)
+        for name in ("apply", "apply_inverse"):
+            setattr(M, name, lambda v, name=name, real=getattr(M, name):
+                    calls.append(name) or real(v))
         res = pcg_iterates(X, y, M, 8)
         assert res.n_steps == steps
-        assert len(calls) <= 2 * res.n_steps + 1
+        assert calls.count("apply") <= res.n_steps + 1
+        assert calls.count("apply_inverse") <= res.n_steps + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(5, 60), st.integers(1, 3),
+           st.integers(4, 15), st.integers(1, 20),
+           st.lists(st.floats(-2, 6), min_size=3, max_size=3))
+    def test_recurrence_residual_matches_the_true_residual(
+            self, seed, n, p, n_basis, m, log_lambdas):
+        # r_k = r_{k-1} - a A_M d_{k-1} stays b - A_M beta_{k-1}, on tall
+        # and wide designs alike, up to lambda = 1e6
+        X, y = centered_problem(seed, n, p * n_basis)
+        M = make_preconditioner(PenaltySpec(10.0 ** np.array(log_lambdas[:p]),
+                                            2, n_basis))
+        res = pcg_iterates(X, y, M, m)
+        b = M.apply(X.T @ y)
+        for k in range(1, res.n_steps):
+            true = b - M.apply(X.T @ (X @ res.iterates[:, k - 1]))
+            err = np.linalg.norm(res.residuals[:, k] - true) / np.linalg.norm(b)
+            assert err <= 1e-10, f"residual {k}"
 
     def test_row_count_mismatch_rejected(self):
         X, y = centered_problem(14, 10, 4)

@@ -15,6 +15,7 @@ import functools
 import inspect
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import penpls
@@ -78,6 +79,10 @@ def fitted_model():
 
 
 M = Preconditioner(PenaltySpec.shared(1.0, P, K))
+# a preconditioner argument: M, or no preconditioner, a string, or one of
+# the wrong dimension
+PRECONDITIONERS = st.sampled_from(
+    [M, M, M, None, "M", Preconditioner(PenaltySpec.shared(1.0, P, K + 1))])
 
 # name -> a call of it with one draw per array or count argument
 CALLS = {
@@ -96,13 +101,15 @@ CALLS = {
                                        centered(d(arrays((N,)))),
                                        FitConfig(3)),
     "penalized_pls_fit": lambda d: penalized_pls_fit(
-        centered(d(arrays((N, P * K)))), centered(d(arrays((N,)))), M,
-        FitConfig(3)),
-    "gram_matrix": lambda d: gram_matrix(d(arrays((N, P * K))), M),
+        centered(d(arrays((N, P * K)))), centered(d(arrays((N,)))),
+        d(PRECONDITIONERS), FitConfig(3)),
+    "gram_matrix": lambda d: gram_matrix(d(arrays((N, P * K))),
+                                         d(PRECONDITIONERS)),
     "kernel_penalized_pls_fit": lambda d: kernel_penalized_pls_fit(
         symmetric(d(arrays((N, N)))), d(arrays((N,))), d(COUNTS)),
     "pcg_iterates": lambda d: pcg_iterates(
-        d(arrays((N, P * K))), d(arrays((N,))), M, d(COUNTS)),
+        d(arrays((N, P * K))), d(arrays((N,))), d(PRECONDITIONERS),
+        d(COUNTS)),
     "fit_gam": lambda d: fit_gam(d(arrays((N, P))), d(arrays((N,))),
                                  PenaltySpec.shared(1.0, P, K), d(COUNTS)),
     "predict": lambda d: predict(fitted_model(), d(arrays((N, P)))),
@@ -139,3 +146,38 @@ def test_entry_points_return_or_raise_package_errors(name, data):
             CALLS[name](data.draw)
     except PenplsError:
         pass
+
+
+
+# the entry points that take a preconditioner, as calls on (X, y, it)
+WITH_PRECONDITIONER = {
+    "pcg_iterates": lambda X, y, pre: pcg_iterates(X, y, pre, 3),
+    "gram_matrix": lambda X, y, pre: gram_matrix(X, pre),
+    "penalized_pls_fit": lambda X, y, pre: penalized_pls_fit(
+        X, y, pre, FitConfig(3)),
+}
+
+
+def _centered_xy(d):
+    rng = np.random.default_rng(1)
+    X, y = rng.standard_normal((N, d)), rng.standard_normal(N)
+    return X - X.mean(axis=0), y - y.mean()
+
+
+@pytest.mark.parametrize("name", sorted(WITH_PRECONDITIONER))
+@pytest.mark.parametrize("preconditioner", [None, "M", 3])
+def test_a_preconditioner_of_another_type_is_refused(name, preconditioner):
+    X, y = _centered_xy(P * K)
+    with pytest.raises(penpls.ConfigurationError,
+                       match="preconditioner must be a Preconditioner, got "
+                             + type(preconditioner).__name__):
+        WITH_PRECONDITIONER[name](X, y, preconditioner)
+
+
+@pytest.mark.parametrize("name", sorted(WITH_PRECONDITIONER))
+def test_a_column_mismatch_is_stated_up_front(name):
+    X, y = _centered_xy(P * K - 1)
+    with pytest.raises(penpls.ConfigurationError,
+                       match=f"X has {P * K - 1} columns, preconditioner "
+                             f"expects {P * K}"):
+        WITH_PRECONDITIONER[name](X, y, M)

@@ -141,8 +141,47 @@ class TestKernelFit:
     def test_non_psd_kernel_rejected(self):
         K = np.diag([1.0, -1.0, 2.0])
         y = np.array([1.0, -2.0, 1.0])
-        with pytest.raises(InvalidKernelError):
+        with pytest.raises(InvalidKernelError,
+                           match="^Gram matrix is not positive semidefinite$"):
             kernel_penalized_pls_fit(K, y, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 30),
+           st.floats(-3, 3), st.sampled_from(
+               [0.0, 0.3, 0.9, 0.99, 1.01, 1.1, 3.0]))
+    def test_psd_verdict_is_the_eigenvalue_rule(self, seed, n, log_scale, c):
+        # lambda_min at -c * 1e-8 * max(1, lambda_max): the rule accepts
+        # c <= 1 and refuses c > 1, whichever way the check reaches it
+        rng = np.random.default_rng(seed)
+        evals = 10.0 ** log_scale * rng.uniform(0.0, 1.0, n)
+        evals[0] = -c * 1e-8 * max(1.0, evals[1:].max(initial=0.0))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        K = (Q * evals) @ Q.T
+        K = 0.5 * (K + K.T)  # exactly symmetric, so K is its symmetric part
+        sym_evals = np.linalg.eigvalsh(K)
+        refused = sym_evals[0] < -1e-8 * max(1.0, sym_evals[-1])
+        assert refused == (c > 1.0)
+        try:
+            kernel_penalized_pls_fit(K, rng.standard_normal(n), 1)
+            accepted = True
+        except InvalidKernelError:
+            accepted = False
+        assert accepted != refused
+
+    @pytest.mark.parametrize("n,p,n_basis,log_lambda", [
+        (25, 2, 10, 0.0), (300, 50, 40, 1.0), (60, 2, 10, 6.0),
+        (40, 3, 20, -2.0)], ids=["wide", "bench_wide", "tall_stiff", "tall"])
+    def test_gram_matrix_accepted_without_eigenvalues(
+            self, monkeypatch, n, p, n_basis, log_lambda):
+        X, y = centered_problem(18, n, p * n_basis)
+        M = make_preconditioner(PenaltySpec.shared(10.0 ** log_lambda, p,
+                                                   n_basis))
+        K = gram_matrix(X, M)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        kernel_penalized_pls_fit(K, y, 5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_kernel_rejected(self, bad):
@@ -153,7 +192,8 @@ class TestKernelFit:
 
     def test_asymmetric_kernel_rejected(self):
         K = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(InvalidKernelError):
+        with pytest.raises(InvalidKernelError,
+                           match="^Gram matrix is not symmetric$"):
             kernel_penalized_pls_fit(K, np.array([1.0, -1.0]), 1)
 
     def test_zero_response_rejected(self):
