@@ -8,6 +8,11 @@ preconditioner's ``basis`` and ``diagonal``.  The fit refuses a K that is
 not positive semidefinite (``_check_psd``): a Cholesky factorisation
 settles a K that is PSD to rounding, as every ``gram_matrix`` is, and only
 a K it refuses pays for the eigenvalues.
+
+K of a centered design has K 1 = 0, so every score K r is centered, and
+the loop removes each score's mean: for such a K that mean is rounding
+alone, which an ill-conditioned K (large lambda) amplifies until Krylov
+exhaustion leaves the fitted values short of y.
 """
 from __future__ import annotations
 
@@ -92,6 +97,9 @@ def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:
     and the dual stops where the primal does.  Its effective weights are
     the dual weights alpha_tilde (K alpha_tilde = t); ``alpha_path`` is the
     running sum of step * alpha_tilde and the fitted path that of step * t.
+    Each score has its mean removed, as the scores of a centered design
+    have none: with an uncentered K (and centered y) the fit is that of
+    J K J, J = I - 11'/n, and J K alpha_tilde = t.
     """
     K, y = _as_float(K, "K"), _as_float(y, "y").ravel()
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -109,7 +117,7 @@ def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:
         raise InvalidKernelError("Gram matrix is not symmetric")
     _check_psd(K)
 
-    _, A, T, steps, e = _pls_loop(K, y, cfg, lambda r: r)
+    _, A, T, steps, e = _pls_loop(K, y, cfg, lambda r: r, center=True)
     T = _columns(T, e)
     return KernelFit(alpha_path=_path(A, steps, e), components=T,
                      fitted_path=np.cumsum(T * steps, axis=1),

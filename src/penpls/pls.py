@@ -109,8 +109,8 @@ def _check_centered(X: np.ndarray, y: np.ndarray):
 
 
 def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
-              weigh: Callable[[np.ndarray], np.ndarray]
-              ) -> tuple[np.ndarray, ...]:
+              weigh: Callable[[np.ndarray], np.ndarray],
+              center: bool = False) -> tuple[np.ndarray, ...]:
     """Run one PLS fit on an n x d score matrix S with centered response y.
 
     Returns the weights W and effective weights Wt (each (k, d)), scores
@@ -119,9 +119,9 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
     2^-e, e the binary exponent of y's peak, so all but the (unitless)
     steps are in units of 2^e.
 
-    The fit keeps a residual r: w = weigh(r), t = S w, orthogonalised twice
-    against the earlier scores with the same coefficients applied to the
-    effective weight (so S wt = t), then r -= step * t with
+    The fit keeps a residual r: w = weigh(r), t = S w (less its mean if
+    ``center``), orthogonalised twice against the earlier scores with the
+    same coefficients applied to the effective weight (so S wt = t), then r -= step * t with
     step = t'r / t't, until t't <= (``_NORM_TOL`` |t_1|)^2 (a score too
     short before the orthogonalisation is too short after it).
     """
@@ -138,6 +138,8 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
     for i in range(m):
         w = weigh(r)
         t = S @ w
+        if center:
+            t -= t.mean()
         if i == 0:
             tol = _NORM_TOL * float(np.sqrt(t @ t))
         wt = w

@@ -99,6 +99,20 @@ class TestKernelFit:
         assert np.linalg.norm(X @ primal.beta - dual.fitted) <= \
             1e-9 * np.linalg.norm(y)
 
+    def test_stiff_penalty_reaches_y_at_krylov_exhaustion(self):
+        # lambda = 1e6 leaves K's eigenvalues from 7.5 down to 2.9e-9; the
+        # rounding of a float K leaked into the scores' mean and left the
+        # dual's fitted values 1e-8 |y| from the primal's (and from y)
+        n, n_basis = 7, 8
+        X, y = centered_problem(11393, n, n_basis)
+        M = make_preconditioner(PenaltySpec(np.array([1e6]), 2, n_basis))
+        primal = penalized_pls_fit(X, y, M, FitConfig(n - 1))
+        dual = kernel_penalized_pls_fit(gram_matrix(X, M), y, n - 1)
+        assert dual.n_components == primal.n_components == n - 1
+        assert np.linalg.norm(X @ primal.beta - dual.fitted) <= \
+            1e-9 * np.linalg.norm(y)
+        assert np.linalg.norm(dual.fitted - y) <= 1e-9 * np.linalg.norm(y)
+
     def test_primal_recovery_of_coefficients(self):
         X, y, M, K, m = dual_instance(10)
         primal = penalized_pls_fit(X, y, M, FitConfig(m))
