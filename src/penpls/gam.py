@@ -6,11 +6,11 @@ centering statistics so new observations can be scored honestly.
 
 ``fit_gam`` expands with the public ``transform``, centers with
 ``_center`` and ``_centered_response`` and fits with the public
-``penalized_pls_fit``.  ``transform`` writes the basis matrix from the
-spline table that also builds a ``loocv`` fold's rotated design
-(``splines._fold_designs``), bit for bit that design with the identity for
-the rotation, and both centering helpers are the folds' too; ``loocv``
-fits its folds in d-space (see ``selection``).  The PLS fit is
+``penalized_pls_fit``.  ``transform``'s basis matrix and a ``loocv``
+fold's rotated design (``splines._fold_designs``) come from one writer of
+basis rows, ``splines._basis_rows`` (a fold's rows then times the
+rotation), and both centering helpers are the folds' too; ``loocv`` fits
+its folds in d-space (see ``selection``).  The PLS fit is
 scale-equivariant in y (``pls`` picks its working units), so coefficients
 are stored on the response's own scale.
 

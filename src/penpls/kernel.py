@@ -117,7 +117,7 @@ def kernel_penalized_pls_fit(K, y, n_components: int) -> KernelFit:
         raise InvalidKernelError("Gram matrix is not symmetric")
     _check_psd(K)
 
-    _, A, T, steps, e = _pls_loop(K, y, cfg, lambda r: r, center=True)
+    _, A, T, steps, e = _pls_loop(K, y, cfg, lambda r: r)
     T = _columns(T, e)
     return KernelFit(alpha_path=_path(A, steps, e), components=T,
                      fitted_path=np.cumsum(T * steps, axis=1),

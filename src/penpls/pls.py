@@ -10,8 +10,9 @@ exactly: every fit is scale-equivariant in y.
 One loop computes every lone fit, primal or dual: a residual recursion on
 a score matrix S with a weight step.  The primal runs it on the one centered
 X with w = M X'r, so X is never deflated; the dual (``kernel``) on
-K = X M X' with w = r.  The scores t = S w are the same vectors, so the two
-stop at the same component.  The loop keeps no coefficient: each caller
+K = X M X' with w = r.  The scores t = S w, each less its mean (rounding
+alone on a centered S), are the same vectors, so the two stop at the same
+component.  The loop keeps no coefficient: each caller
 sums its path after it, steps times effective weights.
 
 ``_fold_fits`` runs the same recursion in d-space, on a stack of designs
@@ -109,8 +110,8 @@ def _check_centered(X: np.ndarray, y: np.ndarray):
 
 
 def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
-              weigh: Callable[[np.ndarray], np.ndarray],
-              center: bool = False) -> tuple[np.ndarray, ...]:
+              weigh: Callable[[np.ndarray], np.ndarray]
+              ) -> tuple[np.ndarray, ...]:
     """Run one PLS fit on an n x d score matrix S with centered response y.
 
     Returns the weights W and effective weights Wt (each (k, d)), scores
@@ -119,11 +120,14 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
     2^-e, e the binary exponent of y's peak, so all but the (unitless)
     steps are in units of 2^e.
 
-    The fit keeps a residual r: w = weigh(r), t = S w (less its mean if
-    ``center``), orthogonalised twice against the earlier scores with the
-    same coefficients applied to the effective weight (so S wt = t), then r -= step * t with
-    step = t'r / t't, until t't <= (``_NORM_TOL`` |t_1|)^2 (a score too
-    short before the orthogonalisation is too short after it).
+    The fit keeps a residual r: w = weigh(r), t = S w less its mean,
+    orthogonalised twice against the earlier scores with the same
+    coefficients applied to the effective weight (so S wt = t), then
+    r -= step * t with step = t'r / t't, until t't <= (``_NORM_TOL``
+    |t_1|)^2 (a score too short before the orthogonalisation is too short
+    after it).  S is centered, so a score's mean is rounding alone; an
+    ill-conditioned S (a stiff penalty's K) would amplify it until Krylov
+    exhaustion left the fitted values short of y.
     """
     if not y.any():
         raise DegenerateResponseError("centered response is identically zero")
@@ -138,8 +142,7 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
     for i in range(m):
         w = weigh(r)
         t = S @ w
-        if center:
-            t -= t.mean()
+        t -= t.mean()
         if i == 0:
             tol = _NORM_TOL * float(np.sqrt(t @ t))
         wt = w

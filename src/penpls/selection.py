@@ -5,13 +5,13 @@ intercept and centered response come from its training rows only, so the
 held-out row never leaks into the fitted model.  A fold whose response
 does not vary (``gam._centered_response``, ``fit_gam``'s rule) is its
 intercept alone: it runs with the other folds, with a zero response, so
-its fits extract nothing (an early stop at every lambda).  Its design
-comes from the same code as ``fit_gam``'s, ``splines._fold_designs``
-centered by ``gam._center``, rotated by the V below where ``fit_gam``'s
-is not.  Errors are on the response's scale, as ``predict`` scores: the
-PLS loop fits a fold in units of an exact power of two and reports them,
-so the held-out response is put in the same units and the squared errors
-rescale exactly.
+its fits extract nothing (an early stop at every lambda).  Its basis rows
+come from the code that writes ``fit_gam``'s, ``splines._basis_rows``,
+rotated by the V below, where ``fit_gam``'s are not, and centered by
+``gam._center``.  Errors are on the response's scale, as ``predict``
+scores: the PLS loop fits a fold in units of an exact power of two and
+reports them, so the held-out response is put in the same units and the
+squared errors rescale exactly.
 
 The folds are computed together, not one by one, and in the preconditioner's
 Demmler-Reinsch basis: with V the K x K rotation of ``Preconditioner.basis``,
@@ -23,9 +23,9 @@ rounding:
 * knots: per variable, one ``np.unique`` of the column gives every fold's
   distinct values (``_fold_knots``), so the folds' knots take at most two
   ``np.quantile`` calls, not n ``make_basis`` calls;
-* designs: ``splines._fold_designs`` builds a chunk's rotated fold designs
-  straight from the spline table, with one window search for all of them.
-  A fold's rows are its training rows, centered by their own means
+* designs: ``splines._fold_designs`` writes a chunk's basis rows, with one
+  window search for all its folds, and rotates them in one product.  A
+  fold's rows are its training rows, centered by their own means
   (``gam._center``), then its held-out row;
 * fits: every fold at every lambda runs in one pass of ``pls._fold_fits``,
   the PLS recursion in d-space, two products per fold and step for all

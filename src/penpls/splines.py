@@ -11,16 +11,16 @@ nonzero there (local support): ``degree`` array passes over a
 ``(degree + 1, len(xs))`` table, run in cache-sized slices of points.  The
 table is used in two ways:
 
-* ``eval_basis_grid`` adds each point's ``degree + 1`` values into their
-  columns of a zeroed matrix, which is the basis matrix; ``transform``
-  (``fit_gam``'s design) makes one such call per column of a data matrix;
-* ``_dot_windows`` multiplies the values by their gathered coefficients:
-  with a coefficient vector it is ``transform_dot``, the product
-  ``transform(X) @ coef`` without the dense matrix, which scores prediction
-  and fitted curves; with the preconditioner's Demmler-Reinsch rotation V
-  it is the rotated design B V (``_fold_designs``) of a chunk of
-  ``loocv``'s folds.  With the identity for V it is the basis matrix that
-  ``eval_basis_grid`` writes, bit for bit.
+* ``_basis_rows`` writes each point's ``degree + 1`` values into their
+  columns of a zeroed matrix, the basis rows of every point in its own knot
+  vector.  This is every basis matrix: ``eval_basis_grid`` is its one-vector
+  case, ``transform`` (``fit_gam``'s design) makes one such call per column
+  of a data matrix, and ``_fold_designs``, the rotated designs B V of a
+  chunk of ``loocv``'s folds, multiplies the rows of all folds by the
+  preconditioner's Demmler-Reinsch rotation V in one product;
+* ``transform_dot`` multiplies the values by their gathered coefficients,
+  the product ``transform(X) @ coef`` without the dense matrix, which
+  scores prediction and fitted curves.
 
 Non-finite data are rejected where they enter, in ``make_basis``,
 ``transform`` and ``transform_dot``, rather than given an all-zero basis
@@ -40,12 +40,6 @@ DEFAULT_DEGREE = 3
 # points per pass of the recursion in ``_tables``: a pass's
 # temporaries stay in a 2 MB L2 cache
 _SLICE = 4096
-# bytes of the coefficient terms ``_dot_windows`` gathers per pass (the
-# basis matrix gathers none): from 64 KiB to 1 MiB, neither a 3-fold chunk
-# of the loocv workload's rotated designs nor the tall workload's
-# 20,000-row ``transform_dot`` moved beyond the spread between runs
-# (in-process, 2-core VM, BLAS at one thread)
-_TERM_BYTES = 256 << 10
 
 
 @dataclass(frozen=True)
@@ -164,11 +158,8 @@ def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
     ``xs``' size, whatever its shape).
 
     Only the ``degree + 1`` functions that are nonzero at a point are
-    evaluated (local support; de Boor's BSPLVB).  ``_windows`` locates each
-    point's knot window, and the recursion's table values are added into
-    their columns of a zeroed matrix.  Each entry is +0.0 plus one table
-    value or nothing, so this is bit for bit ``_fold_designs`` of one fold
-    with the identity for the rotation, signs of zero included.
+    evaluated (local support; de Boor's BSPLVB): this is ``_basis_rows`` of
+    the one knot vector.
 
     Points are clamped to the boundary-knot interval first, so out-of-domain
     points are evaluated at the nearest boundary.  The right boundary, which
@@ -185,14 +176,27 @@ def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
     x = _as_float(xs, "xs").ravel()
     if np.isnan(x).any():
         raise DataError("points to evaluate include NaN")
-    d, n_basis = basis.degree, basis.n_basis
-    padded, first, x = _windows(basis.knots[None, None], d, x[:, None])
+    return _basis_rows(basis.knots[None, None], basis.degree, x[:, None])
+
+
+def _basis_rows(knots: np.ndarray, degree: int, X: np.ndarray) -> np.ndarray:
+    """The basis rows of every point in its own knot vector, (F * n * p, K)
+    in (set, row, column) order: ``knots`` and X are ``_windows``' (F sets
+    of p vectors of one width, and (n, p) or (F, n, p) points), and K is
+    the vectors' basis size.
+
+    ``_windows`` locates each point's window and the recursion's table
+    values are written into their columns of a zeroed matrix, plus +0.0, so
+    a table's -0.0 reads +0.0.  Each entry is one table value or +0.0.
+    """
+    d = degree
+    n_basis = knots.shape[-1] - d - 1
+    padded, start, first, x = _windows(knots, d, X)
     out = np.zeros((len(x), n_basis))
     rows = np.arange(d + 1)[:, None]
-    for lo, table in _tables(padded.ravel(), first, x, d):
+    for lo, table in _tables(padded.ravel(), start, x, d):
         m = table.shape[1]
-        # with one knot vector a window's start is its index first; row r
-        # of the table is function first - d + r, entry
+        # row r of the table is function first - d + r, entry
         # K * i + first - d + r of out flattened
         col = first[lo:lo + m] - d + rows
         cell = col + n_basis * np.arange(lo, lo + m)
@@ -200,7 +204,7 @@ def eval_basis_grid(basis: SplineBasis, xs) -> np.ndarray:
             # unclamped knots: drop the functions outside [0, K)
             keep = (col >= 0) & (col < n_basis)
             cell, table = cell[keep], table[keep]
-        out.put(cell, out.take(cell) + table)
+        out.put(cell, table + 0.0)
     return out
 
 
@@ -211,8 +215,9 @@ def _windows(knots: np.ndarray, degree: int, X: np.ndarray):
     column; X is (n, p), the same points for every set, or (F, n, p).
     Returns the F * p padded knot vectors, one per row, and per point in
     (set, row, column) order the entry of their flat array where its
-    window starts, w * b + mu for padded width w, vector b and first
-    window index mu, and the point clamped to its vector's boundaries.
+    window starts, w * b + mu for padded width w and vector b, its first
+    window index mu within its own vector, and the point clamped to its
+    vector's boundaries.
 
     mu is the number of knots at or below the point, less one, so the
     point lies in ``[t_mu, t_{mu+1})``; at the right boundary, which no
@@ -245,47 +250,8 @@ def _windows(knots: np.ndarray, degree: int, X: np.ndarray):
     index = np.minimum(np.maximum(np.arange(-degree, width + degree + 1), 0),
                        width - 1)
     padded = knots[..., index].reshape(F * p, index.size)
-    first += index.size * np.arange(F * p).reshape(F, 1, p)
-    return padded, first.ravel(), x.ravel()
-
-
-def _dot_windows(padded: np.ndarray, start: np.ndarray, x: np.ndarray,
-                 degree: int, coef: np.ndarray, out: np.ndarray):
-    """Add ``sum_k B_k(x[i]) * coef[k]`` to ``out[i]`` for each point, where
-    ``B_k`` are the functions of point i's knot vector, one row of
-    ``padded``, and its window begins at entry ``start[i]`` of their flat
-    array (``_windows``).
-
-    With ``first[i]`` the window's index within its row, point i's nonzero
-    functions are ``first[i] - degree .. first[i]``.
-
-    ``coef`` is a vector of K coefficients, or a (K, c) matrix whose rows
-    are added, so that ``out`` is (len(x), c): with the Demmler-Reinsch
-    rotation V it is the rotated design B V.  Only the ``degree + 1``
-    nonzero functions of each point are multiplied by their gathered
-    coefficients ``coef[first[i] - degree + r]``, summed in the order
-    r = 0 .. degree, so each point's value is independent of the slicing
-    (the terms are gathered ``_TERM_BYTES`` at a time) and of every other
-    point.  Functions outside ``[0, K)`` (unclamped knots) get a zero
-    coefficient.
-    """
-    d = degree
-    pad = np.zeros((d,) + coef.shape[1:])
-    wide = np.concatenate([pad, coef, pad])
-    rows = np.arange(d + 1)[:, None]
-    step = max(1, _TERM_BYTES // (8 * (d + 1) * (coef.size // len(coef))))
-    width = padded.shape[1]
-    for lo, table in _tables(padded.ravel(), start, x, d):
-        for a in range(0, table.shape[1], step):
-            b = table[:, a:a + step]
-            at = slice(lo + a, lo + a + b.shape[1])
-            # entry first + r of wide is the coefficient of function
-            # first - d + r
-            terms = np.take(wide, rows + start[at] % width, axis=0)
-            terms *= b.reshape(b.shape + (1,) * (coef.ndim - 1))
-            acc = out[at]
-            for r in range(d + 1):
-                acc += terms[r]
+    start = first + index.size * np.arange(F * p).reshape(F, 1, p)
+    return padded, start.ravel(), first.ravel(), x.ravel()
 
 
 def _fold_designs(X: np.ndarray, knots: list[np.ndarray], degree: int,
@@ -295,19 +261,14 @@ def _fold_designs(X: np.ndarray, knots: list[np.ndarray], degree: int,
     matrix of column j and V the K x K ``rotation``.  X is (n, p), the
     same rows for every fold, or (F, n, p), fold f's rows ``X[f]``;
     ``knots[j]`` holds the F folds' knot vectors of column j.  One
-    ``_windows`` search and one ``_dot_windows`` pass write each point's
-    ``degree + 1`` nonzero basis values times their rows of V straight
-    into the design, so B is never formed.  With the identity for V this
-    is the basis matrix that ``eval_basis_grid`` writes, bit for bit.
+    ``_basis_rows`` call writes every fold's basis rows, and one product
+    rotates them all.  With the identity for V this is the basis matrix
+    that ``eval_basis_grid`` writes, bit for bit.
     """
     n, p = X.shape[-2:]
-    F, width = knots[0].shape
-    n_basis = width - degree - 1
-    Z = np.zeros((F, n, p * n_basis))
-    # row (f, i, j) of this view is block j of fold f's row i
-    _dot_windows(*_windows(np.stack(knots, axis=1), degree, X), degree,
-                 rotation, Z.reshape(F * n * p, n_basis))
-    return Z
+    rows = _basis_rows(np.stack(knots, axis=1), degree, X)
+    # row (f, i, j) of rows is block j of fold f's row i
+    return (rows @ rotation).reshape(len(knots[0]), n, p * len(rotation))
 
 
 def _tables(padded: np.ndarray, start: np.ndarray, x: np.ndarray,
@@ -403,12 +364,13 @@ def transform(X, expansion: BasisExpansion) -> np.ndarray:
 def transform_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
     """``transform(X, expansion) @ coef``, to rounding, without the dense
     matrix: per variable, each point's ``degree + 1`` nonzero basis values
-    are multiplied by their coefficients straight from the recursion's
-    table (``_dot_windows``).  Memory is O(n) beside X, not O(n * p * K).
+    are multiplied by their gathered coefficients straight from the
+    recursion's table.  Memory is O(n) beside X, not O(n * p * K).
 
     Row i's value is the sum over variables in block order, each
     variable's terms summed in basis order, so it depends on ``X[i]``
-    alone, not on the other rows or the slicing.
+    alone, not on the other rows or the slicing.  Functions outside
+    ``[0, K)`` (unclamped knots) get a zero coefficient.
 
     Raises
     ------
@@ -429,9 +391,21 @@ def transform_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
     out = np.zeros(X.shape[0])
     start = 0
     for j, basis in enumerate(expansion.bases):
-        _dot_windows(*_windows(basis.knots[None, None], basis.degree,
-                               X[:, j:j + 1]),
-                     basis.degree, coef[start:start + basis.n_basis], out)
+        d = basis.degree
+        padded, begin, first, x = _windows(basis.knots[None, None], d,
+                                           X[:, j:j + 1])
+        # entry first + r of wide is the coefficient of function
+        # first - d + r
+        pad = np.zeros(d)
+        wide = np.concatenate([pad, coef[start:start + basis.n_basis], pad])
+        rows = np.arange(d + 1)[:, None]
+        for lo, table in _tables(padded.ravel(), begin, x, d):
+            at = slice(lo, lo + table.shape[1])
+            terms = wide[rows + first[at]]
+            terms *= table
+            acc = out[at]
+            for r in range(d + 1):
+                acc += terms[r]
         start += basis.n_basis
     return out
 

@@ -132,6 +132,7 @@ def reference_pls_fit(X, y, preconditioner, cfg):
         if preconditioner is not None:
             w = preconditioner.apply(w)
         t = X @ w
+        t -= t.mean()
         t_norm = np.sqrt(t @ t)
         if i == 0:
             tol = _NORM_TOL * t_norm

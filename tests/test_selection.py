@@ -10,10 +10,11 @@ from conftest import (explicit_folds, held_out_predictions,
 from penpls import (BasisExpansion, ConfigurationError, DataError,
                     DegenerateResponseError, DegenerateVariableError,
                     FitConfig, NumericalError, PenaltySpec, SplineBasis,
-                    fit_gam, loocv, make_basis, make_preconditioner, predict,
-                    selection, splines, transform)
+                    eval_basis_grid, fit_gam, loocv, make_basis,
+                    make_preconditioner, predict, selection, splines,
+                    transform)
 from penpls.selection import _choose, _fold_knots
-from penpls.splines import _dot_windows, _fold_designs, _windows
+from penpls.splines import _fold_designs, _windows
 from penpls.testkit import SyntheticSpec, gen_additive
 
 
@@ -28,17 +29,10 @@ def bits(a):
 
 
 def rotated_design(X, bases, rotation):
-    """``transform(X, BasisExpansion(bases)) @ blockdiag(rotation)`` from
-    each basis's own windows (``_windows`` of one knot vector) and the
-    spline table times the rotation (``_dot_windows``), one basis at a
-    time."""
-    K = rotation.shape[0]
-    Z = np.zeros((len(X), K * len(bases)))
-    for j, basis in enumerate(bases):
-        _dot_windows(*_windows(basis.knots[None, None], basis.degree,
-                               X[:, j:j + 1]),
-                     basis.degree, rotation, Z[:, j * K:(j + 1) * K])
-    return Z
+    """``transform(X, BasisExpansion(bases)) @ blockdiag(rotation)``, one
+    basis matrix (``eval_basis_grid``) times the rotation per block."""
+    return np.hstack([eval_basis_grid(basis, X[:, j]) @ rotation
+                      for j, basis in enumerate(bases)])
 
 
 def searchsorted_windows(knots, degree, xs):
@@ -84,14 +78,15 @@ def reference_loocv(X, y, lambdas, max_components, n_basis, rotated=True):
             except DegenerateVariableError as exc:
                 raise DegenerateVariableError(
                     f"fold holding out row {i}: predictor column {j}: {exc}")
+        # the training rows, then the held-out row, in one design, as
+        # loocv lays a fold out
+        rows = np.append(np.flatnonzero(keep), i)
         if rotated:
             V = make_preconditioner(PenaltySpec.shared(0.0, p, n_basis)).basis
-            Z = rotated_design(X[keep], bases, V)
-            z_held = rotated_design(X[i:i + 1], bases, V)[0]
+            Z = rotated_design(X[rows], bases, V)
         else:
-            expansion = BasisExpansion(bases)
-            Z = transform(X[keep], expansion)
-            z_held = transform(X[i:i + 1], expansion)[0]
+            Z = transform(X[rows], BasisExpansion(bases))
+        Z, z_held = Z[:-1], Z[-1]
         z_means = Z.mean(axis=0)
         y_mean = y[keep].mean()
         if np.max(np.abs(y[keep] - y_mean)) <= 1e-14 * np.max(np.abs(y[keep])):
@@ -153,12 +148,10 @@ def exact_loocv(X, y, lambdas, max_components, n_basis, rotated=True,
         for i in range(n):
             keep = np.arange(n) != i
             bases = [make_basis(X[keep, j], n_basis, 3) for j in range(p)]
-            if rotated:
-                Z = rotated_design(X[keep], bases, V)
-                z_held = rotated_design(X[i:i + 1], bases, V)[0]
-            else:
-                Z = transform(X[keep], BasisExpansion(bases))
-                z_held = transform(X[i:i + 1], BasisExpansion(bases))[0]
+            rows = np.append(np.flatnonzero(keep), i)
+            Z = rotated_design(X[rows], bases, V) if rotated else \
+                transform(X[rows], BasisExpansion(bases))
+            Z, z_held = Z[:-1], Z[-1]
             z_means, y_mean = Z.mean(axis=0), y[keep].mean()
             residual = exact(y[i] - y_mean)
             if np.max(np.abs(y[keep] - y_mean)) <= \
@@ -525,10 +518,10 @@ class TestLoocv:
         # unchunked, the 400 fold designs alone would take 400 * 400 * 20
         # doubles, 25.6 MB; the 60 wide folds (59 rows, d = 400)
         # 60 * 60 * 400 doubles and their fits 60 * 9 * 3 * 400, 17.1 MB.
-        # At K = 40, with one lambda and one component, a chunk's fold
-        # designs hold about 3,300 points, and the spline table's gathered
-        # terms for them would be 4 * 3,300 * 40 doubles, 4.2 MB, were they
-        # not bounded (5.6 MiB peak then, 2.5 MiB bounded)
+        # At K = 40, with one lambda and one component, the fold designs
+        # are most of a chunk, and while they are formed their basis rows
+        # and the rotated product are held together, each the size of the
+        # chunk's designs (2.4 MiB peak)
         for n, p, n_basis, lambdas, m, bound in (
                 (400, 2, 10, [0.1, 1.0, 10.0], 3, 8 << 20),
                 (60, 20, 20, [0.1, 1.0, 10.0], 3, 8 << 20),
@@ -692,7 +685,7 @@ class TestBatchedFolds:
             X = np.stack([rng.permutation(X) for _ in range(F)])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(splines, "_SLICE", slice_len)
-            padded, start, clamped = _windows(knots, degree, X)
+            padded, start, first, clamped = _windows(knots, degree, X)
         width = padded.shape[1]
         rows = X.shape[-2]
         at = np.arange(F * rows * p).reshape(F, rows, p)
@@ -705,6 +698,7 @@ class TestBatchedFolds:
                 np.testing.assert_array_equal(padded[block], pad)
                 np.testing.assert_array_equal(start[at[f, :, j]],
                                               mu + block * width)
+                np.testing.assert_array_equal(first[at[f, :, j]], mu)
                 np.testing.assert_array_equal(bits(clamped[at[f, :, j]]),
                                               bits(x))
 

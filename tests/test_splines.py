@@ -196,30 +196,6 @@ class TestEvalBasis:
         np.testing.assert_array_equal(sliced.view(np.int64),
                                       whole.view(np.int64))
 
-    @pytest.mark.parametrize("term_bytes", [1, 200, 5000])
-    def test_term_blocks_change_no_bit(self, monkeypatch, term_bytes):
-        # the table consumer gathers its coefficient terms a bounded block
-        # of points at a time; any block, down to one point, gives the
-        # same basis matrix, products and rotated design
-        basis = make_basis(np.random.default_rng(12).uniform(size=300), 12)
-        xs = np.random.default_rng(13).uniform(-0.1, 1.1, size=1000)
-        coef = np.random.default_rng(14).standard_normal(12)
-        V = np.linalg.qr(np.random.default_rng(15).standard_normal(
-            (12, 12)))[0]
-        X, expansion = xs[:, None], BasisExpansion([basis])
-
-        def results():
-            return (eval_basis_grid(basis, xs),
-                    transform_dot(X, expansion, coef),
-                    splines._fold_designs(X, [basis.knots[None]],
-                                          basis.degree, V))
-
-        whole = results()
-        monkeypatch.setattr(splines, "_TERM_BYTES", term_bytes)
-        for got, expect in zip(results(), whole, strict=True):
-            np.testing.assert_array_equal(got.view(np.int64),
-                                          expect.view(np.int64))
-
 
 @pytest.fixture(scope="module")
 def basis():
@@ -546,10 +522,11 @@ class TestWindows:
             X = X[0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(splines, "_SLICE", slice_len)
-            padded, start, clamped = _windows(knots, degree, X)
+            padded, start, first, clamped = _windows(knots, degree, X)
         rows = X.shape[-2]
         Xs = np.broadcast_to(X, (F, rows, p))
         start = start.reshape(F, rows, p)
+        first = first.reshape(F, rows, p)
         clamped = clamped.reshape(F, rows, p)
         for f in range(F):
             for j in range(p):
@@ -560,3 +537,49 @@ class TestWindows:
                 expect = [counted_window(t, v) for v in x]
                 np.testing.assert_array_equal(
                     start[f, :, j] - padded.shape[1] * (f * p + j), expect)
+                np.testing.assert_array_equal(first[f, :, j], expect)
+
+
+class TestBasisRows:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 3),
+           st.integers(0, 12), st.integers(0, 3), st.integers(0, 6),
+           st.booleans(), st.booleans(), st.integers(1, 50))
+    def test_rows_are_each_vectors_basis_matrix(self, seed, F, p, n, degree,
+                                                extra, repeated,
+                                                per_set_points, slice_len):
+        # F sets of p knot vectors of one width, each clamped or unclamped
+        # and on its own span: every point's row, in its own vector, is
+        # that vector's ``eval_basis_grid`` row, bit for bit, with the
+        # functions outside [0, K) of an unclamped vector dropped
+        rng = np.random.default_rng(seed)
+        width = 2 * degree + 2 + extra
+        u = np.sort(rng.uniform(size=(F, p, width)), axis=-1)
+        if repeated:
+            u = np.round(u, 1)
+        u[..., 0], u[..., -1] = 0.0, 1.0
+        clamped = rng.random((F, p)) < 0.5
+        ends = u[clamped]
+        ends[:, :degree + 1], ends[:, -degree - 1:] = 0.0, 1.0
+        u[clamped] = ends
+        lo = rng.uniform(-5.0, 5.0, size=(F, p, 1))
+        span = 10.0 ** rng.uniform(-3.0, 3.0, size=(F, p, 1))
+        knots = lo + span * u
+        # points beyond both ends, inside, and on every knot of each vector
+        X = np.concatenate([lo + span * rng.uniform(-0.5, 1.5,
+                                                    size=(F, p, n)),
+                            knots], axis=-1).transpose(0, 2, 1)
+        if not per_set_points:
+            X = X.reshape(-1, p)  # every set's points for every set
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splines, "_SLICE", slice_len)
+            rows = splines._basis_rows(knots, degree, X)
+        n_rows = X.shape[-2]
+        rows = rows.reshape(F, n_rows, p, width - degree - 1)
+        Xs = np.broadcast_to(X, (F, n_rows, p))
+        for f in range(F):
+            for j in range(p):
+                expect = eval_basis_grid(SplineBasis(degree, knots[f, j]),
+                                         Xs[f, :, j])
+                np.testing.assert_array_equal(bits(rows[f, :, j]),
+                                              bits(expect))
