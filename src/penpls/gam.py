@@ -15,10 +15,12 @@ scale-equivariant in y (``pls`` picks its working units), so coefficients
 are stored on the response's own scale.
 
 Fitting needs the dense centered design; scoring does not.  ``predict`` and
-``fitted_function`` both go through ``_score``, which multiplies each
-point's nonzero basis values, straight from the spline recursion's table,
-by their coefficients (``splines.transform_dot``) and adds one constant.
-The same code thus scores a fitted model and a reloaded one.
+``fitted_function`` both go through ``_score``, which evaluates each
+variable's fitted spline from its piecewise-polynomial form, per point one
+interval's ``degree + 1`` coefficients and ``degree`` Horner steps
+(``splines.pp_dot``), and adds one constant.  The polynomial table is
+built on every call from the model's knots and coefficients alone, so the
+same code scores a fitted model and a reloaded one, bit for bit.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .errors import (ConfigurationError, DataError, DegenerateVariableError,
 from .penalty import PenaltySpec, make_preconditioner
 from .pls import FitConfig, _check_finite, _checked_xy, penalized_pls_fit
 from .splines import (BasisExpansion, SplineBasis, make_basis, transform,
-                      transform_dot, DEFAULT_DEGREE)
+                      pp_dot, DEFAULT_DEGREE)
 
 
 @dataclass(frozen=True)
@@ -114,10 +116,10 @@ def _centered_response(y):
 
 def _score(X, bases, beta, z_means, level: float) -> np.ndarray:
     """``level + (transform(X) - z_means) @ beta``, to rounding: the
-    uncentered products from ``transform_dot`` plus the one constant
+    uncentered products from ``pp_dot`` plus the one constant
     ``level - z_means @ beta``, so neither the dense design nor its
     centered copy is built."""
-    return transform_dot(X, BasisExpansion(bases), beta) + \
+    return pp_dot(X, BasisExpansion(bases), beta) + \
         (level - z_means @ beta)
 
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidKernelError, _as_float
+from .errors import (ConfigurationError, InvalidKernelError, NumericalError,
+                     _as_float)
 from .penalty import Preconditioner
 from .pls import (FitConfig, _check_finite, _check_preconditioner, _columns,
                   _path, _pls_loop)
@@ -56,15 +57,28 @@ class KernelFit:
 
 def gram_matrix(X, preconditioner: Preconditioner) -> np.ndarray:
     """Gram matrix of M-inner products between observations: X M X', as
-    Y Y' by one symmetric rank-k update, so exactly symmetric."""
+    Y Y' by one symmetric rank-k update, so exactly symmetric.
+
+    Raises
+    ------
+    NumericalError
+        If Y or Y Y' overflows: no double holds the Gram matrix.
+    """
     X = _as_float(X, "X")
     if X.ndim != 2:
         raise ConfigurationError(f"X must be 2-D, got {X.ndim} dimensions")
     _check_preconditioner(preconditioner, X.shape[1])
     _check_finite(X=X)
-    Y = X.reshape(-1, preconditioner.spec.n_basis) @ preconditioner.basis
-    Y = Y.reshape(X.shape) * np.sqrt(preconditioner.diagonal).ravel()
-    return Y @ Y.T
+    # an overflow is reported as NumericalError below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = X.reshape(-1, preconditioner.spec.n_basis) @ preconditioner.basis
+        Y = Y.reshape(X.shape) * np.sqrt(preconditioner.diagonal).ravel()
+        K = Y @ Y.T
+    # a non-finite entry of Y makes its row's diagonal entry, a sum of
+    # squares, inf or NaN, so K alone shows an overflow of either
+    if not np.isfinite(K).all():
+        raise NumericalError("the Gram matrix overflows: X is too large")
+    return K
 
 
 def _check_psd(K: np.ndarray):

@@ -5,30 +5,34 @@ mapped to a matrix with p*K columns, grouped contiguously by variable, where
 K is the number of basis functions per variable.
 
 One search, ``_windows``, finds each point's knot window, in one knot
-vector or in every fold's at once.  One Cox-de Boor recursion, ``_tables``,
-then computes per point only the ``degree + 1`` basis functions that are
-nonzero there (local support): ``degree`` array passes over a
-``(degree + 1, len(xs))`` table, run in cache-sized slices of points.  The
-table is used in two ways:
+vector or in every fold's at once.  Two consumers then use the windows:
 
-* ``_basis_rows`` writes each point's ``degree + 1`` values into their
-  columns of a zeroed matrix, the basis rows of every point in its own knot
-  vector.  This is every basis matrix: ``eval_basis_grid`` is its one-vector
-  case, ``transform`` (``fit_gam``'s design) makes one such call per column
-  of a data matrix, and ``_fold_designs``, the rotated designs B V of a
-  chunk of ``loocv``'s folds, multiplies the rows of all folds by the
-  preconditioner's Demmler-Reinsch rotation V in one product;
-* ``transform_dot`` multiplies the values by their gathered coefficients,
-  the product ``transform(X) @ coef`` without the dense matrix, which
-  scores prediction and fitted curves.
+* the basis matrix.  One Cox-de Boor recursion, ``_tables``, computes per
+  point only the ``degree + 1`` basis functions that are nonzero there
+  (local support): ``degree`` array passes over a ``(degree + 1,
+  len(xs))`` table, run in cache-sized slices of points.  ``_basis_rows``,
+  the table's one reader, writes each point's values into their columns
+  of a zeroed matrix, the basis rows of every point in its own knot
+  vector.  This is every basis matrix: ``eval_basis_grid`` is its
+  one-vector case, ``transform`` (``fit_gam``'s design) makes one such
+  call per column of a data matrix, and ``_fold_designs``, the rotated
+  designs B V of a chunk of ``loocv``'s folds, multiplies the rows of all
+  folds by the preconditioner's Demmler-Reinsch rotation V in one product;
+* the fitted curves.  A spline ``sum_k coef[k] B_k`` is one polynomial of
+  degree ``degree`` on each knot interval.  ``_pp_table`` converts it to
+  that piecewise-polynomial form (de Boor's BSPLPP), and ``pp_dot`` scores
+  a point from it, ``transform(X) @ coef`` without the dense matrix and
+  without the recursion: its interval's ``degree + 1`` coefficients and
+  ``degree`` Horner steps.  This scores prediction and fitted curves.
 
 Non-finite data are rejected where they enter, in ``make_basis``,
-``transform`` and ``transform_dot``, rather than given an all-zero basis
-row; ``eval_basis_grid`` clamps infinities to the boundary and rejects NaN.
+``transform`` and ``pp_dot``, rather than given an all-zero basis row;
+``eval_basis_grid`` clamps infinities to the boundary and rejects NaN.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -37,8 +41,9 @@ from .errors import (ConfigurationError, DataError, DegenerateVariableError,
 
 DEFAULT_N_BASIS = 20
 DEFAULT_DEGREE = 3
-# points per pass of the recursion in ``_tables``: a pass's
-# temporaries stay in a 2 MB L2 cache
+# points per pass of the recursion in ``_tables``, and of each knot vector
+# per pass of the search in ``_windows``: a pass's temporaries stay in a
+# 2 MB L2 cache
 _SLICE = 4096
 
 
@@ -225,27 +230,33 @@ def _windows(knots: np.ndarray, degree: int, X: np.ndarray):
     of a padded vector is knot q - degree, so the ``2 * degree + 2`` knots
     around a point are entries ``mu .. mu + 2 * degree + 1``; the padding
     keeps them in range and reaches only functions outside [0, K), which
-    the table's users drop.  The knots are compared with at most
-    ``_SLICE`` points at a time.  The counts are summed as bytes, several
+    the table's users drop.  The points are clamped once into an (F, p, n)
+    array, each vector's points contiguous, and each vector's knots are
+    compared with at most ``_SLICE`` of its points at a time: a comparison
+    along a long contiguous row is several times faster per point than
+    along a short or strided one.  The counts are summed as bytes, several
     times faster than as integers, when a vector has at most 255 knots, so
     no count can overflow.  NaN points are the callers' to reject.
     """
     F, p, width = knots.shape
-    lo, hi = knots[:, None, :, 0], knots[:, None, :, -1]  # (F, 1, p)
-    x = np.clip(X, lo, hi)  # (F, n, p)
-    first = np.empty(x.shape, dtype=np.intp)
-    rows = max(1, _SLICE // max(F * p, 1))
+    lo, hi = knots[..., :1], knots[..., -1:]  # (F, p, 1)
+    # each vector's points contiguous, (F, p, n)
+    xt = np.clip(np.swapaxes(X, -1, -2), lo, hi,
+                 out=np.empty((F, p, X.shape[-2])))
+    first = np.empty(xt.shape, dtype=np.intp)
     count = np.uint8 if width < 256 else np.intp
-    for a in range(0, x.shape[1], rows):
+    for a in range(0, xt.shape[-1], _SLICE):
         # compared with the points innermost, the counts add whole rows;
         # every point is at or above its first knot, so each count is >= 1
-        below = knots[..., None] <= x[:, a:a + rows].transpose(0, 2, 1)[
-            :, :, None]
-        first[:, a:a + rows] = np.add.reduce(
-            below.view(np.uint8), axis=2, dtype=count).transpose(0, 2, 1) - 1
+        below = knots[..., None] <= xt[..., None, a:a + _SLICE]
+        np.subtract(np.add.reduce(below.view(np.uint8), axis=2, dtype=count),
+                    1, out=first[..., a:a + _SLICE])
     nonempty = knots[..., 1:] > knots[..., :-1]
     last = width - 2 - np.argmax(nonempty[..., ::-1], axis=-1)  # (F, p)
-    np.copyto(first, last[:, None], where=x >= hi)
+    np.copyto(first, last[..., None], where=xt >= hi)
+    # back to (set, row, column) order
+    first = np.ascontiguousarray(np.swapaxes(first, 1, 2))
+    x = np.swapaxes(xt, 1, 2)
     # entry q of a padded vector is knot q - degree, clamped to the vector
     index = np.minimum(np.maximum(np.arange(-degree, width + degree + 1), 0),
                        width - 1)
@@ -361,16 +372,18 @@ def transform(X, expansion: BasisExpansion) -> np.ndarray:
     return Z
 
 
-def transform_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
+def pp_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
     """``transform(X, expansion) @ coef``, to rounding, without the dense
-    matrix: per variable, each point's ``degree + 1`` nonzero basis values
-    are multiplied by their gathered coefficients straight from the
-    recursion's table.  Memory is O(n) beside X, not O(n * p * K).
+    matrix and without the spline recursion: per variable, each point's
+    knot window from ``_windows``, its interval's ``degree + 1`` coefficients
+    from the piecewise-polynomial table ``_pp_table``, and ``degree``
+    Horner steps in the interval's local coordinate.  Memory is O(n) beside
+    X, not O(n * p * K).
 
-    Row i's value is the sum over variables in block order, each
-    variable's terms summed in basis order, so it depends on ``X[i]``
-    alone, not on the other rows or the slicing.  Functions outside
-    ``[0, K)`` (unclamped knots) get a zero coefficient.
+    Row i's value is the sum over variables in block order, so it depends
+    on ``X[i]`` alone, not on the other rows.  Points are clamped to each
+    basis's domain, and functions outside ``[0, K)`` (unclamped knots) get
+    a zero coefficient.
 
     Raises
     ------
@@ -391,23 +404,77 @@ def transform_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
     out = np.zeros(X.shape[0])
     start = 0
     for j, basis in enumerate(expansion.bases):
-        d = basis.degree
-        padded, begin, first, x = _windows(basis.knots[None, None], d,
-                                           X[:, j:j + 1])
-        # entry first + r of wide is the coefficient of function
-        # first - d + r
-        pad = np.zeros(d)
-        wide = np.concatenate([pad, coef[start:start + basis.n_basis], pad])
-        rows = np.arange(d + 1)[:, None]
-        for lo, table in _tables(padded.ravel(), begin, x, d):
-            at = slice(lo, lo + table.shape[1])
-            terms = wide[rows + first[at]]
-            terms *= table
-            acc = out[at]
-            for r in range(d + 1):
-                acc += terms[r]
+        t, d = basis.knots, basis.degree
+        table = _pp_table(t, d, coef[start:start + basis.n_basis])
+        _, _, first, x = _windows(t[None, None], d, X[:, j:j + 1])
+        value = table[d].take(first)
+        if d:
+            # only a vector with no nonempty interval puts points in an
+            # empty one; at width 1 they score 0, as their all-zero basis
+            # rows do
+            h = np.diff(t)
+            h[h == 0] = 1.0
+            s = x - t.take(first)
+            s /= h.take(first)
+            for r in range(d - 1, -1, -1):
+                value *= s
+                value += table[r].take(first)
+        out += value
         start += basis.n_basis
     return out
+
+
+def _pp_table(knots: np.ndarray, degree: int, coef: np.ndarray) -> np.ndarray:
+    """The piecewise-polynomial (pp) form of the spline ``sum_k coef[k]
+    B_k``: a ``(degree + 1, len(knots) - 1)`` table whose column mu holds,
+    for a nonempty interval ``[t_mu, t_{mu+1})`` of width h, the Taylor
+    coefficients ``a_r h^r`` of the spline's piece there, so that the piece
+    is ``sum_r table[r, mu] s^r`` in the local coordinate
+    ``s = (x - t_mu) / h`` in [0, 1].  Columns of empty intervals are zero.
+
+    This is de Boor's B-form to pp-form conversion (BSPLPP, *A Practical
+    Guide to Splines*, 1978), vectorised over the intervals and restricted
+    to the ``degree + 1`` coefficients and the knot spans that reach each
+    interval: the derivative coefficients' differences are taken in units
+    of h, and the lower-degree B-splines are evaluated at ``t_mu`` by
+    BSPLVB's recurrence.  Every span divided by covers the interval, so
+    each ratio, ``h / span`` or a knot's distance from ``t_mu`` over the
+    span, lies in [0, 1], and a subnormal span gives neither inf nor NaN.
+    As in ``_windows``, the knot vector is padded by ``degree`` copies of
+    each end knot; the functions on the padding, outside ``[0, K)``, get a
+    zero coefficient.
+    """
+    d = degree
+    width = len(knots)
+    table = np.zeros((d + 1, width - 1))
+    mu = np.flatnonzero(knots[1:] > knots[:-1])
+    # row k of t is knot mu - d + k of each nonempty interval's, clamped to
+    # the vector; row d is t_mu, row d + 1 is t_{mu+1}
+    t = knots[np.clip(mu + np.arange(-d, d + 2)[:, None], 0, width - 1)]
+    h = t[d + 1] - t[d]
+    padded = np.concatenate([np.zeros(d), coef, np.zeros(d)])
+    # level r holds, on functions mu - d + r .. mu, h^r times the
+    # coefficients of the r-th derivative less their factor d! / (d - r)!;
+    # row i of level 0 is the coefficient of function mu - d + i
+    levels = [padded[mu + np.arange(d + 1)[:, None]]]
+    for r in range(1, d + 1):
+        span = t[d + 1:2 * d + 2 - r] - t[r:d + 1]
+        levels.append((levels[-1][1:] - levels[-1][:-1]) * (h / span))
+    # v holds the degree-q B-splines at t_mu, functions mu - q .. mu
+    v = np.ones((1, len(mu)))
+    for q in range(d + 1):
+        # a_r h^r = h^r f^(r)(t_mu) / r!
+        r = d - q
+        table[r, mu] = comb(d, r) * (levels[r] * v).sum(axis=0)
+        if q < d:
+            # BSPLVB's step from degree q to q + 1 at x = t_mu
+            hi, lo = t[d + 1:d + q + 2], t[d - q:d + 1]
+            span = hi - lo
+            up = np.zeros((q + 2, len(mu)))
+            up[:-1] = (hi - t[d]) / span * v
+            up[1:] += (t[d] - lo) / span * v
+            v = up
+    return table
 
 
 def _checked_matrix(X, expansion: BasisExpansion) -> np.ndarray:

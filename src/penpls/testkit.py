@@ -93,7 +93,7 @@ def cross_matrix(fit, X) -> np.ndarray:
 
 def dense_predict(model, X) -> np.ndarray:
     """intercept + (Z - z_means) @ beta on the dense expansion Z of X: the
-    centered-design formula that ``predict``'s local-support scorer is
+    centered-design formula that ``predict``'s piecewise-polynomial scorer is
     checked against."""
     Z = transform(X, model.expansion)
     return model.intercept + (Z - model.z_means) @ model.beta

@@ -387,8 +387,9 @@ def bits(a):
 
 
 class TestScorer:
-    """``predict`` and ``fitted_function`` score from the local-support
-    table; the dense centered design is only the oracle."""
+    """``predict`` and ``fitted_function`` score from the
+    piecewise-polynomial table; the dense centered design is only the
+    oracle."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1),

@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import centered_problem, random_penalty
 from penpls import (DataError, DegenerateResponseError, FitConfig,
-                    InvalidKernelError, PenaltySpec, gram_matrix,
-                    kernel_penalized_pls_fit, make_preconditioner,
-                    penalized_pls_fit)
+                    InvalidKernelError, NumericalError, PenaltySpec,
+                    gram_matrix, kernel_penalized_pls_fit,
+                    make_preconditioner, penalized_pls_fit)
 from penpls.testkit import krylov_basis, numerical_rank
 
 
@@ -58,6 +60,15 @@ class TestGramMatrix:
         assert np.array_equal(K, K.T)
         ref = X @ M.apply(X.T)
         assert np.max(np.abs(K - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_overflow_raises(self):
+        # Y Y' of X * 1e300 overflows; the error is the package's, and no
+        # numpy RuntimeWarning escapes (warnings are errors here too)
+        X, _, M, _, _ = dual_instance(7, n=30, p=2, n_basis=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflows"):
+                gram_matrix(X * 1e300, M)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_design_rejected(self, bad):

@@ -5,12 +5,12 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import BSpline
+from scipy.interpolate import BSpline, PPoly
 
 from penpls import (BasisExpansion, ConfigurationError, DataError,
                     DegenerateVariableError, SplineBasis, eval_basis_grid,
                     make_basis, splines, transform)
-from penpls.splines import _fold_designs, _windows, transform_dot
+from penpls.splines import _fold_designs, _pp_table, _windows, pp_dot
 
 
 def scalar_de_boor(basis, x):
@@ -350,9 +350,8 @@ class TestTransform:
             transform(np.zeros((4, 2)), BasisExpansion((basis,)))
 
 
-class TestTransformDot:
-    """``transform_dot`` is ``transform(X) @ coef`` without the dense
-    matrix."""
+class TestPpDot:
+    """``pp_dot`` is ``transform(X) @ coef`` without the dense matrix."""
 
     bases = (SplineBasis(0, [0.0, 0.3, 0.6, 1.0]),
              SplineBasis(2, np.linspace(-0.5, 1.5, 9)),  # unclamped
@@ -368,12 +367,21 @@ class TestTransformDot:
             np.concatenate([rng.uniform(-1.0, 2.0, 40), np.resize(b.knots, 12),
                             b.domain]) for b in self.bases])
         coef = rng.standard_normal(sum(b.n_basis for b in self.bases))
-        np.testing.assert_allclose(transform_dot(X, expansion, coef),
+        np.testing.assert_allclose(pp_dot(X, expansion, coef),
                                    transform(X, expansion) @ coef,
                                    rtol=0, atol=1e-12 * np.abs(coef).sum())
 
+    def test_knots_without_an_interval_score_zero(self):
+        # every basis row is zero where no knot interval is nonempty
+        basis = SplineBasis(2, [1.0] * 6)
+        X = np.array([[0.5], [1.0], [2.0]])
+        expansion = BasisExpansion((basis,))
+        np.testing.assert_array_equal(transform(X, expansion), 0.0)
+        np.testing.assert_array_equal(
+            pp_dot(X, expansion, np.arange(1.0, 4.0)), 0.0)
+
     def test_zero_rows(self):
-        out = transform_dot(np.empty((0, 4)), BasisExpansion(self.bases),
+        out = pp_dot(np.empty((0, 4)), BasisExpansion(self.bases),
                             np.ones(3 + 6 + 6 + 9))
         assert out.shape == (0,)
 
@@ -381,12 +389,12 @@ class TestTransformDot:
         expansion = BasisExpansion(self.bases)
         X = np.full((3, 4), 0.5)
         with pytest.raises(ConfigurationError, match="24 basis functions"):
-            transform_dot(X, expansion, np.ones(23))
+            pp_dot(X, expansion, np.ones(23))
         with pytest.raises(ConfigurationError, match="columns"):
-            transform_dot(X[:, :3], expansion, np.ones(24))
+            pp_dot(X[:, :3], expansion, np.ones(24))
         X[1, 2] = np.nan
         with pytest.raises(DataError, match=r"columns \[2\]"):
-            transform_dot(X, expansion, np.ones(24))
+            pp_dot(X, expansion, np.ones(24))
 
 
 class TestEntryPointTypes:
@@ -411,7 +419,7 @@ class TestEntryPointTypes:
         with pytest.raises(ConfigurationError, match="expansion.*str"):
             transform(X, "x")
         with pytest.raises(ConfigurationError, match="expansion.*str"):
-            transform_dot(X, "x", np.ones(5))
+            pp_dot(X, "x", np.ones(5))
 
 
 def bits(a):
@@ -419,12 +427,14 @@ def bits(a):
 
 
 @st.composite
-def knot_vectors(draw):
+def knot_vectors(draw, high_degrees=False):
     """A basis of degree 0-3 on a clamped, unclamped or repeated knot
-    vector, or one with a subnormal span."""
-    degree = draw(st.integers(0, 3))
+    vector, or one with a subnormal span; with ``high_degrees``, also of
+    degree 4-5 on a clamped one."""
+    degree = draw(st.integers(0, 5 if high_degrees else 3))
     kind = draw(st.sampled_from(["clamped", "unclamped", "repeated",
-                                 "subnormal"]))
+                                 "subnormal"] if degree <= 3 else
+                                ["clamped"]))
     value = st.floats(-1.0, 2.0, **finite)
     if kind == "clamped":
         knots = clamped_knots(degree, draw(st.lists(value, max_size=8)),
@@ -452,6 +462,48 @@ def points(basis, finite_only=False):
         point |= st.sampled_from([-np.inf, np.inf])
     return st.lists(point, max_size=30).map(
         lambda xs: np.array(xs, dtype=float))
+
+
+def pp_oracle(basis, coef):
+    """``_pp_table`` by ``scipy.interpolate.PPoly.from_spline``: the
+    spline on the knot vector padded by ``degree`` copies of each end knot,
+    with zero coefficients on the padding, so that the pieces near the ends
+    of an unclamped vector hold only the functions in [0, K); its pieces on
+    the vector's own intervals, lowest power first, each scaled by h^r.  A
+    coefficient that overflows (a subnormal interval's) reads inf or NaN."""
+    d, t = basis.degree, basis.knots
+    padded = np.concatenate([np.full(d, t[0]), t, np.full(d, t[-1])])
+    c = np.concatenate([np.zeros(d), coef, np.zeros(d)])
+    with np.errstate(all="ignore"):
+        pieces = PPoly.from_spline((padded, c, d)).c[::-1, d:d + len(t) - 1]
+        return pieces * np.diff(t) ** np.arange(d + 1)[:, None]
+
+
+class TestPpTable:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_table_is_the_pp_form(self, data):
+        # the table agrees with scipy's conversion wherever that is finite,
+        # and scoring from it with the dense product; both stay finite on
+        # a subnormal interval
+        basis = data.draw(knot_vectors(high_degrees=True))
+        coef = np.array(data.draw(st.lists(
+            st.floats(-1e3, 1e3, **finite), min_size=basis.n_basis,
+            max_size=basis.n_basis)))
+        atol = 1e-12 * np.abs(coef).sum()
+        table = _pp_table(basis.knots, basis.degree, coef)
+        assert np.isfinite(table).all()
+        expect = pp_oracle(basis, coef)
+        nonempty = np.diff(basis.knots) > 0
+        np.testing.assert_array_equal(table[:, ~nonempty], 0.0)
+        usable = nonempty & np.isfinite(expect).all(axis=0)
+        np.testing.assert_allclose(table[:, usable], expect[:, usable],
+                                   rtol=0, atol=atol)
+        xs = data.draw(points(basis, finite_only=True))
+        got = pp_dot(xs[:, None], BasisExpansion((basis,)), coef)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, eval_basis_grid(basis, xs) @ coef,
+                                   rtol=0, atol=atol)
 
 
 def identity_design(basis, xs):
