@@ -41,9 +41,8 @@ from .errors import (ConfigurationError, DataError, DegenerateVariableError,
 
 DEFAULT_N_BASIS = 20
 DEFAULT_DEGREE = 3
-# points per pass of the recursion in ``_tables``, and of each knot vector
-# per pass of the search in ``_windows``: a pass's temporaries stay in a
-# 2 MB L2 cache
+# points per pass of the recursion in ``_tables``: a pass's
+# temporaries stay in a 2 MB L2 cache
 _SLICE = 4096
 
 
@@ -230,33 +229,27 @@ def _windows(knots: np.ndarray, degree: int, X: np.ndarray):
     of a padded vector is knot q - degree, so the ``2 * degree + 2`` knots
     around a point are entries ``mu .. mu + 2 * degree + 1``; the padding
     keeps them in range and reaches only functions outside [0, K), which
-    the table's users drop.  The points are clamped once into an (F, p, n)
-    array, each vector's points contiguous, and each vector's knots are
-    compared with at most ``_SLICE`` of its points at a time: a comparison
-    along a long contiguous row is several times faster per point than
-    along a short or strided one.  The counts are summed as bytes, several
+    the table's users drop.  The knots are compared with at most
+    ``_SLICE`` points at a time.  The counts are summed as bytes, several
     times faster than as integers, when a vector has at most 255 knots, so
     no count can overflow.  NaN points are the callers' to reject.
     """
     F, p, width = knots.shape
-    lo, hi = knots[..., :1], knots[..., -1:]  # (F, p, 1)
-    # each vector's points contiguous, (F, p, n)
-    xt = np.clip(np.swapaxes(X, -1, -2), lo, hi,
-                 out=np.empty((F, p, X.shape[-2])))
-    first = np.empty(xt.shape, dtype=np.intp)
+    lo, hi = knots[:, None, :, 0], knots[:, None, :, -1]  # (F, 1, p)
+    x = np.clip(X, lo, hi)  # (F, n, p)
+    first = np.empty(x.shape, dtype=np.intp)
+    rows = max(1, _SLICE // max(F * p, 1))
     count = np.uint8 if width < 256 else np.intp
-    for a in range(0, xt.shape[-1], _SLICE):
+    for a in range(0, x.shape[1], rows):
         # compared with the points innermost, the counts add whole rows;
         # every point is at or above its first knot, so each count is >= 1
-        below = knots[..., None] <= xt[..., None, a:a + _SLICE]
-        np.subtract(np.add.reduce(below.view(np.uint8), axis=2, dtype=count),
-                    1, out=first[..., a:a + _SLICE])
+        below = knots[..., None] <= x[:, a:a + rows].transpose(0, 2, 1)[
+            :, :, None]
+        first[:, a:a + rows] = np.add.reduce(
+            below.view(np.uint8), axis=2, dtype=count).transpose(0, 2, 1) - 1
     nonempty = knots[..., 1:] > knots[..., :-1]
     last = width - 2 - np.argmax(nonempty[..., ::-1], axis=-1)  # (F, p)
-    np.copyto(first, last[..., None], where=xt >= hi)
-    # back to (set, row, column) order
-    first = np.ascontiguousarray(np.swapaxes(first, 1, 2))
-    x = np.swapaxes(xt, 1, 2)
+    np.copyto(first, last[:, None], where=x >= hi)
     # entry q of a padded vector is knot q - degree, clamped to the vector
     index = np.minimum(np.maximum(np.arange(-degree, width + degree + 1), 0),
                        width - 1)
@@ -410,8 +403,8 @@ def pp_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
         value = table[d].take(first)
         if d:
             # only a vector with no nonempty interval puts points in an
-            # empty one; at width 1 they score 0, as their all-zero basis
-            # rows do
+            # empty one; its width is set to 1, so s = 0 and the zero
+            # table column scores 0, as their all-zero basis rows do
             h = np.diff(t)
             h[h == 0] = 1.0
             s = x - t.take(first)
