@@ -192,7 +192,12 @@ def fitted_function(model: GamModel, variable: int,
             f"{model.n_variables} predictors")
     basis = model.bases[variable]
     lo, hi = basis.domain
-    grid = np.linspace(lo, hi, grid_size)
+    if np.isfinite(hi - lo):
+        grid = np.linspace(lo, hi, grid_size)
+    else:
+        # the width overflows; both ends are then so large that halving
+        # them and doubling the grid is exact
+        grid = 2 * np.linspace(lo / 2, hi / 2, grid_size)
     K = model.penalty.n_basis
     sl = slice(variable * K, (variable + 1) * K)
     values = _score(grid[:, None], (basis,), model.beta[sl],

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DataError, ModelFormatError
+from .errors import ConfigurationError, DataError, ModelFormatError
 from .gam import GamModel
 from .penalty import PenaltySpec
 from .splines import SplineBasis
@@ -171,7 +171,9 @@ def save_model(path, model: GamModel, predictor_names, response_name,
             f"bases of (degree, size) {shapes} cannot be stored in a model "
             f"file (it holds one degree, and n_basis = "
             f"{model.penalty.n_basis} for every basis)")
-    _check_arrays(path, model)
+    _check_arrays(path, model.penalty, model.intercept, model.z_means,
+                  model.beta, [basis.knots for basis in model.bases],
+                  model.bases[0].degree)
     bad = [n for n in predictor_names if "," in n or not _storable(n)]
     if not _storable(response_name):
         bad.append(response_name)
@@ -201,6 +203,10 @@ def save_model(path, model: GamModel, predictor_names, response_name,
         fh.write("\n".join(lines) + "\n")
 
 
+def _floats(value: str) -> np.ndarray:
+    return np.array([float(v) for v in value.split(",")])
+
+
 def _parse_kv(lines):
     out = {}
     for line in lines:
@@ -213,14 +219,17 @@ def _parse_kv(lines):
     return out
 
 
-def _check_arrays(path, model: GamModel):
-    p, K = model.n_variables, model.penalty.n_basis
-    expected = [("lambdas", model.penalty.lambdas, p),
-                ("intercept", [model.intercept], 1),
-                ("z_means", model.z_means, p * K),
-                ("beta", model.beta, p * K)]
-    expected += [(f"knots.{j}", basis.knots, K + basis.degree + 1)
-                 for j, basis in enumerate(model.bases)]
+def _check_arrays(path, penalty, intercept, z_means, beta, knots, degree):
+    """``ModelFormatError`` naming the first array that does not fit one
+    knot vector per predictor with ``penalty.n_basis`` functions of
+    ``degree`` each, or that holds a non-finite value."""
+    p, K = len(knots), penalty.n_basis
+    expected = [("lambdas", penalty.lambdas, p),
+                ("intercept", [intercept], 1),
+                ("z_means", z_means, p * K),
+                ("beta", beta, p * K)]
+    expected += [(f"knots.{j}", k, K + degree + 1)
+                 for j, k in enumerate(knots)]
     for key, values, n in expected:
         if len(values) != n:
             raise ModelFormatError(
@@ -233,8 +242,9 @@ def load_model(path):
     """Load a model file; returns (GamModel, predictor_names, response_name).
 
     Raises ModelFormatError for unknown version tags, missing keys, numbers
-    that are NaN or infinite, and arrays whose lengths do not fit p
-    predictors with n_basis functions each.
+    that are NaN or infinite, arrays whose lengths do not fit p
+    predictors with n_basis functions each, and knot vectors that
+    ``SplineBasis`` refuses, such as one that is not clamped.
     """
     try:
         with open(path) as fh:
@@ -250,30 +260,33 @@ def load_model(path):
     try:
         predictors = tuple(kv["predictors"].split(","))
         degree = int(kv["degree"])
-        penalty = PenaltySpec(
-            np.array([float(v) for v in kv["lambdas"].split(",")]),
-            int(kv["diff_order"]), int(kv["n_basis"]))
-        bases = tuple(
-            SplineBasis(degree,
-                        np.array([float(v) for v in kv[f"knots.{j}"].split(",")]))
-            for j in range(len(predictors)))
-        beta = np.array([float(v) for v in kv["beta"].split(",")])
+        penalty = PenaltySpec(_floats(kv["lambdas"]), int(kv["diff_order"]),
+                              int(kv["n_basis"]))
+        knots = [_floats(kv[f"knots.{j}"]) for j in range(len(predictors))]
+        beta = _floats(kv["beta"])
         scale = kv["response_scale"]
         if scale != "none":  # written by an earlier version: beta on y / s
             beta *= float(scale)
-        model = GamModel(
-            bases=bases,
-            penalty=penalty,
-            beta=beta,
-            intercept=float(kv["intercept"]),
-            z_means=np.array([float(v) for v in kv["z_means"].split(",")]),
-            n_components=int(kv["n_components"]),
-            requested_components=int(kv["requested_components"]),
-        )
+        intercept = float(kv["intercept"])
+        z_means = _floats(kv["z_means"])
+        n_components = int(kv["n_components"])
+        requested = int(kv["requested_components"])
         response = kv["response"]
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing key {exc}") from exc
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
-    _check_arrays(path, model)
+    # lengths before the bases: a truncated knots line is named as such,
+    # not as a knot vector that is not clamped
+    _check_arrays(path, penalty, intercept, z_means, beta, knots, degree)
+    bases = []
+    for j, k in enumerate(knots):
+        try:
+            bases.append(SplineBasis(degree, k))
+        except ConfigurationError as exc:
+            raise ModelFormatError(f"{path}: knots.{j}: {exc}") from exc
+    model = GamModel(bases=tuple(bases), penalty=penalty, beta=beta,
+                     intercept=intercept, z_means=z_means,
+                     n_components=n_components,
+                     requested_components=requested)
     return model, predictors, response

@@ -25,9 +25,11 @@ vector or in every fold's at once.  Two consumers then use the windows:
   without the recursion: its interval's ``degree + 1`` coefficients and
   ``degree`` Horner steps.  This scores prediction and fitted curves.
 
-Non-finite data are rejected where they enter, in ``make_basis``,
-``transform`` and ``pp_dot``, rather than given an all-zero basis row;
-``eval_basis_grid`` clamps infinities to the boundary and rejects NaN.
+Every basis is clamped, so a point's window of knots and functions lies
+in its own knot vector.  Non-finite data are rejected where they enter,
+in ``make_basis``, ``transform`` and ``pp_dot``, rather than given an
+all-zero basis row; ``eval_basis_grid`` clamps infinities to the boundary
+and rejects NaN.
 """
 from __future__ import annotations
 
@@ -48,11 +50,18 @@ _SLICE = 4096
 
 @dataclass(frozen=True)
 class SplineBasis:
-    """A univariate B-spline basis defined by a degree and a padded knot vector.
+    """A univariate B-spline basis defined by a degree and a clamped knot vector.
 
     The knot vector contains the boundary knots repeated ``degree + 1`` times
-    (open / clamped convention), so the basis interpolates at the boundaries
-    and sums to one everywhere inside ``[knots[0], knots[-1]]``.
+    (de Boor's open / clamped convention), so the basis interpolates at the
+    boundaries and sums to one everywhere inside ``[knots[0], knots[-1]]``.
+    ``make_basis`` and model files give such vectors.
+
+    Raises
+    ------
+    ConfigurationError
+        If ``knots`` is not a finite nondecreasing vector, or not clamped:
+        each end repeated ``degree + 1`` times, ``knots[0] < knots[-1]``.
     """
 
     degree: int
@@ -69,8 +78,14 @@ class SplineBasis:
             raise ConfigurationError("knots must be finite")
         if np.any(np.diff(knots) < 0):
             raise ConfigurationError("knots must be nondecreasing")
-        if len(knots) < self.degree + 2:
+        d = self.degree
+        if len(knots) < 2 * d + 2:
             raise ConfigurationError("too few knots for the given degree")
+        if (knots[:d + 1] != knots[0]).any() or (
+                knots[-d - 1:] != knots[-1]).any() or knots[0] == knots[-1]:
+            raise ConfigurationError(
+                f"knots must be clamped: each end repeated degree + 1 = "
+                f"{d + 1} times, with knots[0] < knots[-1]")
 
     @property
     def n_basis(self) -> int:
@@ -195,19 +210,14 @@ def _basis_rows(knots: np.ndarray, degree: int, X: np.ndarray) -> np.ndarray:
     """
     d = degree
     n_basis = knots.shape[-1] - d - 1
-    padded, start, first, x = _windows(knots, d, X)
+    start, first, x = _windows(knots, d, X)
     out = np.zeros((len(x), n_basis))
     rows = np.arange(d + 1)[:, None]
-    for lo, table in _tables(padded.ravel(), start, x, d):
+    for lo, table in _tables(knots.ravel(), start, x, d):
         m = table.shape[1]
         # row r of the table is function first - d + r, entry
         # K * i + first - d + r of out flattened
-        col = first[lo:lo + m] - d + rows
-        cell = col + n_basis * np.arange(lo, lo + m)
-        if col[0].min() < 0 or col[-1].max() >= n_basis:
-            # unclamped knots: drop the functions outside [0, K)
-            keep = (col >= 0) & (col < n_basis)
-            cell, table = cell[keep], table[keep]
+        cell = first[lo:lo + m] - d + rows + n_basis * np.arange(lo, lo + m)
         out.put(cell, table + 0.0)
     return out
 
@@ -215,47 +225,42 @@ def _basis_rows(knots: np.ndarray, degree: int, X: np.ndarray) -> np.ndarray:
 def _windows(knots: np.ndarray, degree: int, X: np.ndarray):
     """Every point's knot window in its own knot vector, in one search.
 
-    ``knots`` is (F, p, width), F sets (folds) of one knot vector per
-    column; X is (n, p), the same points for every set, or (F, n, p).
-    Returns the F * p padded knot vectors, one per row, and per point in
-    (set, row, column) order the entry of their flat array where its
-    window starts, w * b + mu for padded width w and vector b, its first
-    window index mu within its own vector, and the point clamped to its
-    vector's boundaries.
+    ``knots`` is (F, p, width), F sets (folds) of one clamped knot vector
+    per column; X is (n, p), the same points for every set, or (F, n, p).
+    Returns per point, in (set, row, column) order, the entry of
+    ``knots.ravel()`` where its window, knots ``mu - degree .. mu + degree
+    + 1``, starts, its first window index mu within its own vector, and
+    the point clamped to its vector's boundaries.
 
     mu is the number of knots at or below the point, less one, so the
     point lies in ``[t_mu, t_{mu+1})``; at the right boundary, which no
-    half-open interval holds, it is the last nonempty interval.  Entry q
-    of a padded vector is knot q - degree, so the ``2 * degree + 2`` knots
-    around a point are entries ``mu .. mu + 2 * degree + 1``; the padding
-    keeps them in range and reaches only functions outside [0, K), which
-    the table's users drop.  The knots are compared with at most
-    ``_SLICE`` points at a time.  The counts are summed as bytes, several
-    times faster than as integers, when a vector has at most 255 knots, so
-    no count can overflow.  NaN points are the callers' to reject.
+    half-open interval holds, it is the last nonempty interval.  Below
+    that boundary a clamped point is at or above the ``degree + 1`` low
+    end knots and below the high ones, so mu is ``degree`` plus the count
+    of interior knots at or below it, and the window lies in the vector.
+    The interior knots are compared with at most ``_SLICE`` points at a
+    time.  The counts are summed as bytes, several times faster than as
+    integers, when there are at most 255 interior knots, so no count can
+    overflow.  NaN points are the callers' to reject.
     """
     F, p, width = knots.shape
     lo, hi = knots[:, None, :, 0], knots[:, None, :, -1]  # (F, 1, p)
     x = np.clip(X, lo, hi)  # (F, n, p)
+    interior = knots[..., degree + 1:width - degree - 1, None]
     first = np.empty(x.shape, dtype=np.intp)
     rows = max(1, _SLICE // max(F * p, 1))
-    count = np.uint8 if width < 256 else np.intp
+    count = np.uint8 if interior.shape[2] < 256 else np.intp
     for a in range(0, x.shape[1], rows):
-        # compared with the points innermost, the counts add whole rows;
-        # every point is at or above its first knot, so each count is >= 1
-        below = knots[..., None] <= x[:, a:a + rows].transpose(0, 2, 1)[
-            :, :, None]
+        # compared with the points innermost, the counts add whole rows
+        below = interior <= x[:, a:a + rows].transpose(0, 2, 1)[:, :, None]
         first[:, a:a + rows] = np.add.reduce(
-            below.view(np.uint8), axis=2, dtype=count).transpose(0, 2, 1) - 1
+            below.view(np.uint8), axis=2, dtype=count).transpose(0, 2, 1)
+    first += degree
     nonempty = knots[..., 1:] > knots[..., :-1]
     last = width - 2 - np.argmax(nonempty[..., ::-1], axis=-1)  # (F, p)
     np.copyto(first, last[:, None], where=x >= hi)
-    # entry q of a padded vector is knot q - degree, clamped to the vector
-    index = np.minimum(np.maximum(np.arange(-degree, width + degree + 1), 0),
-                       width - 1)
-    padded = knots[..., index].reshape(F * p, index.size)
-    start = first + index.size * np.arange(F * p).reshape(F, 1, p)
-    return padded, start.ravel(), first.ravel(), x.ravel()
+    start = first - degree + width * np.arange(F * p).reshape(F, 1, p)
+    return start.ravel(), first.ravel(), x.ravel()
 
 
 def _fold_designs(X: np.ndarray, knots: list[np.ndarray], degree: int,
@@ -275,14 +280,14 @@ def _fold_designs(X: np.ndarray, knots: list[np.ndarray], degree: int,
     return (rows @ rotation).reshape(len(knots[0]), n, p * len(rotation))
 
 
-def _tables(padded: np.ndarray, start: np.ndarray, x: np.ndarray,
+def _tables(knots: np.ndarray, start: np.ndarray, x: np.ndarray,
             degree: int):
     """Yield ``(lo, table)`` per slice of at most ``_SLICE`` points from
     ``lo``: row r of the ``(degree + 1, len(slice))`` table holds, for each
     point, basis function ``first - degree + r``, evaluated on the
     ``2 * degree + 2`` knots at entries ``start .. start + 2 * degree + 1``
-    of ``padded``.  This is the one Cox-de Boor recursion; a table is
-    overwritten by the next slice.
+    of the flat knot array ``knots``.  This is the one Cox-de Boor
+    recursion; a table is overwritten by the next slice.
 
     Degree 0 is the indicator of the point's interval; each of the
     ``degree`` passes then combines neighbouring rows with the knot-ratio
@@ -303,11 +308,11 @@ def _tables(padded: np.ndarray, start: np.ndarray, x: np.ndarray,
     expected and not warned about.
     """
     d = degree
-    # entry q of dens[k - 1] is t[q + k] - t[q] in padded terms; an empty
+    # entry q of dens[k - 1] is t[q + k] - t[q] in flat terms; an empty
     # span divides by inf, which gives a zero weight
     dens = []
     for k in range(1, d + 1):
-        span = padded[k:] - padded[:-k]
+        span = knots[k:] - knots[:-k]
         span[span <= 0] = np.inf
         dens.append(span)
     window = np.arange(2 * d + 2)[:, None]
@@ -316,7 +321,7 @@ def _tables(padded: np.ndarray, start: np.ndarray, x: np.ndarray,
         # row r of idx, and of the gathered knots tw, belongs to knot
         # first - d + r
         idx = window + start[lo:lo + _SLICE]
-        tw = padded[idx]
+        tw = knots[idx]
         # the weights' numerators: x - t_j for the first d + 1 knots and
         # t_j - x for the rest, the same in every pass
         left = xs - tw[:d + 1]
@@ -375,8 +380,7 @@ def pp_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
 
     Row i's value is the sum over variables in block order, so it depends
     on ``X[i]`` alone, not on the other rows.  Points are clamped to each
-    basis's domain, and functions outside ``[0, K)`` (unclamped knots) get
-    a zero coefficient.
+    basis's domain, so each lies in a nonempty interval.
 
     Raises
     ------
@@ -399,16 +403,12 @@ def pp_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
     for j, basis in enumerate(expansion.bases):
         t, d = basis.knots, basis.degree
         table = _pp_table(t, d, coef[start:start + basis.n_basis])
-        _, _, first, x = _windows(t[None, None], d, X[:, j:j + 1])
+        _, first, x = _windows(t[None, None], d, X[:, j:j + 1])
         value = table[d].take(first)
         if d:
-            # only a vector with no nonempty interval puts points in an
-            # empty one; its width is set to 1, so s = 0 and the zero
-            # table column scores 0, as their all-zero basis rows do
-            h = np.diff(t)
-            h[h == 0] = 1.0
-            s = x - t.take(first)
-            s /= h.take(first)
+            left = t.take(first)
+            s = x - left
+            s /= t.take(first + 1) - left
             for r in range(d - 1, -1, -1):
                 value *= s
                 value += table[r].take(first)
@@ -433,23 +433,21 @@ def _pp_table(knots: np.ndarray, degree: int, coef: np.ndarray) -> np.ndarray:
     BSPLVB's recurrence.  Every span divided by covers the interval, so
     each ratio, ``h / span`` or a knot's distance from ``t_mu`` over the
     span, lies in [0, 1], and a subnormal span gives neither inf nor NaN.
-    As in ``_windows``, the knot vector is padded by ``degree`` copies of
-    each end knot; the functions on the padding, outside ``[0, K)``, get a
-    zero coefficient.
+    The vector is clamped, so the knots ``mu - degree .. mu + degree + 1``
+    and the functions ``mu - degree .. mu`` of a nonempty interval mu are
+    all the vector's own.
     """
     d = degree
-    width = len(knots)
-    table = np.zeros((d + 1, width - 1))
+    table = np.zeros((d + 1, len(knots) - 1))
     mu = np.flatnonzero(knots[1:] > knots[:-1])
-    # row k of t is knot mu - d + k of each nonempty interval's, clamped to
-    # the vector; row d is t_mu, row d + 1 is t_{mu+1}
-    t = knots[np.clip(mu + np.arange(-d, d + 2)[:, None], 0, width - 1)]
+    # row k of t is knot mu - d + k of each nonempty interval's; row d is
+    # t_mu, row d + 1 is t_{mu+1}
+    t = knots[mu + np.arange(-d, d + 2)[:, None]]
     h = t[d + 1] - t[d]
-    padded = np.concatenate([np.zeros(d), coef, np.zeros(d)])
     # level r holds, on functions mu - d + r .. mu, h^r times the
     # coefficients of the r-th derivative less their factor d! / (d - r)!;
     # row i of level 0 is the coefficient of function mu - d + i
-    levels = [padded[mu + np.arange(d + 1)[:, None]]]
+    levels = [coef[mu - d + np.arange(d + 1)[:, None]]]
     for r in range(1, d + 1):
         span = t[d + 1:2 * d + 2 - r] - t[r:d + 1]
         levels.append((levels[-1][1:] - levels[-1][:-1]) * (h / span))

@@ -384,6 +384,25 @@ class TestCurves:
             np.testing.assert_array_equal(table[:, 0], fn.grid)
             np.testing.assert_array_equal(table[:, 1], fn.values)
 
+    def test_range_wider_than_the_largest_double(self, tmp_path, capsys):
+        # a column from -1e308 to 1e308: its grid's width overflows
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-1.0, 1.0, size=(30, 2))
+        X[:, 1] = rng.uniform(-1e307, 1e307, size=30)
+        X[:2, 1] = -1e308, 1e308
+        data = tmp_path / "wide.csv"
+        write_csv(data, X, np.sin(3 * X[:, 0]), ["u", "v"], "out")
+        model_path = tmp_path / "model.txt"
+        assert main(["fit", "--data", str(data), "--response", "out",
+                     "--basis-size", "8", "--output", str(model_path)]) == 0
+        out_dir = tmp_path / "curves"
+        assert main(["curves", "--model", str(model_path),
+                     "--output-dir", str(out_dir), "--grid-size", "9"]) == 0
+        lines = (out_dir / "curve_v.csv").read_text().splitlines()[1:]
+        table = np.array([[float(v) for v in ln.split(",")] for ln in lines])
+        assert table[0, 0] == -1e308 and table[-1, 0] == 1e308
+        assert np.isfinite(table).all()
+
     def test_missing_model_exits_one(self, tmp_path, capsys):
         code = main(["curves", "--model", str(tmp_path / "nope.txt"),
                      "--output-dir", str(tmp_path / "d")])

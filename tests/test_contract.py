@@ -59,6 +59,14 @@ def arrays(draw, shape):
     return a
 
 
+def ascending(a):
+    """A numeric array sorted along its last axis, so that knot vectors
+    pass the nondecreasing check and meet the later ones."""
+    if a.dtype.kind in "biufc" and a.ndim:
+        return np.sort(a, axis=-1)
+    return a
+
+
 def symmetric(a):
     """A float matrix times its transpose, so the Gram matrix checks pass."""
     return a @ a.T if a.ndim == 2 and a.dtype.kind == "f" else a
@@ -86,7 +94,8 @@ PRECONDITIONERS = st.sampled_from(
 
 # name -> a call of it with one draw per array or count argument
 CALLS = {
-    "SplineBasis": lambda d: SplineBasis(d(COUNTS), d(arrays((10,)))),
+    "SplineBasis": lambda d: SplineBasis(d(COUNTS), d(
+        arrays((10,)) | arrays((10,)).map(ascending))),
     "PenaltySpec": lambda d: Preconditioner(PenaltySpec(
         d(arrays((P,))), d(COUNTS), d(COUNTS))),
     "Preconditioner": lambda d: getattr(M, d(st.sampled_from(

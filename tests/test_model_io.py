@@ -279,6 +279,23 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match=f"{key} has"):
             load_model(path)
 
+    @pytest.mark.parametrize("j,end", [(0, 0), (1, 0), (1, -1)])
+    def test_unclamped_knots_refused(self, tmp_path, j, end):
+        # an end knot moved outward: the right count, still sorted, but
+        # the end is no longer repeated degree + 1 times
+        _, _, model = fitted_model()
+        path = tmp_path / "m.txt"
+        save_model(path, model, ("u", "v"), "y")
+        knots = model.bases[j].knots.copy()
+        knots[end] += 1.0 if end else -1.0
+        lines = path.read_text().splitlines()
+        for i, line in enumerate(lines):
+            if line.startswith(f"knots.{j} = "):
+                lines[i] = f"knots.{j} = " + ",".join(map(str, knots.tolist()))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=f"knots.{j}: .*clamped"):
+            load_model(path)
+
     @pytest.mark.parametrize("key,bad", [
         ("beta", "nan"), ("beta", "inf"), ("z_means", "-inf"),
         ("intercept", "nan"), ("knots.1", "nan"), ("lambdas", "inf"),

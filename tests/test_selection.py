@@ -35,18 +35,16 @@ def rotated_design(X, bases, rotation):
                       for j, basis in enumerate(bases)])
 
 
-def searchsorted_windows(knots, degree, xs):
-    """The padded knot vector, each point's first window index and the
-    clamped points of one knot vector, by ``np.searchsorted``: the
-    half-open interval ``[t_mu, t_{mu+1})`` holding the point, or at the
-    right boundary the last nonempty one."""
+def searchsorted_windows(knots, xs):
+    """Each point's first window index and the clamped points of one knot
+    vector, by ``np.searchsorted``: the half-open interval
+    ``[t_mu, t_{mu+1})`` holding the point, or at the right boundary the
+    last nonempty one."""
     lo, hi = knots[0], knots[-1]
     x = np.clip(xs, lo, hi)
     mu = np.searchsorted(knots, x, side="right") - 1
     mu[x >= hi] = np.nonzero(knots[1:] > knots[:-1])[0][-1]
-    padded = np.concatenate([np.full(degree, lo), knots,
-                             np.full(degree + 1, hi)])
-    return padded, mu, x
+    return mu, x
 
 
 def reference_loocv(X, y, lambdas, max_components, n_basis, rotated=True):
@@ -685,19 +683,18 @@ class TestBatchedFolds:
             X = np.stack([rng.permutation(X) for _ in range(F)])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(splines, "_SLICE", slice_len)
-            padded, start, first, clamped = _windows(knots, degree, X)
-        width = padded.shape[1]
+            start, first, clamped = _windows(knots, degree, X)
+        width = knots.shape[2]
         rows = X.shape[-2]
         at = np.arange(F * rows * p).reshape(F, rows, p)
         X = np.broadcast_to(X, (F, rows, p))
         for f in range(F):
             for j in range(p):
-                pad, mu, x = searchsorted_windows(knots[f, j], degree,
-                                                  X[f, :, j])
-                block = f * p + j
-                np.testing.assert_array_equal(padded[block], pad)
+                mu, x = searchsorted_windows(knots[f, j], X[f, :, j])
+                # the window starts at knot mu - degree of the flat knots
                 np.testing.assert_array_equal(start[at[f, :, j]],
-                                              mu + block * width)
+                                              mu - degree
+                                              + (f * p + j) * width)
                 np.testing.assert_array_equal(first[at[f, :, j]], mu)
                 np.testing.assert_array_equal(bits(clamped[at[f, :, j]]),
                                               bits(x))

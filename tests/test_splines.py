@@ -98,6 +98,29 @@ class TestMakeBasis:
 
 
 class TestSplineBasis:
+    @pytest.mark.parametrize("degree,knots", [
+        (3, [0.0, 0.0, 0.0, 0.1, 0.5, 1.0, 1.0, 1.0, 1.0]),  # left end
+        (3, [0.0, 0.0, 0.0, 0.0, 0.5, 0.9, 1.0, 1.0, 1.0]),  # right end
+        (1, [0.0, 0.5, 1.0, 1.0]),
+        (0, [1.0, 1.0])])
+    def test_unclamped_knots_refused(self, degree, knots):
+        with pytest.raises(ConfigurationError, match="clamped"):
+            SplineBasis(degree, knots)
+
+    def test_knots_without_an_interval_refused(self):
+        # equal ends: no knot interval is nonempty
+        with pytest.raises(ConfigurationError, match="knots\\[0\\] < "):
+            SplineBasis(2, [1.0] * 6)
+
+    @pytest.mark.parametrize("degree,knots", [
+        (3, [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]),
+        (1, [0.0, 1.0, 1.0]),
+        (0, [0.0])])
+    def test_fewer_than_two_degree_plus_two_knots_refused(self, degree,
+                                                          knots):
+        with pytest.raises(ConfigurationError, match="too few knots"):
+            SplineBasis(degree, knots)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_knot_rejected(self, bad):
         knots = [0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0]
@@ -166,10 +189,12 @@ class TestEvalBasis:
 
     def test_grid_bit_identical_to_scalar_recursion(self):
         cases = [SplineBasis(0, [0.0, 1.0, 2.0, 3.0]),
-                 SplineBasis(2, np.linspace(-1.0, 2.0, 9)),  # unclamped
-                 # unclamped cubic: the windows of points near either end
-                 # run past that end of its 4 functions
-                 SplineBasis(3, np.arange(8.0)),
+                 SplineBasis(2, clamped_knots(2, [0.0, 0.5, 1.0], -1.0,
+                                              2.0)),
+                 # interior knots on both ends: points at the right end
+                 # take the last nonempty interval
+                 SplineBasis(3, clamped_knots(3, [0.0, 3.0, 7.0, 7.0], 0.0,
+                                              7.0)),
                  # a subnormal span: weight ratios on both sides of it
                  # overflow to inf
                  SplineBasis(2, [-1.0, -1.0, -1.0, 0.0, 5e-324,
@@ -319,10 +344,11 @@ class TestTransform:
                                        1.0, atol=1e-12)
 
     def test_matches_elementwise_eval(self):
-        # degrees 0, 2 and 3, one basis unclamped; points inside, on the
-        # knots and beyond both ends
+        # degrees 0, 2 and 3; points inside, on the knots and beyond both
+        # ends
         bases = (SplineBasis(0, [0.0, 0.3, 0.6, 1.0]),
-                 SplineBasis(2, np.linspace(-0.5, 1.5, 9)),  # unclamped
+                 SplineBasis(2, clamped_knots(2, [0.0, 0.5, 1.0], -0.5,
+                                              1.5)),
                  make_basis(np.linspace(0, 1, 9), 6, 3))
         grid = np.array([[0.0, 0.2, -0.1], [0.3, 0.6, 0.5], [1.0, 0.9, 1.0],
                          [1.2, -0.7, 0.25], [0.6, 1.5, 1.3]])
@@ -354,7 +380,7 @@ class TestPpDot:
     """``pp_dot`` is ``transform(X) @ coef`` without the dense matrix."""
 
     bases = (SplineBasis(0, [0.0, 0.3, 0.6, 1.0]),
-             SplineBasis(2, np.linspace(-0.5, 1.5, 9)),  # unclamped
+             SplineBasis(2, clamped_knots(2, [0.0, 0.5, 1.0], -0.5, 1.5)),
              make_basis(np.linspace(0, 1, 9), 6, 3),
              SplineBasis(5, clamped_knots(5, [0.4, 0.4, 0.7])))
 
@@ -370,15 +396,6 @@ class TestPpDot:
         np.testing.assert_allclose(pp_dot(X, expansion, coef),
                                    transform(X, expansion) @ coef,
                                    rtol=0, atol=1e-12 * np.abs(coef).sum())
-
-    def test_knots_without_an_interval_score_zero(self):
-        # every basis row is zero where no knot interval is nonempty
-        basis = SplineBasis(2, [1.0] * 6)
-        X = np.array([[0.5], [1.0], [2.0]])
-        expansion = BasisExpansion((basis,))
-        np.testing.assert_array_equal(transform(X, expansion), 0.0)
-        np.testing.assert_array_equal(
-            pp_dot(X, expansion, np.arange(1.0, 4.0)), 0.0)
 
     def test_zero_rows(self):
         out = pp_dot(np.empty((0, 4)), BasisExpansion(self.bases),
@@ -428,20 +445,16 @@ def bits(a):
 
 @st.composite
 def knot_vectors(draw, high_degrees=False):
-    """A basis of degree 0-3 on a clamped, unclamped or repeated knot
-    vector, or one with a subnormal span; with ``high_degrees``, also of
-    degree 4-5 on a clamped one."""
+    """A basis of degree 0-3 on a clamped knot vector, plain, with
+    repeated interior knots or with a subnormal span; with
+    ``high_degrees``, also of degree 4-5 on a plain one."""
     degree = draw(st.integers(0, 5 if high_degrees else 3))
-    kind = draw(st.sampled_from(["clamped", "unclamped", "repeated",
-                                 "subnormal"] if degree <= 3 else
-                                ["clamped"]))
+    kind = draw(st.sampled_from(["clamped", "repeated", "subnormal"]
+                                if degree <= 3 else ["clamped"]))
     value = st.floats(-1.0, 2.0, **finite)
     if kind == "clamped":
         knots = clamped_knots(degree, draw(st.lists(value, max_size=8)),
                               -1.0, 2.0)
-    elif kind == "unclamped":
-        knots = np.sort(draw(st.lists(value, min_size=degree + 2,
-                                      max_size=degree + 10, unique=True)))
     elif kind == "repeated":
         interior = draw(st.lists(value, min_size=1, max_size=5))
         interior += draw(st.lists(st.sampled_from(interior), min_size=1,
@@ -466,16 +479,12 @@ def points(basis, finite_only=False):
 
 def pp_oracle(basis, coef):
     """``_pp_table`` by ``scipy.interpolate.PPoly.from_spline``: the
-    spline on the knot vector padded by ``degree`` copies of each end knot,
-    with zero coefficients on the padding, so that the pieces near the ends
-    of an unclamped vector hold only the functions in [0, K); its pieces on
-    the vector's own intervals, lowest power first, each scaled by h^r.  A
-    coefficient that overflows (a subnormal interval's) reads inf or NaN."""
+    spline's pieces on the knot intervals, lowest power first, each scaled
+    by h^r.  A coefficient that overflows (a subnormal interval's) reads
+    inf or NaN."""
     d, t = basis.degree, basis.knots
-    padded = np.concatenate([np.full(d, t[0]), t, np.full(d, t[-1])])
-    c = np.concatenate([np.zeros(d), coef, np.zeros(d)])
     with np.errstate(all="ignore"):
-        pieces = PPoly.from_spline((padded, c, d)).c[::-1, d:d + len(t) - 1]
+        pieces = PPoly.from_spline((t, coef, d)).c[::-1]
         return pieces * np.diff(t) ** np.arange(d + 1)[:, None]
 
 
@@ -490,7 +499,9 @@ class TestPpTable:
         coef = np.array(data.draw(st.lists(
             st.floats(-1e3, 1e3, **finite), min_size=basis.n_basis,
             max_size=basis.n_basis)))
-        atol = 1e-12 * np.abs(coef).sum()
+        # below the normal range rounding is absolute, half of 2^-1074 per
+        # operation, so subnormal coefficients get a floor of such steps
+        atol = 1e-12 * np.abs(coef).sum() + 64 * 2.0**-1074
         table = _pp_table(basis.knots, basis.degree, coef)
         assert np.isfinite(table).all()
         expect = pp_oracle(basis, coef)
@@ -558,23 +569,34 @@ class TestWindows:
            st.sampled_from([None, 255, 256, 300]), st.booleans(),
            st.integers(1, 50))
     def test_window_index_is_the_counting_rule(self, seed, F, p, n, degree,
-                                               n_knots, per_set_points,
+                                               n_interior, per_set_points,
                                                slice_len):
-        # knots drawn from few values, so many repeat, and every knot
-        # among the points; wide vectors count past one byte
+        # clamped knots drawn from few values, so many repeat, interior
+        # ones on either end too, and every knot among the points; wide
+        # vectors count past one byte
         rng = np.random.default_rng(seed)
-        width = n_knots or int(rng.integers(degree + 2, degree + 12))
+        n_interior = n_interior or int(rng.integers(0, 10))
+        width = 2 * degree + 2 + n_interior
         values = rng.uniform(-1.0, 1.0, size=int(rng.integers(2, 8)))
         knots = np.sort(rng.choice(values, size=(F, p, width)), axis=-1)
-        knots[..., -1] = np.maximum(knots[..., -1], knots[..., 0] + 0.5)
-        # points beyond both ends, inside, and on every knot of their set
+        # about half the vectors get a right end above every interior knot
+        raised = rng.random((F, p)) < 0.5
+        knots[..., -1] = np.where(
+            raised, knots[..., -1] + 0.5,
+            np.maximum(knots[..., -1], knots[..., 0] + 0.5))
+        knots[..., :degree + 1] = knots[..., :1]
+        knots[..., -degree - 1:] = knots[..., -1:]
+        # points beyond both ends, inside, on every knot of their set and
+        # just below its right end, where every interior knot counts
+        below_end = np.nextafter(knots[..., -1], -np.inf)  # (F, p)
         X = np.stack([np.concatenate([rng.uniform(-1.5, 1.5, size=(n, p)),
-                                      knots[f].T]) for f in range(F)])
+                                      knots[f].T, below_end[f][None]])
+                      for f in range(F)])
         if not per_set_points:
             X = X[0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(splines, "_SLICE", slice_len)
-            padded, start, first, clamped = _windows(knots, degree, X)
+            start, first, clamped = _windows(knots, degree, X)
         rows = X.shape[-2]
         Xs = np.broadcast_to(X, (F, rows, p))
         start = start.reshape(F, rows, p)
@@ -586,9 +608,10 @@ class TestWindows:
                 x = np.clip(Xs[f, :, j], t[0], t[-1])
                 np.testing.assert_array_equal(bits(clamped[f, :, j]),
                                               bits(x))
-                expect = [counted_window(t, v) for v in x]
+                expect = np.array([counted_window(t, v) for v in x])
+                # the window starts at knot mu - degree of the flat knots
                 np.testing.assert_array_equal(
-                    start[f, :, j] - padded.shape[1] * (f * p + j), expect)
+                    start[f, :, j] - width * (f * p + j), expect - degree)
                 np.testing.assert_array_equal(first[f, :, j], expect)
 
 
@@ -600,20 +623,15 @@ class TestBasisRows:
     def test_rows_are_each_vectors_basis_matrix(self, seed, F, p, n, degree,
                                                 extra, repeated,
                                                 per_set_points, slice_len):
-        # F sets of p knot vectors of one width, each clamped or unclamped
-        # and on its own span: every point's row, in its own vector, is
-        # that vector's ``eval_basis_grid`` row, bit for bit, with the
-        # functions outside [0, K) of an unclamped vector dropped
+        # F sets of p clamped knot vectors of one width, each on its own
+        # span: every point's row, in its own vector, is that vector's
+        # ``eval_basis_grid`` row, bit for bit
         rng = np.random.default_rng(seed)
         width = 2 * degree + 2 + extra
         u = np.sort(rng.uniform(size=(F, p, width)), axis=-1)
         if repeated:
             u = np.round(u, 1)
-        u[..., 0], u[..., -1] = 0.0, 1.0
-        clamped = rng.random((F, p)) < 0.5
-        ends = u[clamped]
-        ends[:, :degree + 1], ends[:, -degree - 1:] = 0.0, 1.0
-        u[clamped] = ends
+        u[..., :degree + 1], u[..., -degree - 1:] = 0.0, 1.0
         lo = rng.uniform(-5.0, 5.0, size=(F, p, 1))
         span = 10.0 ** rng.uniform(-3.0, 3.0, size=(F, p, 1))
         knots = lo + span * u
