@@ -24,7 +24,7 @@ same code scores a fitted model and a reloaded one, bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,13 +32,18 @@ from .errors import (ConfigurationError, DataError, DegenerateVariableError,
                      _as_float, _check_int)
 from .penalty import PenaltySpec, make_preconditioner
 from .pls import FitConfig, _check_finite, _checked_xy, penalized_pls_fit
-from .splines import (BasisExpansion, SplineBasis, make_basis, transform,
-                      pp_dot, DEFAULT_DEGREE)
+from .splines import (BasisExpansion, SplineBasis, _check_type, make_basis,
+                      transform, pp_dot, DEFAULT_DEGREE)
 
 
 @dataclass(frozen=True)
 class GamModel:
-    """A fitted additive model, immutable and self-contained for prediction."""
+    """A fitted additive model, immutable and self-contained for prediction.
+
+    Raises ``ConfigurationError`` unless ``bases`` form one
+    ``BasisExpansion`` (``expansion``) of the penalty's p and K, and
+    ``beta`` and ``z_means`` are vectors of ``penalty.dim`` entries.
+    """
 
     bases: tuple[SplineBasis, ...]
     penalty: PenaltySpec
@@ -48,6 +53,25 @@ class GamModel:
     n_components: int
     requested_components: int
     fitted: np.ndarray | None = None
+    expansion: BasisExpansion = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        expansion = BasisExpansion(self.bases)
+        object.__setattr__(self, "bases", expansion.bases)
+        object.__setattr__(self, "expansion", expansion)
+        penalty = self.penalty
+        _check_type(penalty, PenaltySpec, "penalty")
+        shape = (expansion.n_variables, expansion.n_basis)
+        if shape != (penalty.n_variables, penalty.n_basis):
+            raise ConfigurationError(
+                f"{shape[0]} bases of {shape[1]} functions do not match the "
+                f"penalty's {penalty.n_variables} variables of "
+                f"{penalty.n_basis}")
+        for name in ("beta", "z_means"):
+            shape = np.shape(getattr(self, name))
+            if shape != (penalty.dim,):
+                raise ConfigurationError(
+                    f"{name} has shape {shape}, expected ({penalty.dim},)")
 
     @property
     def n_variables(self) -> int:
@@ -56,10 +80,6 @@ class GamModel:
     @property
     def early_stopped(self) -> bool:
         return self.n_components < self.requested_components
-
-    @property
-    def expansion(self) -> BasisExpansion:
-        return BasisExpansion(self.bases)
 
 
 @dataclass(frozen=True)
@@ -114,13 +134,12 @@ def _centered_response(y):
     return intercept, yc, varies
 
 
-def _score(X, bases, beta, z_means, level: float) -> np.ndarray:
+def _score(X, expansion, beta, z_means, level: float) -> np.ndarray:
     """``level + (transform(X) - z_means) @ beta``, to rounding: the
     uncentered products from ``pp_dot`` plus the one constant
     ``level - z_means @ beta``, so neither the dense design nor its
     centered copy is built."""
-    return pp_dot(X, BasisExpansion(bases), beta) + \
-        (level - z_means @ beta)
+    return pp_dot(X, expansion, beta) + (level - z_means @ beta)
 
 
 def fit_gam(X, y, penalty: PenaltySpec, n_components: int,
@@ -176,7 +195,7 @@ def predict(model: GamModel, X_new) -> np.ndarray:
         raise ConfigurationError(
             f"expected {model.n_variables} predictor columns, "
             f"got {X_new.shape[1]}")
-    return _score(X_new, model.bases, model.beta, model.z_means,
+    return _score(X_new, model.expansion, model.beta, model.z_means,
                   model.intercept)
 
 
@@ -200,6 +219,6 @@ def fitted_function(model: GamModel, variable: int,
         grid = 2 * np.linspace(lo / 2, hi / 2, grid_size)
     K = model.penalty.n_basis
     sl = slice(variable * K, (variable + 1) * K)
-    values = _score(grid[:, None], (basis,), model.beta[sl],
+    values = _score(grid[:, None], BasisExpansion((basis,)), model.beta[sl],
                     model.z_means[sl], 0.0)
     return FittedFunction(variable=variable, grid=grid, values=values)

@@ -157,20 +157,14 @@ def save_model(path, model: GamModel, predictor_names, response_name,
                dataset_checksum: str = ""):
     """Write the model in the versioned key/value format.
 
-    Raises ModelFormatError, before writing anything, for what the file
-    cannot hold: a line break or leading or trailing whitespace in any
-    name, a comma in a predictor name, bases that do not all share one
-    degree and ``penalty.n_basis`` functions, or arrays that ``load_model``
-    would refuse.
+    The file holds one degree and ``n_basis`` for all bases, the shape
+    that ``GamModel`` enforces.  Raises ModelFormatError, before writing
+    anything, for what the file cannot hold: a line break or leading or
+    trailing whitespace in any name, a comma in a predictor name, or arrays
+    that ``load_model`` would refuse.
     """
     if len(predictor_names) != model.n_variables:
         raise ModelFormatError("predictor name count does not match model")
-    shapes = [(b.degree, b.n_basis) for b in model.bases]
-    if set(shapes) != {(shapes[0][0], model.penalty.n_basis)}:
-        raise ModelFormatError(
-            f"bases of (degree, size) {shapes} cannot be stored in a model "
-            f"file (it holds one degree, and n_basis = "
-            f"{model.penalty.n_basis} for every basis)")
     _check_arrays(path, model.penalty, model.intercept, model.z_means,
                   model.beta, [basis.knots for basis in model.bases],
                   model.bases[0].degree)

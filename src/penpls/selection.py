@@ -122,7 +122,8 @@ def _fold_knots(col: np.ndarray, n_basis: int, degree: int):
 def _chunk_errors(X, y, folds, knots, M, cfg, degree: int, ref: int):
     """Squared held-out errors (F, L, m), of residuals in units of 2^ref,
     and early-stop flags (F, L) of the F folds holding out rows ``folds``,
-    at each of the L lambdas whose blocks ``M`` holds.
+    at each of the L lambdas whose blocks ``M`` holds; ``knots[i]`` holds
+    fold i's p knot vectors.
 
     Each fold's intercept, and whether its response varies, come from its
     own training responses, as ``fit_gam``'s do.  A fold whose response
@@ -137,7 +138,7 @@ def _chunk_errors(X, y, folds, knots, M, cfg, degree: int, ref: int):
     # fold f's rows: its training rows, then the row it holds out
     train = np.arange(n) != folds[:, None]
     order = np.column_stack([np.nonzero(train)[1].reshape(F, n - 1), folds])
-    Z = _fold_designs(X[order], [k[folds] for k in knots], degree, M.basis)
+    Z = _fold_designs(X[order], knots[folds], degree, M.basis)
     _center(Z, n - 1)
     intercepts, Y, varies = _centered_response(y[order[:, :-1]])
 
@@ -189,6 +190,7 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
 
     knots, n_distinct = zip(*(_fold_knots(X[:, j], n_basis, degree)
                               for j in range(p)))
+    knots = np.stack(knots, axis=1)  # (n, p, width)
     degenerate = np.array(n_distinct) < 2  # (p, n)
     if degenerate.any():
         i = int(np.flatnonzero(degenerate.any(axis=0))[0])

@@ -1,8 +1,9 @@
 """B-spline bases and the expansion of a raw data matrix into basis features.
 
-Each predictor variable gets its own basis.  A data matrix with p columns is
-mapped to a matrix with p*K columns, grouped contiguously by variable, where
-K is the number of basis functions per variable.
+Each predictor variable gets its own basis, and the bases of an expansion
+share one degree and one size K, so their knots form one (p, K + degree + 1)
+matrix.  A data matrix with p columns is mapped to a matrix with p*K
+columns, grouped contiguously by variable.
 
 One search, ``_windows``, finds each point's knot window, in one knot
 vector or in every fold's at once.  Two consumers then use the windows:
@@ -23,17 +24,19 @@ vector or in every fold's at once.  Two consumers then use the windows:
   that piecewise-polynomial form (de Boor's BSPLPP), and ``pp_dot`` scores
   a point from it, ``transform(X) @ coef`` without the dense matrix and
   without the recursion: its interval's ``degree + 1`` coefficients and
-  ``degree`` Horner steps.  This scores prediction and fitted curves.
+  ``degree`` Horner steps.  One table call serves every variable of an
+  expansion.  This scores prediction and fitted curves.
 
 Every basis is clamped, so a point's window of knots and functions lies
-in its own knot vector.  Non-finite data are rejected where they enter,
-in ``make_basis``, ``transform`` and ``pp_dot``, rather than given an
-all-zero basis row; ``eval_basis_grid`` clamps infinities to the boundary
-and rejects NaN.
+in its own knot vector.  A vector wider than the largest double is
+evaluated on halved knots and points (``_halved``), so no span overflows.
+Non-finite data are rejected where they enter, in ``make_basis``,
+``transform`` and ``pp_dot``, rather than given an all-zero basis row;
+``eval_basis_grid`` clamps infinities to the boundary and rejects NaN.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -76,7 +79,7 @@ class SplineBasis:
             raise ConfigurationError("knots must be a vector")
         if not np.isfinite(knots).all():
             raise ConfigurationError("knots must be finite")
-        if np.any(np.diff(knots) < 0):
+        if np.any(knots[1:] < knots[:-1]):
             raise ConfigurationError("knots must be nondecreasing")
         d = self.degree
         if len(knots) < 2 * d + 2:
@@ -98,9 +101,14 @@ class SplineBasis:
 
 @dataclass(frozen=True)
 class BasisExpansion:
-    """One SplineBasis per predictor; column blocks follow the variable order."""
+    """One SplineBasis per predictor, all of one degree and size K; column
+    blocks follow the variable order.  ``knots`` is the read-only
+    ``(p, K + degree + 1)`` matrix of the bases' knot vectors.  Raises
+    ``ConfigurationError`` for no bases, a non-basis, or mixed shapes.
+    """
 
     bases: tuple[SplineBasis, ...]
+    knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -112,10 +120,26 @@ class BasisExpansion:
             raise ConfigurationError("expansion needs at least one basis")
         for j, basis in enumerate(self.bases):
             _check_type(basis, SplineBasis, f"bases[{j}]")
+        shapes = [(b.degree, b.n_basis) for b in self.bases]
+        if len(set(shapes)) > 1:
+            raise ConfigurationError(
+                f"bases of (degree, size) {shapes}: an expansion's bases "
+                f"share one degree and one size")
+        knots = np.stack([b.knots for b in self.bases])
+        knots.setflags(write=False)
+        object.__setattr__(self, "knots", knots)
 
     @property
     def n_variables(self) -> int:
         return len(self.bases)
+
+    @property
+    def degree(self) -> int:
+        return self.bases[0].degree
+
+    @property
+    def n_basis(self) -> int:
+        return self.bases[0].n_basis
 
 
 def make_basis(values, n_basis: int = DEFAULT_N_BASIS,
@@ -210,6 +234,7 @@ def _basis_rows(knots: np.ndarray, degree: int, X: np.ndarray) -> np.ndarray:
     """
     d = degree
     n_basis = knots.shape[-1] - d - 1
+    knots, X = _halved(knots, X)
     start, first, x = _windows(knots, d, X)
     out = np.zeros((len(x), n_basis))
     rows = np.arange(d + 1)[:, None]
@@ -220,6 +245,21 @@ def _basis_rows(knots: np.ndarray, degree: int, X: np.ndarray) -> np.ndarray:
         cell = first[lo:lo + m] - d + rows + n_basis * np.arange(lo, lo + m)
         out.put(cell, table + 0.0)
     return out
+
+
+def _halved(knots: np.ndarray, X: np.ndarray):
+    """Knot vectors along the last axis of ``knots`` and their points, the
+    columns of X, with each vector whose width ``hi - lo`` overflows halved,
+    and its points.  A basis is unchanged by one scale of its knots and
+    points, and halving a normal number is exact; no span or distance of a
+    halved vector overflows.  Other vectors and points are as given.
+    """
+    with np.errstate(over="ignore"):
+        wide = np.isinf(knots[..., -1] - knots[..., 0])
+    if not wide.any():
+        return knots, X
+    return (np.where(wide[..., None], knots / 2, knots),
+            np.where(np.expand_dims(wide, -2), X / 2, X))
 
 
 def _windows(knots: np.ndarray, degree: int, X: np.ndarray):
@@ -238,46 +278,47 @@ def _windows(knots: np.ndarray, degree: int, X: np.ndarray):
     that boundary a clamped point is at or above the ``degree + 1`` low
     end knots and below the high ones, so mu is ``degree`` plus the count
     of interior knots at or below it, and the window lies in the vector.
-    The interior knots are compared with at most ``_SLICE`` points at a
-    time.  The counts are summed as bytes, several times faster than as
-    integers, when there are at most 255 interior knots, so no count can
-    overflow.  NaN points are the callers' to reject.
+    Points are counted capped at the largest double below the boundary, so
+    a point on it counts the interior knots below it and lands in the last
+    nonempty interval.  The interior knots are compared with at most
+    ``_SLICE`` points at a time.  The counts are summed as bytes, several
+    times faster than as integers, when there are at most 255 interior
+    knots, so no count can overflow.  NaN points are the callers' to reject.
     """
     F, p, width = knots.shape
     lo, hi = knots[:, None, :, 0], knots[:, None, :, -1]  # (F, 1, p)
     x = np.clip(X, lo, hi)  # (F, n, p)
+    cap = np.nextafter(hi, -np.inf)
     interior = knots[..., degree + 1:width - degree - 1, None]
     first = np.empty(x.shape, dtype=np.intp)
     rows = max(1, _SLICE // max(F * p, 1))
     count = np.uint8 if interior.shape[2] < 256 else np.intp
     for a in range(0, x.shape[1], rows):
         # compared with the points innermost, the counts add whole rows
-        below = interior <= x[:, a:a + rows].transpose(0, 2, 1)[:, :, None]
+        xs = np.minimum(x[:, a:a + rows], cap).transpose(0, 2, 1)
+        below = interior <= xs[:, :, None]
         first[:, a:a + rows] = np.add.reduce(
             below.view(np.uint8), axis=2, dtype=count).transpose(0, 2, 1)
     first += degree
-    nonempty = knots[..., 1:] > knots[..., :-1]
-    last = width - 2 - np.argmax(nonempty[..., ::-1], axis=-1)  # (F, p)
-    np.copyto(first, last[:, None], where=x >= hi)
     start = first - degree + width * np.arange(F * p).reshape(F, 1, p)
     return start.ravel(), first.ravel(), x.ravel()
 
 
-def _fold_designs(X: np.ndarray, knots: list[np.ndarray], degree: int,
+def _fold_designs(X: np.ndarray, knots: np.ndarray, degree: int,
                   rotation: np.ndarray) -> np.ndarray:
     """The rows of X expanded in each of F folds' bases and rotated,
     (F, n, p * K): block j of fold f is B V, with B fold f's (n, K) basis
     matrix of column j and V the K x K ``rotation``.  X is (n, p), the
     same rows for every fold, or (F, n, p), fold f's rows ``X[f]``;
-    ``knots[j]`` holds the F folds' knot vectors of column j.  One
+    ``knots[f, j]`` is fold f's knot vector of column j.  One
     ``_basis_rows`` call writes every fold's basis rows, and one product
     rotates them all.  With the identity for V this is the basis matrix
     that ``eval_basis_grid`` writes, bit for bit.
     """
     n, p = X.shape[-2:]
-    rows = _basis_rows(np.stack(knots, axis=1), degree, X)
+    rows = _basis_rows(knots, degree, X)
     # row (f, i, j) of rows is block j of fold f's row i
-    return (rows @ rotation).reshape(len(knots[0]), n, p * len(rotation))
+    return (rows @ rotation).reshape(len(knots), n, p * len(rotation))
 
 
 def _tables(knots: np.ndarray, start: np.ndarray, x: np.ndarray,
@@ -348,8 +389,8 @@ def transform(X, expansion: BasisExpansion) -> np.ndarray:
     """Expand an n x p matrix into the n x (p*K) B-spline feature matrix.
 
     Row i is the concatenation of the per-variable basis evaluations at
-    ``X[i, :]``, in the block order of ``expansion.bases``.  Each block is
-    one ``eval_basis_grid`` call over the whole column.
+    ``X[i, :]``, in the block order of ``expansion.bases``, K columns each.
+    Each block is one ``eval_basis_grid`` call over the whole column.
 
     Raises
     ------
@@ -362,21 +403,20 @@ def transform(X, expansion: BasisExpansion) -> np.ndarray:
     X = _checked_matrix(X, expansion)
     # each block is written as soon as it is evaluated, so no more than one
     # block's evaluation is held beside the result
-    Z = np.empty((X.shape[0], sum(b.n_basis for b in expansion.bases)))
-    start = 0
+    K = expansion.n_basis
+    Z = np.empty((X.shape[0], expansion.n_variables * K))
     for j, basis in enumerate(expansion.bases):
-        Z[:, start:start + basis.n_basis] = eval_basis_grid(basis, X[:, j])
-        start += basis.n_basis
+        Z[:, j * K:(j + 1) * K] = eval_basis_grid(basis, X[:, j])
     return Z
 
 
 def pp_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
     """``transform(X, expansion) @ coef``, to rounding, without the dense
-    matrix and without the spline recursion: per variable, each point's
-    knot window from ``_windows``, its interval's ``degree + 1`` coefficients
-    from the piecewise-polynomial table ``_pp_table``, and ``degree``
-    Horner steps in the interval's local coordinate.  Memory is O(n) beside
-    X, not O(n * p * K).
+    matrix and without the spline recursion: one piecewise-polynomial table
+    ``_pp_table`` of every variable, then per variable each point's knot
+    window from ``_windows``, its interval's ``degree + 1`` coefficients
+    from the table, and ``degree`` Horner steps in the interval's local
+    coordinate.  Memory is O(n) beside X, not O(n * p * K).
 
     Row i's value is the sum over variables in block order, so it depends
     on ``X[i]`` alone, not on the other rows.  Points are clamped to each
@@ -393,17 +433,16 @@ def pp_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
     """
     X = _checked_matrix(X, expansion)
     coef = _as_float(coef, "coef")
-    n_total = sum(b.n_basis for b in expansion.bases)
-    if coef.shape != (n_total,):
+    p, d = expansion.n_variables, expansion.degree
+    if coef.shape != (p * expansion.n_basis,):
         raise ConfigurationError(
-            f"coef has shape {coef.shape}; the expansion has {n_total} "
-            f"basis functions")
+            f"coef has shape {coef.shape}; the expansion has "
+            f"{p * expansion.n_basis} basis functions")
+    knots, X = _halved(expansion.knots, X)
+    tables = _pp_table(knots, d, coef.reshape(p, -1))
     out = np.zeros(X.shape[0])
-    start = 0
-    for j, basis in enumerate(expansion.bases):
-        t, d = basis.knots, basis.degree
-        table = _pp_table(t, d, coef[start:start + basis.n_basis])
-        _, first, x = _windows(t[None, None], d, X[:, j:j + 1])
+    for j, (t, table) in enumerate(zip(knots, tables)):
+        _, first, x = _windows(knots[None, j:j + 1], d, X[:, j:j + 1])
         value = table[d].take(first)
         if d:
             left = t.take(first)
@@ -413,16 +452,16 @@ def pp_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
                 value *= s
                 value += table[r].take(first)
         out += value
-        start += basis.n_basis
     return out
 
 
 def _pp_table(knots: np.ndarray, degree: int, coef: np.ndarray) -> np.ndarray:
-    """The piecewise-polynomial (pp) form of the spline ``sum_k coef[k]
-    B_k``: a ``(degree + 1, len(knots) - 1)`` table whose column mu holds,
-    for a nonempty interval ``[t_mu, t_{mu+1})`` of width h, the Taylor
-    coefficients ``a_r h^r`` of the spline's piece there, so that the piece
-    is ``sum_r table[r, mu] s^r`` in the local coordinate
+    """The piecewise-polynomial (pp) form of each spline ``sum_k coef[j, k]
+    B_k`` on knot vector ``knots[j]``, for (p, width) ``knots`` and (p, K)
+    ``coef``: a ``(p, degree + 1, width - 1)`` table whose column mu of
+    block j holds, for a nonempty interval ``[t_mu, t_{mu+1})`` of width h,
+    the Taylor coefficients ``a_r h^r`` of spline j's piece there, so that
+    the piece is ``sum_r table[j, r, mu] s^r`` in the local coordinate
     ``s = (x - t_mu) / h`` in [0, 1].  Columns of empty intervals are zero.
 
     This is de Boor's B-form to pp-form conversion (BSPLPP, *A Practical
@@ -435,19 +474,20 @@ def _pp_table(knots: np.ndarray, degree: int, coef: np.ndarray) -> np.ndarray:
     span, lies in [0, 1], and a subnormal span gives neither inf nor NaN.
     The vector is clamped, so the knots ``mu - degree .. mu + degree + 1``
     and the functions ``mu - degree .. mu`` of a nonempty interval mu are
-    all the vector's own.
+    all the vector's own.  Every step is per interval, so one table of p
+    vectors is each vector's own table, bit for bit.
     """
     d = degree
-    table = np.zeros((d + 1, len(knots) - 1))
-    mu = np.flatnonzero(knots[1:] > knots[:-1])
+    table = np.zeros((len(knots), d + 1, knots.shape[1] - 1))
+    j, mu = np.nonzero(knots[:, 1:] > knots[:, :-1])
     # row k of t is knot mu - d + k of each nonempty interval's; row d is
     # t_mu, row d + 1 is t_{mu+1}
-    t = knots[mu + np.arange(-d, d + 2)[:, None]]
+    t = knots[j, mu + np.arange(-d, d + 2)[:, None]]
     h = t[d + 1] - t[d]
     # level r holds, on functions mu - d + r .. mu, h^r times the
     # coefficients of the r-th derivative less their factor d! / (d - r)!;
     # row i of level 0 is the coefficient of function mu - d + i
-    levels = [coef[mu - d + np.arange(d + 1)[:, None]]]
+    levels = [coef[j, mu - d + np.arange(d + 1)[:, None]]]
     for r in range(1, d + 1):
         span = t[d + 1:2 * d + 2 - r] - t[r:d + 1]
         levels.append((levels[-1][1:] - levels[-1][:-1]) * (h / span))
@@ -456,7 +496,7 @@ def _pp_table(knots: np.ndarray, degree: int, coef: np.ndarray) -> np.ndarray:
     for q in range(d + 1):
         # a_r h^r = h^r f^(r)(t_mu) / r!
         r = d - q
-        table[r, mu] = comb(d, r) * (levels[r] * v).sum(axis=0)
+        table[j, r, mu] = comb(d, r) * (levels[r] * v).sum(axis=0)
         if q < d:
             # BSPLVB's step from degree q to q + 1 at x = t_mu
             hi, lo = t[d + 1:d + q + 2], t[d - q:d + 1]

@@ -392,16 +392,21 @@ class TestCurves:
         X[:2, 1] = -1e308, 1e308
         data = tmp_path / "wide.csv"
         write_csv(data, X, np.sin(3 * X[:, 0]), ["u", "v"], "out")
-        model_path = tmp_path / "model.txt"
-        assert main(["fit", "--data", str(data), "--response", "out",
-                     "--basis-size", "8", "--output", str(model_path)]) == 0
-        out_dir = tmp_path / "curves"
-        assert main(["curves", "--model", str(model_path),
-                     "--output-dir", str(out_dir), "--grid-size", "9"]) == 0
-        lines = (out_dir / "curve_v.csv").read_text().splitlines()[1:]
-        table = np.array([[float(v) for v in ln.split(",")] for ln in lines])
-        assert table[0, 0] == -1e308 and table[-1, 0] == 1e308
-        assert np.isfinite(table).all()
+        # at 6 functions a cubic's knot spans reach across 0 and overflow
+        for size in ("6", "8"):
+            model_path = tmp_path / f"model{size}.txt"
+            assert main(["fit", "--data", str(data), "--response", "out",
+                         "--basis-size", size,
+                         "--output", str(model_path)]) == 0
+            out_dir = tmp_path / f"curves{size}"
+            assert main(["curves", "--model", str(model_path),
+                         "--output-dir", str(out_dir),
+                         "--grid-size", "9"]) == 0
+            lines = (out_dir / "curve_v.csv").read_text().splitlines()[1:]
+            table = np.array([[float(v) for v in ln.split(",")]
+                              for ln in lines])
+            assert table[0, 0] == -1e308 and table[-1, 0] == 1e308
+            assert np.isfinite(table).all()
 
     def test_missing_model_exits_one(self, tmp_path, capsys):
         code = main(["curves", "--model", str(tmp_path / "nope.txt"),

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -354,13 +355,54 @@ class TestFittedFunction:
             fitted_function(model, 5)
 
 
-def random_model(seed, degrees, n_basis):
-    """A model over random clamped bases of the given degrees, with random
-    coefficients, means and intercept: the scorer's inputs without a
-    fit."""
+class TestModelShape:
+    """A model's bases form one expansion that matches its penalty."""
+
+    def test_bases_of_another_count_refused(self):
+        _, _, model = fit_fixture()
+        with pytest.raises(ConfigurationError, match="1 bases of 10"):
+            dataclasses.replace(model, bases=model.bases[:1])
+
+    def test_bases_of_another_size_refused(self):
+        X, _, model = fit_fixture()
+        bases = tuple(make_basis(X[:, j], 9) for j in range(2))
+        with pytest.raises(ConfigurationError,
+                           match="2 bases of 9 .* 2 variables of 10"):
+            dataclasses.replace(model, bases=bases)
+
+    def test_bases_of_mixed_degrees_refused(self):
+        X, _, model = fit_fixture()
+        bases = (make_basis(X[:, 0], 10, 3), make_basis(X[:, 1], 10, 2))
+        with pytest.raises(ConfigurationError,
+                           match="one degree and one size"):
+            dataclasses.replace(model, bases=bases)
+
+    @pytest.mark.parametrize("name", ["beta", "z_means"])
+    def test_coefficients_of_another_length_refused(self, name):
+        _, _, model = fit_fixture()
+        for bad in (getattr(model, name)[:-1], np.zeros((1, 20)), 0.0):
+            with pytest.raises(ConfigurationError,
+                               match=f"{name} has shape .*expected \\(20,\\)"):
+                dataclasses.replace(model, **{name: bad})
+
+    def test_penalty_must_be_a_penalty_spec(self):
+        _, _, model = fit_fixture()
+        with pytest.raises(ConfigurationError, match="penalty.*str"):
+            dataclasses.replace(model, penalty="x")
+
+    def test_expansion_is_the_bases(self):
+        _, _, model = fit_fixture()
+        assert model.expansion.bases is model.bases
+        assert model.expansion.knots.shape == (2, 10 + 3 + 1)
+
+
+def random_model(seed, degree, p, n_basis):
+    """A model over p random clamped bases of one degree and size, with
+    random coefficients, means and intercept: the scorer's inputs without
+    a fit."""
     rng = np.random.default_rng(seed)
     bases = []
-    for degree in degrees:
+    for _ in range(p):
         lo = rng.uniform(-2.0, 1.0)
         hi = lo + rng.uniform(0.5, 3.0)
         # rounding ties some knots, and clipping puts some on the ends
@@ -368,7 +410,6 @@ def random_model(seed, degrees, n_basis):
             rng.uniform(lo, hi, n_basis - degree - 1), 1), lo, hi))
         bases.append(SplineBasis(degree, np.concatenate(
             [np.full(degree + 1, lo), interior, np.full(degree + 1, hi)])))
-    p = len(bases)
     return GamModel(bases=tuple(bases),
                     penalty=PenaltySpec.shared(1.0, p, n_basis),
                     beta=rng.standard_normal(p * n_basis)
@@ -401,11 +442,10 @@ class TestScorer:
     oracle."""
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 2**32 - 1),
-           st.lists(st.integers(0, 5), min_size=1, max_size=4),
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.integers(1, 4),
            st.integers(6, 9), st.integers(1, 40))
-    def test_predict_matches_dense_oracle(self, seed, degrees, n_basis, n):
-        model = random_model(seed, degrees, n_basis)
+    def test_predict_matches_dense_oracle(self, seed, degree, p, n_basis, n):
+        model = random_model(seed, degree, p, n_basis)
         X = scorer_inputs(model, seed + 1, n)
         got = predict(model, X)
         # every term of the sum is at most |beta_k| (1 + z_k) in magnitude
@@ -423,11 +463,10 @@ class TestScorer:
                                        atol=1e-12 * scale)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1),
-           st.lists(st.integers(0, 5), min_size=1, max_size=3),
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.integers(1, 3),
            st.integers(1, 64))
-    def test_slices_change_no_bit(self, seed, degrees, slice_len):
-        model = random_model(seed, degrees, 7)
+    def test_slices_change_no_bit(self, seed, degree, p, slice_len):
+        model = random_model(seed, degree, p, 7)
         X = scorer_inputs(model, seed + 1, 150)
         whole = predict(model, X)
         curves = [fitted_function(model, j, 150).values
@@ -441,17 +480,18 @@ class TestScorer:
                     bits(fitted_function(model, j, 150).values), bits(values))
 
     def test_rows_scored_alone_match_the_batch(self):
-        model = random_model(5, (3, 0, 5), 8)
-        X = scorer_inputs(model, 6, 30)
-        whole = predict(model, X)
-        for i in range(len(X)):
-            assert bits(predict(model, X[i]))[0] == bits(whole[i])
+        for degree in (0, 3, 5):
+            model = random_model(5, degree, 3, 8)
+            X = scorer_inputs(model, 6, 30)
+            whole = predict(model, X)
+            for i in range(len(X)):
+                assert bits(predict(model, X[i]))[0] == bits(whole[i])
 
     def test_memory_stays_below_the_dense_design(self):
         # 20k rows x 5 variables at K = 20: the dense design alone is
         # 20_000 * 100 doubles, 16 MB
         X = np.random.default_rng(3).uniform(size=(20_000, 5))
-        model = random_model(4, (3,) * 5, 20)
+        model = random_model(4, 3, 5, 20)
         tracemalloc.start()
         try:
             predict(model, X)

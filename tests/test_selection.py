@@ -538,13 +538,14 @@ class TestLoocv:
 
 def fold_design_case(seed, n, p, decimals, degree, extra):
     """A random generator, an (n, p) X (rounded draws tie), every fold's
-    knot vectors per column and the folds whose bases exist."""
+    knot vectors, (n, p, width), and the folds whose bases exist."""
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(n, p))
     if decimals is not None:
         X = np.round(X, decimals)
     n_basis = degree + 1 + extra
-    knots = [_fold_knots(X[:, j], n_basis, degree)[0] for j in range(p)]
+    knots = np.stack([_fold_knots(X[:, j], n_basis, degree)[0]
+                      for j in range(p)], axis=1)
     usable = [i for i in range(n)
               if all(np.unique(np.delete(X[:, j], i)).size >= 2
                      for j in range(p))]
@@ -627,14 +628,14 @@ class TestBatchedFolds:
                                                  degree, extra)
         n_basis = degree + 1 + extra
         rotation = rng.standard_normal((n_basis, n_basis))
-        fold_knots = [k[usable] for k in knots]
+        fold_knots = knots[usable]
         Z = _fold_designs(X, fold_knots, degree, rotation)
         # each fold's own order of the rows gives the same rows
         order = np.array([rng.permutation(n) for _ in usable],
                          dtype=int).reshape(-1, n)
         Z_ordered = _fold_designs(X[order], fold_knots, degree, rotation)
         for f, i in enumerate(usable):
-            bases = [SplineBasis(degree, k[i]) for k in knots]
+            bases = [SplineBasis(degree, k) for k in knots[i]]
             np.testing.assert_array_equal(bits(Z[f]),
                                           bits(rotated_design(X, bases,
                                                               rotation)))
@@ -650,10 +651,10 @@ class TestBatchedFolds:
                                                  degree, extra)
         n_basis = degree + 1 + extra
         V = np.linalg.qr(rng.standard_normal((n_basis, n_basis)))[0]
-        Z = _fold_designs(X, [k[usable] for k in knots], degree, V)
+        Z = _fold_designs(X, knots[usable], degree, V)
         for f, i in enumerate(usable):
             dense = transform(X, BasisExpansion(
-                [SplineBasis(degree, k[i]) for k in knots]))
+                [SplineBasis(degree, k) for k in knots[i]]))
             expect = (dense.reshape(n, p, n_basis) @ V).reshape(n, -1)
             np.testing.assert_allclose(Z[f], expect, rtol=0, atol=1e-14)
 

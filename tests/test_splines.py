@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ def scalar_de_boor(basis, x):
 def clamped_knots(degree, interior, lo=0.0, hi=1.0):
     return np.concatenate([np.full(degree + 1, lo), np.sort(interior),
                            np.full(degree + 1, hi)])
+
+
+def one_shape_bases(degree, n_basis):
+    """Three bases of one degree and size: equally spaced knots on [0, 1],
+    knots on [-0.5, 1.5] with a repeated interior knot where there are
+    two, and ``make_basis``' quantile knots of squares on [0, 1]."""
+    n_interior = n_basis - degree - 1
+    return (SplineBasis(degree, clamped_knots(
+                degree, np.linspace(0, 1, n_interior + 2)[1:-1])),
+            SplineBasis(degree, clamped_knots(
+                degree, np.resize([0.5, 0.5, 0.0, 1.0], n_interior),
+                -0.5, 1.5)),
+            make_basis(np.linspace(0, 1, 9) ** 2, n_basis, degree))
 
 
 def test_package_does_not_load_scipy_interpolate():
@@ -344,22 +358,18 @@ class TestTransform:
                                        1.0, atol=1e-12)
 
     def test_matches_elementwise_eval(self):
-        # degrees 0, 2 and 3; points inside, on the knots and beyond both
-        # ends
-        bases = (SplineBasis(0, [0.0, 0.3, 0.6, 1.0]),
-                 SplineBasis(2, clamped_knots(2, [0.0, 0.5, 1.0], -0.5,
-                                              1.5)),
-                 make_basis(np.linspace(0, 1, 9), 6, 3))
+        # one expansion each of degrees 0, 2 and 3; points inside, on the
+        # knots and beyond both ends
         grid = np.array([[0.0, 0.2, -0.1], [0.3, 0.6, 0.5], [1.0, 0.9, 1.0],
-                         [1.2, -0.7, 0.25], [0.6, 1.5, 1.3]])
-        Z = transform(grid, BasisExpansion(bases))
-        assert Z.shape == (5, 3 + 6 + 6)
-        start = 0
-        for j, basis in enumerate(bases):
-            block = Z[:, start:start + basis.n_basis]
-            expect = np.array([scalar_de_boor(basis, x) for x in grid[:, j]])
-            assert np.array_equal(block, expect)
-            start += basis.n_basis
+                         [1.2, -0.7, 0.25], [0.6, 1.5, 1.3],
+                         [0.25, 0.5, 0.0625]])
+        for degree in (0, 2, 3):
+            bases = one_shape_bases(degree, 6)
+            Z = transform(grid, BasisExpansion(bases))
+            assert Z.shape == (6, 3 * 6)
+            for j, basis in enumerate(bases):
+                expect = [scalar_de_boor(basis, x) for x in grid[:, j]]
+                assert np.array_equal(Z[:, 6 * j:6 * (j + 1)], expect)
 
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(5)
@@ -379,39 +389,52 @@ class TestTransform:
 class TestPpDot:
     """``pp_dot`` is ``transform(X) @ coef`` without the dense matrix."""
 
-    bases = (SplineBasis(0, [0.0, 0.3, 0.6, 1.0]),
-             SplineBasis(2, clamped_knots(2, [0.0, 0.5, 1.0], -0.5, 1.5)),
-             make_basis(np.linspace(0, 1, 9), 6, 3),
-             SplineBasis(5, clamped_knots(5, [0.4, 0.4, 0.7])))
+    # one expansion of three 8-function bases per degree
+    expansions = [BasisExpansion(one_shape_bases(degree, 8))
+                  for degree in (0, 2, 3, 5)]
 
     def test_matches_dense_product(self):
-        # bases of different sizes and degrees; points inside, on the
-        # knots, on both boundaries and beyond both ends
+        # points inside, on the knots, on both boundaries and beyond both
+        # ends
         rng = np.random.default_rng(21)
-        expansion = BasisExpansion(self.bases)
-        X = np.column_stack([
-            np.concatenate([rng.uniform(-1.0, 2.0, 40), np.resize(b.knots, 12),
-                            b.domain]) for b in self.bases])
-        coef = rng.standard_normal(sum(b.n_basis for b in self.bases))
-        np.testing.assert_allclose(pp_dot(X, expansion, coef),
-                                   transform(X, expansion) @ coef,
-                                   rtol=0, atol=1e-12 * np.abs(coef).sum())
+        for expansion in self.expansions:
+            X = np.column_stack([
+                np.concatenate([rng.uniform(-1.0, 2.0, 40),
+                                np.resize(b.knots, 12), b.domain])
+                for b in expansion.bases])
+            coef = rng.standard_normal(3 * 8)
+            np.testing.assert_allclose(pp_dot(X, expansion, coef),
+                                       transform(X, expansion) @ coef,
+                                       rtol=0,
+                                       atol=1e-12 * np.abs(coef).sum())
 
     def test_zero_rows(self):
-        out = pp_dot(np.empty((0, 4)), BasisExpansion(self.bases),
-                            np.ones(3 + 6 + 6 + 9))
-        assert out.shape == (0,)
+        for expansion in self.expansions:
+            out = pp_dot(np.empty((0, 3)), expansion, np.ones(3 * 8))
+            assert out.shape == (0,)
 
     def test_inputs_checked(self):
-        expansion = BasisExpansion(self.bases)
-        X = np.full((3, 4), 0.5)
-        with pytest.raises(ConfigurationError, match="24 basis functions"):
-            pp_dot(X, expansion, np.ones(23))
-        with pytest.raises(ConfigurationError, match="columns"):
-            pp_dot(X[:, :3], expansion, np.ones(24))
-        X[1, 2] = np.nan
-        with pytest.raises(DataError, match=r"columns \[2\]"):
-            pp_dot(X, expansion, np.ones(24))
+        for expansion in self.expansions:
+            X = np.full((3, 3), 0.5)
+            with pytest.raises(ConfigurationError,
+                               match="24 basis functions"):
+                pp_dot(X, expansion, np.ones(23))
+            with pytest.raises(ConfigurationError, match="columns"):
+                pp_dot(X[:, :2], expansion, np.ones(24))
+            X[1, 2] = np.nan
+            with pytest.raises(DataError, match=r"columns \[2\]"):
+                pp_dot(X, expansion, np.ones(24))
+
+    def test_one_table_is_each_variables_table(self):
+        # the table of all variables, block by block, is each variable's
+        # own, bit for bit
+        rng = np.random.default_rng(22)
+        for expansion in self.expansions:
+            coef = rng.standard_normal((3, 8))
+            tables = _pp_table(expansion.knots, expansion.degree, coef)
+            for basis, c, table in zip(expansion.bases, coef, tables):
+                alone = _pp_table(basis.knots[None], basis.degree, c[None])
+                np.testing.assert_array_equal(bits(table), bits(alone[0]))
 
 
 class TestEntryPointTypes:
@@ -439,26 +462,115 @@ class TestEntryPointTypes:
             pp_dot(X, "x", np.ones(5))
 
 
+class TestExpansionShape:
+    """An expansion's bases share one degree and one size."""
+
+    @pytest.mark.parametrize("shapes", [[(3, 6), (2, 6)], [(3, 6), (3, 7)],
+                                        [(1, 5), (1, 5), (0, 5)]])
+    def test_mixed_degrees_or_sizes_refused(self, shapes):
+        bases = [make_basis(np.linspace(0, 1, 9), k, d) for d, k in shapes]
+        with pytest.raises(ConfigurationError,
+                           match="one degree and one size"):
+            BasisExpansion(bases)
+
+    def test_knots_are_one_read_only_matrix(self):
+        bases = one_shape_bases(3, 8)
+        expansion = BasisExpansion(bases)
+        assert (expansion.degree, expansion.n_basis) == (3, 8)
+        np.testing.assert_array_equal(expansion.knots,
+                                      [b.knots for b in bases])
+        with pytest.raises(ValueError):
+            expansion.knots[0, 0] = 5.0
+
+
+class TestKnotVectorsWiderThanTheLargestDouble:
+    """A vector whose width ``hi - lo`` overflows is evaluated on halved
+    knots and points: the same basis, with no span that overflows."""
+
+    wide = SplineBasis(3, [-1e308] * 4 + [0.0] + [1e308] * 4)
+    xs = np.array([-1e308, -5e307, 0.0, 5e307, 1e308, -np.inf, np.inf])
+
+    def halved(self):
+        return SplineBasis(3, self.wide.knots / 2)
+
+    def test_basis_rows_sum_to_one(self):
+        B = eval_basis_grid(self.wide, self.xs)
+        np.testing.assert_allclose(B.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(
+            bits(B), bits(eval_basis_grid(self.halved(), self.xs / 2)))
+
+    def test_fold_design_is_the_halved_vectors(self):
+        # a wide vector beside an ordinary one in one call: each is its
+        # own basis matrix, bit for bit
+        narrow = make_basis(np.linspace(-1.0, 1.0, 9), 5, 3)
+        knots = np.stack([self.wide.knots, narrow.knots])[None]
+        X = np.column_stack([self.xs[:5], np.linspace(-1.5, 1.5, 5)])
+        Z = _fold_designs(X, knots, 3, np.eye(5))[0]
+        np.testing.assert_array_equal(
+            bits(Z[:, :5]), bits(eval_basis_grid(self.halved(), X[:, 0] / 2)))
+        np.testing.assert_array_equal(
+            bits(Z[:, 5:]), bits(eval_basis_grid(narrow, X[:, 1])))
+
+    def test_scores_of_ones_are_one(self):
+        X = self.xs[:5, None]
+        got = pp_dot(X, BasisExpansion((self.wide,)), np.ones(5))
+        np.testing.assert_allclose(got, 1.0, rtol=0, atol=1e-15)
+        coef = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
+        np.testing.assert_array_equal(
+            bits(pp_dot(X, BasisExpansion((self.wide,)), coef)),
+            bits(pp_dot(X / 2, BasisExpansion((self.halved(),)), coef)))
+
+    def test_ordinary_vectors_are_not_halved(self):
+        knots = np.array([[0.0, 1.0], [-1e308, 1e308]])
+        X = np.array([[0.5, 0.5]])
+        got_knots, got_X = splines._halved(knots, X)
+        np.testing.assert_array_equal(got_knots, [[0.0, 1.0],
+                                                  [-5e307, 5e307]])
+        np.testing.assert_array_equal(got_X, [[0.5, 0.25]])
+        ordinary, points = knots[:1], X[:, :1]
+        got_knots, got_X = splines._halved(ordinary, points)
+        assert got_knots is ordinary and got_X is points
+
+    def test_built_without_a_warning(self):
+        # the nondecreasing check compares neighbours; it takes no
+        # difference, which overflows here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            SplineBasis(3, self.wide.knots)
+
+
 def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
 @st.composite
-def knot_vectors(draw, high_degrees=False):
+def knot_vectors(draw, high_degrees=False, degree=None, n_interior=None):
     """A basis of degree 0-3 on a clamped knot vector, plain, with
     repeated interior knots or with a subnormal span; with
-    ``high_degrees``, also of degree 4-5 on a plain one."""
-    degree = draw(st.integers(0, 5 if high_degrees else 3))
-    kind = draw(st.sampled_from(["clamped", "repeated", "subnormal"]
-                                if degree <= 3 else ["clamped"]))
+    ``high_degrees``, also of degree 4-5 on a plain one.  ``degree`` and
+    ``n_interior`` fix the degree and the number of interior knots."""
+    if degree is None:
+        degree = draw(st.integers(0, 5 if high_degrees else 3))
+    kinds = ["clamped"]
+    if degree <= 3 and n_interior in (None, 2):
+        kinds += ["repeated", "subnormal"]
+    elif degree <= 3 and n_interior > 2:
+        kinds += ["repeated"]
+    kind = draw(st.sampled_from(kinds))
     value = st.floats(-1.0, 2.0, **finite)
     if kind == "clamped":
-        knots = clamped_knots(degree, draw(st.lists(value, max_size=8)),
+        sizes = (dict(max_size=8) if n_interior is None else
+                 dict(min_size=n_interior, max_size=n_interior))
+        knots = clamped_knots(degree, draw(st.lists(value, **sizes)),
                               -1.0, 2.0)
     elif kind == "repeated":
-        interior = draw(st.lists(value, min_size=1, max_size=5))
-        interior += draw(st.lists(st.sampled_from(interior), min_size=1,
-                                  max_size=degree + 1))
+        distinct = (dict(min_size=1, max_size=5) if n_interior is None else
+                    dict(min_size=1, max_size=n_interior - 1))
+        interior = draw(st.lists(value, **distinct))
+        repeats = (dict(min_size=1, max_size=degree + 1) if n_interior is None
+                   else dict(min_size=n_interior - len(interior),
+                             max_size=n_interior - len(interior)))
+        interior += draw(st.lists(st.sampled_from(interior), **repeats))
         knots = clamped_knots(degree, interior, -1.0, 2.0)
     else:
         knots = clamped_knots(degree, [0.0, 5e-324], -1.0, 2.0)
@@ -488,38 +600,49 @@ def pp_oracle(basis, coef):
         return pieces * np.diff(t) ** np.arange(d + 1)[:, None]
 
 
+def check_pp_table(basis, coef, xs):
+    """The table agrees with scipy's conversion wherever that is finite,
+    and scoring from it at ``xs`` with the dense product; both stay finite
+    on a subnormal interval."""
+    # below the normal range rounding is absolute, half of 2^-1074 per
+    # operation, so subnormal coefficients get a floor of such steps
+    atol = 1e-12 * np.abs(coef).sum() + 64 * 2.0**-1074
+    table = _pp_table(basis.knots[None], basis.degree, coef[None])[0]
+    assert np.isfinite(table).all()
+    expect = pp_oracle(basis, coef)
+    nonempty = np.diff(basis.knots) > 0
+    np.testing.assert_array_equal(table[:, ~nonempty], 0.0)
+    usable = nonempty & np.isfinite(expect).all(axis=0)
+    np.testing.assert_allclose(table[:, usable], expect[:, usable],
+                               rtol=0, atol=atol)
+    got = pp_dot(xs[:, None], BasisExpansion((basis,)), coef)
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, eval_basis_grid(basis, xs) @ coef,
+                               rtol=0, atol=atol)
+
+
 class TestPpTable:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_table_is_the_pp_form(self, data):
-        # the table agrees with scipy's conversion wherever that is finite,
-        # and scoring from it with the dense product; both stay finite on
-        # a subnormal interval
         basis = data.draw(knot_vectors(high_degrees=True))
         coef = np.array(data.draw(st.lists(
             st.floats(-1e3, 1e3, **finite), min_size=basis.n_basis,
             max_size=basis.n_basis)))
-        # below the normal range rounding is absolute, half of 2^-1074 per
-        # operation, so subnormal coefficients get a floor of such steps
-        atol = 1e-12 * np.abs(coef).sum() + 64 * 2.0**-1074
-        table = _pp_table(basis.knots, basis.degree, coef)
-        assert np.isfinite(table).all()
-        expect = pp_oracle(basis, coef)
-        nonempty = np.diff(basis.knots) > 0
-        np.testing.assert_array_equal(table[:, ~nonempty], 0.0)
-        usable = nonempty & np.isfinite(expect).all(axis=0)
-        np.testing.assert_allclose(table[:, usable], expect[:, usable],
-                                   rtol=0, atol=atol)
-        xs = data.draw(points(basis, finite_only=True))
-        got = pp_dot(xs[:, None], BasisExpansion((basis,)), coef)
-        assert np.isfinite(got).all()
-        np.testing.assert_allclose(got, eval_basis_grid(basis, xs) @ coef,
-                                   rtol=0, atol=atol)
+        check_pp_table(basis, coef, data.draw(points(basis, finite_only=True)))
+
+    def test_subnormal_coefficient(self):
+        # a draw that needs the subnormal floor of the tolerance: on this
+        # grid two scores differ from the dense product by 2^-1074, and
+        # 1e-12 * sum|coef| underflows to 0
+        basis = SplineBasis(2, [-1.0, -1.0, -1.0, 0.0, 2.0, 2.0, 2.0])
+        check_pp_table(basis, np.array([0.0, 0.0, 0.0, 2.2e-313]),
+                       np.linspace(-1.0, 2.0, 31))
 
 
 def identity_design(basis, xs):
     """The rotated fold design of one fold with the identity rotation."""
-    return _fold_designs(xs[:, None], [basis.knots[None]], basis.degree,
+    return _fold_designs(xs[:, None], basis.knots[None, None], basis.degree,
                          np.eye(basis.n_basis))[0]
 
 
@@ -540,18 +663,20 @@ class TestBasisMatrixIsTheIdentityRotation:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_every_block_of_transform(self, data):
-        bases = data.draw(st.lists(knot_vectors(), min_size=1, max_size=3))
+        # up to three bases of the first one's degree and size
+        first = data.draw(knot_vectors())
+        d, K = first.degree, first.n_basis
+        bases = [first] + data.draw(st.lists(
+            knot_vectors(degree=d, n_interior=K - d - 1), max_size=2))
         n = data.draw(st.integers(0, 20))
         X = np.column_stack(
             [np.resize(data.draw(points(b, finite_only=True)), n)
              if n else np.empty(0) for b in bases]).reshape(n, len(bases))
         Z = transform(X, BasisExpansion(bases))
-        start = 0
         for j, basis in enumerate(bases):
-            block = Z[:, start:start + basis.n_basis]
             np.testing.assert_array_equal(
-                bits(block), bits(identity_design(basis, X[:, j])))
-            start += basis.n_basis
+                bits(Z[:, K * j:K * (j + 1)]),
+                bits(identity_design(basis, X[:, j])))
 
 
 def counted_window(knots, x):
@@ -613,6 +738,23 @@ class TestWindows:
                 np.testing.assert_array_equal(
                     start[f, :, j] - width * (f * p + j), expect - degree)
                 np.testing.assert_array_equal(first[f, :, j], expect)
+
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_right_end_of_a_subnormal_domain(self, degree):
+        # the largest double below the right end is the left end or an
+        # interior knot, so the cap counts exactly the knots below the end
+        for lo, interior, hi in [(0.0, [], 5e-324),
+                                 (0.0, [0.0, 5e-324], 5e-324),
+                                 (-5e-324, [0.0], 5e-324),
+                                 (0.0, [1e-320, 1e-320], 1.5e-320)]:
+            knots = clamped_knots(degree, interior, lo, hi)
+            X = np.array([lo, hi, np.nextafter(hi, -np.inf), *interior,
+                          2 * hi, -1.0])
+            _, first, x = _windows(knots[None, None], degree, X[:, None])
+            clipped = np.clip(X, lo, hi)
+            np.testing.assert_array_equal(bits(x), bits(clipped))
+            np.testing.assert_array_equal(
+                first, [counted_window(knots, v) for v in clipped])
 
 
 class TestBasisRows:
