@@ -192,7 +192,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (PenplsError, OSError, np.linalg.LinAlgError,
+    except (PenplsError, OSError, MemoryError, np.linalg.LinAlgError,
             FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

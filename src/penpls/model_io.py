@@ -209,7 +209,10 @@ def _parse_kv(lines):
         if " = " not in line and not line.rstrip().endswith(" ="):
             raise ModelFormatError(f"malformed model line: {line.strip()!r}")
         key, _, value = line.partition(" =")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ModelFormatError(f"repeated model key {key!r}")
+        out[key] = value.strip()
     return out
 
 

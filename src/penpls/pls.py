@@ -132,7 +132,8 @@ def _pls_loop(S: np.ndarray, y: np.ndarray, cfg: FitConfig,
     if not y.any():
         raise DegenerateResponseError("centered response is identically zero")
     n, d = S.shape
-    m = cfg.n_components
+    # the scores are orthogonal vectors S w: no fit has more than min(n, d)
+    m = min(cfg.n_components, n, d)
     e = int(np.frexp(np.max(np.abs(y)))[1])
     weights, eff_weights = np.empty((m, d)), np.empty((m, d))
     components = np.empty((m, n))
@@ -231,11 +232,12 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, M: Preconditioner,
     eigenbasis, with centered responses y (F, n), at each of the L lambdas
     whose blocks M holds: fit (f, l) is fold f at lambda l.
 
-    Returns the effective weights and their images (each (F, L, m, d)),
-    the steps (F, L, m), each fit's component count k (F, L) and each
-    fold's exponent e (F,).  Fit (f, l)'s weights and images are its first
-    k[f, l] rows, and its steps are exact zeros after them, so the caller
-    can sum steps times rows over all m.  All but the steps are in units
+    Returns, m the least of the requested count, n and d, the effective
+    weights and their images (each (F, L, m, d)), the steps (F, L, m), each
+    fit's component count k (F, L) and each fold's exponent e (F,).  Fit
+    (f, l)'s weights and images are its first k[f, l] rows, and its steps
+    are exact zeros after them, so the caller can sum steps times rows
+    over all m.  All but the steps are in units
     of 2^e[f], e[f] the binary exponent of fold f's response peak.  A fold
     whose response is zero, an intercept-only fold, is an ordinary fold
     whose fits extract nothing: its first scores are zero, so every fit
@@ -259,8 +261,8 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, M: Preconditioner,
     with its fold alone, not with its lambda alone; every other product is
     one BLAS call per fit, as the same fit run alone makes it.
     """
-    F, _, d = S.shape
-    L, m = M.dim // d, cfg.n_components
+    F, n, d = S.shape
+    L, m = M.dim // d, min(cfg.n_components, n, d)  # as ``_pls_loop``'s m
     exps = np.frexp(np.max(np.abs(y), axis=-1))[1]
     St = S.transpose(0, 2, 1)
     b = (St @ np.ldexp(y, -exps[:, None])[..., None])[..., 0]

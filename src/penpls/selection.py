@@ -21,8 +21,10 @@ the fitted paths and the held-out predictions are the same numbers up to
 rounding:
 
 * knots: per variable, one ``np.unique`` of the column gives every fold's
-  distinct values (``_fold_knots``), so the folds' knots take at most two
-  ``np.quantile`` calls, not n ``make_basis`` calls;
+  distinct values (``_fold_knots``), so the folds' knots take one
+  ``np.quantile`` per ``_FOLD_CHUNK_BYTES // (8 U)`` folds holding out a
+  value seen once, of U distinct ones (3,334 calls at U = 20,000, 1 at
+  100), and one for the rest, not n ``make_basis`` calls;
 * designs: ``splines._fold_designs`` writes a chunk's basis rows, with one
   window search for all its folds, and rotates them in one product.  A
   fold's rows are its training rows, centered by their own means
@@ -123,7 +125,8 @@ def _chunk_errors(X, y, folds, knots, M, cfg, degree: int, ref: int):
     """Squared held-out errors (F, L, m), of residuals in units of 2^ref,
     and early-stop flags (F, L) of the F folds holding out rows ``folds``,
     at each of the L lambdas whose blocks ``M`` holds; ``knots[i]`` holds
-    fold i's p knot vectors.
+    fold i's p knot vectors, m ``_fold_fits``' count.  A fit is flagged if
+    it stops before the requested count.
 
     Each fold's intercept, and whether its response varies, come from its
     own training responses, as ``fit_gam``'s do.  A fold whose response
@@ -133,8 +136,7 @@ def _chunk_errors(X, y, folds, knots, M, cfg, degree: int, ref: int):
     ``M.basis``, where M is the diagonal ``M.scale``, and score the
     held-out rows in that basis.
     """
-    n = len(X)
-    F, m = len(folds), cfg.n_components
+    n, F = len(X), len(folds)
     # fold f's rows: its training rows, then the row it holds out
     train = np.arange(n) != folds[:, None]
     order = np.column_stack([np.nonzero(train)[1].reshape(F, n - 1), folds])
@@ -147,7 +149,8 @@ def _chunk_errors(X, y, folds, knots, M, cfg, degree: int, ref: int):
     exps = np.where(varies, exps, ref)
     y_held = np.ldexp(y[folds] - intercepts, -exps)  # in the fits' units
     errors = (y_held[:, None, None] - preds) ** 2
-    return np.ldexp(errors, 2 * (exps - ref)[:, None, None]), count < m
+    return (np.ldexp(errors, 2 * (exps - ref)[:, None, None]),
+            count < cfg.n_components)
 
 
 def loocv(X, y, lambdas=None, max_components: int = 10,
@@ -160,7 +163,8 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     DataError
         If X or y holds NaN or an infinity.
     ConfigurationError
-        For a bad grid, component count, basis size, degree or order.
+        For a bad grid, component count, basis size, degree or order, or
+        a component count whose error grid cannot be allocated.
     DegenerateVariableError
         If some fold's training rows give a predictor fewer than two
         distinct values; the message names the first such fold, then the
@@ -180,10 +184,19 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     _check_finite(X)
     _check_basis_size(n_basis, degree)
 
-    # a fold's share of a chunk: its design (training rows and held-out
-    # row), and per fit the effective weights and their images, and a
-    # step's g, weight, S w, image and two-row products
-    d, L, m = p * n_basis, lambdas.size, max_components
+    d, L = p * n_basis, lambdas.size
+    try:
+        errors = np.zeros((L, max_components))
+    except (ValueError, MemoryError):
+        raise ConfigurationError(f"max_components={max_components}: cannot "
+                                 f"allocate its ({L}, {max_components}) error "
+                                 f"grid") from None
+    # no fold fit has more components than n - 1 rows or d columns hold,
+    # so the grid's later columns repeat its m-th.  A fold's share of a
+    # chunk: its design (training rows and held-out row), and per fit the
+    # effective weights and their images, and a step's g, weight, S w,
+    # image and two-row products
+    m = min(max_components, n - 1, d)
     fold_doubles = n * d + L * ((2 * m + 5) * d + n)
     chunk = max(1, _FOLD_CHUNK_BYTES // (8 * fold_doubles))
     M = make_preconditioner(spec)  # one block per (lambda, variable)
@@ -203,15 +216,15 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     # so no square overflows; a power of two rescales exactly at the end
     ref = int(np.frexp(np.max(np.abs(y - y.mean())))[1])
 
-    errors = np.zeros((L, m))
     early_stops = np.zeros(L, dtype=int)
     for lo in range(0, n, chunk):
         folds = np.arange(lo, min(lo + chunk, n))
         for fold_err, stopped in zip(*_chunk_errors(X, y, folds, knots, M,
                                                     cfg, degree, ref)):
-            errors += fold_err
+            errors[:, :m] += fold_err
             early_stops += stopped
 
+    errors[:, m:] = errors[:, m - 1:m]
     errors /= n
     choice = _choose(lambdas, errors)  # in units of 2^ref: no cell is inf
     errors = np.ldexp(errors, 2 * ref)  # on the response's scale

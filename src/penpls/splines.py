@@ -6,26 +6,26 @@ matrix.  A data matrix with p columns is mapped to a matrix with p*K
 columns, grouped contiguously by variable.
 
 One search, ``_windows``, finds each point's knot window, in one knot
-vector or in every fold's at once.  Two consumers then use the windows:
+vector or in every fold's at once.  One recurrence, de Boor's BSPLVB
+(``_bsplvb``), gives from a window the ``degree + 1`` B-splines nonzero
+at a point (local support), one array pass per degree.  Its two users:
 
-* the basis matrix.  One Cox-de Boor recursion, ``_tables``, computes per
-  point only the ``degree + 1`` basis functions that are nonzero there
-  (local support): ``degree`` array passes over a ``(degree + 1,
-  len(xs))`` table, run in cache-sized slices of points.  ``_basis_rows``,
-  the table's one reader, writes each point's values into their columns
-  of a zeroed matrix, the basis rows of every point in its own knot
-  vector.  This is every basis matrix: ``eval_basis_grid`` is its
-  one-vector case, ``transform`` (``fit_gam``'s design) makes one such
-  call per column of a data matrix, and ``_fold_designs``, the rotated
-  designs B V of a chunk of ``loocv``'s folds, multiplies the rows of all
-  folds by the preconditioner's Demmler-Reinsch rotation V in one product;
+* the basis matrix.  ``_basis_rows`` writes the last pass, in cache-sized
+  slices of points, into its columns of a zeroed matrix, the basis rows
+  of every point in its own knot vector.  This is every basis matrix:
+  ``eval_basis_grid`` is its one-vector case, ``transform`` (``fit_gam``'s
+  design) makes one such call per column of a data matrix, and
+  ``_fold_designs``, the rotated designs B V of a chunk of ``loocv``'s
+  folds, multiplies the rows of all folds by the preconditioner's
+  Demmler-Reinsch rotation V in one product;
 * the fitted curves.  A spline ``sum_k coef[k] B_k`` is one polynomial of
   degree ``degree`` on each knot interval.  ``_pp_table`` converts it to
-  that piecewise-polynomial form (de Boor's BSPLPP), and ``pp_dot`` scores
-  a point from it, ``transform(X) @ coef`` without the dense matrix and
-  without the recursion: its interval's ``degree + 1`` coefficients and
-  ``degree`` Horner steps.  One table call serves every variable of an
-  expansion.  This scores prediction and fitted curves.
+  that piecewise-polynomial form (de Boor's BSPLPP), taking every pass of
+  the recurrence at each interval's left knot, and ``pp_dot`` scores a
+  point from it, ``transform(X) @ coef`` without the dense matrix and
+  without the recurrence at the point: its interval's ``degree + 1``
+  coefficients and ``degree`` Horner steps.  One table call serves every
+  variable of an expansion.  This scores prediction and fitted curves.
 
 Every basis is clamped, so a point's window of knots and functions lies
 in its own knot vector.  A vector wider than the largest double is
@@ -46,7 +46,7 @@ from .errors import (ConfigurationError, DataError, DegenerateVariableError,
 
 DEFAULT_N_BASIS = 20
 DEFAULT_DEGREE = 3
-# points per pass of the recursion in ``_tables``: a pass's
+# points per slice of ``_basis_rows`` and ``_windows``: a pass's
 # temporaries stay in a 2 MB L2 cache
 _SLICE = 4096
 
@@ -228,22 +228,26 @@ def _basis_rows(knots: np.ndarray, degree: int, X: np.ndarray) -> np.ndarray:
     of p vectors of one width, and (n, p) or (F, n, p) points), and K is
     the vectors' basis size.
 
-    ``_windows`` locates each point's window and the recursion's table
-    values are written into their columns of a zeroed matrix, plus +0.0, so
-    a table's -0.0 reads +0.0.  Each entry is one table value or +0.0.
+    ``_windows`` locates each point's window and the last ``_bsplvb`` pass
+    is written into its columns of a zeroed matrix, plus +0.0, so a
+    table's -0.0 reads +0.0.  Each entry is one table value or +0.0.
     """
     d = degree
     n_basis = knots.shape[-1] - d - 1
     knots, X = _halved(knots, X)
     start, first, x = _windows(knots, d, X)
+    knots = knots.ravel()
     out = np.zeros((len(x), n_basis))
-    rows = np.arange(d + 1)[:, None]
-    for lo, table in _tables(knots.ravel(), start, x, d):
-        m = table.shape[1]
-        # row r of the table is function first - d + r, entry
-        # K * i + first - d + r of out flattened
-        cell = first[lo:lo + m] - d + rows + n_basis * np.arange(lo, lo + m)
-        out.put(cell, table + 0.0)
+    # row r of point i's table is function first - d + r, entry
+    # K * i + first - d + r of out flattened
+    cells = first - d + n_basis * np.arange(len(x))
+    window, rows = np.arange(2 * d + 2)[:, None], np.arange(d + 1)[:, None]
+    # every operation is per point, so the slicing changes no value
+    for lo in range(0, len(x), _SLICE):
+        points = slice(lo, lo + _SLICE)
+        # row r of the window is knot first - d + r
+        *_, table = _bsplvb(knots[window + start[points]], x[points], d)
+        out.put(cells[points] + rows, table + 0.0)
     return out
 
 
@@ -321,26 +325,21 @@ def _fold_designs(X: np.ndarray, knots: np.ndarray, degree: int,
     return (rows @ rotation).reshape(len(knots), n, p * len(rotation))
 
 
-def _tables(knots: np.ndarray, start: np.ndarray, x: np.ndarray,
-            degree: int):
-    """Yield ``(lo, table)`` per slice of at most ``_SLICE`` points from
-    ``lo``: row r of the ``(degree + 1, len(slice))`` table holds, for each
-    point, basis function ``first - degree + r``, evaluated on the
-    ``2 * degree + 2`` knots at entries ``start .. start + 2 * degree + 1``
-    of the flat knot array ``knots``.  This is the one Cox-de Boor
-    recursion; a table is overwritten by the next slice.
+def _bsplvb(tw: np.ndarray, x: np.ndarray, degree: int):
+    """de Boor's BSPLVB recurrence, the one B-spline recursion.  Rows ``0 ..
+    2 * degree + 1`` of ``tw`` are each point's window knots ``mu - degree
+    .. mu + degree + 1``, with x in ``[t_mu, t_{mu+1}]``; pass q = 0 ..
+    ``degree`` yields the degree-q B-splines ``mu - q .. mu`` at x, a
+    ``(q + 1, len(x))`` array that the next pass overwrites.  The last pass
+    is the basis table.
 
-    Degree 0 is the indicator of the point's interval; each of the
-    ``degree`` passes then combines neighbouring rows with the knot-ratio
-    weights ``(x - t_j) / (t_{j+k} - t_j)`` and
-    ``(t_{j+k+1} - x) / (t_{j+k+1} - t_{j+1})``, a weight being zero where
-    its knot span is empty.  Each table entry comes from the same
-    floating-point operations on the same operands as in the Cox-de Boor
-    recursion over all ``len(knots) - 1`` intervals, whose other terms are
-    exact zeros, so it is that recursion's bit for bit.
-
-    Slicing keeps a pass's temporaries cache-sized.  Every operation is per
-    point, so the slicing changes no value.
+    Degree 0 is the indicator of the point's interval; each pass combines
+    neighbouring functions with the weights ``(x - t_j) / (t_{j+q} - t_j)``
+    and ``(t_{j+q+1} - x) / (t_{j+q+1} - t_{j+1})``, zero where the span is
+    empty.  Each value comes from the same floating-point operations on the
+    same operands as in the Cox-de Boor recursion over every interval of
+    the vector, whose other terms are exact zeros, so it is that
+    recursion's bit for bit.
 
     Each weight is clipped to [0, 1].  Wherever the lower-degree function it
     multiplies is nonzero the weight already lies in [0, 1], so the clip
@@ -349,40 +348,30 @@ def _tables(knots: np.ndarray, start: np.ndarray, x: np.ndarray,
     expected and not warned about.
     """
     d = degree
-    # entry q of dens[k - 1] is t[q + k] - t[q] in flat terms; an empty
-    # span divides by inf, which gives a zero weight
-    dens = []
-    for k in range(1, d + 1):
-        span = knots[k:] - knots[:-k]
+    # the weights' numerators: x - t_j for the first d + 1 knots and
+    # t_j - x for the rest, the same in every pass
+    left = x - tw[:d + 1]
+    right = tw[d + 1:] - x
+    # row i holds function mu - d + i; rows no pass has reached yet, and
+    # row d + 1, are zero
+    b = np.zeros((d + 2, len(x)))
+    b[d] = 1.0
+    yield b[d:d + 1]
+    for q in range(1, d + 1):
+        rows = slice(d - q, d + 1)
+        # row i is t_{j+q} - t_j for window knot j = d - q + i; an empty
+        # span divides by inf, which gives a zero weight
+        span = tw[d:d + q + 2] - tw[d - q:d + 2]
         span[span <= 0] = np.inf
-        dens.append(span)
-    window = np.arange(2 * d + 2)[:, None]
-    for lo in range(0, len(x), _SLICE):
-        xs = x[lo:lo + _SLICE]
-        # row r of idx, and of the gathered knots tw, belongs to knot
-        # first - d + r
-        idx = window + start[lo:lo + _SLICE]
-        tw = knots[idx]
-        # the weights' numerators: x - t_j for the first d + 1 knots and
-        # t_j - x for the rest, the same in every pass
-        left = xs - tw[:d + 1]
-        right = tw[d + 1:] - xs
-        # row i holds basis function first - d + i; rows no pass has
-        # reached yet, and row d + 1, are zero
-        b = np.zeros((d + 2, len(xs)))
-        b[d] = 1.0
         with np.errstate(over="ignore"):
-            for k in range(1, d + 1):
-                rows = slice(d - k, d + 1)
-                den = np.take(dens[k - 1], idx[d - k:d + 2])
-                w1 = np.divide(left[rows], den[:-1])
-                w1.clip(0.0, 1.0, out=w1)
-                w2 = np.divide(right[:k + 1], den[1:])
-                w2.clip(0.0, 1.0, out=w2)
-                w2 *= b[d - k + 1:d + 2]
-                b[rows] *= w1
-                b[rows] += w2
-        yield lo, b[:d + 1]
+            w1 = np.divide(left[rows], span[:-1])
+            w2 = np.divide(right[:q + 1], span[1:])
+        w1.clip(0.0, 1.0, out=w1)
+        w2.clip(0.0, 1.0, out=w2)
+        w2 *= b[d - q + 1:d + 2]
+        b[rows] *= w1
+        b[rows] += w2
+        yield b[rows]
 
 
 def transform(X, expansion: BasisExpansion) -> np.ndarray:
@@ -412,7 +401,7 @@ def transform(X, expansion: BasisExpansion) -> np.ndarray:
 
 def pp_dot(X, expansion: BasisExpansion, coef) -> np.ndarray:
     """``transform(X, expansion) @ coef``, to rounding, without the dense
-    matrix and without the spline recursion: one piecewise-polynomial table
+    matrix and without the recurrence at X: one piecewise-polynomial table
     ``_pp_table`` of every variable, then per variable each point's knot
     window from ``_windows``, its interval's ``degree + 1`` coefficients
     from the table, and ``degree`` Horner steps in the interval's local
@@ -468,10 +457,12 @@ def _pp_table(knots: np.ndarray, degree: int, coef: np.ndarray) -> np.ndarray:
     Guide to Splines*, 1978), vectorised over the intervals and restricted
     to the ``degree + 1`` coefficients and the knot spans that reach each
     interval: the derivative coefficients' differences are taken in units
-    of h, and the lower-degree B-splines are evaluated at ``t_mu`` by
-    BSPLVB's recurrence.  Every span divided by covers the interval, so
-    each ratio, ``h / span`` or a knot's distance from ``t_mu`` over the
-    span, lies in [0, 1], and a subnormal span gives neither inf nor NaN.
+    of h, and the lower-degree B-splines at ``t_mu`` are the passes of
+    ``_bsplvb``, the recurrence that writes the basis rows, on the
+    interval's window.  Every span that weighs a nonzero value covers the
+    interval, so each such ratio, ``h / span`` or a knot's distance from
+    ``t_mu`` over the span, lies in [0, 1]; ``_bsplvb`` clips the weights
+    of the zero values, so a subnormal span gives neither inf nor NaN.
     The vector is clamped, so the knots ``mu - degree .. mu + degree + 1``
     and the functions ``mu - degree .. mu`` of a nonempty interval mu are
     all the vector's own.  Every step is per interval, so one table of p
@@ -491,20 +482,10 @@ def _pp_table(knots: np.ndarray, degree: int, coef: np.ndarray) -> np.ndarray:
     for r in range(1, d + 1):
         span = t[d + 1:2 * d + 2 - r] - t[r:d + 1]
         levels.append((levels[-1][1:] - levels[-1][:-1]) * (h / span))
-    # v holds the degree-q B-splines at t_mu, functions mu - q .. mu
-    v = np.ones((1, len(mu)))
-    for q in range(d + 1):
-        # a_r h^r = h^r f^(r)(t_mu) / r!
-        r = d - q
+    # v holds the degree-(d - r) B-splines at t_mu, functions mu - d + r
+    # .. mu, and a_r h^r = h^r f^(r)(t_mu) / r!
+    for r, v in zip(range(d, -1, -1), _bsplvb(t, t[d], d)):
         table[j, r, mu] = comb(d, r) * (levels[r] * v).sum(axis=0)
-        if q < d:
-            # BSPLVB's step from degree q to q + 1 at x = t_mu
-            hi, lo = t[d + 1:d + q + 2], t[d - q:d + 1]
-            span = hi - lo
-            up = np.zeros((q + 2, len(mu)))
-            up[:-1] = (hi - t[d]) / span * v
-            up[1:] += (t[d] - lo) / span * v
-            v = up
     return table
 
 

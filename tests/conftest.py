@@ -177,13 +177,14 @@ def reference_fold_fits(S, y, M, cfg):
 
     Returns the exponent e and, per lambda, the effective weights (k, d)
     and their images (k, d), in units of 2^e, and the m steps, exact zeros
-    from the step where the fit stops.
+    from the step where the fit stops; m is the requested count, or n or d
+    if less, since no fit has more components.
     """
     from penpls import DegenerateResponseError
     from penpls.pls import _NORM_TOL
 
-    d = S.shape[1]
-    L, m = M.dim // d, cfg.n_components
+    n, d = S.shape
+    L, m = M.dim // d, min(cfg.n_components, n, d)
     if not y.any():
         raise DegenerateResponseError("centered response is identically zero")
     e = int(np.frexp(np.max(np.abs(y)))[1])

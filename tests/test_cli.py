@@ -178,6 +178,38 @@ class TestFit:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--components", "--lambda"])
+    def test_non_numeric_flag_exits_two(self, dataset, tmp_path, capsys,
+                                        flag):
+        data, _, _ = dataset
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", str(data), "--response", "out",
+                  flag, "abc", "--output", str(tmp_path / "m.txt")])
+        assert exc.value.code == 2
+        assert "'abc' is not" in capsys.readouterr().err
+
+    def test_count_beyond_any_array_fits_as_the_row_count(
+            self, dataset, tmp_path, capsys):
+        _, X, _ = dataset
+        huge, rows = tmp_path / "huge.txt", tmp_path / "rows.txt"
+        run_fit(dataset, tmp_path, "--components", str(10 ** 18),
+                "--output", str(huge))
+        assert (f"warning = early stop before {10 ** 18} components"
+                in capsys.readouterr().out)
+        run_fit(dataset, tmp_path, "--components", str(len(X)),
+                "--output", str(rows))
+        np.testing.assert_array_equal(load_model(huge)[0].beta.view(np.int64),
+                                      load_model(rows)[0].beta.view(np.int64))
+
+    def test_basis_too_large_to_allocate_exits_one(self, dataset, tmp_path,
+                                                   capsys):
+        data, _, _ = dataset
+        code = main(["fit", "--data", str(data), "--response", "out",
+                     "--basis-size", str(10 ** 13),
+                     "--output", str(tmp_path / "m.txt")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestCv:
     def test_grid_output_matches_api(self, dataset, capsys):
@@ -225,6 +257,23 @@ class TestCv:
             main(["cv", "--data", str(data), "--response", "out",
                   "--lambda-grid", grid])
         assert exc.value.code == 2
+
+    def test_empty_lambda_grid_exits_two(self, dataset, capsys):
+        data, _, _ = dataset
+        with pytest.raises(SystemExit) as exc:
+            main(["cv", "--data", str(data), "--response", "out",
+                  "--lambda-grid", ","])
+        assert exc.value.code == 2
+        assert "lambda grid is empty" in capsys.readouterr().err
+
+    def test_grid_too_large_to_allocate_exits_one(self, dataset, capsys):
+        data, _, _ = dataset
+        code = main(["cv", "--data", str(data), "--response", "out",
+                     "--max-components", str(10 ** 18)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_components=")
+        assert err.count("\n") == 1
 
     def test_early_stop_warning_printed(self, tmp_path, capsys):
         # 7 training rows cannot carry 8 components

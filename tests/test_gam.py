@@ -164,6 +164,19 @@ class TestInputShape:
         with pytest.raises(ConfigurationError, match="integer"):
             fit_gam(X, y, PenaltySpec.shared(1.0, 1, 6), count)
 
+    def test_fewer_than_three_observations_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="^need at least 3 observations$"):
+            fit_gam([[0.0], [1.0]], [0.0, 1.0],
+                    PenaltySpec.shared(1.0, 1, 6), 1)
+
+    def test_column_count_must_match_the_penalty(self):
+        X, y, _ = gen_additive(SyntheticSpec(0, 20, 1, 0.2, ("sine",)))
+        with pytest.raises(ConfigurationError,
+                           match="^X has 1 columns but the penalty covers 2 "
+                                 "variables$"):
+            fit_gam(X, y, PenaltySpec.shared(1.0, 2, 6), 2)
+
     def test_zero_columns_rejected(self):
         with pytest.raises(ConfigurationError, match="predictor column"):
             fit_gam(np.zeros((5, 0)), np.arange(5.0),

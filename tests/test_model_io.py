@@ -94,6 +94,13 @@ class TestIngest:
         with pytest.raises(DataError, match="at least 3"):
             ingest(path, "y")
 
+    @pytest.mark.parametrize("text", ["", "\n", "\n\r\n\n"])
+    def test_empty_or_blank_file_rejected(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError, match="empty file"):
+            ingest(path, "y")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             ingest(tmp_path / "nope.csv", "y")
@@ -228,6 +235,26 @@ class TestModelFile:
         path.write_text("\n".join(kept) + "\n")
         with pytest.raises(ModelFormatError, match="beta"):
             load_model(path)
+
+    def test_repeated_key_refused(self, tmp_path):
+        _, _, model = fitted_model()
+        path = tmp_path / "model.txt"
+        save_model(path, model, ("u", "v"), "y")
+        lines = path.read_text().splitlines()
+        beta = next(ln for ln in lines if ln.startswith("beta "))
+        path.write_text("\n".join(lines + [beta]) + "\n")
+        with pytest.raises(ModelFormatError, match="repeated .*'beta'"):
+            load_model(path)
+
+    def test_blank_lines_between_keys_are_skipped(self, tmp_path):
+        _, _, model = fitted_model()
+        path = tmp_path / "model.txt"
+        save_model(path, model, ("u", "v"), "y")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + ["", "  "] + lines[2:]) + "\n")
+        loaded, predictors, response = load_model(path)
+        assert (predictors, response) == (("u", "v"), "y")
+        np.testing.assert_array_equal(loaded.beta, model.beta)
 
     def test_garbled_number_refused(self, tmp_path):
         _, _, model = fitted_model()

@@ -567,3 +567,33 @@ class TestFitConfig:
             kernel_penalized_pls_fit(K, y, 2.5)
         assert kernel_penalized_pls_fit(K, y, np.int64(2)).n_components == 2
 
+
+    @pytest.mark.parametrize("n", [6, 30])
+    def test_count_beyond_any_array_is_the_capped_fit(self, n):
+        # scores are orthogonal vectors of S's column space: no fit of an
+        # (n, 8) X has more than min(n, 8) components, so a count of 1e18
+        # allocates that many and fits as that count does, flagged as an
+        # early stop
+        X, y = centered_problem(75, n, 8)
+        fits = {
+            "nipals_fit": (lambda m: nipals_fit(X, y, FitConfig(m)), FIELDS),
+            "penalized_pls_fit": (
+                lambda m: penalized_pls_fit(X, y, _M8, FitConfig(m)), FIELDS),
+            "kernel_penalized_pls_fit": (
+                lambda m: kernel_penalized_pls_fit(gram_matrix(X, _M8), y, m),
+                ("alpha_path", "components", "fitted_path"))}
+        for name, (fit_of, fields) in fits.items():
+            huge, capped = fit_of(10 ** 18), fit_of(min(n, 8))
+            assert huge.requested_components == 10 ** 18, name
+            assert huge.n_components <= min(n, 8), name
+            for field in fields:
+                np.testing.assert_array_equal(
+                    getattr(huge, field).view(np.int64),
+                    getattr(capped, field).view(np.int64),
+                    err_msg=f"{name}.{field}")
+
+    def test_no_component_from_a_response_orthogonal_to_x(self):
+        with pytest.raises(DegenerateResponseError,
+                           match="^no component could be extracted$"):
+            nipals_fit([[1.0], [-1.0], [1.0], [-1.0]], [1.0, 1.0, -1.0, -1.0],
+                       FitConfig(2))

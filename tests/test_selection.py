@@ -98,7 +98,9 @@ def reference_loocv(X, y, lambdas, max_components, n_basis, rotated=True):
                     PenaltySpec(np.repeat(lambdas, p), 2, n_basis)), cfg)
             for li, (wt, _, steps) in enumerate(fits):
                 preds = held_out_predictions(wt, steps, z_held)
-                errors[li] += (y[i] - y_mean - np.ldexp(preds, e)) ** 2
+                err = (y[i] - y_mean - np.ldexp(preds, e)) ** 2
+                errors[li] += np.pad(err, (0, max_components - err.size),
+                                     mode="edge")
                 early_stops[li] += len(wt) < max_components
             continue
         for li, lam in enumerate(lambdas):
@@ -238,6 +240,24 @@ class TestLoocv:
         assert grid.early_stops.tolist() == [8, 8, 8]
         grid, _ = loocv(X, y, lambdas=[1.0], max_components=2, n_basis=5)
         assert grid.early_stops.tolist() == [0]
+
+    def test_count_beyond_the_folds_repeats_the_last_column(self):
+        # 7 training rows: no fold fit has more than 7 components, so the
+        # grid's columns from the 7th on are one column
+        X, y = small_dataset(12, n=8)
+        grid, choice = loocv(X, y, lambdas=[0.0, 1.0, 1e4],
+                             max_components=1000, n_basis=5)
+        assert grid.errors.shape == (3, 1000) and grid.max_components == 1000
+        np.testing.assert_array_equal(grid.errors[:, 7:],
+                                      np.repeat(grid.errors[:, 6:7], 993, 1))
+        assert grid.early_stops.tolist() == [8, 8, 8]
+        assert choice.m_opt <= 7
+
+    def test_grid_too_large_to_allocate_rejected(self):
+        X, y = small_dataset(12, n=8)
+        with pytest.raises(ConfigurationError,
+                           match=f"max_components={10 ** 18}"):
+            loocv(X, y, lambdas=[1.0], max_components=10 ** 18, n_basis=5)
 
     def test_hand_computed_three_fold(self):
         # n=3, one predictor, degree-1 basis with K=2, lambda=0, m=1:

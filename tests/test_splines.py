@@ -473,6 +473,11 @@ class TestExpansionShape:
                            match="one degree and one size"):
             BasisExpansion(bases)
 
+    def test_no_bases_refused(self):
+        with pytest.raises(ConfigurationError,
+                           match="^expansion needs at least one basis$"):
+            BasisExpansion(())
+
     def test_knots_are_one_read_only_matrix(self):
         bases = one_shape_bases(3, 8)
         expansion = BasisExpansion(bases)
