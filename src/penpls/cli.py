@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 data or runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -153,7 +154,7 @@ def _cmd_predict(args) -> int:
     preds = predict(model, X)
     out = sys.stdout if args.output is None else open(args.output, "w")
     try:
-        out.write("".join(f"{v:.17g}\n" for v in preds))
+        out.write("".join(f"{v:.17g}\n" for v in preds.tolist()))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -177,8 +178,8 @@ def _cmd_curves(args) -> int:
         path = os.path.join(args.output_dir, f"curve_{name}.csv")
         with open(path, "w") as fh:
             fh.write("x,f\n")
-            for x, v in zip(fn.grid, fn.values):
-                fh.write(f"{float(x)!r},{float(v)!r}\n")
+            for x, v in zip(fn.grid.tolist(), fn.values.tolist()):
+                fh.write(f"{x!r},{v!r}\n")
         print(path)
     return 0
 
@@ -187,9 +188,14 @@ _DISPATCH = {"fit": _cmd_fit, "cv": _cmd_cv, "predict": _cmd_predict,
              "curves": _cmd_curves}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it found it, so one serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except (PenplsError, OSError, MemoryError, np.linalg.LinAlgError,

@@ -202,7 +202,7 @@ def predict(model: GamModel, X_new) -> np.ndarray:
 def fitted_function(model: GamModel, variable: int,
                     grid_size: int = 200) -> FittedFunction:
     """Evaluate one additive component on an equispaced grid over its
-    training range."""
+    training range; ``ConfigurationError`` if no array can hold the grid."""
     _check_int(variable, "variable")
     _check_int(grid_size, "grid_size", 2)
     if not 0 <= variable < model.n_variables:
@@ -211,12 +211,16 @@ def fitted_function(model: GamModel, variable: int,
             f"{model.n_variables} predictors")
     basis = model.bases[variable]
     lo, hi = basis.domain
-    if np.isfinite(hi - lo):
-        grid = np.linspace(lo, hi, grid_size)
-    else:
-        # the width overflows; both ends are then so large that halving
-        # them and doubling the grid is exact
-        grid = 2 * np.linspace(lo / 2, hi / 2, grid_size)
+    try:
+        if np.isfinite(hi - lo):
+            grid = np.linspace(lo, hi, grid_size)
+        else:
+            # the width overflows; both ends are then so large that halving
+            # them and doubling the grid is exact
+            grid = 2 * np.linspace(lo / 2, hi / 2, grid_size)
+    except (ValueError, MemoryError):
+        raise ConfigurationError(f"grid_size={grid_size}: cannot allocate "
+                                 f"its grid") from None
     K = model.penalty.n_basis
     sl = slice(variable * K, (variable + 1) * K)
     values = _score(grid[:, None], BasisExpansion((basis,)), model.beta[sl],

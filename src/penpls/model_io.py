@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -42,24 +43,61 @@ class Dataset:
         return self.X.shape[1]
 
 
+def _plain_table(text):
+    """``(header, table)`` of a file that numpy's C parser reads as
+    ``_read_table``'s ``csv.reader`` path would, or None.
+
+    The file must hold no double quote (``csv.reader`` unquotes cells), no
+    NUL (which ``csv.reader`` refuses before Python 3.11), none of the line
+    breaks that ``str.splitlines`` adds to ``csv.reader``'s ``\\n``,
+    ``\\r`` and ``\\r\\n``, and none of the separators ``\\x1c``..``\\x1f``
+    (``np.loadtxt`` strips them as whitespace, ``float()`` refuses them).
+    Then ``np.loadtxt`` converts every cell with ``PyOS_string_to_double``,
+    as ``float()`` does, and refuses the rest of what ``float()`` accepts
+    (``1_0``, non-ASCII digits).  The table is kept only if it has one row
+    per nonblank body line and the header's width, and every value is
+    finite.
+    """
+    if any(c in text for c in '"\0\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029'):
+        return None
+    lines = [line for line in text.splitlines() if line]
+    if len(lines) < 2:
+        return None
+    header = [name.strip() for name in lines[0].split(",")]
+    if len(set(header)) != len(header):
+        return None
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if (table.shape != (len(lines) - 1, len(header))
+            or not np.isfinite(table).all()):
+        return None
+    return header, table
+
+
 def _read_table(path):
     """Parse a comma-delimited file into (header, float table).
 
     The first nonblank row is the header; every other nonblank row is data.
-    When every data row has the header's length, the whole body is
-    converted by one ``np.array(..., dtype=float)``, whose string parsing
-    accepts and rejects the same cells as ``float()`` and gives the same
-    bits.  If that conversion fails or yields a NaN or an infinity, the
+    Most files are parsed by ``_plain_table``.  The rest are split by
+    ``csv.reader``: when every data row has the header's length, the whole
+    body is converted by one ``np.array(..., dtype=float)``, whose string
+    parsing accepts and rejects the same cells as ``float()`` and gives the
+    same bits.  If that conversion fails or yields a NaN or an infinity, the
     cells are parsed again one by one, in row-major order, so the
     ``DataError`` names the first bad row or cell.  A file with a header and
     no data rows gives a ``(0, len(header))`` table.
     """
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = [r for r in rows if r]
+    plain = _plain_table(text)
+    if plain is not None:
+        return plain
+    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r]
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [name.strip() for name in rows[0]]

@@ -36,7 +36,12 @@ def _difference_operator(n_basis: int, order: int) -> np.ndarray:
     """Order-q difference operator D, a (K - q) x K integer matrix: q
     rounds of row i minus row i + 1, starting from the identity."""
     _check_order(n_basis, order)
-    diff = np.eye(n_basis)
+    try:
+        diff = np.eye(n_basis)
+    except (ValueError, MemoryError):
+        raise ConfigurationError(f"n_basis={n_basis}: cannot allocate its "
+                                 f"({n_basis}, {n_basis}) difference "
+                                 f"operator") from None
     for _ in range(order):
         diff = diff[:-1] - diff[1:]
     return diff

@@ -101,7 +101,9 @@ def _checked_xy(X, y):
 
 
 def _check_centered(X: np.ndarray, y: np.ndarray):
-    col_scale, y_scale = np.max(np.abs(X), axis=0), np.max(np.abs(y))
+    # max |x| per column, without an n x d array of |x|
+    col_scale = np.maximum(X.max(axis=0), -X.min(axis=0))
+    y_scale = np.max(np.abs(y))
     _check_finite(X=col_scale, y=y_scale)  # a NaN or inf sets its peak
     if np.any(np.abs(X.mean(axis=0)) > 1e-8 * col_scale):
         raise ConfigurationError("X must be column-centered")
@@ -227,10 +229,12 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fold_fits(S: np.ndarray, y: np.ndarray, M: Preconditioner,
-               cfg: FitConfig) -> tuple[np.ndarray, ...]:
+               cfg: FitConfig, wu_rows: np.ndarray
+               ) -> tuple[np.ndarray, ...]:
     """Penalized PLS fits of F fold designs S (F, n, d), rotated to M's
     eigenbasis, with centered responses y (F, n), at each of the L lambdas
-    whose blocks M holds: fit (f, l) is fold f at lambda l.
+    whose blocks M holds: fit (f, l) is fold f at lambda l.  ``wu_rows``
+    is an (F, L, m, 2d) array, of any contents, that the fits overwrite.
 
     Returns, m the least of the requested count, n and d, the effective
     weights and their images (each (F, L, m, d)), the steps (F, L, m), each
@@ -260,6 +264,10 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, M: Preconditioner,
     depending on its row count, so a fit is bit for bit the same fit run
     with its fold alone, not with its lambda alone; every other product is
     one BLAS call per fit, as the same fit run alone makes it.
+
+    The caller owns ``wu_rows`` so that ``loocv`` can pass one array to all
+    its chunks: a fresh ~0.6 MB array per chunk page-faults in or not
+    depending on the allocator's heap state.
     """
     F, n, d = S.shape
     L, m = M.dim // d, min(cfg.n_components, n, d)  # as ``_pls_loop``'s m
@@ -269,7 +277,7 @@ def _fold_fits(S: np.ndarray, y: np.ndarray, M: Preconditioner,
 
     # row i of fit (f, l): its effective weight, then the weight's image
     # (zeros: rows after an early break are never written, yet summed)
-    wu_rows = np.zeros((F, L, m, 2 * d))
+    wu_rows[...] = 0.0
     grams = np.empty((F, L, m))  # t't of each kept score (1 where stopped)
     steps = np.zeros((F, L, m))
     g = np.repeat(b[:, None], L, axis=1)

@@ -121,12 +121,14 @@ def _fold_knots(col: np.ndarray, n_basis: int, degree: int):
     return knots, distinct.size - single
 
 
-def _chunk_errors(X, y, folds, knots, M, cfg, degree: int, ref: int):
+def _chunk_errors(X, y, folds, knots, M, cfg, degree: int, ref: int,
+                  wu_rows):
     """Squared held-out errors (F, L, m), of residuals in units of 2^ref,
     and early-stop flags (F, L) of the F folds holding out rows ``folds``,
     at each of the L lambdas whose blocks ``M`` holds; ``knots[i]`` holds
-    fold i's p knot vectors, m ``_fold_fits``' count.  A fit is flagged if
-    it stops before the requested count.
+    fold i's p knot vectors, m ``_fold_fits``' count, and ``wu_rows`` the
+    (F, L, m, 2d) rows it fills.  A fit is flagged if it stops before the
+    requested count.
 
     Each fold's intercept, and whether its response varies, come from its
     own training responses, as ``fit_gam``'s do.  A fold whose response
@@ -144,7 +146,7 @@ def _chunk_errors(X, y, folds, knots, M, cfg, degree: int, ref: int):
     _center(Z, n - 1)
     intercepts, Y, varies = _centered_response(y[order[:, :-1]])
 
-    Wt, _, steps, count, exps = _fold_fits(Z[:, :-1], Y, M, cfg)
+    Wt, _, steps, count, exps = _fold_fits(Z[:, :-1], Y, M, cfg, wu_rows)
     preds = np.cumsum(steps * (Wt @ Z[:, -1, None, :, None])[..., 0], axis=-1)
     exps = np.where(varies, exps, ref)
     y_held = np.ldexp(y[folds] - intercepts, -exps)  # in the fits' units
@@ -217,10 +219,13 @@ def loocv(X, y, lambdas=None, max_components: int = 10,
     ref = int(np.frexp(np.max(np.abs(y - y.mean())))[1])
 
     early_stops = np.zeros(L, dtype=int)
+    # one block of fit rows for every chunk (``_fold_fits``)
+    wu_rows = np.empty((min(chunk, n), L, m, 2 * d))
     for lo in range(0, n, chunk):
         folds = np.arange(lo, min(lo + chunk, n))
-        for fold_err, stopped in zip(*_chunk_errors(X, y, folds, knots, M,
-                                                    cfg, degree, ref)):
+        for fold_err, stopped in zip(*_chunk_errors(
+                X, y, folds, knots, M, cfg, degree, ref,
+                wu_rows[:len(folds)])):
             errors[:, :m] += fold_err
             early_stops += stopped
 

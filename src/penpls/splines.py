@@ -153,7 +153,7 @@ def make_basis(values, n_basis: int = DEFAULT_N_BASIS,
     Raises
     ------
     ConfigurationError
-        If ``n_basis < degree + 1``.
+        If ``n_basis < degree + 1``, or no array can hold its knots.
     DataError
         If ``values`` contains NaN or an infinity.
     DegenerateVariableError
@@ -178,7 +178,11 @@ def _knots(distinct: np.ndarray, n_basis: int, degree: int) -> np.ndarray:
     them, one row per fold, for one ``np.quantile`` over all rows.
     """
     n_interior = n_basis - degree - 1
-    probs = np.arange(1, n_interior + 1) / (n_interior + 1)
+    try:
+        probs = np.arange(1, n_interior + 1) / (n_interior + 1)
+    except (ValueError, MemoryError):
+        raise ConfigurationError(f"n_basis={n_basis}: cannot allocate its "
+                                 f"{n_interior} interior knots") from None
     interior = np.moveaxis(np.quantile(distinct, probs, axis=-1), 0, -1)
     edge = distinct.shape[:-1] + (degree + 1,)
     return np.concatenate([np.broadcast_to(distinct[..., :1], edge), interior,

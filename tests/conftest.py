@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
-from penpls import PenaltySpec, fit_gam, make_preconditioner, predict
+from penpls import (DataError, PenaltySpec, fit_gam, make_preconditioner,
+                    predict)
 
 
 def centered_problem(seed, n, d):
@@ -230,3 +233,63 @@ def held_out_predictions(Wt, steps, held):
     rows = np.zeros((len(steps), Wt.shape[1]))
     rows[:len(Wt)] = Wt
     return np.cumsum(steps * (rows @ held))
+
+
+def reference_read_table(path):
+    """Parse a comma-delimited file into (header, float table).
+
+    The first nonblank row is the header; every other nonblank row is data.
+    When every data row has the header's length, the whole body is
+    converted by one ``np.array(..., dtype=float)``, whose string parsing
+    accepts and rejects the same cells as ``float()`` and gives the same
+    bits.  If that conversion fails or yields a NaN or an infinity, the
+    cells are parsed again one by one, in row-major order, so the
+    ``DataError`` names the first bad row or cell.  A file with a header and
+    no data rows gives a ``(0, len(header))`` table.
+
+    ``model_io._read_table`` must give this table bit for bit, or this
+    ``DataError`` message, on every file; it is the function as it was
+    before numpy's C parser read most files, kept here, outside the
+    package, as that reference.
+    """
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    rows = [r for r in rows if r]
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = [name.strip() for name in rows[0]]
+    if len(set(header)) != len(header):
+        dupes = sorted({n for n in header if header.count(n) > 1})
+        raise DataError(f"{path}: duplicate column names {dupes}")
+    body = rows[1:]
+    if all(len(row) == len(header) for row in body):
+        try:
+            table = np.array(body, dtype=float).reshape(len(body), len(header))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(table).all():
+                return header, table
+    parsed = []
+    for ridx, row in enumerate(body, start=1):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {ridx} has {len(row)} cells, expected "
+                f"{len(header)}")
+        values = []
+        for name, cell in zip(header, row):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {ridx}, column {name!r}: cannot parse "
+                    f"{cell.strip()!r}") from None
+            if not np.isfinite(v):
+                raise DataError(
+                    f"{path}: row {ridx}, column {name!r}: non-finite value")
+            values.append(v)
+        parsed.append(values)
+    return header, np.array(parsed, dtype=float)

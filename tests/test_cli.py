@@ -9,6 +9,7 @@ from hypothesis import given, seed, settings, strategies as st
 from conftest import explicit_folds
 from penpls import (PenaltySpec, default_lambda_grid, fit_gam,
                     fitted_function, load_model, loocv, predict)
+from penpls import cli
 from penpls.cli import build_parser, main
 from penpls.testkit import SyntheticSpec, gen_additive, write_csv
 
@@ -490,6 +491,76 @@ class TestCurves:
             assert code == 0
             assert new - {tmp_path / "out", out_dir} == {
                 out_dir / f"curve_{n}.csv" for n in (name, "b")}
+
+
+class TestSizesBeyondMemory:
+    @pytest.mark.parametrize("command, flag, size, name", [
+        ("cv", "--basis-size", 10 ** 13, "n_basis"),
+        ("cv", "--basis-size", 10 ** 20, "n_basis"),
+        ("fit", "--basis-size", 10 ** 13, "n_basis"),
+        ("fit", "--basis-size", 10 ** 20, "n_basis"),
+        ("curves", "--grid-size", 10 ** 13, "grid_size"),
+        ("curves", "--grid-size", 10 ** 20, "grid_size")])
+    def test_size_no_array_can_hold_exits_one(self, dataset, tmp_path,
+                                              capsys, command, flag, size,
+                                              name):
+        data, _, _ = dataset
+        model = run_fit(dataset, tmp_path)
+        capsys.readouterr()
+        argv = {"cv": ["cv", "--data", str(data), "--response", "out"],
+                "fit": ["fit", "--data", str(data), "--response", "out",
+                        "--output", str(tmp_path / "big.txt")],
+                "curves": ["curves", "--model", str(model),
+                           "--output-dir", str(tmp_path / "curves")]}
+        assert main(argv[command] + [flag, str(size)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}={size}: cannot allocate")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestParserReuse:
+    def test_reused_parser_gives_what_a_fresh_one_gives(self, dataset,
+                                                        tmp_path):
+        data = str(dataset[0])
+        commands = [
+            ["fit", "--data", data, "--response", "out", "--basis-size",
+             "8", "--components", "3", "--output", "{dir}/m.txt"],
+            ["predict", "--model", "{dir}/m.txt", "--data", data,
+             "--output", "{dir}/p.txt"],
+            ["fit", "--data", data, "--response", "out", "--lambda", "20",
+             "--degree", "2", "--diff-order", "1", "--output",
+             "{dir}/m2.txt"],
+            ["fit", "--data", data, "--response", "out", "--components",
+             "zero", "--output", "{dir}/m3.txt"],
+            ["cv", "--data", data, "--response", "out", "--basis-size", "6",
+             "--max-components", "2", "--lambda-grid", "1,10"]]
+
+        def run_all(directory, fresh):
+            directory.mkdir()
+            cli._parser.cache_clear()
+            runs = []
+            for argv in commands:
+                if fresh:
+                    cli._parser.cache_clear()
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    try:
+                        code = main([a.format(dir=directory) for a in argv])
+                    except SystemExit as exc:
+                        code = exc.code
+                runs.append((code, out.getvalue(), err.getvalue()))
+            # a model file's creation time is its only line that may differ
+            files = {path.name: [line for line in path.read_text()
+                                 .splitlines()
+                                 if not line.startswith("created = ")]
+                     for path in directory.iterdir()}
+            return runs, files
+
+        reused = run_all(tmp_path / "reused", fresh=False)
+        assert [code for code, _, _ in reused[0]] == [0, 0, 0, 2, 0]
+        assert sorted(reused[1]) == ["m.txt", "m2.txt", "p.txt"]
+        assert run_all(tmp_path / "fresh", fresh=True) == reused
 
 
 # what a mutation writes in place of a span of a file: numbers the parsers

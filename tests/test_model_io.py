@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import os
 import tempfile
 
@@ -6,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_read_table
 from penpls import (ConfigurationError, DataError, GamModel, ModelFormatError,
                     PenaltySpec, PenplsError, SplineBasis, fit_gam, ingest,
                     ingest_for_model, load_model, make_basis, predict,
                     save_model, transform)
-from penpls.model_io import FORMAT_TAG, _read_table, file_sha256
+from penpls.model_io import (FORMAT_TAG, _plain_table, _read_table,
+                             file_sha256)
 from penpls.testkit import SyntheticSpec, gen_additive, write_csv
 
 
@@ -421,6 +425,129 @@ class TestCsvRoundTripProperty:
                               table[:, :-1].view(np.int64))
         assert np.array_equal(data.y.view(np.int64),
                               table[:, -1].view(np.int64))
+
+
+def read_outcome(read, path):
+    """What ``read(path)`` gives: the header, shape and bits of its table,
+    or the type and message of what it raises."""
+    try:
+        header, table = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return header, table.shape, table.view(np.int64).tolist()
+
+
+# files that each guard of model_io._plain_table sends to the csv path,
+# and files that it reads itself
+ODD_FILES = {
+    "quoted cell": b'a,y\n"1",2\n3,4\n5,6\n',
+    "quoted header": b'"a,b",y\n1,2\n3,4\n',
+    "quoted name": b'"a",y\n1,2\n3,4\n',
+    "quoted bad cell": b'a,y\n1,"x"\n',
+    "underscore": b"a,y\n1_0,2\n3,4\n",
+    "whitespace row, one column": b"y\n1\n \n2\n",
+    "whitespace row, two columns": b"a,y\n1,2\n \n3,4\n",
+    "blank lines": b"\na,y\n\n1,2\n\n\n3,4\n\n",
+    "crlf": b"a,y\r\n1,2\r\n3,4\r\n",
+    "crlf blank lines": b"\r\na,y\r\n\r\n1,2\r\n\r\n3,4",
+    "mixed endings": b"a,y\n1,2\r\n3,4\n5,6\r\n",
+    "lf then crlf": b"a,y\n1,2\n\r\n3,4\n",
+    "cr before crlf": b"a,y\r\r\n1,2\r\n",
+    "lone cr": b"a,y\r1,2\r3,4\r",
+    "cr in a cell": b"a,y\n1\r,2\n",
+    "hash cell": b"a,y\n#3,2\n3,4\n",
+    "hash header": b"#a,y\n1,2\n",
+    "bom": "\ufeffa,y\n1,2\n3,4\n".encode(),
+    "bom in body": "a,y\n\ufeff1,2\n".encode(),
+    "nul in cell": b"a,y\n1\x00,2\n3,4\n",
+    "nul in header": b"a\x00,y\n1,2\n",
+    "information separator": b"a,y\n1\x1c,2\n",
+    "unit separator": b"a,y\n\x1f1,2\n",
+    "form feed": b"a,y\n1\x0c,2\x0b\n",
+    "next line": "a,y\n1\x85,2\n3,4\u2028\n".encode(),
+    "vertical tab in a cell": "y\n1\x0b2\n3\n".encode(),
+    "form feed in a cell": "y\n1\x0c2\n3\n".encode(),
+    "next line in a cell": "y\n1\x852\n3\n".encode(),
+    "line separator in a cell": "y\n1\u20282\n3\n".encode(),
+    "paragraph separator in a cell": "y\n1\u20292\n3\n".encode(),
+    "unicode space": "a,y\n1\u2003,\xa02\n".encode(),
+    "unicode digits": "a,y\n\u0661,2\n".encode(),
+    "inf": b"a,y\n1,2\ninf,4\n",
+    "nan": b"a,y\n1,2\n3,nan\n",
+    "1e999": b"a,y\n1,2\n3,-1e999\n",
+    "number forms": b"a , y\n +1 ,.5\n\t-0\t,1E+05\n5.,-5e-324\n",
+    "trailing comma": b"a,y\n1,2,\n3,4\n",
+    "trailing comma everywhere": b"a,y,\n1,2,\n",
+    "empty cell": b"a,y\n1,\n",
+    "ragged row": b"a,y\n1,2\n3\n4,5\n",
+    "long row": b"a,y\n1,2,3\n",
+    "header only": b"a,y\n",
+    "header only, crlf": b"a,y\r\n\r\n",
+    "duplicate header": b"a,a\n1,2\n",
+    "empty": b"",
+    "blank": b"\n\r\n\n",
+    "one row": b"a,y\n1,2\n",
+    "one column": b"y\n1\n2\n3",
+    "space in a cell": b"a,y\n1 2,3\n",
+    "hex": b"a,y\n0x10,2\n",
+    "undecodable": b"a,y\n1,\xff\n",
+}
+
+
+class TestReadTableOracle:
+    """``_read_table`` against the csv-only reader in ``conftest``."""
+
+    @pytest.mark.parametrize("blob", ODD_FILES.values(), ids=ODD_FILES)
+    def test_odd_files_read_as_the_reference_reads_them(self, tmp_path,
+                                                        blob):
+        path = tmp_path / "data.csv"
+        path.write_bytes(blob)
+        assert (read_outcome(_read_table, path)
+                == read_outcome(reference_read_table, path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.tuples(
+               CELLS, st.sampled_from([repr, "{:.17g}".format, "%.6e".__mod__]),
+               st.booleans()), min_size=2, max_size=2),
+           min_size=1, max_size=8),
+           st.sampled_from(["\n", "\r\n", "mixed"]), st.randoms())
+    def test_written_doubles_read_as_the_reference_reads_them(
+            self, rows, ending, rnd):
+        # each cell written in one of three forms, and quoted or not;
+        # blank lines anywhere
+        def line_end():
+            return rnd.choice(["\n", "\r\n"]) if ending == "mixed" else ending
+
+        text = "a,y" + line_end()
+        for row in rows:
+            text += line_end() * rnd.randint(0, 1)
+            text += ",".join(f'"{fmt(v)}"' if quoted else fmt(v)
+                             for v, fmt, quoted in row) + line_end()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            expect = read_outcome(reference_read_table, path)
+            assert read_outcome(_read_table, path) == expect
+        table = np.array([[float(fmt(v)) for v, fmt, _ in row]
+                          for row in rows])
+        assert expect[2] == table.view(np.int64).tolist()
+        # files without quotes take the C parser
+        plain = not any(quoted for row in rows for _, _, quoted in row)
+        assert (_plain_table(text) is not None) == plain
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(
+        list("0123456789.,eE+-_ \t\r\n\"#infa") +
+        ["\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+         "\xa0", "\u2003", "\u2028", "\u0661", "\ufeff"]), max_size=40))
+    def test_any_text_reads_as_the_reference_reads_it(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write("a,y\n" + body)
+            assert (read_outcome(_read_table, path)
+                    == read_outcome(reference_read_table, path))
 
 
 class TestRoundTripProperty:

@@ -10,7 +10,7 @@ from penpls import (ConfigurationError, DataError, DegenerateResponseError,
                     FitConfig, PenaltySpec, PlsFit, gram_matrix,
                     kernel_penalized_pls_fit, make_preconditioner,
                     nipals_fit, pcg_iterates, penalized_pls_fit)
-from penpls.pls import _fold_fits
+from penpls.pls import _check_centered, _check_finite, _fold_fits
 from penpls.testkit import (closed_form_beta, cross_matrix, dense_ls_oracle,
                             krylov_basis, numerical_rank)
 
@@ -215,8 +215,11 @@ def folds_problem(seed, n_folds, n, d, rank):
 
 def chunk_fits(S, y, M, cfg):
     """Every fold's fits at every lambda of M from one ``_fold_fits`` pass,
-    laid out as ``reference_fold_fits`` gives one fold's."""
-    Wt, U, steps, count, exps = _fold_fits(S, y, M, cfg)
+    laid out as ``reference_fold_fits`` gives one fold's; the rows the fits
+    fill start as NaN, as a chunk's rows hold the last chunk's fits."""
+    (F, n, d), L = S.shape, M.dim // S.shape[2]
+    rows = np.full((F, L, min(cfg.n_components, n, d), 2 * d), np.nan)
+    Wt, U, steps, count, exps = _fold_fits(S, y, M, cfg, rows)
     return [(e, [(Wt[f, l, :k], U[f, l, :k], steps[f, l])
                  for l, k in enumerate(count[f])])
             for f, e in enumerate(exps)]
@@ -545,6 +548,48 @@ class TestEntryPoints:
     def test_zero_observations_rejected(self, fit_of):
         with pytest.raises(ConfigurationError, match="at least one"):
             fit_of()
+
+
+def abs_check_centered(X, y):
+    """``pls._check_centered`` with its column peaks taken from an n x d
+    array of |x|."""
+    col_scale, y_scale = np.max(np.abs(X), axis=0), np.max(np.abs(y))
+    _check_finite(X=col_scale, y=y_scale)
+    if np.any(np.abs(X.mean(axis=0)) > 1e-8 * col_scale):
+        raise ConfigurationError("X must be column-centered")
+    if abs(y.mean()) > 1e-8 * y_scale:
+        raise ConfigurationError("y must be centered")
+
+
+def check_outcome(check, X, y):
+    try:
+        with np.errstate(all="ignore"):
+            check(X, y)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+CENTERING_VALUES = (st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+     1.7976931348623157e308, -1.7976931348623157e308]))
+
+
+class TestCenteringCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(CENTERING_VALUES, min_size=n, max_size=n),
+                 min_size=1, max_size=4),
+        st.lists(CENTERING_VALUES, min_size=n, max_size=n))),
+        st.booleans())
+    def test_same_verdicts_as_the_abs_form(self, columns_and_y, center):
+        columns, y = columns_and_y
+        X, y = np.array(columns).T, np.array(y)
+        if center:  # most draws that are centered pass the check
+            with np.errstate(all="ignore"):
+                X, y = X - X.mean(axis=0), y - y.mean()
+        assert (check_outcome(_check_centered, X, y)
+                == check_outcome(abs_check_centered, X, y))
 
 
 class TestFitConfig:

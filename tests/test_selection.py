@@ -211,9 +211,9 @@ class TestLoocv:
         calls = []
         real = selection._fold_fits
 
-        def counted(S, Y, M, cfg):
+        def counted(S, Y, M, cfg, wu_rows):
             calls.append((S.shape[0], M.dim // S.shape[2]))
-            return real(S, Y, M, cfg)
+            return real(S, Y, M, cfg, wu_rows)
 
         monkeypatch.setattr(selection, "_fold_fits", counted)
         kw = dict(lambdas=[0.1, 1.0, 10.0], max_components=2, n_basis=5)
